@@ -14,7 +14,7 @@ import numpy as np
 from . import assembly
 from .mesh import NestedInjection, StructuredMesh
 from .model import Params
-from .stepper import SimState
+from .stepper import SimState, interior_of
 
 
 @dataclass
@@ -37,20 +37,20 @@ def h_norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
 
 def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
                     K, D, weights, dissipation_residual: float = 0.0) -> EnergyRecord:
-    idx = mesh.interior_nodes
-    x = state.Qcurr[idx].reshape(-1)
+    """Energy of a state, from the interior vectors and products a state
+    returned by step() carries, or gathered from its nodal fields."""
+    v = interior_of(state, p, mesh, K, D)
 
     kinetic = 0.0
     if p.sigma > 0.0:
         if state.Qprev is None:
             raise ValueError("state has no previous level but sigma > 0")
-        dtq = (state.Qcurr[idx] - state.Qprev[idx]).reshape(-1) / dt
-        kinetic = 0.5 * p.sigma * h_norm_sq(weights, dtq)
+        kinetic = 0.5 * p.sigma * h_norm_sq(weights, v.dq / dt)
 
-    elastic = p.L1 * float(x @ (K @ x))
+    elastic = p.L1 * float(v.q @ v.Kq)
     divpart = 0.0
-    if D is not None and (p.L2 + p.L3) != 0.0:
-        divpart = 0.5 * (p.L2 + p.L3) * float(x @ (D @ x))
+    if v.Dq is not None:
+        divpart = 0.5 * (p.L2 + p.L3) * float(v.q @ v.Dq)
     rpart = 0.5 * float(mesh.gamma @ (state.r * state.r))
     total = kinetic + elastic + divpart + rpart
     return EnergyRecord(kinetic, elastic, divpart, rpart, total,

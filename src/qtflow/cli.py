@@ -47,11 +47,24 @@ _SUBCOMMAND_KIND = {
 }
 
 
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%s is not a finite number" % text.strip())
+    return value
+
+
 def _float_list(text):
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError("cannot parse list %r: %s" % (text, exc))
+    return tuple(_float(tok) for tok in text.replace(",", " ").split())
+
+
+def _exponent_list(text):
+    """Perturbation exponents: finite numbers, or inf for no perturbation."""
+    values = tuple(float(tok) for tok in text.replace(",", " ").split())
+    for value in values:
+        if not (math.isfinite(value) or value == math.inf):
+            raise ValueError("%r is neither a finite number nor inf" % value)
+    return values
 
 
 def _get(cp, section, key, conv, fallback):
@@ -59,8 +72,6 @@ def _get(cp, section, key, conv, fallback):
         raw = cp.get(section, key)
         try:
             return conv(raw)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError("bad value for %s.%s: %s" % (section, key, exc))
     return fallback
@@ -86,40 +97,39 @@ def parse_config(path: str | None) -> ExperimentConfig:
                 raise ConfigError("unknown key %r in section [%s]" % (key, section))
 
     defaults = ExperimentConfig()
-    params = Params(
-        L1=_get(cp, "params", "L1", float, defaults.params.L1),
-        L2=_get(cp, "params", "L2", float, defaults.params.L2),
-        L3=_get(cp, "params", "L3", float, defaults.params.L3),
-        a=_get(cp, "params", "a", float, defaults.params.a),
-        b=_get(cp, "params", "b", float, defaults.params.b),
-        c=_get(cp, "params", "c", float, defaults.params.c),
-        A0=_get(cp, "params", "A0", float, defaults.params.A0),
-        sigma=_get(cp, "params", "sigma", float, defaults.params.sigma),
-    )
+    try:
+        params = Params(**{
+            key: _get(cp, "params", key, _float, getattr(defaults.params, key))
+            for key in sorted(_PARAM_KEYS)
+        })
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     cfg = ExperimentConfig(
         kind=_get(cp, "experiment", "kind", str, defaults.kind),
-        x0=_get(cp, "mesh", "x0", float, defaults.x0),
-        x1=_get(cp, "mesh", "x1", float, defaults.x1),
-        y0=_get(cp, "mesh", "y0", float, defaults.y0),
-        y1=_get(cp, "mesh", "y1", float, defaults.y1),
+        x0=_get(cp, "mesh", "x0", _float, defaults.x0),
+        x1=_get(cp, "mesh", "x1", _float, defaults.x1),
+        y0=_get(cp, "mesh", "y0", _float, defaults.y0),
+        y1=_get(cp, "mesh", "y1", _float, defaults.y1),
         nx=_get(cp, "mesh", "nx", int, defaults.nx),
         ny=_get(cp, "mesh", "ny", int, defaults.ny),
-        T=_get(cp, "experiment", "T", float, defaults.T),
-        dt=_get(cp, "experiment", "dt", float, defaults.dt),
+        T=_get(cp, "experiment", "T", _float, defaults.T),
+        dt=_get(cp, "experiment", "dt", _float, defaults.dt),
         params=params,
         initial=_get(cp, "experiment", "initial", str, defaults.initial),
         h_list=_get(cp, "experiment", "h_list", _float_list, defaults.h_list),
         reference_level=_get(cp, "experiment", "reference_level", int,
                              defaults.reference_level),
         dt_list=_get(cp, "experiment", "dt_list", _float_list, defaults.dt_list),
-        reference_dt=_get(cp, "experiment", "reference_dt", float,
+        reference_dt=_get(cp, "experiment", "reference_dt", _float,
                           defaults.reference_dt),
         sigma_list=_get(cp, "experiment", "sigma_list", _float_list,
                         defaults.sigma_list),
-        p1_list=_get(cp, "experiment", "p1_list", _float_list, defaults.p1_list),
-        p2_list=_get(cp, "experiment", "p2_list", _float_list, defaults.p2_list),
+        p1_list=_get(cp, "experiment", "p1_list", _exponent_list,
+                     defaults.p1_list),
+        p2_list=_get(cp, "experiment", "p2_list", _exponent_list,
+                     defaults.p2_list),
         out_dir=_get(cp, "experiment", "out_dir", str, defaults.out_dir),
-        cg_tol=_get(cp, "experiment", "cg_tol", float, defaults.cg_tol),
+        cg_tol=_get(cp, "experiment", "cg_tol", _float, defaults.cg_tol),
         threads=_get(cp, "experiment", "threads", int, defaults.threads),
     )
     try:

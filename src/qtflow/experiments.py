@@ -16,7 +16,16 @@ import numpy as np
 from . import analysis, assembly
 from .mesh import build_mesh, nested_injection
 from .model import Params
-from .stepper import SimState, build_default_Qt0, initialize, interpolate_qfield, nodal_r, step
+from .stepper import (
+    SimState,
+    build_default_Qt0,
+    initialize,
+    interior_of,
+    interpolate_qfield,
+    nodal_r,
+    step,
+    step_operator,
+)
 
 #: Default parameter profile of the shipped experiments.
 DEFAULT_PARAMS = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0,
@@ -143,7 +152,7 @@ def _simulate(x0, x1, y0, y1, nx, ny, params, dt, T, cg_tol,
     N = num_steps(T, dt)
     if params.sigma > 0.0:
         r0 = nodal_r(mesh, params, Q0)
-        Qt0 = build_default_Qt0(mesh, params, Q0, r0)
+        Qt0 = build_default_Qt0(mesh, params, Q0, r0, K)
         if pert_qt0 != 0.0:
             Qt0[idx, 0] += pert_qt0
         state = initialize(mesh, params, dt, Q0, Qt0)
@@ -151,18 +160,19 @@ def _simulate(x0, x1, y0, y1, nx, ny, params, dt, T, cg_tol,
     else:
         state = initialize(mesh, params, dt, Q0)
         remaining = N
+    state = replace(state, interior=interior_of(state, params, mesh, K, D))
+    op = step_operator(params, dt, K, D, w)
 
     trace = [analysis.discrete_energy(state, params, dt, mesh, K, D, w)]
     prev_dtq = None
     if params.sigma > 0.0:
-        prev_dtq = (state.Qcurr[idx] - state.Qprev[idx]).reshape(-1) / dt
+        prev_dtq = state.interior.dq / dt
 
     for _ in range(remaining):
-        old_state = state
         old_total = trace[-1].total
-        state = step(state, params, dt, mesh, K, D, w, cg_tol=cg_tol)
+        state = step(state, params, dt, mesh, K, D, w, cg_tol=cg_tol, op=op)
         rec = analysis.discrete_energy(state, params, dt, mesh, K, D, w)
-        dtq = (state.Qcurr[idx] - old_state.Qcurr[idx]).reshape(-1) / dt
+        dtq = state.interior.dq / dt
         resid = rec.total - old_total + dt * analysis.h_norm_sq(w, dtq)
         if params.sigma > 0.0:
             resid += 0.5 * params.sigma * analysis.h_norm_sq(w, dtq - prev_dtq)

@@ -45,6 +45,27 @@ class StructuredMesh:
     def n_interior(self) -> int:
         return self.interior_nodes.shape[0]
 
+    def _interior_view(self, field: np.ndarray) -> np.ndarray:
+        """The interior entries of a nodal field, shaped (ny-1, nx-1, ...).
+
+        Interior nodes form the inner block of the lexicographic lattice, so
+        a slice reaches them in interior order without an index array.  The
+        result is a view when field is C-contiguous.
+        """
+        lattice = field.reshape((self.ny + 1, self.nx + 1) + field.shape[1:])
+        return lattice[1:-1, 1:-1]
+
+    def gather_interior(self, field: np.ndarray) -> np.ndarray:
+        """Interior entries of a nodal field as a flat (interleaved) copy."""
+        return self._interior_view(field).flatten()
+
+    def scatter_interior(self, field: np.ndarray, values: np.ndarray) -> None:
+        """Write a flat (interleaved) interior vector into a nodal field."""
+        if not field.flags.c_contiguous:
+            raise ValueError("nodal field must be C-contiguous to be written in place")
+        view = self._interior_view(field)
+        view[...] = values.reshape(view.shape)
+
 
 def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
     """Build the structured triangulation with nx x ny square cells."""

@@ -34,14 +34,44 @@ from .solver import ConvergenceError, StepOperator, cg_solve
 
 
 @dataclass
+class Interior:
+    """Interleaved interior vectors of a state and the sparse products of
+    its Q level, carried from a step into the energy evaluation and the
+    next step so that neither gathers nor multiplies them again."""
+
+    q: np.ndarray              # Q^n at interior DOFs
+    dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
+    r: np.ndarray              # r^n at interior nodes
+    Kq: np.ndarray             # K q
+    Dq: np.ndarray | None      # D q; None when the divergence term is off
+
+
+@dataclass
 class SimState:
-    """Two-level state (Q^{n-1}, Q^n, r^n); Qprev is None when sigma = 0."""
+    """Two-level state (Q^{n-1}, Q^n, r^n); Qprev is None when sigma = 0.
+
+    interior is set on states returned by step(); a state built from nodal
+    fields alone has none and is gathered on use.
+    """
 
     Qprev: np.ndarray | None  # (N, 2) or None
     Qcurr: np.ndarray         # (N, 2)
     r: np.ndarray             # (N,)
     n: int
     t: float
+    interior: Interior | None = None
+
+
+def interior_of(state: SimState, p: Params, mesh: StructuredMesh, K, D) -> Interior:
+    """The interior vectors of state, gathered from its nodal fields when
+    the state does not carry them.  D is used only when L2 + L3 != 0."""
+    if state.interior is not None:
+        return state.interior
+    q = mesh.gather_interior(state.Qcurr)
+    dq = None if state.Qprev is None else q - mesh.gather_interior(state.Qprev)
+    use_div = D is not None and (p.L2 + p.L3) != 0.0
+    return Interior(q=q, dq=dq, r=mesh.gather_interior(state.r), Kq=K @ q,
+                    Dq=D @ q if use_div else None)
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
@@ -91,14 +121,16 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None) -> SimS
 
 
 def build_default_Qt0(mesh: StructuredMesh, p: Params,
-                      Q0field: np.ndarray, r0field: np.ndarray) -> np.ndarray:
+                      Q0field: np.ndarray, r0field: np.ndarray, K=None) -> np.ndarray:
     """Discrete initial time derivative L1*Lap(Q0) - r0 P(Q0).
 
-    The Laplacian acts through the assembled stiffness and the inverse
-    lumped mass, keeping the initialization consistent with the mesh.
+    The Laplacian acts through the interior stiffness K (assembled here
+    when omitted) and the inverse lumped mass, keeping the initialization
+    consistent with the mesh.
     """
     idx = mesh.interior_nodes
-    K = assembly.assemble_stiffness(mesh)
+    if K is None:
+        K = assembly.assemble_stiffness(mesh)
     x0 = Q0field[idx].reshape(-1)
     gamma_dof = np.repeat(mesh.gamma[idx], 2)
     lap = -(p.L1) * (K @ x0) / gamma_dof
@@ -110,48 +142,65 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params,
     return out
 
 
+def step_operator(p: Params, dt: float, K, D, weights) -> StepOperator:
+    """The step operator of a run; its constant part is built once here
+    and step() installs the rank-one part of each step."""
+    return StepOperator(weights, K, D, None, 1.0 / dt + p.sigma / dt ** 2,
+                        p.L1, 0.5 * (p.L2 + p.L3))
+
+
 def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
-         K, D, weights, cg_tol: float = 1e-10, maxiter: int | None = None) -> SimState:
-    """Advance one time step; returns the new state."""
-    idx = mesh.interior_nodes
-    qn = state.Qcurr[idx].reshape(-1)
-    rn = state.r[idx]
-    Pn = aux_P(STTensor2(state.Qcurr[idx, 0], state.Qcurr[idx, 1]), p)
-    pvec = np.column_stack([Pn.q1, Pn.q2])
+         K, D, weights, cg_tol: float = 1e-10, maxiter: int | None = None,
+         op: StepOperator | None = None) -> SimState:
+    """Advance one time step; returns the new state.
 
-    sigma = p.sigma
-    cm = 1.0 / dt + sigma / dt ** 2
-    ck = p.L1
-    cd = 0.5 * (p.L2 + p.L3)
-    A = StepOperator(weights, K, D, pvec, cm, ck, cd)
+    op is the run's operator from step_operator() with the same p, dt, K,
+    D and weights; it is built here when omitted.
+    """
+    if op is None:
+        op = step_operator(p, dt, K, D, weights)
+    v = interior_of(state, p, mesh, K, D)
+    Pn = aux_P(STTensor2(v.q[0::2], v.q[1::2]), p)
+    op.set_rank_one(np.stack((Pn.q1, Pn.q2)))
 
-    rhs = (1.0 / dt + 2.0 * sigma / dt ** 2) * (weights * qn)
-    if sigma > 0.0:
-        qprev = state.Qprev[idx].reshape(-1)
-        rhs -= (sigma / dt ** 2) * (weights * qprev)
-    rhs -= ck * (K @ qn)
-    if D is not None and cd != 0.0:
-        rhs -= cd * (D @ qn)
-    rhs -= weights * np.column_stack([rn * Pn.q1, rn * Pn.q2]).reshape(-1)
-    s = (pvec * qn.reshape(-1, 2)).sum(axis=1)
-    rhs += weights * (pvec * s[:, None]).reshape(-1)
+    # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r) with
+    # L = c_k K + c_d D, and the residual of the start value q,
+    # rhs - A q = (sigma/dt^2) w dq - 2 L q - w r p, formed without the
+    # cancellation of subtracting A q from rhs.
+    Lq = op.ck * v.Kq
+    if v.Dq is not None:
+        Lq += op.cd * v.Dq
+    rhs = op.cm * (weights * v.q)
+    rhs -= Lq
+    res = -2.0 * Lq
+    if p.sigma > 0.0:
+        inertia = (p.sigma / dt ** 2) * (weights * v.dq)
+        rhs += inertia
+        res += inertia
+    s = op.project(v.q)
+    s -= v.r
+    op.spread(s, rhs)
+    op.spread(-v.r, res)
 
-    x, _ = cg_solve(A, rhs, tol=cg_tol, maxiter=maxiter, x0=qn)
+    x, _ = cg_solve(op, rhs, tol=cg_tol, maxiter=maxiter, x0=v.q, r0=res)
     if not np.all(np.isfinite(x)):
         raise ConvergenceError("non-finite values in Q update", residual=float("nan"))
 
-    Qnew = np.zeros_like(state.Qcurr)
-    Qnew[idx] = x.reshape(-1, 2)
-    dq = Qnew[idx] - state.Qcurr[idx]
-    rnew = state.r.copy()
-    rnew[idx] += 2.0 * (pvec[:, 0] * dq[:, 0] + pvec[:, 1] * dq[:, 1])
-    if not np.all(np.isfinite(rnew)):
+    dq = x - v.q
+    r_int = v.r + 2.0 * op.project(dq)
+    if not np.all(np.isfinite(r_int)):
         raise ConvergenceError("non-finite values in r update", residual=float("nan"))
 
+    Qnew = np.zeros_like(state.Qcurr)
+    mesh.scatter_interior(Qnew, x)
+    rnew = state.r.copy()
+    mesh.scatter_interior(rnew, r_int)
     return SimState(
-        Qprev=state.Qcurr if sigma > 0.0 else None,
+        Qprev=state.Qcurr if p.sigma > 0.0 else None,
         Qcurr=Qnew,
         r=rnew,
         n=state.n + 1,
         t=state.t + dt,
+        interior=Interior(q=x, dq=dq, r=r_int, Kq=K @ x,
+                          Dq=None if v.Dq is None else D @ x),
     )

@@ -73,6 +73,12 @@ class TestStiffness:
             assert x @ (K @ x) >= -1e-12 * (x @ x)
 
 
+def test_assembled_forms_store_no_zeros():
+    mesh = build_mesh(0, 2, 0, 2, 8, 8)
+    for A in (scalar_stiffness(mesh), assemble_stiffness(mesh), assemble_div_form(mesh)):
+        assert A.nnz == A.count_nonzero()
+
+
 class TestDivForm:
     def test_symmetry_and_psd(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)

@@ -68,6 +68,15 @@ initial = zero
         cfg = parse_config(write(tmp_path, "[experiment]\np1_list = 1, inf\n"))
         assert cfg.p1_list == (1.0, math.inf)
 
+    @pytest.mark.parametrize("text,key", [
+        ("[experiment]\np2_list = 1, nan\n", "experiment.p2_list"),
+        ("[experiment]\nh_list = 0.5, inf\n", "experiment.h_list"),
+        ("[mesh]\nx1 = -inf\n", "mesh.x1"),
+    ])
+    def test_non_finite_entries_rejected(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(write(tmp_path, text))
+
 
 class TestDispatchRun:
     def cfg_zero(self):
@@ -165,6 +174,21 @@ initial = zero
     def test_validation_error_exit_one(self, tmp_path):
         cfgpath = write(tmp_path, "[experiment]\nT = 0.1\ndt = 3e-4\n")
         assert main(["run", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("params", "A0", "nan"),
+        ("experiment", "cg_tol", "nan"),
+        ("experiment", "T", "inf"),
+    ])
+    def test_non_finite_value_exit_one(self, tmp_path, capsys, section, key, value):
+        cfgpath = write(tmp_path, "[%s]\n%s = %s\n" % (section, key, value))
+        assert main(["run", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+        assert "%s.%s" % (section, key) in capsys.readouterr().err
+
+    def test_invalid_param_exit_one(self, tmp_path, capsys):
+        cfgpath = write(tmp_path, "[params]\nc = -1\n")
+        assert main(["run", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+        assert "coefficient c" in capsys.readouterr().err
 
     def test_unknown_subcommand_usage(self, capsys):
         code = main(["frobnicate"])

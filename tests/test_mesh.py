@@ -43,6 +43,30 @@ class TestBuildMesh:
             assert mesh.interior_index[node] == pos
         assert np.all(mesh.interior_index[mesh.is_boundary] == -1)
 
+    def test_interior_gather_and_scatter_follow_interior_order(self):
+        mesh = build_mesh(0, 3, 0, 2, 6, 4)
+        idx = mesh.interior_nodes
+        rng = np.random.RandomState(1)
+        Q = rng.standard_normal((mesh.n_nodes, 2))
+        r = rng.standard_normal(mesh.n_nodes)
+        assert np.array_equal(mesh.gather_interior(Q), Q[idx].reshape(-1))
+        assert np.array_equal(mesh.gather_interior(r), r[idx])
+
+        x = rng.standard_normal(2 * mesh.n_interior)
+        out = np.zeros_like(Q)
+        mesh.scatter_interior(out, x)
+        expect = np.zeros_like(Q)
+        expect[idx] = x.reshape(-1, 2)
+        assert np.array_equal(out, expect)
+        with pytest.raises(ValueError):
+            mesh.scatter_interior(np.asfortranarray(out), x)
+
+        # a single interior row is contiguous; the gather still copies
+        thin = build_mesh(0, 4, 0, 2, 4, 2)
+        field = np.ones((thin.n_nodes, 2))
+        thin.gather_interior(field)[:] = 5.0
+        assert np.all(field == 1.0)
+
     def test_gamma_against_quadrature_oracle(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         gamma = oracles.hat_integrals(mesh)

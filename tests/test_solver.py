@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
+from qtflow.experiments import DEFAULT_PARAMS
 from qtflow.mesh import build_mesh
 from qtflow.solver import ConvergenceError, StepOperator, cg_solve
+from qtflow.stepper import step_operator
 
 
 def make_operator(mesh, rng=None, mass_coef=100.0, grad_coef=0.01, div_coef=0.005):
@@ -12,7 +16,7 @@ def make_operator(mesh, rng=None, mass_coef=100.0, grad_coef=0.01, div_coef=0.00
     w = lumped_mass(mesh)
     p = None
     if rng is not None:
-        p = rng.uniform(-0.2, 0.2, size=(mesh.n_interior, 2))
+        p = rng.uniform(-0.2, 0.2, size=(2, mesh.n_interior))
     return StepOperator(w, K, D, p, mass_coef, grad_coef, div_coef)
 
 
@@ -23,6 +27,42 @@ def dense_matrix(A, n):
         e[k] = 1.0
         cols.append(A.matvec(e))
     return np.array(cols).T
+
+
+def dense_step_operator(w, K, D, p, cm, ck, cd):
+    """c_m diag(w) + c_k K + c_d D + w_z p_z p_z^T, assembled densely."""
+    A = cm * np.diag(w) + ck * K.toarray()
+    if D is not None:
+        A += cd * D.toarray()
+    if p is not None:
+        for z in range(p.shape[1]):
+            A[2 * z:2 * z + 2, 2 * z:2 * z + 2] += w[2 * z] * np.outer(p[:, z], p[:, z])
+    return A
+
+
+class TestStepOperator:
+    @pytest.mark.parametrize("sigma", [0.0, 0.025])
+    @pytest.mark.parametrize("with_p", [False, True])
+    @pytest.mark.parametrize("with_div", [False, True])
+    def test_matvec_and_diag_match_dense(self, with_div, with_p, sigma):
+        mesh = build_mesh(0, 2, 0, 2, 4, 4)
+        K, D, w = assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
+        ell = 5e-4 if with_div else 0.0
+        params = replace(DEFAULT_PARAMS, L2=ell, L3=ell, sigma=sigma)
+        dt = 1e-3
+        rng = np.random.RandomState(21)
+        op = step_operator(params, dt, K, D, w)
+        # a previous step's rank-one part must be replaced, not accumulated
+        op.set_rank_one(rng.uniform(-1.0, 1.0, size=(2, mesh.n_interior)))
+        p = rng.uniform(-0.2, 0.2, size=(2, mesh.n_interior)) if with_p else None
+        op.set_rank_one(p)
+
+        n = 2 * mesh.n_interior
+        dense = dense_step_operator(w, K, D if with_div else None, p,
+                                    1.0 / dt + sigma / dt ** 2, params.L1, ell)
+        scale = np.abs(dense).max()
+        np.testing.assert_allclose(dense_matrix(op, n), dense, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(op.diag, np.diag(dense), rtol=1e-14)
 
 
 class TestCgSolve:
@@ -83,6 +123,23 @@ class TestCgSolve:
         b = rng.standard_normal(2 * mesh.n_interior)
         runs = {cg_solve(A, b, tol=1e-10)[1] for _ in range(3)}
         assert len(runs) == 1
+
+    def test_supplied_initial_residual_is_verified(self):
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        rng = np.random.RandomState(17)
+        A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
+        n = 2 * mesh.n_interior
+        b = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        exact = b - A.matvec(x0)
+        x, iters = cg_solve(A, b, tol=1e-10, x0=x0, r0=exact)
+        assert iters > 0
+        assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
+        # a wrong residual cannot end the solve early: a zero one is
+        # re-checked at the start, a scaled one when the recurrence converges
+        for wrong in (np.zeros(n), 1.01 * exact):
+            x, _ = cg_solve(A, b, tol=1e-10, x0=x0, r0=wrong)
+            assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
 
     def test_nonconvergence_reports_residual(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)

@@ -8,11 +8,13 @@ from qtflow.experiments import default_initial_q
 from qtflow.mesh import build_mesh
 from qtflow.model import Params, STTensor2, aux_P, aux_r
 from qtflow.stepper import (
+    SimState,
     build_default_Qt0,
     initialize,
     interpolate_qfield,
     nodal_r,
     step,
+    step_operator,
 )
 
 import oracles
@@ -104,6 +106,14 @@ class TestDefaultQt0:
         qt0 = build_default_Qt0(mesh, P6, Q0, np.zeros(mesh.n_nodes))
         expect = -P6.L1 * lam * Q0
         assert np.max(np.abs(qt0 - expect)) < 1e-6 * lam * P6.L1
+
+    def test_caller_stiffness_gives_same_result(self):
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        Q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(mesh, P6, Q0)
+        K = assemble_stiffness(mesh)
+        assert np.array_equal(build_default_Qt0(mesh, P6, Q0, r0, K),
+                              build_default_Qt0(mesh, P6, Q0, r0))
 
     def test_energy_drop_after_one_step(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -225,6 +235,38 @@ class TestStep:
         state = initialize(mesh, P6, 1e-3, default_initial_q)
         state = step(state, P6, 1e-3, mesh, K, D, w)
         assert np.all(np.isfinite(state.Qcurr)) and np.all(np.isfinite(state.r))
+
+
+class TestCarriedInterior:
+    @pytest.mark.parametrize("params", [P6_DIV, P6_PAR], ids=["inertial_div", "parabolic"])
+    def test_shared_products_match_fresh_states(self, params):
+        """Ten steps carrying interior vectors, products and one operator
+        against the same steps each started from nodal fields alone."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        K, D, w = forms(mesh)
+        dt = 1e-3
+        Q0 = interpolate_qfield(mesh, default_initial_q)
+        qt0 = None
+        if params.sigma > 0:
+            qt0 = build_default_Qt0(mesh, params, Q0, nodal_r(mesh, params, Q0), K)
+        carried = initialize(mesh, params, dt, Q0, qt0)
+        fresh = carried
+        op = step_operator(params, dt, K, D, w)
+
+        def nodal(s):
+            return SimState(Qprev=s.Qprev, Qcurr=s.Qcurr, r=s.r, n=s.n, t=s.t)
+
+        for _ in range(10):
+            carried = step(carried, params, dt, mesh, K, D, w, cg_tol=1e-12, op=op)
+            fresh = nodal(step(nodal(fresh), params, dt, mesh, K, D, w, cg_tol=1e-12))
+            assert carried.interior is not None and fresh.interior is None
+            for a, b in ((carried.Qcurr, fresh.Qcurr), (carried.r, fresh.r)):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            e_c = discrete_energy(carried, params, dt, mesh, K, D, w)
+            e_f = discrete_energy(fresh, params, dt, mesh, K, D, w)
+            for part in ("kinetic", "elastic", "divpart", "rpart", "total"):
+                assert getattr(e_c, part) == pytest.approx(getattr(e_f, part), rel=1e-13)
+        assert e_c.divpart > 0 if params.L2 > 0 else e_c.divpart == 0
 
 
 class TestFullMatrixReference:
