@@ -33,7 +33,6 @@ class StepOperator:
 
     def __init__(self, weights, stiffness, div_form, p_nodes,
                  mass_coef, grad_coef, div_coef):
-        self.w = weights
         self.K = stiffness
         self.D = div_form
         self.cm = float(mass_coef)
@@ -45,7 +44,7 @@ class StepOperator:
         if div_form is not None and self.cd != 0.0:
             base = base + self.cd * div_form
         self.base = base.tocsr()
-        self.base_diag = self.base.diagonal()
+        self._base_diag = self.base.diagonal()
         self._node_w = weights[0::2]
         self.set_rank_one(p_nodes)
 
@@ -54,10 +53,10 @@ class StepOperator:
         self.p = p_nodes
         if p_nodes is None:
             self._wp = None
-            self.diag = self.base_diag
+            self.diag = self._base_diag
             return
         self._wp = self._node_w * p_nodes
-        diag = self.base_diag.copy()
+        diag = self._base_diag.copy()
         diag[0::2] += self._wp[0] * p_nodes[0]
         diag[1::2] += self._wp[1] * p_nodes[1]
         self.diag = diag
