@@ -9,10 +9,10 @@ from .analysis import (
     h1_error_component,
     h1_error_field,
     l2_error_scalar,
+    norm_forms,
     transfer_to_fine,
 )
 from .assembly import (
-    alpha_pairing,
     assemble_div_form,
     assemble_stiffness,
     lumped_mass,

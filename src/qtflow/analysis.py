@@ -2,14 +2,18 @@
 
 The scheme itself uses lumped inner products, but reported errors are
 standard Sobolev norms evaluated with exact P1 quadrature (consistent mass
-and stiffness); mixing the two would shift the error magnitudes.
+and stiffness); mixing the two would shift the error magnitudes.  The norms
+take those forms from norm_forms(), so a study builds them once for its
+reference mesh however many errors it evaluates there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from . import assembly
 from .mesh import NestedInjection, StructuredMesh
@@ -57,41 +61,49 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
                         dissipation_residual)
 
 
-def _norm_forms(mesh: StructuredMesh):
-    return assembly.consistent_mass(mesh), assembly.scalar_stiffness(mesh)
+class NormForms(NamedTuple):
+    """Consistent mass and scalar stiffness over all nodes of one mesh: the
+    forms of the error norms, built once per mesh by norm_forms()."""
+
+    mass: sparse.csr_matrix
+    stiffness: sparse.csr_matrix
 
 
-def h1_error_component(A: np.ndarray, B: np.ndarray, mesh: StructuredMesh,
+def norm_forms(mesh: StructuredMesh) -> NormForms:
+    return NormForms(assembly.consistent_mass(mesh), assembly.scalar_stiffness(mesh))
+
+
+def _check_nodal(forms: NormForms, shape: tuple, *fields) -> None:
+    """Every field must be nodal on the forms' mesh, with trailing shape."""
+    if any(f.shape != (forms.mass.shape[0],) + shape for f in fields):
+        raise ValueError("fields do not match the mesh")
+
+
+def h1_error_component(A: np.ndarray, B: np.ndarray, forms: NormForms,
                        component: int) -> float:
     """H1 norm of one scalar component of the difference of two Q fields."""
-    if A.shape != (mesh.n_nodes, 2) or B.shape != (mesh.n_nodes, 2):
-        raise ValueError("fields do not match the mesh")
+    _check_nodal(forms, (2,), A, B)
     e = A[:, component] - B[:, component]
-    Mc, Kf = _norm_forms(mesh)
-    return float(np.sqrt(e @ (Mc @ e) + e @ (Kf @ e)))
+    return float(np.sqrt(e @ (forms.mass @ e) + e @ (forms.stiffness @ e)))
 
 
-def l2_error_scalar(rA: np.ndarray, rB: np.ndarray, mesh: StructuredMesh) -> float:
-    if rA.shape != (mesh.n_nodes,) or rB.shape != (mesh.n_nodes,):
-        raise ValueError("fields do not match the mesh")
+def l2_error_scalar(rA: np.ndarray, rB: np.ndarray, forms: NormForms) -> float:
+    _check_nodal(forms, (), rA, rB)
     e = rA - rB
-    Mc = assembly.consistent_mass(mesh)
-    return float(np.sqrt(e @ (Mc @ e)))
+    return float(np.sqrt(e @ (forms.mass @ e)))
 
 
-def h1_error_field(QA: np.ndarray, QB: np.ndarray, mesh: StructuredMesh) -> float:
+def h1_error_field(QA: np.ndarray, QB: np.ndarray, forms: NormForms) -> float:
     """Frobenius-aggregated H1 norm of the full tensor difference.
 
     Both diagonal and both off-diagonal entries contribute, giving a
     factor 2 on the squared reduced component norms.
     """
-    if QA.shape != (mesh.n_nodes, 2) or QB.shape != (mesh.n_nodes, 2):
-        raise ValueError("fields do not match the mesh")
-    Mc, Kf = _norm_forms(mesh)
+    _check_nodal(forms, (2,), QA, QB)
     total = 0.0
     for comp in range(2):
         e = QA[:, comp] - QB[:, comp]
-        total += float(e @ (Mc @ e) + e @ (Kf @ e))
+        total += float(e @ (forms.mass @ e) + e @ (forms.stiffness @ e))
     return float(np.sqrt(2.0 * total))
 
 

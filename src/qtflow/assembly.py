@@ -5,6 +5,21 @@ per triangle), so no quadrature error enters the assembled forms.
 
 Interior systems use an interleaved degree-of-freedom order: the q1 and q2
 components of interior node k occupy positions 2k and 2k+1.
+
+The interior stiffness and divergence form are built from their lattice
+stencil rather than element by element.  Every cell of the structured mesh
+is a translate of the first one, split along the same diagonal, so the row
+of every interior node collects the same element contributions at the same
+lattice offsets: the seven offsets (0, 0), (+-1, 0), (0, +-1), +-(1, 1)
+of the nodes that share a triangle with it.  The 2x2 block at each offset
+is summed once from the two triangles of the first cell, and a row keeps
+the offsets that land on interior nodes.  When the node coordinates are
+exact binary numbers (a dyadic cell size and origin), every cell's element
+matrices equal the first cell's bit for bit, each contribution is one of
+0, +-1/2 and +-1, and sums of those are exact in any order; the stencil
+matrices then equal the element assembly exactly.  On other meshes the
+cells differ by the roundoff of their coordinates, and so do the two
+assemblies.
 """
 
 from __future__ import annotations
@@ -15,9 +30,10 @@ from scipy import sparse
 from .mesh import StructuredMesh
 
 
-def element_geometry(mesh: StructuredMesh):
-    """Signed areas (M,) and constant basis gradients (M, 3, 2)."""
-    pts = mesh.nodes[mesh.triangles]  # (M, 3, 2)
+def element_geometry(mesh: StructuredMesh, triangles: np.ndarray | None = None):
+    """Signed areas (M,) and constant basis gradients (M, 3, 2) of the given
+    triangles (node index triples), by default all triangles of the mesh."""
+    pts = mesh.nodes[mesh.triangles if triangles is None else triangles]
     v1 = pts[:, 1] - pts[:, 0]
     v2 = pts[:, 2] - pts[:, 0]
     area = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
@@ -71,14 +87,75 @@ def consistent_mass(mesh: StructuredMesh) -> sparse.csr_matrix:
     return M.tocsr()
 
 
+def _cell_stencil(mesh: StructuredMesh, element_block) -> dict:
+    """The 2x2 stencil blocks of an interleaved interior form, keyed by the
+    lattice offset (dj, di) from a row's node to its column's node.
+
+    element_block(area, gi, gj) is the 2x2 contribution that basis pair
+    (i, j) of one triangle makes to block (row i, column j).  The blocks sum
+    the two triangles of the first cell, in triangle and then local order.
+    """
+    cell = mesh.triangles[:2]
+    area, grads = element_geometry(mesh, cell)
+    cj, ci = np.divmod(cell, mesh.nx + 1)  # lattice coordinates of the vertices
+    blocks = {}
+    for t in range(2):
+        for i in range(3):
+            for j in range(3):
+                offset = (int(cj[t, j] - cj[t, i]), int(ci[t, j] - ci[t, i]))
+                block = element_block(area[t], grads[t, i], grads[t, j])
+                blocks[offset] = blocks.get(offset, 0.0) + block
+    return blocks
+
+
+def _stencil_matrix(mesh: StructuredMesh, blocks: dict) -> sparse.csr_matrix:
+    """Interleaved interior matrix applying the same stencil blocks at every
+    interior node; offsets that land on the boundary and block entries that
+    are exactly zero are not stored."""
+    ni, nj = mesh.nx - 1, mesh.ny - 1
+    n = ni * nj
+    # one template entry per stored (offset, column component) of each row
+    # component, in column order: offsets sorted by (dj, di), then component
+    templates = [[(*off, c2, blocks[off][c, c2])
+                  for off in sorted(blocks) for c2 in range(2)
+                  if blocks[off][c, c2] != 0.0]
+                 for c in range(2)]
+    table = np.array(templates[0] + templates[1])
+    dj, di, comp = table[:, :3].astype(np.int64).T
+    values = table[:, 3]
+
+    node = np.arange(n)
+    i = node % ni
+    j = node // ni
+    inside = ((i[:, None] + di >= 0) & (i[:, None] + di < ni)
+              & (j[:, None] + dj >= 0) & (j[:, None] + dj < nj))
+    cols = 2 * (node[:, None] + dj * ni + di) + comp
+
+    split = len(templates[0])
+    counts = np.column_stack([inside[:, :split].sum(axis=1),
+                              inside[:, split:].sum(axis=1)]).ravel()
+    indptr = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.broadcast_to(values, inside.shape)[inside]
+    return sparse.csr_matrix((data, cols[inside], indptr), shape=(2 * n, 2 * n))
+
+
+def _stiffness_block(area, gi, gj):
+    return area * (gi[0] * gj[0] + gi[1] * gj[1]) * np.eye(2)
+
+
+def _div_block(area, gi, gj):
+    same = area * (gi[0] * gj[0] + gi[1] * gj[1])
+    cross = area * (gi[0] * gj[1] - gi[1] * gj[0])
+    return np.array([[same, cross], [-cross, same]])
+
+
 def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
     """Interior Dirichlet stiffness acting on interleaved (q1, q2) vectors.
 
     Each component sees the plain scalar stiffness; there is no coupling.
     """
-    idx = mesh.interior_nodes
-    K = scalar_stiffness(mesh)[idx][:, idx]
-    return sparse.kron(K, sparse.identity(2, format="csr"), format="csr")
+    return _stencil_matrix(mesh, _cell_stencil(mesh, _stiffness_block))
 
 
 def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:
@@ -88,30 +165,7 @@ def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:
     (dx q1 + dy q2, dx q2 - dy q1); the form x' D y integrates the dot
     product of the two divergence vectors and so couples q1 with q2.
     """
-    area, grads = element_geometry(mesh)
-    tri = mesh.triangles
-    rows, cols, data = [], [], []
-    for i in range(3):
-        gi = grads[:, i]
-        for j in range(3):
-            gj = grads[:, j]
-            same = area * (gi[:, 0] * gj[:, 0] + gi[:, 1] * gj[:, 1])
-            cross = area * (gi[:, 0] * gj[:, 1] - gi[:, 1] * gj[:, 0])
-            u = tri[:, i]
-            v = tri[:, j]
-            rows += [2 * u, 2 * u + 1, 2 * u, 2 * u + 1]
-            cols += [2 * v, 2 * v + 1, 2 * v + 1, 2 * v]
-            data += [same, same, cross, -cross]
-    n2 = 2 * mesh.n_nodes
-    D = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n2, n2),
-    ).tocsr()
-    dofs = np.repeat(2 * mesh.interior_nodes, 2)
-    dofs[1::2] += 1
-    D = D[dofs][:, dofs]
-    D.eliminate_zeros()  # entries whose element contributions cancel exactly
-    return D
+    return _stencil_matrix(mesh, _cell_stencil(mesh, _div_block))
 
 
 def lumped_mass(mesh: StructuredMesh) -> np.ndarray:
@@ -123,45 +177,3 @@ def lumped_mass(mesh: StructuredMesh) -> np.ndarray:
     """
     g = mesh.gamma[mesh.interior_nodes]
     return np.repeat(2.0 * g, 2)
-
-
-def alpha_pairing(mesh: StructuredMesh, W1: np.ndarray, W2: np.ndarray) -> float:
-    """Evaluate the elastic cross-derivative pairing of two reduced fields.
-
-    The three-term definition is expanded literally over the full matrix
-    entries; this routine exists as an independent oracle against the
-    reduced divergence form (the pairing equals -2 times the div form for
-    symmetric trace-free fields).  Fields are (N, 2) nodal arrays that
-    vanish on the boundary.
-    """
-    area, grads = element_geometry(mesh)
-    tri = mesh.triangles
-
-    def entry_gradients(W):
-        q1 = W[tri, 0]  # (M, 3)
-        q2 = W[tri, 1]
-        g1 = np.einsum("mi,mik->mk", q1, grads)  # gradient of q1 per element
-        g2 = np.einsum("mi,mik->mk", q2, grads)
-        return {
-            (0, 0): g1,
-            (0, 1): g2,
-            (1, 0): g2,
-            (1, 1): -g1,
-        }
-
-    d1 = entry_gradients(np.asarray(W1, dtype=float))
-    d2 = entry_gradients(np.asarray(W2, dtype=float))
-
-    d = 2
-    acc = np.zeros_like(area)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                acc += d1[(j, k)][:, k] * d2[(i, j)][:, i]
-                acc += d1[(i, k)][:, k] * d2[(i, j)][:, j]
-    trace_term = np.zeros_like(area)
-    for k in range(d):
-        for ell in range(d):
-            for i in range(d):
-                trace_term += d1[(k, ell)][:, ell] * d2[(i, i)][:, k]
-    return float(np.sum(area * (-acc + (2.0 / d) * trace_term)))

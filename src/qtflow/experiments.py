@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,7 +84,31 @@ def num_steps(T: float, dt: float) -> int:
     return k
 
 
+def _check_finite(cfg: ExperimentConfig) -> None:
+    """Reject non-finite numbers, naming the field.  Perturbation exponents
+    may also be +inf, which means no perturbation."""
+    for name in ("x0", "x1", "y0", "y1", "T", "dt", "reference_dt", "cg_tol"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError("%s must be a finite number, got %r" % (name, value))
+    for f in fields(cfg.params):
+        value = getattr(cfg.params, f.name)
+        if not math.isfinite(value):
+            raise ConfigError("params.%s must be a finite number, got %r" % (f.name, value))
+    for name in ("h_list", "dt_list", "sigma_list"):
+        for value in getattr(cfg, name) or ():
+            if not math.isfinite(value):
+                raise ConfigError("%s entries must be finite numbers, got %r"
+                                  % (name, value))
+    for name in ("p1_list", "p2_list"):
+        for value in getattr(cfg, name):
+            if not (math.isfinite(value) or value == math.inf):
+                raise ConfigError("%s entries must be finite numbers or inf, got %r"
+                                  % (name, value))
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    _check_finite(cfg)
     if cfg.kind not in KINDS:
         raise ConfigError("unknown experiment kind %r" % cfg.kind)
     if cfg.initial not in INITIAL_PROFILES:
@@ -270,18 +294,19 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     results = _run_cases(cases, cfg.threads)
     ref = results[0]
 
+    forms = analysis.norm_forms(ref.mesh)
     ref_r0 = ref.state.r.copy()
     ref_r0[ref.mesh.is_boundary] = 0.0
     errs = {"q11": [], "q12": [], "r": []}
     for res in results[1:]:
         inj = nested_injection(res.mesh, ref.mesh)
         Qt = analysis.transfer_to_fine(res.state.Qcurr, inj, ref.mesh)
-        errs["q11"].append(analysis.h1_error_component(Qt, ref.state.Qcurr, ref.mesh, 0))
-        errs["q12"].append(analysis.h1_error_component(Qt, ref.state.Qcurr, ref.mesh, 1))
+        errs["q11"].append(analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 0))
+        errs["q12"].append(analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 1))
         r0 = res.state.r.copy()
         r0[res.mesh.is_boundary] = 0.0
         rt = analysis.transfer_to_fine(r0, inj, ref.mesh)
-        errs["r"].append(analysis.l2_error_scalar(rt, ref_r0, ref.mesh))
+        errs["r"].append(analysis.l2_error_scalar(rt, ref_r0, forms))
 
     orders = {key: [None] + analysis.convergence_orders(val, 2.0)
               for key, val in errs.items()}
@@ -312,13 +337,13 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
         cases.append(base + (dt, cfg.T, cfg.cg_tol, cfg.initial))
     results = _run_cases(cases, cfg.threads)
     ref = results[0]
-    mesh = ref.mesh
+    forms = analysis.norm_forms(ref.mesh)
 
     errs = {"q11": [], "q12": [], "r": []}
     for res in results[1:]:
-        errs["q11"].append(analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, mesh, 0))
-        errs["q12"].append(analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, mesh, 1))
-        errs["r"].append(analysis.l2_error_scalar(res.state.r, ref.state.r, mesh))
+        errs["q11"].append(analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 0))
+        errs["q12"].append(analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 1))
+        errs["r"].append(analysis.l2_error_scalar(res.state.r, ref.state.r, forms))
 
     orders = {key: [None] + analysis.convergence_orders(val, 2.0)
               for key, val in errs.items()}
@@ -374,12 +399,12 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
                 case_keys.append((p1, p2, s))
     results = _run_cases(cases, cfg.threads)
     par = results[0]
-    mesh = par.mesh
+    forms = analysis.norm_forms(par.mesh)
 
     rows = []
     for key, res in zip(case_keys, results[1:]):
         p1, p2, s = key
-        err = analysis.h1_error_field(par.state.Qcurr, res.state.Qcurr, mesh)
+        err = analysis.h1_error_field(par.state.Qcurr, res.state.Qcurr, forms)
         rows.append(SigmaRow(sigma=s, p1=p1, p2=p2, h1_error=err))
 
     slopes = {}

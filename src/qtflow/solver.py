@@ -14,11 +14,16 @@ from scipy import sparse
 
 
 class ConvergenceError(RuntimeError):
-    """CG failed to reach the requested residual within maxiter."""
+    """CG failed to reach the requested residual within maxiter, or a step
+    produced non-finite values.  Raised from a time step, it names the step
+    index and the time it was advancing to; both are None otherwise."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float,
+                 step: int | None = None, t: float | None = None):
         super().__init__(message)
         self.residual = residual
+        self.step = step
+        self.t = t
 
 
 class StepOperator:

@@ -149,13 +149,21 @@ def step_operator(p: Params, dt: float, K, D, weights) -> StepOperator:
                         p.L1, 0.5 * (p.L2 + p.L3))
 
 
+def _step_failure(n: int, t: float, message: str,
+                  residual: float = float("nan")) -> ConvergenceError:
+    """The error of step n, which was advancing to time t."""
+    return ConvergenceError("step %d (t = %.6g): %s" % (n, t, message),
+                            residual, step=n, t=t)
+
+
 def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
          K, D, weights, cg_tol: float = 1e-10, maxiter: int | None = None,
          op: StepOperator | None = None) -> SimState:
     """Advance one time step; returns the new state.
 
     op is the run's operator from step_operator() with the same p, dt, K,
-    D and weights; it is built here when omitted.
+    D and weights; it is built here when omitted.  A failed solve raises
+    ConvergenceError with .step = state.n + 1 and .t = state.t + dt.
     """
     if op is None:
         op = step_operator(p, dt, K, D, weights)
@@ -182,14 +190,18 @@ def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     op.spread(s, rhs)
     op.spread(-v.r, res)
 
-    x, _ = cg_solve(op, rhs, tol=cg_tol, maxiter=maxiter, x0=v.q, r0=res)
+    n, t = state.n + 1, state.t + dt
+    try:
+        x, _ = cg_solve(op, rhs, tol=cg_tol, maxiter=maxiter, x0=v.q, r0=res)
+    except ConvergenceError as exc:
+        raise _step_failure(n, t, str(exc), exc.residual) from exc
     if not np.all(np.isfinite(x)):
-        raise ConvergenceError("non-finite values in Q update", residual=float("nan"))
+        raise _step_failure(n, t, "non-finite values in Q update")
 
     dq = x - v.q
     r_int = v.r + 2.0 * op.project(dq)
     if not np.all(np.isfinite(r_int)):
-        raise ConvergenceError("non-finite values in r update", residual=float("nan"))
+        raise _step_failure(n, t, "non-finite values in r update")
 
     Qnew = np.zeros_like(state.Qcurr)
     mesh.scatter_interior(Qnew, x)
@@ -199,8 +211,8 @@ def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
         Qprev=state.Qcurr if p.sigma > 0.0 else None,
         Qcurr=Qnew,
         r=rnew,
-        n=state.n + 1,
-        t=state.t + dt,
+        n=n,
+        t=t,
         interior=Interior(q=x, dq=dq, r=r_int, Kq=K @ x,
                           Dq=None if v.Dq is None else D @ x),
     )

@@ -3,10 +3,16 @@
 Everything here deliberately avoids the production code paths: tensors are
 kept as dense 2x2 matrices, basis gradients come from solving a local
 linear system, quadrature uses the edge-midpoint rule, and the reference
-stepper works on all four matrix entries with a dense solve.
+stepper works on all four matrix entries with a dense solve.  The
+element-by-element interior forms and the alpha pairing share only the
+per-triangle geometry with production code, so that the stencil assembly
+can be compared against them bit for bit.
 """
 
 import numpy as np
+from scipy import sparse
+
+from qtflow.assembly import element_geometry, scalar_stiffness
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +110,88 @@ def element_stiffness(pts):
     area = tri_area(pts)
     grads = tri_grads(pts)
     return area * (grads @ grads.T)
+
+
+# ---------------------------------------------------------------------------
+# element-by-element interior forms
+
+
+def interior_stiffness_by_elements(mesh):
+    """Interleaved interior stiffness: the all-node element assembly
+    restricted to interior nodes, one copy per component."""
+    idx = mesh.interior_nodes
+    K = scalar_stiffness(mesh)[idx][:, idx]
+    return sparse.kron(K, sparse.identity(2, format="csr"), format="csr")
+
+
+def div_form_by_elements(mesh):
+    """Interleaved interior divergence form from element triplets over all
+    nodes, restricted to interior DOFs, with exact cancellations dropped."""
+    area, grads = element_geometry(mesh)
+    tri = mesh.triangles
+    rows, cols, data = [], [], []
+    for i in range(3):
+        gi = grads[:, i]
+        for j in range(3):
+            gj = grads[:, j]
+            same = area * (gi[:, 0] * gj[:, 0] + gi[:, 1] * gj[:, 1])
+            cross = area * (gi[:, 0] * gj[:, 1] - gi[:, 1] * gj[:, 0])
+            u = tri[:, i]
+            v = tri[:, j]
+            rows += [2 * u, 2 * u + 1, 2 * u, 2 * u + 1]
+            cols += [2 * v, 2 * v + 1, 2 * v + 1, 2 * v]
+            data += [same, same, cross, -cross]
+    n2 = 2 * mesh.n_nodes
+    D = sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n2, n2),
+    ).tocsr()
+    dofs = np.repeat(2 * mesh.interior_nodes, 2)
+    dofs[1::2] += 1
+    D = D[dofs][:, dofs]
+    D.eliminate_zeros()
+    return D
+
+
+def alpha_pairing(mesh, W1, W2):
+    """Evaluate the elastic cross-derivative pairing of two reduced fields.
+
+    The three-term definition is expanded literally over the full matrix
+    entries, as an independent check of the reduced divergence form (the
+    pairing equals -2 times the div form for symmetric trace-free fields).
+    Fields are (N, 2) nodal arrays that vanish on the boundary.
+    """
+    area, grads = element_geometry(mesh)
+    tri = mesh.triangles
+
+    def entry_gradients(W):
+        q1 = W[tri, 0]  # (M, 3)
+        q2 = W[tri, 1]
+        g1 = np.einsum("mi,mik->mk", q1, grads)  # gradient of q1 per element
+        g2 = np.einsum("mi,mik->mk", q2, grads)
+        return {
+            (0, 0): g1,
+            (0, 1): g2,
+            (1, 0): g2,
+            (1, 1): -g1,
+        }
+
+    d1 = entry_gradients(np.asarray(W1, dtype=float))
+    d2 = entry_gradients(np.asarray(W2, dtype=float))
+
+    d = 2
+    acc = np.zeros_like(area)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                acc += d1[(j, k)][:, k] * d2[(i, j)][:, i]
+                acc += d1[(i, k)][:, k] * d2[(i, j)][:, j]
+    trace_term = np.zeros_like(area)
+    for k in range(d):
+        for ell in range(d):
+            for i in range(d):
+                trace_term += d1[(k, ell)][:, ell] * d2[(i, i)][:, k]
+    return float(np.sum(area * (-acc + (2.0 / d) * trace_term)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from qtflow.analysis import (
     h1_error_component,
     h1_error_field,
     l2_error_scalar,
+    norm_forms,
     transfer_to_fine,
 )
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
@@ -62,27 +63,30 @@ class TestDiscreteEnergy:
 class TestErrorNorms:
     def test_identical_fields(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
+        nf = norm_forms(mesh)
         rng = np.random.RandomState(5)
         Q = rng.standard_normal((mesh.n_nodes, 2))
-        assert h1_error_component(Q, Q, mesh, 0) == 0.0
-        assert h1_error_field(Q, Q, mesh) == 0.0
+        assert h1_error_component(Q, Q, nf, 0) == 0.0
+        assert h1_error_field(Q, Q, nf) == 0.0
         r = rng.standard_normal(mesh.n_nodes)
-        assert l2_error_scalar(r, r, mesh) == 0.0
+        assert l2_error_scalar(r, r, nf) == 0.0
 
     def test_constant_difference(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
+        nf = norm_forms(mesh)
         A = np.zeros((mesh.n_nodes, 2))
         B = np.zeros((mesh.n_nodes, 2))
         B[:, 0] = 1.0  # gradient-free difference over area 4
-        assert h1_error_component(A, B, mesh, 0) == pytest.approx(2.0, rel=1e-13)
-        assert h1_error_component(A, B, mesh, 1) == 0.0
+        assert h1_error_component(A, B, nf, 0) == pytest.approx(2.0, rel=1e-13)
+        assert h1_error_component(A, B, nf, 1) == 0.0
         c = 0.7
         assert l2_error_scalar(np.full(mesh.n_nodes, c),
-                               np.zeros(mesh.n_nodes), mesh) == pytest.approx(
+                               np.zeros(mesh.n_nodes), nf) == pytest.approx(
             2.0 * c, rel=1e-13)
 
     def test_h1_against_quadrature_oracle(self):
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
+        nf = norm_forms(mesh)
         rng = np.random.RandomState(7)
         A = rng.standard_normal((mesh.n_nodes, 2))
         B = rng.standard_normal((mesh.n_nodes, 2))
@@ -93,44 +97,48 @@ class TestErrorNorms:
             pts = mesh.nodes[tri]
             g = oracles.tri_grads(pts).T @ e[tri]
             gradsq += oracles.tri_area(pts) * float(g @ g)
-        assert h1_error_component(A, B, mesh, 0) == pytest.approx(
+        assert h1_error_component(A, B, nf, 0) == pytest.approx(
             np.sqrt(l2sq + gradsq), rel=1e-12)
 
     def test_field_norm_frobenius_factor(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
+        nf = norm_forms(mesh)
         rng = np.random.RandomState(9)
         A = np.zeros((mesh.n_nodes, 2))
         B = np.zeros((mesh.n_nodes, 2))
         B[:, 1] = rng.standard_normal(mesh.n_nodes)
-        assert h1_error_field(A, B, mesh) == pytest.approx(
-            np.sqrt(2.0) * h1_error_component(A, B, mesh, 1), rel=1e-13)
+        assert h1_error_field(A, B, nf) == pytest.approx(
+            np.sqrt(2.0) * h1_error_component(A, B, nf, 1), rel=1e-13)
 
     def test_homogeneity(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
+        nf = norm_forms(mesh)
         rng = np.random.RandomState(11)
         A = rng.standard_normal((mesh.n_nodes, 2))
         Z = np.zeros_like(A)
-        assert h1_error_field(2.0 * A, Z, mesh) == pytest.approx(
-            2.0 * h1_error_field(A, Z, mesh), rel=1e-13)
+        assert h1_error_field(2.0 * A, Z, nf) == pytest.approx(
+            2.0 * h1_error_field(A, Z, nf), rel=1e-13)
 
     def test_metric_properties(self):
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
+        nf = norm_forms(mesh)
         rng = np.random.RandomState(13)
         A, B, C = (rng.standard_normal((mesh.n_nodes, 2)) for _ in range(3))
-        dAB = h1_error_field(A, B, mesh)
-        dBA = h1_error_field(B, A, mesh)
+        dAB = h1_error_field(A, B, nf)
+        dBA = h1_error_field(B, A, nf)
         assert dAB == pytest.approx(dBA, rel=1e-14)
-        assert dAB <= h1_error_field(A, C, mesh) + h1_error_field(C, B, mesh) + 1e-12
-        assert h1_error_field(A, A.copy(), mesh) == 0.0
+        assert dAB <= h1_error_field(A, C, nf) + h1_error_field(C, B, nf) + 1e-12
+        assert h1_error_field(A, A.copy(), nf) == 0.0
 
     def test_mesh_mismatch_rejected(self):
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
+        nf = norm_forms(mesh)
         other = build_mesh(0, 2, 0, 2, 6, 6)
         Q = np.zeros((other.n_nodes, 2))
         with pytest.raises(ValueError):
-            h1_error_component(Q, Q, mesh, 0)
+            h1_error_component(Q, Q, nf, 0)
         with pytest.raises(ValueError):
-            l2_error_scalar(np.zeros(other.n_nodes), np.zeros(other.n_nodes), mesh)
+            l2_error_scalar(np.zeros(other.n_nodes), np.zeros(other.n_nodes), nf)
 
 
 class TestTransfer:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qtflow.assembly import (
-    alpha_pairing,
     assemble_div_form,
     assemble_stiffness,
     consistent_mass,
@@ -79,6 +78,35 @@ def test_assembled_forms_store_no_zeros():
         assert A.nnz == A.count_nonzero()
 
 
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+class TestStencilMatchesElementAssembly:
+    # dyadic cell sizes and origins: node coordinates are exact binary
+    # numbers, so every cell's element matrices are identical
+    @pytest.mark.parametrize("extent, n", [
+        ((0.0, 0.25, 0.0, 0.25), 2),
+        ((0.0, 0.375, 0.0, 0.375), 3),
+        ((0.0, 2.125, 0.0, 2.125), 17),
+        ((0.0, 2.0, 0.0, 2.0), 64),
+        ((-1.0, 1.0, -1.0, 1.0), 16),
+    ])
+    def test_bitwise_on_dyadic_meshes(self, extent, n):
+        mesh = build_mesh(*extent, n, n)
+        assert_same_csr(assemble_stiffness(mesh), oracles.interior_stiffness_by_elements(mesh))
+        assert_same_csr(assemble_div_form(mesh), oracles.div_form_by_elements(mesh))
+
+    def test_roundoff_on_non_dyadic_mesh(self):
+        mesh = build_mesh(0, 1, 0, 1, 3, 3)  # h = 1/3
+        for A, ref in ((assemble_stiffness(mesh), oracles.interior_stiffness_by_elements(mesh)),
+                       (assemble_div_form(mesh), oracles.div_form_by_elements(mesh))):
+            ref = ref.toarray()
+            assert np.max(np.abs(A.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestDivForm:
     def test_symmetry_and_psd(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
@@ -120,7 +148,7 @@ class TestAlphaPairing:
     def test_zero_fields(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         Z = np.zeros((mesh.n_nodes, 2))
-        assert alpha_pairing(mesh, Z, Z) == 0.0
+        assert oracles.alpha_pairing(mesh, Z, Z) == 0.0
 
     def test_equals_minus_two_div_form(self):
         rng = np.random.RandomState(12)
@@ -134,7 +162,7 @@ class TestAlphaPairing:
                 x = W1[idx].reshape(-1)
                 y = W2[idx].reshape(-1)
                 div_val = float(x @ (D @ y))
-                pair = alpha_pairing(mesh, W1, W2)
+                pair = oracles.alpha_pairing(mesh, W1, W2)
                 assert pair + 2.0 * div_val == pytest.approx(
                     0.0, abs=1e-12 * max(1.0, abs(pair)))
 
@@ -143,7 +171,7 @@ class TestAlphaPairing:
         rng = np.random.RandomState(14)
         for _ in range(20):
             W = random_zero_trace_field(mesh, rng)
-            assert alpha_pairing(mesh, W, W) <= 1e-12
+            assert oracles.alpha_pairing(mesh, W, W) <= 1e-12
 
 
 class TestLumpedMass:

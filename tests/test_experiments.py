@@ -43,6 +43,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(nx=1))
 
+    @pytest.mark.parametrize("field", ["x0", "x1", "y0", "y1", "T", "dt",
+                                       "reference_dt", "cg_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_name_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            validate_config(ExperimentConfig(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["h_list", "dt_list", "sigma_list"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_list_entries_name_the_list(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            validate_config(ExperimentConfig(**{field: (1e-2, value)}))
+
+    @pytest.mark.parametrize("field", ["p1_list", "p2_list"])
+    def test_exponent_lists_reject_nan_but_allow_inf(self, field):
+        with pytest.raises(ConfigError, match=field):
+            validate_config(ExperimentConfig(**{field: (0.5, math.nan)}))
+        validate_config(ExperimentConfig(**{field: (0.5, math.inf)}))
+
+    def test_non_finite_param_names_the_param(self):
+        with pytest.raises(ConfigError, match="params.A0"):
+            validate_config(ExperimentConfig(params=replace(DEFAULT_PARAMS, A0=math.nan)))
+
+    @pytest.mark.parametrize("field", ["T", "cg_tol", "dt"])
+    def test_run_single_rejects_before_running(self, field):
+        # these used to fail late, with OverflowError, ZeroDivisionError and
+        # a bare ValueError
+        value = math.inf if field == "T" else math.nan
+        with pytest.raises(ConfigError, match=field):
+            run_single(ExperimentConfig(**{field: value}))
+
 
 class TestRunSingle:
     def test_zero_data_constant_energy(self):
@@ -77,6 +108,35 @@ class TestRunSingle:
         res = run_single(cfg)
         assert res.state.n == 10
         assert len(res.trace) == 11  # states n = 0..N
+
+
+@pytest.fixture
+def norm_form_calls(monkeypatch):
+    """Counts the consistent mass and scalar stiffness assemblies."""
+    from qtflow import assembly
+    calls = {"consistent_mass": 0, "scalar_stiffness": 0}
+    for name in calls:
+        original = getattr(assembly, name)
+
+        def counted(mesh, name=name, original=original):
+            calls[name] += 1
+            return original(mesh)
+
+        monkeypatch.setattr(assembly, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("study, cfg", [
+    (space_refinement_study, ExperimentConfig(
+        kind="space", T=0.01, dt=1e-3, h_list=(1.0, 0.5, 0.25), reference_level=3)),
+    (time_refinement_study, ExperimentConfig(
+        kind="time", nx=8, ny=8, T=0.02, dt_list=(4e-3, 2e-3), reference_dt=5e-4)),
+    (sigma_study, ExperimentConfig(
+        kind="sigma", nx=6, ny=6, T=0.01, dt=1e-3, sigma_list=(1e-3, 1e-1))),
+], ids=["space", "time", "sigma"])
+def test_study_builds_norm_forms_once(study, cfg, norm_form_calls):
+    study(cfg)
+    assert norm_form_calls == {"consistent_mass": 1, "scalar_stiffness": 1}
 
 
 class TestSpaceStudy:

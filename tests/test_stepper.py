@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from qtflow.analysis import discrete_energy, h1_error_field, h_norm_sq
+from qtflow.analysis import discrete_energy, h1_error_field, h_norm_sq, norm_forms
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.experiments import default_initial_q
 from qtflow.mesh import build_mesh
 from qtflow.model import Params, STTensor2, aux_P, aux_r
+from qtflow.solver import ConvergenceError
 from qtflow.stepper import (
     SimState,
     build_default_Qt0,
@@ -227,7 +228,7 @@ class TestStep:
         par = advance(par, P6_PAR, dt, mesh, K, D, w, 11)
 
         assert hyper.t == pytest.approx(par.t, rel=1e-12)
-        assert h1_error_field(hyper.Qcurr, par.Qcurr, mesh) < 1e-6
+        assert h1_error_field(hyper.Qcurr, par.Qcurr, norm_forms(mesh)) < 1e-6
 
     def test_fields_stay_finite_flag(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
@@ -235,6 +236,19 @@ class TestStep:
         state = initialize(mesh, P6, 1e-3, default_initial_q)
         state = step(state, P6, 1e-3, mesh, K, D, w)
         assert np.all(np.isfinite(state.Qcurr)) and np.all(np.isfinite(state.r))
+
+    def test_convergence_error_names_the_step(self):
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        K, D, w = forms(mesh)
+        dt = 1e-3
+        state = initialize(mesh, P6, dt, default_initial_q)
+        state = step(state, P6, dt, mesh, K, D, w)
+        with pytest.raises(ConvergenceError) as info:
+            step(state, P6, dt, mesh, K, D, w, cg_tol=1e-300, maxiter=1)
+        err = info.value
+        assert (err.step, err.t) == (state.n + 1, state.t + dt)
+        assert "step %d (t = %.6g)" % (state.n + 1, state.t + dt) in str(err)
+        assert err.residual > 1e-300
 
 
 class TestCarriedInterior:
