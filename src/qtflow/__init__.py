@@ -27,14 +27,6 @@ from .experiments import (
     time_refinement_study,
 )
 from .mesh import NestedInjection, StructuredMesh, build_mesh, nested_injection
-from .model import (
-    Params,
-    STTensor2,
-    aux_P,
-    aux_r,
-    bulk_derivative_f,
-    bulk_potential,
-    frob_dot,
-)
+from .model import Params, aux_P, aux_r, bulk_derivative_f, bulk_potential
 from .solver import ConvergenceError, StepOperator, cg_solve
 from .stepper import SimState, build_default_Qt0, initialize, step

@@ -46,12 +46,9 @@ def element_geometry(mesh: StructuredMesh, triangles: np.ndarray | None = None):
     return area, grads
 
 
-def scalar_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
-    """Stiffness matrix of the scalar P1 space over all nodes.
-
-    The two triangles sharing a diagonal edge cancel exactly on this mesh;
-    those stored zeros are dropped, which leaves every product unchanged.
-    """
+def _all_node_form(mesh: StructuredMesh, entry) -> sparse.csr_matrix:
+    """Element assembly over all nodes; entry(area, grads, i, j) gives the
+    contribution of basis pair (i, j) of every triangle."""
     area, grads = element_geometry(mesh)
     tri = mesh.triangles
     rows, cols, data = [], [], []
@@ -59,32 +56,30 @@ def scalar_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
         for j in range(3):
             rows.append(tri[:, i])
             cols.append(tri[:, j])
-            data.append(area * (grads[:, i] * grads[:, j]).sum(axis=1))
+            data.append(entry(area, grads, i, j))
     n = mesh.n_nodes
-    K = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
+
+
+def scalar_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
+    """Stiffness matrix of the scalar P1 space over all nodes.
+
+    The two triangles sharing a diagonal edge cancel exactly on this mesh;
+    those stored zeros are dropped, which leaves every product unchanged.
+    """
+    K = _all_node_form(mesh, lambda area, grads, i, j:
+                       area * (grads[:, i] * grads[:, j]).sum(axis=1))
     K.eliminate_zeros()
     return K
 
 
 def consistent_mass(mesh: StructuredMesh) -> sparse.csr_matrix:
     """Consistent (exact) P1 mass matrix over all nodes."""
-    area, _ = element_geometry(mesh)
-    tri = mesh.triangles
-    rows, cols, data = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            data.append(area / 12.0 * (2.0 if i == j else 1.0))
-    n = mesh.n_nodes
-    M = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return M.tocsr()
+    return _all_node_form(mesh, lambda area, grads, i, j:
+                          area / 12.0 * (2.0 if i == j else 1.0))
 
 
 def _cell_stencil(mesh: StructuredMesh, element_block) -> dict:

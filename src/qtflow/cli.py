@@ -18,7 +18,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
+from functools import partial
 
 from . import __version__
 from .experiments import (
@@ -28,23 +29,9 @@ from .experiments import (
     sigma_study,
     space_refinement_study,
     time_refinement_study,
+    validate_config,
 )
 from .model import Params
-
-_MESH_KEYS = {"x0", "x1", "y0", "y1", "nx", "ny"}
-_PARAM_KEYS = {"L1", "L2", "L3", "a", "b", "c", "A0", "sigma"}
-_EXPERIMENT_KEYS = {
-    "kind", "T", "dt", "initial", "h_list", "reference_level", "dt_list",
-    "reference_dt", "sigma_list", "p1_list", "p2_list", "out_dir", "cg_tol",
-    "threads",
-}
-
-_SUBCOMMAND_KIND = {
-    "run": "run",
-    "space-refine": "space",
-    "time-refine": "time",
-    "sigma-study": "sigma",
-}
 
 
 def _float(text):
@@ -54,86 +41,68 @@ def _float(text):
     return value
 
 
-def _float_list(text):
-    return tuple(_float(tok) for tok in text.replace(",", " ").split())
-
-
-def _exponent_list(text):
-    """Perturbation exponents: finite numbers, or inf for no perturbation."""
+def _float_list(text, inf_ok=False):
+    """Numbers separated by commas or spaces; inf_ok also admits inf, which
+    as a perturbation exponent means no perturbation."""
     values = tuple(float(tok) for tok in text.replace(",", " ").split())
     for value in values:
-        if not (math.isfinite(value) or value == math.inf):
-            raise ValueError("%r is neither a finite number nor inf" % value)
+        if not (math.isfinite(value) or inf_ok and value == math.inf):
+            raise ValueError("%r is not a finite number" % value)
     return values
 
 
-def _get(cp, section, key, conv, fallback):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key)
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError("bad value for %s.%s: %s" % (section, key, exc))
-    return fallback
+#: Converter of a config value by the type of its dataclass field; an
+#: optional field (``T | None``) converts like T.
+_CONVERTERS = {"float": _float, "int": int, "str": str, "tuple": _float_list,
+               "Exponents": partial(_float_list, inf_ok=True)}
+
+_MESH_FIELDS = ("x0", "x1", "y0", "y1", "nx", "ny")
+
+
+def _keys(cls, keep) -> dict:
+    """The config keys of the fields of cls that keep accepts, with their
+    converters."""
+    return {f.name: _CONVERTERS[f.type.split(" | ")[0]]
+            for f in fields(cls) if keep(f.name)}
+
+
+#: Accepted keys of each config section: [mesh] is the geometry of
+#: ExperimentConfig, [params] every Params field, [experiment] the rest.
+_SECTIONS = {
+    "mesh": _keys(ExperimentConfig, lambda name: name in _MESH_FIELDS),
+    "params": _keys(Params, lambda name: True),
+    "experiment": _keys(ExperimentConfig,
+                        lambda name: name not in _MESH_FIELDS and name != "params"),
+}
 
 
 def parse_config(path: str | None) -> ExperimentConfig:
     """Read a config file; a missing argument or empty file yields the
     default profile."""
-    cp = configparser.ConfigParser()
+    # no default section: [DEFAULT] is an unknown section like any other
+    cp = configparser.ConfigParser(default_section="")
     cp.optionxform = str
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError("config file %s does not exist" % path)
         cp.read(path)
 
+    given = {section: {} for section in _SECTIONS}
     for section in cp.sections():
-        allowed = {"mesh": _MESH_KEYS, "params": _PARAM_KEYS,
-                   "experiment": _EXPERIMENT_KEYS}.get(section)
-        if allowed is None:
+        keys = _SECTIONS.get(section)
+        if keys is None:
             raise ConfigError("unknown config section [%s]" % section)
         for key in cp.options(section):
-            if key not in allowed:
+            if key not in keys:
                 raise ConfigError("unknown key %r in section [%s]" % (key, section))
+            try:
+                given[section][key] = keys[key](cp.get(section, key))
+            except ValueError as exc:
+                raise ConfigError("bad value for %s.%s: %s" % (section, key, exc))
 
-    defaults = ExperimentConfig()
     try:
-        params = Params(**{
-            key: _get(cp, "params", key, _float, getattr(defaults.params, key))
-            for key in sorted(_PARAM_KEYS)
-        })
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    cfg = ExperimentConfig(
-        kind=_get(cp, "experiment", "kind", str, defaults.kind),
-        x0=_get(cp, "mesh", "x0", _float, defaults.x0),
-        x1=_get(cp, "mesh", "x1", _float, defaults.x1),
-        y0=_get(cp, "mesh", "y0", _float, defaults.y0),
-        y1=_get(cp, "mesh", "y1", _float, defaults.y1),
-        nx=_get(cp, "mesh", "nx", int, defaults.nx),
-        ny=_get(cp, "mesh", "ny", int, defaults.ny),
-        T=_get(cp, "experiment", "T", _float, defaults.T),
-        dt=_get(cp, "experiment", "dt", _float, defaults.dt),
-        params=params,
-        initial=_get(cp, "experiment", "initial", str, defaults.initial),
-        h_list=_get(cp, "experiment", "h_list", _float_list, defaults.h_list),
-        reference_level=_get(cp, "experiment", "reference_level", int,
-                             defaults.reference_level),
-        dt_list=_get(cp, "experiment", "dt_list", _float_list, defaults.dt_list),
-        reference_dt=_get(cp, "experiment", "reference_dt", _float,
-                          defaults.reference_dt),
-        sigma_list=_get(cp, "experiment", "sigma_list", _float_list,
-                        defaults.sigma_list),
-        p1_list=_get(cp, "experiment", "p1_list", _exponent_list,
-                     defaults.p1_list),
-        p2_list=_get(cp, "experiment", "p2_list", _exponent_list,
-                     defaults.p2_list),
-        out_dir=_get(cp, "experiment", "out_dir", str, defaults.out_dir),
-        cg_tol=_get(cp, "experiment", "cg_tol", _float, defaults.cg_tol),
-        threads=_get(cp, "experiment", "threads", int, defaults.threads),
-    )
-    try:
-        from .experiments import validate_config
+        params = replace(ExperimentConfig().params, **given["params"])
+        cfg = ExperimentConfig(params=params, **given["mesh"], **given["experiment"])
         validate_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -143,7 +112,15 @@ def parse_config(path: str | None) -> ExperimentConfig:
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     return "%.17g" % x
+
+
+def _csv(header: str, rows) -> str:
+    """A header line, then one line per row of values."""
+    lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write(path: str, text: str, created: list) -> None:
@@ -152,53 +129,63 @@ def _write(path: str, text: str, created: list) -> None:
     created.append(path)
 
 
-def _energy_csv(result, dt) -> str:
-    lines = ["step,time,E_total,E_kinetic,E_elastic,E_div,E_r,dissipation_residual"]
-    first_n = result.state.n - (len(result.trace) - 1)
-    for k, rec in enumerate(result.trace):
-        n = first_n + k
-        lines.append(",".join([
-            str(n), _fmt(n * dt), _fmt(rec.total), _fmt(rec.kinetic),
-            _fmt(rec.elastic), _fmt(rec.divpart), _fmt(rec.rpart),
-            _fmt(rec.dissipation_residual),
-        ]))
-    return "\n".join(lines) + "\n"
+def _write_run(result, out_dir, created) -> None:
+    dt = result.case.dt
+    rows = [(n, n * dt, rec.total, rec.kinetic, rec.elastic, rec.divpart,
+             rec.rpart, rec.dissipation_residual)
+            for n, rec in enumerate(result.trace, result.state.n - len(result.trace) + 1)]
+    _write(os.path.join(out_dir, "energy_trace.csv"), _csv(
+        "step,time,E_total,E_kinetic,E_elastic,E_div,E_r,dissipation_residual",
+        rows), created)
+    print("run finished: %d steps, E = %.6g, max residual %.3g"
+          % (result.state.n, result.trace[-1].total,
+             max(abs(r.dissipation_residual) for r in result.trace)))
 
 
-def _refine_csv(rows) -> str:
-    lines = ["level,error_Q11,order_Q11,error_Q12,order_Q12,error_r,order_r"]
-    for row in rows:
-        lines.append(",".join([
-            _fmt(row.level), _fmt(row.err_q11), _fmt(row.ord_q11),
-            _fmt(row.err_q12), _fmt(row.ord_q12),
-            _fmt(row.err_r), _fmt(row.ord_r),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _sigma_csv(result) -> str:
-    lines = ["sigma,p1,p2,h1_error"]
-    for row in result.rows:
-        lines.append(",".join([
-            _fmt(row.sigma), _fmt(row.p1), _fmt(row.p2), _fmt(row.h1_error),
-        ]))
-    for (p1, p2), slope in result.slopes.items():
-        lines.append(",".join(["slope", _fmt(p1), _fmt(p2), _fmt(slope)]))
-    return "\n".join(lines) + "\n"
-
-
-def _print_refine_table(rows, level_name):
+def _write_refinement(filename, level_name, result, out_dir, created) -> None:
+    _write(os.path.join(out_dir, filename), _csv(
+        "level,error_Q11,order_Q11,error_Q12,order_Q12,error_r,order_r",
+        [astuple(row) for row in result.rows]), created)
     print("%-10s %-9s %-6s %-9s %-6s %-9s %-6s"
           % (level_name, "err_Q11", "ord", "err_Q12", "ord", "err_r", "ord"))
-    for row in rows:
+    def order(x):
+        return "-" if x is None else "%.2f" % x
+
+    for row in result.rows:
         print("%-10.4g %-9.3g %-6s %-9.3g %-6s %-9.3g %-6s" % (
-            row.level, row.err_q11,
-            "-" if row.ord_q11 is None else "%.2f" % row.ord_q11,
-            row.err_q12,
-            "-" if row.ord_q12 is None else "%.2f" % row.ord_q12,
-            row.err_r,
-            "-" if row.ord_r is None else "%.2f" % row.ord_r,
-        ))
+            row.level, row.err_q11, order(row.ord_q11), row.err_q12,
+            order(row.ord_q12), row.err_r, order(row.ord_r)))
+
+
+def _write_sigma(result, out_dir, created) -> None:
+    slopes = [("slope", p1, p2, slope) for (p1, p2), slope in result.slopes.items()]
+    _write(os.path.join(out_dir, "sigma_study.csv"), _csv(
+        "sigma,p1,p2,h1_error", [astuple(row) for row in result.rows] + slopes),
+        created)
+    for (p1, p2), slope in result.slopes.items():
+        name = "sigma_case_p1_%g_p2_%g.dat" % (p1, p2)
+        rows = [r for r in result.rows if r.p1 == p1 and r.p2 == p2]
+        text = "".join("%s %s\n" % (_fmt(r.sigma), _fmt(r.h1_error))
+                       for r in rows)
+        _write(os.path.join(out_dir, name), text, created)
+        print("case p1=%g p2=%g: fitted slope %.3f" % (p1, p2, slope))
+
+
+#: Subcommand name: (experiment kind, help text, name of the study function
+#: in this module, looked up per call so that it can be rebound, and the
+#: writer of its outputs and console summary).
+_SUBCOMMANDS = {
+    "run": ("run", "single simulation with an energy trace", "run_single",
+            _write_run),
+    "space-refine": ("space", "spatial refinement error study",
+                     "space_refinement_study",
+                     partial(_write_refinement, "space_refinement.csv", "h")),
+    "time-refine": ("time", "time-step refinement error study",
+                    "time_refinement_study",
+                    partial(_write_refinement, "time_refinement.csv", "dt")),
+    "sigma-study": ("sigma", "zero-inertia limit sweep", "sigma_study",
+                    _write_sigma),
+}
 
 
 def _sanitize(obj):
@@ -228,9 +215,9 @@ def _manifest(out_dir, config, timings, created) -> str:
 
 def dispatch(subcommand: str, config: ExperimentConfig, out_dir: str) -> int:
     """Run one experiment and write its artifacts below out_dir."""
-    kind = _SUBCOMMAND_KIND.get(subcommand)
-    if kind is None:
+    if subcommand not in _SUBCOMMANDS:
         raise ConfigError("unknown subcommand %r" % subcommand)
+    kind, _, study, write = _SUBCOMMANDS[subcommand]
     config = replace(config, kind=kind)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -238,48 +225,11 @@ def dispatch(subcommand: str, config: ExperimentConfig, out_dir: str) -> int:
     timings: dict = {}
     try:
         t0 = time.perf_counter()
-        if kind == "run":
-            result = run_single(config)
-            timings["compute"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            dt = config.dt if config.dt is not None else 1e-3
-            _write(os.path.join(out_dir, "energy_trace.csv"),
-                   _energy_csv(result, dt), created)
-            timings["write"] = time.perf_counter() - t1
-            last = result.trace[-1]
-            print("run finished: %d steps, E = %.6g, max residual %.3g"
-                  % (result.state.n, last.total,
-                     max(abs(r.dissipation_residual) for r in result.trace)))
-        elif kind == "space":
-            result = space_refinement_study(config)
-            timings["compute"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            _write(os.path.join(out_dir, "space_refinement.csv"),
-                   _refine_csv(result.rows), created)
-            timings["write"] = time.perf_counter() - t1
-            _print_refine_table(result.rows, "h")
-        elif kind == "time":
-            result = time_refinement_study(config)
-            timings["compute"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            _write(os.path.join(out_dir, "time_refinement.csv"),
-                   _refine_csv(result.rows), created)
-            timings["write"] = time.perf_counter() - t1
-            _print_refine_table(result.rows, "dt")
-        else:
-            result = sigma_study(config)
-            timings["compute"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            _write(os.path.join(out_dir, "sigma_study.csv"),
-                   _sigma_csv(result), created)
-            for (p1, p2), slope in result.slopes.items():
-                name = "sigma_case_p1_%g_p2_%g.dat" % (p1, p2)
-                rows = [r for r in result.rows if r.p1 == p1 and r.p2 == p2]
-                text = "".join("%s %s\n" % (_fmt(r.sigma), _fmt(r.h1_error))
-                               for r in rows)
-                _write(os.path.join(out_dir, name), text, created)
-                print("case p1=%g p2=%g: fitted slope %.3f" % (p1, p2, slope))
-            timings["write"] = time.perf_counter() - t1
+        result = globals()[study](config)
+        timings["compute"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        write(result, out_dir, created)
+        timings["write"] = time.perf_counter() - t1
 
         manifest_path = os.path.join(out_dir, "manifest.json")
         _write(manifest_path, _manifest(out_dir, config, timings, created[:]),
@@ -300,12 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mass-lumped FEM solver for inertial Q-tensor flows",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, blurb in [
-        ("run", "single simulation with an energy trace"),
-        ("space-refine", "spatial refinement error study"),
-        ("time-refine", "time-step refinement error study"),
-        ("sigma-study", "zero-inertia limit sweep"),
-    ]:
+    for name, (_, blurb, _, _) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", default=None, help="path to a config file")
         cmd.add_argument("--out", default=None,

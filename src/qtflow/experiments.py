@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import product
 
 import numpy as np
 
 from . import analysis, assembly
 from .mesh import build_mesh, nested_injection
 from .model import Params
+from .solver import ConvergenceError
 from .stepper import (
     SimState,
     build_default_Qt0,
@@ -34,6 +36,10 @@ DEFAULT_PARAMS = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0,
 DEFAULT_SIGMA_LIST = (1e-3, 10.0 ** -2.5, 1e-2, 10.0 ** -1.5, 1e-1)
 DEFAULT_H_LIST = (0.5, 0.25, 0.125, 0.0625)
 DEFAULT_DT_LIST = (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
+
+#: Type of the perturbation-exponent lists: entries are finite numbers, or
+#: inf for no perturbation, where other lists take finite numbers only.
+Exponents = tuple
 
 KINDS = ("run", "space", "time", "sigma")
 INITIAL_PROFILES = ("default", "zero")
@@ -64,8 +70,8 @@ class ExperimentConfig:
     dt_list: tuple | None = None
     reference_dt: float = 6.25e-5
     sigma_list: tuple | None = None
-    p1_list: tuple = (0.5, 1.0, math.inf)
-    p2_list: tuple = (0.5, math.inf)
+    p1_list: Exponents = (0.5, 1.0, math.inf)
+    p2_list: Exponents = (0.5, math.inf)
     out_dir: str | None = None
     cg_tol: float = 1e-10
     threads: int = 1
@@ -140,6 +146,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 @dataclass
 class RunResult:
+    case: Case
     mesh: object
     state: SimState
     trace: list  # of analysis.EnergyRecord
@@ -152,33 +159,69 @@ class RunResult:
         return float(max(b - a for a, b in zip(totals, totals[1:])))
 
 
-def _simulate(x0, x1, y0, y1, nx, ny, params, dt, T, cg_tol,
-              initial="default", pert_q0=0.0, pert_qt0=0.0) -> RunResult:
-    """Run one simulation and record the energy trace.
+@dataclass(frozen=True)
+class Case:
+    """One simulation: domain, cells, parameters, time grid and initial data.
 
     pert_q0 / pert_qt0 are constant offsets added to the q1 component of
     the initial data and its time derivative at interior nodes (the
     reduced form of a diag(1,-1)/2-shaped perturbation).
     """
-    mesh = build_mesh(x0, x1, y0, y1, nx, ny)
+
+    x0: float
+    x1: float
+    y0: float
+    y1: float
+    nx: int
+    ny: int
+    params: Params
+    dt: float
+    T: float
+    cg_tol: float
+    initial: str = "default"
+    pert_q0: float = 0.0
+    pert_qt0: float = 0.0
+
+    @classmethod
+    def of(cls, cfg: ExperimentConfig, nx: int, ny: int) -> Case:
+        """The unperturbed case of cfg on an nx x ny mesh, with step cfg.dt."""
+        return cls(cfg.x0, cfg.x1, cfg.y0, cfg.y1, nx, ny, cfg.params, cfg.dt,
+                   cfg.T, cfg.cg_tol, cfg.initial)
+
+    def __str__(self) -> str:
+        text = "case nx=%d, ny=%d, dt=%g, sigma=%g" % (
+            self.nx, self.ny, self.dt, self.params.sigma)
+        if self.pert_q0 != 0.0 or self.pert_qt0 != 0.0:
+            text += ", pert_q0=%g, pert_qt0=%g" % (self.pert_q0, self.pert_qt0)
+        return text
+
+
+def _simulate(case: Case) -> RunResult:
+    """Run one simulation and record the energy trace.
+
+    A ConvergenceError from a step is raised again naming the case, which
+    it carries as .case next to .step, .t and .residual.
+    """
+    params, dt = case.params, case.dt
+    mesh = build_mesh(case.x0, case.x1, case.y0, case.y1, case.nx, case.ny)
     K = assembly.assemble_stiffness(mesh)
     D = assembly.assemble_div_form(mesh) if (params.L2 + params.L3) != 0.0 else None
     w = assembly.lumped_mass(mesh)
     idx = mesh.interior_nodes
 
-    if initial == "zero":
+    if case.initial == "zero":
         Q0 = np.zeros((mesh.n_nodes, 2))
     else:
         Q0 = interpolate_qfield(mesh, default_initial_q)
-    if pert_q0 != 0.0:
-        Q0[idx, 0] += pert_q0
+    if case.pert_q0 != 0.0:
+        Q0[idx, 0] += case.pert_q0
 
-    N = num_steps(T, dt)
+    N = num_steps(case.T, dt)
     if params.sigma > 0.0:
         r0 = nodal_r(mesh, params, Q0)
         Qt0 = build_default_Qt0(mesh, params, Q0, r0, K)
-        if pert_qt0 != 0.0:
-            Qt0[idx, 0] += pert_qt0
+        if case.pert_qt0 != 0.0:
+            Qt0[idx, 0] += case.pert_qt0
         state = initialize(mesh, params, dt, Q0, Qt0)
         remaining = N - 1
     else:
@@ -188,13 +231,15 @@ def _simulate(x0, x1, y0, y1, nx, ny, params, dt, T, cg_tol,
     op = step_operator(params, dt, K, D, w)
 
     trace = [analysis.discrete_energy(state, params, dt, mesh, K, D, w)]
-    prev_dtq = None
-    if params.sigma > 0.0:
-        prev_dtq = state.interior.dq / dt
+    prev_dtq = state.interior.dq / dt if params.sigma > 0.0 else None
 
     for _ in range(remaining):
         old_total = trace[-1].total
-        state = step(state, params, dt, mesh, K, D, w, cg_tol=cg_tol, op=op)
+        try:
+            state = step(state, params, dt, mesh, K, D, w, cg_tol=case.cg_tol, op=op)
+        except ConvergenceError as exc:
+            raise ConvergenceError("%s: %s" % (case, exc), exc.residual,
+                                   step=exc.step, t=exc.t, case=case) from exc
         rec = analysis.discrete_energy(state, params, dt, mesh, K, D, w)
         dtq = state.interior.dq / dt
         resid = rec.total - old_total + dt * analysis.h_norm_sq(w, dtq)
@@ -204,28 +249,21 @@ def _simulate(x0, x1, y0, y1, nx, ny, params, dt, T, cg_tol,
         rec.dissipation_residual = resid
         trace.append(rec)
 
-    return RunResult(mesh=mesh, state=state, trace=trace)
+    return RunResult(case=case, mesh=mesh, state=state, trace=trace)
 
 
-def _simulate_args(args) -> RunResult:
-    return _simulate(*args)
-
-
-def _run_cases(case_args, threads):
+def _run_cases(cases, threads):
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_simulate_args, case_args))
-    return [_simulate_args(a) for a in case_args]
+            return list(pool.map(_simulate, cases))
+    return [_simulate(case) for case in cases]
 
 
 def run_single(config: ExperimentConfig) -> RunResult:
-    validate_config(config)
-    nx = config.nx if config.nx is not None else 16
-    ny = config.ny if config.ny is not None else nx
-    dt = config.dt if config.dt is not None else 1e-3
-    return _simulate(config.x0, config.x1, config.y0, config.y1, nx, ny,
-                     config.params, dt, config.T, config.cg_tol,
-                     initial=config.initial)
+    cfg = replace(config, dt=1e-3 if config.dt is None else config.dt)
+    validate_config(cfg)
+    nx = cfg.nx if cfg.nx is not None else 16
+    return _simulate(Case.of(cfg, nx, cfg.ny if cfg.ny is not None else nx))
 
 
 @dataclass
@@ -262,6 +300,32 @@ def _cells_for_h(width, h):
     return k
 
 
+def _refinement(levels, cases, threads, compare) -> StudyResult:
+    """Run the reference cases[0] and one case per level, and tabulate the
+    errors of each case against the reference with their observed orders.
+
+    compare(res, ref, forms) returns the (Q11, Q12, r) errors of one case,
+    measured with the norm forms of the reference mesh.
+    """
+    results = _run_cases(cases, threads)
+    ref = results[0]
+    forms = analysis.norm_forms(ref.mesh)
+    errs = [compare(res, ref, forms) for res in results[1:]]
+    o11, o12, o_r = ([None] + analysis.convergence_orders(col, 2.0)
+                     for col in zip(*errs))
+    rows = [RefinementRow(level, e[0], o11[k], e[1], o12[k], e[2], o_r[k])
+            for k, (level, e) in enumerate(zip(levels, errs))]
+    return StudyResult(rows=rows,
+                       max_energy_increase=max(r.max_energy_increase for r in results))
+
+
+def _zero_trace_r(res: RunResult) -> np.ndarray:
+    """r as a finite element function with zero boundary trace."""
+    r = res.state.r.copy()
+    r[res.mesh.is_boundary] = 0.0
+    return r
+
+
 def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     """Errors against a fine reference under mesh halving.
 
@@ -271,10 +335,8 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     (its natural discrete space), so the coarse boundary ramp is part of
     the measured error.
     """
-    cfg = replace(config, kind="space")
+    cfg = replace(config, kind="space", dt=1.25e-4 if config.dt is None else config.dt)
     validate_config(cfg)
-    dt = cfg.dt if cfg.dt is not None else 1.25e-4
-    num_steps(cfg.T, dt)
     h_list = tuple(cfg.h_list) if cfg.h_list is not None else DEFAULT_H_LIST
     _check_halving_chain(h_list, "h list")
 
@@ -283,76 +345,39 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     h_ref = 2.0 ** (-cfg.reference_level)
     if min(h_list) <= h_ref:
         raise ConfigError("h list must stay strictly coarser than the reference")
-    nx_ref = _cells_for_h(width, h_ref)
-    ny_ref = _cells_for_h(height, h_ref)
+    cases = [Case.of(cfg, _cells_for_h(width, h), _cells_for_h(height, h))
+             for h in (h_ref,) + h_list]
 
-    base = (cfg.x0, cfg.x1, cfg.y0, cfg.y1)
-    cases = [base + (nx_ref, ny_ref, cfg.params, dt, cfg.T, cfg.cg_tol, cfg.initial)]
-    for h in h_list:
-        cases.append(base + (_cells_for_h(width, h), _cells_for_h(height, h),
-                             cfg.params, dt, cfg.T, cfg.cg_tol, cfg.initial))
-    results = _run_cases(cases, cfg.threads)
-    ref = results[0]
-
-    forms = analysis.norm_forms(ref.mesh)
-    ref_r0 = ref.state.r.copy()
-    ref_r0[ref.mesh.is_boundary] = 0.0
-    errs = {"q11": [], "q12": [], "r": []}
-    for res in results[1:]:
+    def compare(res, ref, forms):
         inj = nested_injection(res.mesh, ref.mesh)
         Qt = analysis.transfer_to_fine(res.state.Qcurr, inj, ref.mesh)
-        errs["q11"].append(analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 0))
-        errs["q12"].append(analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 1))
-        r0 = res.state.r.copy()
-        r0[res.mesh.is_boundary] = 0.0
-        rt = analysis.transfer_to_fine(r0, inj, ref.mesh)
-        errs["r"].append(analysis.l2_error_scalar(rt, ref_r0, forms))
+        rt = analysis.transfer_to_fine(_zero_trace_r(res), inj, ref.mesh)
+        return (analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 0),
+                analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 1),
+                analysis.l2_error_scalar(rt, _zero_trace_r(ref), forms))
 
-    orders = {key: [None] + analysis.convergence_orders(val, 2.0)
-              for key, val in errs.items()}
-    rows = [RefinementRow(h, errs["q11"][k], orders["q11"][k],
-                          errs["q12"][k], orders["q12"][k],
-                          errs["r"][k], orders["r"][k])
-            for k, h in enumerate(h_list)]
-    return StudyResult(rows=rows,
-                       max_energy_increase=max(r.max_energy_increase for r in results))
+    return _refinement(h_list, cases, cfg.threads, compare)
 
 
 def time_refinement_study(config: ExperimentConfig) -> StudyResult:
     """Errors against a small-step reference on a single mesh."""
-    cfg = replace(config, kind="time")
+    cfg = replace(config, kind="time", dt_list=tuple(
+        DEFAULT_DT_LIST if config.dt_list is None else config.dt_list))
     validate_config(cfg)
     nx = cfg.nx if cfg.nx is not None else 32
     ny = cfg.ny if cfg.ny is not None else nx
-    dt_list = tuple(cfg.dt_list) if cfg.dt_list is not None else DEFAULT_DT_LIST
-    _check_halving_chain(dt_list, "dt list")
-    if min(dt_list) <= cfg.reference_dt:
+    _check_halving_chain(cfg.dt_list, "dt list")
+    if min(cfg.dt_list) <= cfg.reference_dt:
         raise ConfigError("dt list must end above the reference dt")
-    for dt in dt_list + (cfg.reference_dt,):
-        num_steps(cfg.T, dt)
+    cases = [replace(Case.of(cfg, nx, ny), dt=dt)
+             for dt in (cfg.reference_dt,) + cfg.dt_list]
 
-    base = (cfg.x0, cfg.x1, cfg.y0, cfg.y1, nx, ny, cfg.params)
-    cases = [base + (cfg.reference_dt, cfg.T, cfg.cg_tol, cfg.initial)]
-    for dt in dt_list:
-        cases.append(base + (dt, cfg.T, cfg.cg_tol, cfg.initial))
-    results = _run_cases(cases, cfg.threads)
-    ref = results[0]
-    forms = analysis.norm_forms(ref.mesh)
+    def compare(res, ref, forms):
+        return (analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 0),
+                analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 1),
+                analysis.l2_error_scalar(res.state.r, ref.state.r, forms))
 
-    errs = {"q11": [], "q12": [], "r": []}
-    for res in results[1:]:
-        errs["q11"].append(analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 0))
-        errs["q12"].append(analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 1))
-        errs["r"].append(analysis.l2_error_scalar(res.state.r, ref.state.r, forms))
-
-    orders = {key: [None] + analysis.convergence_orders(val, 2.0)
-              for key, val in errs.items()}
-    rows = [RefinementRow(dt, errs["q11"][k], orders["q11"][k],
-                          errs["q12"][k], orders["q12"][k],
-                          errs["r"][k], orders["r"][k])
-            for k, dt in enumerate(dt_list)]
-    return StudyResult(rows=rows,
-                       max_energy_increase=max(r.max_energy_increase for r in results))
+    return _refinement(cfg.dt_list, cases, cfg.threads, compare)
 
 
 @dataclass
@@ -371,50 +396,37 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
     exponent p2 (an infinite exponent means no perturbation); the errors
     against the parabolic run at final time are fitted to a log-log slope.
     """
-    cfg = replace(config, kind="sigma")
+    cfg = replace(config, kind="sigma", dt=1e-5 if config.dt is None else config.dt)
     validate_config(cfg)
     nx = cfg.nx if cfg.nx is not None else 16
     ny = cfg.ny if cfg.ny is not None else nx
-    dt = cfg.dt if cfg.dt is not None else 1e-5
-    num_steps(cfg.T, dt)
     sigma_list = tuple(cfg.sigma_list) if cfg.sigma_list is not None else DEFAULT_SIGMA_LIST
-    if min(sigma_list) <= 0.0:
-        raise ConfigError("sigma values must be positive")
     span = math.log10(max(sigma_list) / min(sigma_list))
     if span < 1.5 - 1e-9:
         raise ConfigError("sigma sweep must span at least 1.5 decades, got %.2f" % span)
 
-    base = (cfg.x0, cfg.x1, cfg.y0, cfg.y1, nx, ny)
-    parabolic = replace(cfg.params, sigma=0.0)
-    cases = [base + (parabolic, dt, cfg.T, cfg.cg_tol, cfg.initial)]
-    case_keys = []
-    for p1 in cfg.p1_list:
-        for p2 in cfg.p2_list:
-            for s in sigma_list:
-                pert1 = 0.0 if math.isinf(p1) else 0.5 * s ** p1
-                pert2 = 0.0 if math.isinf(p2) else 0.5 * s ** p2
-                hyper = replace(cfg.params, sigma=s)
-                cases.append(base + (hyper, dt, cfg.T, cfg.cg_tol, cfg.initial,
-                                     pert1, pert2))
-                case_keys.append((p1, p2, s))
+    pairs = list(product(cfg.p1_list, cfg.p2_list))
+    keys = [(p1, p2, s) for p1, p2 in pairs for s in sigma_list]
+    parabolic = replace(Case.of(cfg, nx, ny), params=replace(cfg.params, sigma=0.0))
+    cases = [parabolic] + [replace(parabolic, params=replace(cfg.params, sigma=s),
+                                   pert_q0=0.0 if math.isinf(p1) else 0.5 * s ** p1,
+                                   pert_qt0=0.0 if math.isinf(p2) else 0.5 * s ** p2)
+                           for p1, p2, s in keys]
     results = _run_cases(cases, cfg.threads)
     par = results[0]
     forms = analysis.norm_forms(par.mesh)
 
-    rows = []
-    for key, res in zip(case_keys, results[1:]):
-        p1, p2, s = key
-        err = analysis.h1_error_field(par.state.Qcurr, res.state.Qcurr, forms)
-        rows.append(SigmaRow(sigma=s, p1=p1, p2=p2, h1_error=err))
+    rows = [SigmaRow(sigma=s, p1=p1, p2=p2, h1_error=analysis.h1_error_field(
+                par.state.Qcurr, res.state.Qcurr, forms))
+            for (p1, p2, s), res in zip(keys, results[1:])]
 
     slopes = {}
-    for p1 in cfg.p1_list:
-        for p2 in cfg.p2_list:
-            pts = [(row.sigma, row.h1_error) for row in rows
-                   if row.p1 == p1 and row.p2 == p2]
-            xs = np.log(np.array([p[0] for p in pts]))
-            ys = np.log(np.array([p[1] for p in pts]))
-            slopes[(p1, p2)] = float(np.polyfit(xs, ys, 1)[0])
+    for p1, p2 in pairs:
+        pts = [(row.sigma, row.h1_error) for row in rows
+               if row.p1 == p1 and row.p2 == p2]
+        xs = np.log(np.array([p[0] for p in pts]))
+        ys = np.log(np.array([p[1] for p in pts]))
+        slopes[(p1, p2)] = float(np.polyfit(xs, ys, 1)[0])
 
     return StudyResult(rows=rows,
                        max_energy_increase=max(r.max_energy_increase for r in results),

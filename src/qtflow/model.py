@@ -5,8 +5,10 @@ A symmetric trace-free 2x2 tensor is stored as the pair (q1, q2) with
     Q = [[q1, q2],
          [q2, -q1]].
 
-Every operation accepts scalars or numpy arrays in the components, so the
-same functions serve single-point checks and whole nodal fields.
+The components sit on the leading axis of an array, Q[0] = q1 and
+Q[1] = q2, so one tensor has shape (2,) and a field of n tensors has shape
+(2, n).  Every operation returns arrays in the same layout, so the same
+functions serve single-point checks and whole nodal fields.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class Params:
 
     L1, L2, L3 are the elastic constants, (a, b, c) the bulk coefficients,
     A0 the positive shift that keeps the quadratized energy density
-    positive, sigma the inertial constant, and M the mobility (fixed to 1).
+    positive, and sigma the inertial constant.
     """
 
     L1: float
@@ -33,7 +35,6 @@ class Params:
     c: float
     A0: float
     sigma: float
-    M: float = 1.0
 
     def __post_init__(self):
         if self.c <= 0.0:
@@ -48,26 +49,12 @@ class Params:
             raise ValueError("inertial constant sigma must be nonnegative")
 
 
-@dataclass(frozen=True)
-class STTensor2:
-    """Reduced coordinates of a symmetric trace-free 2x2 tensor."""
-
-    q1: float | np.ndarray
-    q2: float | np.ndarray
-
-
-def frob_dot(A: STTensor2, B: STTensor2):
-    """Frobenius contraction A:B; both off-diagonal and both diagonal
-    entries contribute, hence the factor 2 on the reduced components."""
-    return 2.0 * (A.q1 * B.q1 + A.q2 * B.q2)
-
-
-def trace_q2(Q: STTensor2):
+def trace_q2(Q: np.ndarray):
     """tr(Q^2), which equals |Q|_F^2 for symmetric trace-free 2x2."""
-    return 2.0 * (Q.q1 * Q.q1 + Q.q2 * Q.q2)
+    return 2.0 * (Q[0] * Q[0] + Q[1] * Q[1])
 
 
-def bulk_potential(Q: STTensor2, p: Params):
+def bulk_potential(Q: np.ndarray, p: Params):
     """Quartic bulk energy density evaluated at Q."""
     t2 = trace_q2(Q)
     # tr(Q^3) vanishes identically for symmetric trace-free 2x2 matrices;
@@ -76,18 +63,17 @@ def bulk_potential(Q: STTensor2, p: Params):
     return 0.5 * p.a * t2 - (p.b / 3.0) * t3 + 0.25 * p.c * t2 * t2
 
 
-def bulk_derivative_f(Q: STTensor2, p: Params) -> STTensor2:
+def bulk_derivative_f(Q: np.ndarray, p: Params) -> np.ndarray:
     """Variational derivative f of the bulk potential.
 
     In 2D the b term cancels exactly: Q^2 is a multiple of the identity, so
     it equals its own isotropic part and the deviator is zero.  What is
     left is (a + c tr(Q^2)) Q.
     """
-    s = p.a + p.c * trace_q2(Q)
-    return STTensor2(s * Q.q1, s * Q.q2)
+    return (p.a + p.c * trace_q2(Q)) * np.asarray(Q)
 
 
-def aux_r(Q: STTensor2, p: Params):
+def aux_r(Q: np.ndarray, p: Params):
     """Auxiliary variable r = sqrt(2 (bulk + A0)); requires a positive
     radicand, i.e. A0 large enough on the sampled states."""
     rad = 2.0 * (bulk_potential(Q, p) + p.A0)
@@ -99,8 +85,10 @@ def aux_r(Q: STTensor2, p: Params):
     return np.sqrt(rad)
 
 
-def aux_P(Q: STTensor2, p: Params) -> STTensor2:
-    """Variational derivative of r, i.e. P = f(Q) / r(Q)."""
-    r = aux_r(Q, p)
-    f = bulk_derivative_f(Q, p)
-    return STTensor2(f.q1 / r, f.q2 / r)
+def aux_P(Q: np.ndarray, p: Params) -> np.ndarray:
+    """Variational derivative of r, i.e. P = f(Q) / r(Q).  The result
+    follows the memory order of Q; pass a C-contiguous field to get a
+    C-contiguous P."""
+    P = bulk_derivative_f(Q, p)
+    P /= aux_r(Q, p)
+    return P

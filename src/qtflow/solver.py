@@ -16,14 +16,17 @@ from scipy import sparse
 class ConvergenceError(RuntimeError):
     """CG failed to reach the requested residual within maxiter, or a step
     produced non-finite values.  Raised from a time step, it names the step
-    index and the time it was advancing to; both are None otherwise."""
+    index and the time it was advancing to; raised from an experiment, it
+    also names the case (.case).  Each is None otherwise."""
 
     def __init__(self, message: str, residual: float,
-                 step: int | None = None, t: float | None = None):
+                 step: int | None = None, t: float | None = None,
+                 case=None):
         super().__init__(message)
         self.residual = residual
         self.step = step
         self.t = t
+        self.case = case
 
 
 class StepOperator:

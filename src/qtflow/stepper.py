@@ -29,7 +29,7 @@ import numpy as np
 
 from . import assembly
 from .mesh import StructuredMesh
-from .model import Params, STTensor2, aux_P, aux_r
+from .model import Params, aux_P, aux_r
 from .solver import ConvergenceError, StepOperator, cg_solve
 
 
@@ -95,7 +95,7 @@ def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
 
 
 def nodal_r(mesh: StructuredMesh, p: Params, Qfield: np.ndarray) -> np.ndarray:
-    return np.asarray(aux_r(STTensor2(Qfield[:, 0], Qfield[:, 1]), p))
+    return np.asarray(aux_r(Qfield.T, p))
 
 
 def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None) -> SimState:
@@ -114,9 +114,9 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None) -> SimS
 
     Qt0f = np.zeros_like(Q0f) if Qt0 is None else interpolate_qfield(mesh, Qt0)
     Q1 = Q0f + dt * Qt0f
-    P0 = aux_P(STTensor2(Q0f[:, 0], Q0f[:, 1]), p)
+    P0 = aux_P(Q0f.T.copy(), p)
     dq = Q1 - Q0f
-    r1 = r0 + 2.0 * (P0.q1 * dq[:, 0] + P0.q2 * dq[:, 1])
+    r1 = r0 + 2.0 * (P0[0] * dq[:, 0] + P0[1] * dq[:, 1])
     return SimState(Qprev=Q0f, Qcurr=Q1, r=r1, n=1, t=dt)
 
 
@@ -135,10 +135,10 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params,
     gamma_dof = np.repeat(mesh.gamma[idx], 2)
     lap = -(p.L1) * (K @ x0) / gamma_dof
 
-    P0 = aux_P(STTensor2(Q0field[idx, 0], Q0field[idx, 1]), p)
+    P0 = aux_P(np.stack((x0[0::2], x0[1::2])), p)
     out = np.zeros_like(Q0field)
-    out[idx, 0] = lap.reshape(-1, 2)[:, 0] - r0field[idx] * P0.q1
-    out[idx, 1] = lap.reshape(-1, 2)[:, 1] - r0field[idx] * P0.q2
+    out[idx, 0] = lap.reshape(-1, 2)[:, 0] - r0field[idx] * P0[0]
+    out[idx, 1] = lap.reshape(-1, 2)[:, 1] - r0field[idx] * P0[1]
     return out
 
 
@@ -168,8 +168,9 @@ def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     if op is None:
         op = step_operator(p, dt, K, D, weights)
     v = interior_of(state, p, mesh, K, D)
-    Pn = aux_P(STTensor2(v.q[0::2], v.q[1::2]), p)
-    op.set_rank_one(np.stack((Pn.q1, Pn.q2)))
+    # a C-contiguous (2, n) copy, so that P and every matvec read
+    # contiguous vectors
+    op.set_rank_one(aux_P(np.stack((v.q[0::2], v.q[1::2])), p))
 
     # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r) with
     # L = c_k K + c_d D, and the residual of the start value q,

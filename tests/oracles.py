@@ -23,6 +23,13 @@ def to_full(q1, q2):
     return np.array([[q1, q2], [q2, -q1]], dtype=float)
 
 
+def frob_dot(A, B):
+    """Frobenius contraction A:B of reduced tensors (components on the
+    leading axis); both off-diagonal and both diagonal entries contribute,
+    hence the factor 2 on the reduced components."""
+    return 2.0 * (A[0] * B[0] + A[1] * B[1])
+
+
 def bulk_dense(Q, p):
     t2 = np.trace(Q @ Q)
     t3 = np.trace(Q @ Q @ Q)

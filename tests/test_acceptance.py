@@ -26,7 +26,7 @@ from qtflow.experiments import (
     time_refinement_study,
 )
 from qtflow.mesh import build_mesh
-from qtflow.model import STTensor2, aux_P, aux_r, bulk_derivative_f, bulk_potential, frob_dot
+from qtflow.model import aux_P, aux_r, bulk_derivative_f, bulk_potential
 from qtflow.stepper import build_default_Qt0, initialize, interpolate_qfield, nodal_r, step
 
 import oracles
@@ -192,17 +192,15 @@ def test_criterion_7_model_algebra_suite():
             q = rng.uniform(-1.5, 1.5, size=2)
             d = rng.standard_normal(2)
             d /= np.sqrt(2.0) * np.linalg.norm(d)
-            Q = STTensor2(q[0], q[1])
-            delta = STTensor2(d[0], d[1])
             rems = []
             for eps in (1e-4, 5e-5):
-                Qe = STTensor2(q[0] + eps * d[0], q[1] + eps * d[1])
+                Qe = q + eps * d
                 if which == "bulk":
-                    lin = eps * frob_dot(bulk_derivative_f(Q, p), delta)
-                    rems.append(abs(bulk_potential(Qe, p) - bulk_potential(Q, p) - lin))
+                    lin = eps * oracles.frob_dot(bulk_derivative_f(q, p), d)
+                    rems.append(abs(bulk_potential(Qe, p) - bulk_potential(q, p) - lin))
                 else:
-                    lin = eps * frob_dot(aux_P(Q, p), delta)
-                    rems.append(abs(aux_r(Qe, p) - aux_r(Q, p) - lin))
+                    lin = eps * oracles.frob_dot(aux_P(q, p), d)
+                    rems.append(abs(aux_r(Qe, p) - aux_r(q, p) - lin))
             worst_ratio = max(worst_ratio, rems[1] / max(rems[0], 1e-300))
         ok &= worst_ratio < 0.35
         notes.append("%s remainder ratio %.3f" % (which, worst_ratio))
@@ -211,11 +209,10 @@ def test_criterion_7_model_algebra_suite():
     worst = 0.0
     for _ in range(50):
         q = rng.uniform(-2, 2, size=2)
-        Q = STTensor2(q[0], q[1])
-        f = bulk_derivative_f(Q, p)
-        r = aux_r(Q, p)
-        P = aux_P(Q, p)
-        worst = max(worst, abs(f.q1 - r * P.q1), abs(f.q2 - r * P.q2))
+        f = bulk_derivative_f(q, p)
+        r = aux_r(q, p)
+        P = aux_P(q, p)
+        worst = max(worst, abs(f[0] - r * P[0]), abs(f[1] - r * P[1]))
     ok &= worst < 1e-14
     notes.append("f=rP defect %.1e" % worst)
 

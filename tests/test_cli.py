@@ -1,12 +1,16 @@
+import configparser
 import json
 import math
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qtflow.cli import dispatch, main, parse_config
 from qtflow.experiments import ConfigError, ExperimentConfig
+from qtflow.model import Params
 
 
 def write(tmp_path, text, name="config.ini"):
@@ -54,6 +58,8 @@ initial = zero
             parse_config(write(tmp_path, "[mesh]\nbanana = 1\n"))
         with pytest.raises(ConfigError, match="weird"):
             parse_config(write(tmp_path, "[weird]\nx = 1\n"))
+        with pytest.raises(ConfigError, match="DEFAULT"):
+            parse_config(write(tmp_path, "[DEFAULT]\nT = 0.5\n"))
 
     def test_non_integral_dt_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -76,6 +82,24 @@ initial = zero
     def test_non_finite_entries_rejected(self, tmp_path, text, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(write(tmp_path, text))
+
+
+def test_readme_config_example_parses_and_names_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command_line = readme.split("## Command line", 1)[1]
+    example = command_line.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config(write(tmp_path, example))
+
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(example)
+    mesh = {"x0", "x1", "y0", "y1", "nx", "ny"}
+    expected = {
+        "mesh": mesh,
+        "params": {f.name for f in fields(Params)},
+        "experiment": {f.name for f in fields(ExperimentConfig)} - mesh - {"params"},
+    }
+    assert {section: set(cp.options(section)) for section in cp.sections()} == expected
 
 
 class TestDispatchRun:

@@ -224,6 +224,35 @@ class TestSigmaStudy:
         assert keys == [(1.0, math.inf, 1e-3), (1.0, math.inf, 1e-1),
                         (math.inf, math.inf, 1e-3), (math.inf, math.inf, 1e-1)]
 
+    def test_solver_failure_names_the_case(self, monkeypatch):
+        # the sigma = 0.1 case fails on its first step; the others solve
+        from qtflow import stepper
+        from qtflow.solver import ConvergenceError
+
+        dt, failing_sigma = 1e-3, 1e-1
+        solve = stepper.cg_solve
+
+        def failing_cg_solve(op, *args, **kwargs):
+            if op.cm == 1.0 / dt + failing_sigma / dt ** 2:
+                raise ConvergenceError("CG did not converge", residual=0.5)
+            return solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(stepper, "cg_solve", failing_cg_solve)
+        cfg = ExperimentConfig(kind="sigma", nx=6, ny=6, T=0.01, dt=dt,
+                               sigma_list=(1e-3, failing_sigma),
+                               p1_list=(0.5,), p2_list=(math.inf,), threads=1)
+        with pytest.raises(ConvergenceError) as info:
+            sigma_study(cfg)
+        err = info.value
+        assert str(err) == ("case nx=6, ny=6, dt=0.001, sigma=0.1, "
+                            "pert_q0=0.158114, pert_qt0=0: "
+                            "step 2 (t = 0.002): CG did not converge")
+        assert err.case.params.sigma == failing_sigma
+        assert err.case.pert_q0 == 0.5 * failing_sigma ** 0.5
+        assert err.case.pert_qt0 == 0.0
+        assert (err.case.nx, err.case.ny, err.case.dt) == (6, 6, dt)
+        assert (err.step, err.t, err.residual) == (2, 2 * dt, 0.5)
+
     def test_perturbation_applied_interior_only(self):
         # with a perturbed start, boundary DOFs of the hyperbolic run stay 0
         cfg = ExperimentConfig(kind="sigma", nx=6, ny=6, T=0.01, dt=1e-3,

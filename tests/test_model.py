@@ -1,24 +1,16 @@
 import numpy as np
 import pytest
 
-from qtflow.model import (
-    Params,
-    STTensor2,
-    aux_P,
-    aux_r,
-    bulk_derivative_f,
-    bulk_potential,
-    frob_dot,
-)
+from qtflow.model import Params, aux_P, aux_r, bulk_derivative_f, bulk_potential
 
 import oracles
+from oracles import frob_dot
 
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 
 
 def random_tensors(rng, count, scale=1.0):
-    vals = rng.uniform(-scale, scale, size=(count, 2))
-    return [STTensor2(q1, q2) for q1, q2 in vals]
+    return list(rng.uniform(-scale, scale, size=(count, 2)))
 
 
 class TestParams:
@@ -35,59 +27,59 @@ class TestParams:
 
 class TestFrobDot:
     def test_parallel(self):
-        assert frob_dot(STTensor2(1.0, 0.0), STTensor2(1.0, 0.0)) == 2.0
+        assert frob_dot(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 2.0
 
     def test_orthogonal_components(self):
-        assert frob_dot(STTensor2(1.0, 0.0), STTensor2(0.0, 1.0)) == 0.0
+        assert frob_dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_zero(self):
-        assert frob_dot(STTensor2(0.0, 0.0), STTensor2(0.3, -0.7)) == 0.0
+        assert frob_dot(np.array([0.0, 0.0]), np.array([0.3, -0.7])) == 0.0
 
     def test_matches_dense_contraction(self):
         rng = np.random.RandomState(7)
         for A, B in zip(random_tensors(rng, 20), random_tensors(rng, 20)):
-            dense = float(np.sum(oracles.to_full(A.q1, A.q2)
-                                 * oracles.to_full(B.q1, B.q2)))
+            dense = float(np.sum(oracles.to_full(A[0], A[1])
+                                 * oracles.to_full(B[0], B[1])))
             assert frob_dot(A, B) == pytest.approx(dense, abs=1e-14)
 
 
 class TestBulkPotential:
     def test_zero_state(self):
-        assert bulk_potential(STTensor2(0.0, 0.0), P6) == 0.0
+        assert bulk_potential(np.array([0.0, 0.0]), P6) == 0.0
 
     def test_unit_q1(self):
         # tr(Q^2) = 2 and tr(Q^3) = 0, so the value is a + c
-        assert bulk_potential(STTensor2(1.0, 0.0), P6) == pytest.approx(0.8, abs=1e-15)
+        assert bulk_potential(np.array([1.0, 0.0]), P6) == pytest.approx(0.8, abs=1e-15)
 
     def test_trace_q3_vanishes_in_dense_oracle(self):
         rng = np.random.RandomState(3)
         for Q in random_tensors(rng, 50, scale=3.0):
-            full = oracles.to_full(Q.q1, Q.q2)
+            full = oracles.to_full(Q[0], Q[1])
             assert abs(np.trace(full @ full @ full)) < 1e-12
 
     def test_matches_dense_oracle(self):
         rng = np.random.RandomState(11)
         for Q in random_tensors(rng, 50, scale=2.0):
-            dense = oracles.bulk_dense(oracles.to_full(Q.q1, Q.q2), P6)
+            dense = oracles.bulk_dense(oracles.to_full(Q[0], Q[1]), P6)
             assert bulk_potential(Q, P6) == pytest.approx(dense, rel=1e-14, abs=1e-14)
 
 
 class TestBulkDerivative:
     def test_zero(self):
-        f = bulk_derivative_f(STTensor2(0.0, 0.0), P6)
-        assert f.q1 == 0.0 and f.q2 == 0.0
+        f = bulk_derivative_f(np.array([0.0, 0.0]), P6)
+        assert f[0] == 0.0 and f[1] == 0.0
 
     def test_unit_q1(self):
-        f = bulk_derivative_f(STTensor2(1.0, 0.0), P6)
-        assert f.q1 == pytest.approx(1.8, abs=1e-15)
-        assert f.q2 == 0.0
+        f = bulk_derivative_f(np.array([1.0, 0.0]), P6)
+        assert f[0] == pytest.approx(1.8, abs=1e-15)
+        assert f[1] == 0.0
 
     def test_b_term_vanishes_in_2d(self):
         # the dense formula with any b gives the same result as b = 0
         rng = np.random.RandomState(5)
         pb = Params(L1=0.001, L2=0, L3=0, a=-0.2, b=37.5, c=1.0, A0=500, sigma=0.0)
         for Q in random_tensors(rng, 30, scale=2.0):
-            full = oracles.to_full(Q.q1, Q.q2)
+            full = oracles.to_full(Q[0], Q[1])
             with_b = oracles.f_dense(full, pb)
             without_b = pb.a * full + pb.c * np.trace(full @ full) * full
             assert np.max(np.abs(with_b - without_b)) < 1e-12
@@ -95,9 +87,9 @@ class TestBulkDerivative:
     def test_matches_dense_oracle(self):
         rng = np.random.RandomState(13)
         for Q in random_tensors(rng, 50, scale=2.0):
-            dense = oracles.f_dense(oracles.to_full(Q.q1, Q.q2), P6)
+            dense = oracles.f_dense(oracles.to_full(Q[0], Q[1]), P6)
             f = bulk_derivative_f(Q, P6)
-            assert np.max(np.abs(oracles.to_full(f.q1, f.q2) - dense)) < 1e-14
+            assert np.max(np.abs(oracles.to_full(f[0], f[1]) - dense)) < 1e-14
 
     def test_gradient_consistency(self):
         # first variation of the bulk potential matches f with O(eps^2) remainder
@@ -105,11 +97,10 @@ class TestBulkDerivative:
         for Q in random_tensors(rng, 10, scale=1.5):
             d = rng.standard_normal(2)
             d /= np.sqrt(2.0) * np.linalg.norm(d)  # unit Frobenius norm
-            delta = STTensor2(d[0], d[1])
             rems = []
             for eps in (1e-4, 5e-5):
-                Qe = STTensor2(Q.q1 + eps * delta.q1, Q.q2 + eps * delta.q2)
-                lin = eps * frob_dot(bulk_derivative_f(Q, P6), delta)
+                Qe = Q + eps * d
+                lin = eps * frob_dot(bulk_derivative_f(Q, P6), d)
                 rems.append(abs(bulk_potential(Qe, P6) - bulk_potential(Q, P6) - lin))
             assert rems[0] < 50.0 * (1e-4) ** 2
             # halving eps shrinks the remainder about fourfold
@@ -118,11 +109,11 @@ class TestBulkDerivative:
 
 class TestAuxR:
     def test_zero_state(self):
-        assert aux_r(STTensor2(0.0, 0.0), P6) == pytest.approx(np.sqrt(1000.0), rel=1e-15)
+        assert aux_r(np.array([0.0, 0.0]), P6) == pytest.approx(np.sqrt(1000.0), rel=1e-15)
 
     def test_unit_q1(self):
         # bulk value 0.8 from the example above
-        assert aux_r(STTensor2(1.0, 0.0), P6) == pytest.approx(np.sqrt(1001.6), rel=1e-15)
+        assert aux_r(np.array([1.0, 0.0]), P6) == pytest.approx(np.sqrt(1001.6), rel=1e-15)
 
     def test_round_trip(self):
         rng = np.random.RandomState(19)
@@ -134,23 +125,23 @@ class TestAuxR:
     def test_small_shift_rejected(self):
         small = Params(L1=0.001, L2=0, L3=0, a=-50.0, b=1.0, c=1.0, A0=1.0, sigma=0.0)
         with pytest.raises(ValueError):
-            aux_r(STTensor2(1.0, 0.0), small)
+            aux_r(np.array([1.0, 0.0]), small)
 
     def test_vectorized(self):
         q1 = np.array([0.0, 1.0])
-        r = aux_r(STTensor2(q1, np.zeros(2)), P6)
+        r = aux_r(np.stack((q1, np.zeros(2))), P6)
         assert r == pytest.approx([np.sqrt(1000.0), np.sqrt(1001.6)], rel=1e-15)
 
 
 class TestAuxP:
     def test_zero(self):
-        P = aux_P(STTensor2(0.0, 0.0), P6)
-        assert P.q1 == 0.0 and P.q2 == 0.0
+        P = aux_P(np.array([0.0, 0.0]), P6)
+        assert P[0] == 0.0 and P[1] == 0.0
 
     def test_unit_q1(self):
-        P = aux_P(STTensor2(1.0, 0.0), P6)
-        assert P.q1 == pytest.approx(1.8 / np.sqrt(1001.6), rel=1e-12)
-        assert P.q2 == 0.0
+        P = aux_P(np.array([1.0, 0.0]), P6)
+        assert P[0] == pytest.approx(1.8 / np.sqrt(1001.6), rel=1e-12)
+        assert P[1] == 0.0
 
     def test_definitional_identity(self):
         rng = np.random.RandomState(23)
@@ -158,19 +149,18 @@ class TestAuxP:
             r = aux_r(Q, P6)
             P = aux_P(Q, P6)
             f = bulk_derivative_f(Q, P6)
-            assert r * P.q1 == pytest.approx(f.q1, rel=1e-14, abs=1e-14)
-            assert r * P.q2 == pytest.approx(f.q2, rel=1e-14, abs=1e-14)
+            assert r * P[0] == pytest.approx(f[0], rel=1e-14, abs=1e-14)
+            assert r * P[1] == pytest.approx(f[1], rel=1e-14, abs=1e-14)
 
     def test_gradient_of_r(self):
         rng = np.random.RandomState(29)
         for Q in random_tensors(rng, 10, scale=1.5):
             d = rng.standard_normal(2)
             d /= np.sqrt(2.0) * np.linalg.norm(d)
-            delta = STTensor2(d[0], d[1])
             rems = []
             for eps in (1e-4, 5e-5):
-                Qe = STTensor2(Q.q1 + eps * delta.q1, Q.q2 + eps * delta.q2)
-                lin = eps * frob_dot(aux_P(Q, P6), delta)
+                Qe = Q + eps * d
+                lin = eps * frob_dot(aux_P(Q, P6), d)
                 rems.append(abs(aux_r(Qe, P6) - aux_r(Q, P6) - lin))
             assert rems[0] < 10.0 * (1e-4) ** 2
             assert rems[1] < 0.35 * rems[0] + 1e-16
@@ -182,11 +172,9 @@ class TestAuxP:
         for _ in range(300):
             q = rng.uniform(-3.5, 3.5, size=2)   # |Q|_F <= 5 when q1^2+q2^2 <= 12.5
             d = rng.uniform(-3.5, 3.5, size=2)
-            Q = STTensor2(q[0], q[1])
-            Qd = STTensor2(q[0] + d[0], q[1] + d[1])
-            PQ = aux_P(Q, P6)
-            PQd = aux_P(Qd, P6)
-            diff = oracles.to_full(PQd.q1 - PQ.q1, PQd.q2 - PQ.q2)
+            PQ = aux_P(q, P6)
+            PQd = aux_P(q + d, P6)
+            diff = oracles.to_full(PQd[0] - PQ[0], PQd[1] - PQ[1])
             step = oracles.to_full(d[0], d[1])
             denom = np.linalg.norm(step)
             if denom > 1e-12:

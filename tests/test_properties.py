@@ -1,0 +1,133 @@
+"""Property tests: the config file format and the pointwise model algebra.
+
+Examples are derandomized, so every run draws the same cases.
+"""
+
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtflow.cli import parse_config
+from qtflow.experiments import INITIAL_PROFILES, KINDS, ExperimentConfig
+from qtflow.model import Params, aux_P, aux_r, bulk_derivative_f, bulk_potential
+
+import oracles
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def finite(lo=-1e6, hi=1e6):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False)
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that validate_config accepts: every time step divides T."""
+    dt = draw(finite(1e-6, 1e-1))
+    T = draw(st.integers(1, 1000)) * dt
+
+    def divisor_of_T():
+        return st.integers(1, 64).map(lambda m: T / m)
+
+    def number_list(strategy):
+        return st.lists(strategy, min_size=1, max_size=5).map(tuple)
+
+    exponent = finite(0.0, 4.0) | st.just(math.inf)
+    params = Params(L1=draw(finite(1e-6, 10.0)), L2=draw(finite(0.0, 1.0)),
+                    L3=draw(finite(0.0, 1.0)), a=draw(finite()), b=draw(finite()),
+                    c=draw(finite(1e-6, 1e3)), A0=draw(finite(1e-6, 1e6)),
+                    sigma=draw(finite(0.0, 10.0)))
+    return ExperimentConfig(
+        kind=draw(st.sampled_from(KINDS)),
+        x0=draw(finite()), x1=draw(finite()), y0=draw(finite()), y1=draw(finite()),
+        nx=draw(optional(st.integers(2, 512))), ny=draw(optional(st.integers(2, 512))),
+        T=T, dt=draw(optional(st.just(dt))), params=params,
+        initial=draw(st.sampled_from(INITIAL_PROFILES)),
+        h_list=draw(optional(number_list(finite(1e-4, 10.0)))),
+        reference_level=draw(st.integers(1, 12)),
+        dt_list=draw(optional(number_list(divisor_of_T()))),
+        reference_dt=draw(divisor_of_T()),
+        sigma_list=draw(optional(number_list(finite(1e-6, 10.0)))),
+        p1_list=draw(number_list(exponent)), p2_list=draw(number_list(exponent)),
+        out_dir=draw(optional(st.text("abcxyz0123456789_-./", min_size=1, max_size=12))),
+        cg_tol=draw(finite(1e-16, 1e-2)),
+        threads=draw(st.integers(1, 8)),
+    )
+
+
+def ini_text(cfg):
+    """The config as INI text; None values are left out."""
+
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(text(v) for v in value)
+        return repr(value) if isinstance(value, float) else str(value)
+
+    mesh = ("x0", "x1", "y0", "y1", "nx", "ny")
+    sections = {
+        "mesh": {k: getattr(cfg, k) for k in mesh},
+        "params": vars(cfg.params),
+        "experiment": {k: v for k, v in vars(cfg).items()
+                       if k not in mesh and k != "params"},
+    }
+    lines = []
+    for name, values in sections.items():
+        lines.append("[%s]" % name)
+        lines += ["%s = %s" % (k, text(v)) for k, v in values.items() if v is not None]
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY
+@given(valid_configs())
+def test_config_round_trips_through_ini(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.ini")
+        with open(path, "w") as handle:
+            handle.write(ini_text(cfg))
+        assert parse_config(path) == cfg
+
+
+tensor_fields = st.lists(st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0)),
+                         min_size=1, max_size=12).map(lambda cols: np.array(cols).T)
+
+model_params = st.builds(
+    Params, L1=st.just(1e-3), L2=st.just(0.0), L3=st.just(0.0),
+    a=finite(-1.0, 1.0), b=finite(-5.0, 5.0), c=finite(0.1, 2.0),
+    A0=finite(10.0, 1e3), sigma=st.just(0.0))
+
+
+def dense(Q, k):
+    return oracles.to_full(Q[0, k], Q[1, k])
+
+
+@PROPERTY
+@given(tensor_fields, model_params)
+def test_model_matches_dense_oracles(Q, p):
+    psi, f, r, P = (bulk_potential(Q, p), bulk_derivative_f(Q, p),
+                    aux_r(Q, p), aux_P(Q, p))
+    for k in range(Q.shape[1]):
+        full = dense(Q, k)
+        assert np.isclose(psi[k], oracles.bulk_dense(full, p), rtol=1e-12, atol=1e-12)
+        assert np.isclose(r[k], oracles.r_dense(full, p), rtol=1e-13)
+        assert np.allclose(oracles.to_full(f[0, k], f[1, k]), oracles.f_dense(full, p),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(oracles.to_full(P[0, k], P[1, k]), oracles.P_dense(full, p),
+                           rtol=1e-12, atol=1e-14)
+
+
+@PROPERTY
+@given(tensor_fields, model_params)
+def test_field_evaluation_equals_column_evaluation(Q, p):
+    for fn in (bulk_potential, bulk_derivative_f, aux_r, aux_P):
+        field = fn(Q, p)
+        for k in range(Q.shape[1]):
+            column = fn(Q[:, k].copy(), p)
+            assert np.array_equal(field[..., k], column), fn.__name__

@@ -6,7 +6,7 @@ from qtflow.analysis import discrete_energy, h1_error_field, h_norm_sq, norm_for
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.experiments import default_initial_q
 from qtflow.mesh import build_mesh
-from qtflow.model import Params, STTensor2, aux_P, aux_r
+from qtflow.model import Params, aux_P, aux_r
 from qtflow.solver import ConvergenceError
 from qtflow.stepper import (
     SimState,
@@ -74,9 +74,9 @@ class TestInitialize:
         state = initialize(mesh, P6, dt, default_initial_q, Qt0=qt0)
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
-        P0 = aux_P(STTensor2(Q0[:, 0], Q0[:, 1]), P6)
+        P0 = aux_P(Q0.T, P6)
         dq = state.Qcurr - Q0
-        expect = r0 + 2.0 * (P0.q1 * dq[:, 0] + P0.q2 * dq[:, 1])
+        expect = r0 + 2.0 * (P0[0] * dq[:, 0] + P0[1] * dq[:, 1])
         assert np.allclose(state.r, expect, rtol=1e-14)
 
 
@@ -155,9 +155,8 @@ class TestStep:
         # dense rebuild of the same 2x2 system
         p = P6_DIV
         q = Q0[node]
-        r0 = float(aux_r(STTensor2(q[0], q[1]), p))
-        Pn = aux_P(STTensor2(q[0], q[1]), p)
-        pv = np.array([Pn.q1, Pn.q2])
+        r0 = float(aux_r(q, p))
+        pv = aux_P(q, p)
         Kd = K.toarray()
         Dd = D.toarray()
         wv = w
