@@ -18,20 +18,22 @@ from scipy import sparse
 from . import assembly
 from .mesh import NestedInjection, StructuredMesh
 from .model import Params
-from .stepper import SimState, interior_of
+from .stepper import SimState, nodal_field
 
 
 @dataclass
 class EnergyRecord:
-    """The four summands of the discrete energy plus the per-step defect
-    of the dissipation identity."""
+    """The four summands of the discrete energy, the squared lumped norm
+    of the rate (q^n - q^{n-1})/dt (0 without a previous level) and the
+    per-step defect of the dissipation identity."""
 
     kinetic: float
     elastic: float
     divpart: float
     rpart: float
     total: float
-    dissipation_residual: float
+    rate_sq: float
+    dissipation_residual: float = 0.0
 
 
 def h_norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
@@ -40,25 +42,26 @@ def h_norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
 
 
 def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
-                    K, D, weights, dissipation_residual: float = 0.0) -> EnergyRecord:
-    """Energy of a state, from the interior vectors and products a state
-    returned by step() carries, or gathered from its nodal fields."""
-    v = interior_of(state, p, mesh, K, D)
-
+                    weights) -> EnergyRecord:
+    """Energy of a state, from the interior vectors and products it
+    carries."""
+    rate_sq = 0.0 if state.dq is None else h_norm_sq(weights, state.dq / dt)
     kinetic = 0.0
     if p.sigma > 0.0:
-        if state.Qprev is None:
+        if state.dq is None:
             raise ValueError("state has no previous level but sigma > 0")
-        kinetic = 0.5 * p.sigma * h_norm_sq(weights, v.dq / dt)
+        kinetic = 0.5 * p.sigma * rate_sq
 
-    elastic = p.L1 * float(v.q @ v.Kq)
+    elastic = p.L1 * float(state.q @ state.Kq)
     divpart = 0.0
-    if v.Dq is not None:
-        divpart = 0.5 * (p.L2 + p.L3) * float(v.q @ v.Dq)
-    rpart = 0.5 * float(mesh.gamma @ (state.r * state.r))
+    if state.Dq is not None:
+        divpart = 0.5 * (p.L2 + p.L3) * float(state.q @ state.Dq)
+    # a sum over the full nodal field: split into interior and boundary
+    # parts it would round differently
+    r = nodal_field(mesh, state, "r")
+    rpart = 0.5 * float(mesh.gamma @ (r * r))
     total = kinetic + elastic + divpart + rpart
-    return EnergyRecord(kinetic, elastic, divpart, rpart, total,
-                        dissipation_residual)
+    return EnergyRecord(kinetic, elastic, divpart, rpart, total, rate_sq)
 
 
 class NormForms(NamedTuple):

@@ -22,8 +22,8 @@ from .stepper import (
     SimState,
     build_default_Qt0,
     initialize,
-    interior_of,
     interpolate_qfield,
+    nodal_field,
     nodal_r,
     step,
     step_operator,
@@ -217,33 +217,29 @@ def _simulate(case: Case) -> RunResult:
         Q0[idx, 0] += case.pert_q0
 
     N = num_steps(case.T, dt)
+    r0 = nodal_r(mesh, params, Q0)
+    Qt0 = None
     if params.sigma > 0.0:
-        r0 = nodal_r(mesh, params, Q0)
         Qt0 = build_default_Qt0(mesh, params, Q0, r0, K)
         if case.pert_qt0 != 0.0:
             Qt0[idx, 0] += case.pert_qt0
-        state = initialize(mesh, params, dt, Q0, Qt0)
-        remaining = N - 1
-    else:
-        state = initialize(mesh, params, dt, Q0)
-        remaining = N
-    state = replace(state, interior=interior_of(state, params, mesh, K, D))
     op = step_operator(params, dt, K, D, w)
+    state = initialize(mesh, params, dt, Q0, Qt0, r0=r0, op=op)
 
-    trace = [analysis.discrete_energy(state, params, dt, mesh, K, D, w)]
-    prev_dtq = state.interior.dq / dt if params.sigma > 0.0 else None
+    trace = [analysis.discrete_energy(state, params, dt, mesh, w)]
+    prev_dtq = state.dq / dt if params.sigma > 0.0 else None
 
-    for _ in range(remaining):
+    for _ in range(N - state.n):
         old_total = trace[-1].total
         try:
             state = step(state, params, dt, mesh, K, D, w, cg_tol=case.cg_tol, op=op)
         except ConvergenceError as exc:
             raise ConvergenceError("%s: %s" % (case, exc), exc.residual,
                                    step=exc.step, t=exc.t, case=case) from exc
-        rec = analysis.discrete_energy(state, params, dt, mesh, K, D, w)
-        dtq = state.interior.dq / dt
-        resid = rec.total - old_total + dt * analysis.h_norm_sq(w, dtq)
+        rec = analysis.discrete_energy(state, params, dt, mesh, w)
+        resid = rec.total - old_total + dt * rec.rate_sq
         if params.sigma > 0.0:
+            dtq = state.dq / dt
             resid += 0.5 * params.sigma * analysis.h_norm_sq(w, dtq - prev_dtq)
             prev_dtq = dtq
         rec.dissipation_residual = resid
@@ -321,7 +317,7 @@ def _refinement(levels, cases, threads, compare) -> StudyResult:
 
 def _zero_trace_r(res: RunResult) -> np.ndarray:
     """r as a finite element function with zero boundary trace."""
-    r = res.state.r.copy()
+    r = nodal_field(res.mesh, res.state, "r")
     r[res.mesh.is_boundary] = 0.0
     return r
 
@@ -350,10 +346,12 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
 
     def compare(res, ref, forms):
         inj = nested_injection(res.mesh, ref.mesh)
-        Qt = analysis.transfer_to_fine(res.state.Qcurr, inj, ref.mesh)
+        Qt = analysis.transfer_to_fine(nodal_field(res.mesh, res.state, "Q"),
+                                       inj, ref.mesh)
         rt = analysis.transfer_to_fine(_zero_trace_r(res), inj, ref.mesh)
-        return (analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 0),
-                analysis.h1_error_component(Qt, ref.state.Qcurr, forms, 1),
+        Qref = nodal_field(ref.mesh, ref.state, "Q")
+        return (analysis.h1_error_component(Qt, Qref, forms, 0),
+                analysis.h1_error_component(Qt, Qref, forms, 1),
                 analysis.l2_error_scalar(rt, _zero_trace_r(ref), forms))
 
     return _refinement(h_list, cases, cfg.threads, compare)
@@ -373,9 +371,12 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
              for dt in (cfg.reference_dt,) + cfg.dt_list]
 
     def compare(res, ref, forms):
-        return (analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 0),
-                analysis.h1_error_component(res.state.Qcurr, ref.state.Qcurr, forms, 1),
-                analysis.l2_error_scalar(res.state.r, ref.state.r, forms))
+        Q = nodal_field(res.mesh, res.state, "Q")
+        Qref = nodal_field(ref.mesh, ref.state, "Q")
+        return (analysis.h1_error_component(Q, Qref, forms, 0),
+                analysis.h1_error_component(Q, Qref, forms, 1),
+                analysis.l2_error_scalar(nodal_field(res.mesh, res.state, "r"),
+                                         nodal_field(ref.mesh, ref.state, "r"), forms))
 
     return _refinement(cfg.dt_list, cases, cfg.threads, compare)
 
@@ -416,8 +417,9 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
     par = results[0]
     forms = analysis.norm_forms(par.mesh)
 
+    Qpar = nodal_field(par.mesh, par.state, "Q")
     rows = [SigmaRow(sigma=s, p1=p1, p2=p2, h1_error=analysis.h1_error_field(
-                par.state.Qcurr, res.state.Qcurr, forms))
+                Qpar, nodal_field(res.mesh, res.state, "Q"), forms))
             for (p1, p2, s), res in zip(keys, results[1:])]
 
     slopes = {}

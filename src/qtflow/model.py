@@ -54,13 +54,17 @@ def trace_q2(Q: np.ndarray):
     return 2.0 * (Q[0] * Q[0] + Q[1] * Q[1])
 
 
-def bulk_potential(Q: np.ndarray, p: Params):
-    """Quartic bulk energy density evaluated at Q."""
-    t2 = trace_q2(Q)
+def _potential(t2, p: Params):
+    """The bulk energy density as a function of t2 = tr(Q^2)."""
     # tr(Q^3) vanishes identically for symmetric trace-free 2x2 matrices;
     # the b term is kept in the formula for fidelity to the 3D form.
     t3 = 0.0
     return 0.5 * p.a * t2 - (p.b / 3.0) * t3 + 0.25 * p.c * t2 * t2
+
+
+def bulk_potential(Q: np.ndarray, p: Params):
+    """Quartic bulk energy density evaluated at Q."""
+    return _potential(trace_q2(Q), p)
 
 
 def bulk_derivative_f(Q: np.ndarray, p: Params) -> np.ndarray:
@@ -76,7 +80,12 @@ def bulk_derivative_f(Q: np.ndarray, p: Params) -> np.ndarray:
 def aux_r(Q: np.ndarray, p: Params):
     """Auxiliary variable r = sqrt(2 (bulk + A0)); requires a positive
     radicand, i.e. A0 large enough on the sampled states."""
-    rad = 2.0 * (bulk_potential(Q, p) + p.A0)
+    return _aux_r(trace_q2(Q), p)
+
+
+def _aux_r(t2, p: Params):
+    """r as a function of t2 = tr(Q^2)."""
+    rad = 2.0 * (_potential(t2, p) + p.A0)
     if np.min(rad) <= 0.0:
         raise ValueError(
             "nonpositive radicand in auxiliary variable: A0=%g is too small"
@@ -86,9 +95,10 @@ def aux_r(Q: np.ndarray, p: Params):
 
 
 def aux_P(Q: np.ndarray, p: Params) -> np.ndarray:
-    """Variational derivative of r, i.e. P = f(Q) / r(Q).  The result
-    follows the memory order of Q; pass a C-contiguous field to get a
-    C-contiguous P."""
-    P = bulk_derivative_f(Q, p)
-    P /= aux_r(Q, p)
+    """Variational derivative of r, i.e. P = f(Q) / r(Q), with tr(Q^2)
+    formed once for both.  The result follows the memory order of Q; pass
+    a C-contiguous field to get a C-contiguous P."""
+    t2 = trace_q2(Q)
+    P = (p.a + p.c * t2) * np.asarray(Q)  # f(Q), see bulk_derivative_f
+    P /= _aux_r(t2, p)
     return P

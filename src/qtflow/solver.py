@@ -4,7 +4,8 @@ The part of the step operator that is constant over a run (lumped mass,
 stiffness and divergence form) is assembled once into one sparse matrix;
 the per-node rank-one term coming from the energy quadratization changes
 every step and is applied from its node vectors without assembling a
-matrix.
+matrix.  The true residual that confirms a CG solution is formed from
+the separate products K x and D x, which then serve the next step.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class StepOperator:
             base = base + self.cd * div_form
         self.base = base.tocsr()
         self._base_diag = self.base.diagonal()
-        self._node_w = weights[0::2]
+        self.w = weights
         self.set_rank_one(p_nodes)
 
     def set_rank_one(self, p_nodes) -> None:
@@ -63,7 +64,7 @@ class StepOperator:
             self._wp = None
             self.diag = self._base_diag
             return
-        self._wp = self._node_w * p_nodes
+        self._wp = self.w[0::2] * p_nodes
         diag = self._base_diag.copy()
         diag[0::2] += self._wp[0] * p_nodes[0]
         diag[1::2] += self._wp[1] * p_nodes[1]
@@ -86,6 +87,28 @@ class StepOperator:
             self.spread(self.project(x), y)
         return y
 
+    def products(self, x: np.ndarray):
+        """(K x, D x, L x) with L x = c_k K x + c_d D x; D x is None when
+        the divergence term is off."""
+        Kx = self.K @ x
+        Lx = self.ck * Kx
+        Dx = None
+        if self.D is not None and self.cd != 0.0:
+            Dx = self.D @ x
+            Lx += self.cd * Dx
+        return Kx, Dx, Lx
+
+    def residual(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """rhs - A x from the separate products of x rather than the
+        assembled part; keeps them as .Kx, .Dx and .Lx, the products of
+        the solution that a step hands on."""
+        self.Kx, self.Dx, self.Lx = self.products(x)
+        y = self.cm * (self.w * x)
+        y += self.Lx
+        if self.p is not None:
+            self.spread(self.project(x), y)
+        return rhs - y
+
 
 def cg_solve(A: StepOperator, rhs: np.ndarray, tol: float = 1e-10,
              maxiter: int | None = None, x0: np.ndarray | None = None,
@@ -93,23 +116,27 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, tol: float = 1e-10,
     """Solve A x = rhs to a relative residual of tol.
 
     r0, when given, is the residual rhs - A x0 formed by the caller; it
-    saves the first multiply.  Returns (x, iterations).  Convergence is
-    always confirmed on the true residual rhs - A x from an explicit
-    multiply; raises ConvergenceError when maxiter is exhausted.
+    saves the first multiply and is consumed (overwritten).  x0 is never
+    written.  Returns (x, iterations).  Every return is confirmed on the
+    true residual from A.residual, which leaves the products of the
+    returned x on A; raises ConvergenceError when maxiter is exhausted.
     """
     norm_b = np.linalg.norm(rhs)
     if norm_b == 0.0:
-        return np.zeros_like(rhs), 0
+        x = np.zeros_like(rhs)
+        A.residual(rhs, x)
+        return x, 0
     if maxiter is None:
         maxiter = 10 * rhs.shape[0]
     limit = tol * norm_b
 
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    r = rhs - A.matvec(x) if r0 is None else r0.copy()
-    if r0 is not None and np.linalg.norm(r) <= limit:
-        r = rhs - A.matvec(x)  # a supplied residual is confirmed too
-    if np.linalg.norm(r) <= limit:
-        return x, 0
+    x = np.zeros_like(rhs) if x0 is None else x0
+    if r0 is not None and np.linalg.norm(r0) > limit:
+        r = r0
+    else:
+        r = A.residual(rhs, x)  # a supplied residual is confirmed too
+        if np.linalg.norm(r) <= limit:
+            return x, 0
 
     p = None
     for k in range(1, maxiter + 1):
@@ -119,17 +146,17 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, tol: float = 1e-10,
         rz = rz_new
         Ap = A.matvec(p)
         alpha = rz / float(p @ Ap)
-        x += alpha * p
+        x = x + alpha * p  # out of place: x0 belongs to the caller
         r -= alpha * Ap
         if np.linalg.norm(r) <= limit:
-            true_r = rhs - A.matvec(x)
+            true_r = A.residual(rhs, x)
             if np.linalg.norm(true_r) <= limit:
                 return x, k
             # The recurrence drifted from the true residual: restart from
             # it, since the search directions built on the drift are stale.
             r, p = true_r, None
 
-    res = float(np.linalg.norm(rhs - A.matvec(x)) / norm_b)
+    res = float(np.linalg.norm(A.residual(rhs, x)) / norm_b)
     raise ConvergenceError(
         "CG did not converge in %d iterations (relative residual %.3e)"
         % (maxiter, res),

@@ -16,9 +16,10 @@ divergence form and R the per-node rank-one operator
 x -> w_z (p_z . x_z) p_z built from P at the current state.  With sigma = 0
 the two-level terms drop and only one history level is kept.
 
-Fields are stored over all mesh nodes; the homogeneous Dirichlet condition
-keeps boundary Q entries at zero, and boundary r values stay at their
-initial value because their update increment vanishes there.
+A state holds interior vectors only: the homogeneous Dirichlet condition
+keeps boundary Q at zero, and boundary r values stay at their initial
+value because their update increment vanishes there, so one full-node r
+array per run holds them.  nodal_field() builds nodal fields on demand.
 """
 
 from __future__ import annotations
@@ -34,44 +35,32 @@ from .solver import ConvergenceError, StepOperator, cg_solve
 
 
 @dataclass
-class Interior:
-    """Interleaved interior vectors of a state and the sparse products of
-    its Q level, carried from a step into the energy evaluation and the
-    next step so that neither gathers nor multiplies them again."""
+class SimState:
+    """State n of a run as interleaved interior vectors, with the sparse
+    products of its Q level carried into the energy and the next step."""
 
     q: np.ndarray              # Q^n at interior DOFs
     dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
     r: np.ndarray              # r^n at interior nodes
     Kq: np.ndarray             # K q
     Dq: np.ndarray | None      # D q; None when the divergence term is off
-
-
-@dataclass
-class SimState:
-    """Two-level state (Q^{n-1}, Q^n, r^n); Qprev is None when sigma = 0.
-
-    interior is set on states returned by step(); a state built from nodal
-    fields alone has none and is gathered on use.
-    """
-
-    Qprev: np.ndarray | None  # (N, 2) or None
-    Qcurr: np.ndarray         # (N, 2)
-    r: np.ndarray             # (N,)
+    Lq: np.ndarray             # L1 K q + (L2 + L3)/2 D q
+    r_nodes: np.ndarray        # (N,) the run's nodal r, read on the boundary
     n: int
     t: float
-    interior: Interior | None = None
 
 
-def interior_of(state: SimState, p: Params, mesh: StructuredMesh, K, D) -> Interior:
-    """The interior vectors of state, gathered from its nodal fields when
-    the state does not carry them.  D is used only when L2 + L3 != 0."""
-    if state.interior is not None:
-        return state.interior
-    q = mesh.gather_interior(state.Qcurr)
-    dq = None if state.Qprev is None else q - mesh.gather_interior(state.Qprev)
-    use_div = D is not None and (p.L2 + p.L3) != 0.0
-    return Interior(q=q, dq=dq, r=mesh.gather_interior(state.r), Kq=K @ q,
-                    Dq=D @ q if use_div else None)
+def nodal_field(mesh: StructuredMesh, state: SimState, name: str) -> np.ndarray:
+    """The nodal "Q" (N, 2), zero on the boundary, or "r" (N,), with the
+    run's boundary values, of a state."""
+    if name == "Q":
+        out, values = np.zeros((mesh.n_nodes, 2)), state.q
+    elif name == "r":
+        out, values = state.r_nodes.copy(), state.r
+    else:
+        raise ValueError("unknown field %r" % name)
+    mesh.scatter_interior(out, values)
+    return out
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
@@ -98,8 +87,15 @@ def nodal_r(mesh: StructuredMesh, p: Params, Qfield: np.ndarray) -> np.ndarray:
     return np.asarray(aux_r(Qfield.T, p))
 
 
-def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None) -> SimState:
+def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None,
+               r0=None, op: StepOperator | None = None) -> SimState:
     """Build the starting state.
+
+    Q0 and Qt0 are callables or nodal arrays as interpolate_qfield() takes
+    them; only their interior values are read.  r0 is the nodal r of the
+    nodal array Q0 when the caller has formed it.  op is the run's
+    operator from step_operator(), which forms the products of the state;
+    it is built here when omitted.
 
     For sigma > 0 the second level is the explicit start
     Q^1 = Q^0 + dt * Qt0 and r^1 follows from the lumped r update; for
@@ -107,17 +103,29 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None) -> SimS
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    Q0f = interpolate_qfield(mesh, Q0)
-    r0 = nodal_r(mesh, p, Q0f)
-    if p.sigma == 0.0:
-        return SimState(Qprev=None, Qcurr=Q0f, r=r0, n=0, t=0.0)
+    if r0 is None:
+        Q0 = interpolate_qfield(mesh, Q0)
+        r0 = nodal_r(mesh, p, Q0)
+    q = mesh.gather_interior(Q0)
+    r = mesh.gather_interior(r0)
+    dq, n = None, 0
+    if p.sigma > 0.0:
+        qt = 0.0
+        if Qt0 is not None:
+            qt = mesh.gather_interior(
+                interpolate_qfield(mesh, Qt0) if callable(Qt0) else Qt0)
+        q0, q = q, q + dt * qt
+        P0 = aux_P(np.stack((q0[0::2], q0[1::2])), p)
+        dq = q - q0
+        r = r + 2.0 * (P0[0] * dq[0::2] + P0[1] * dq[1::2])
+        n = 1
 
-    Qt0f = np.zeros_like(Q0f) if Qt0 is None else interpolate_qfield(mesh, Qt0)
-    Q1 = Q0f + dt * Qt0f
-    P0 = aux_P(Q0f.T.copy(), p)
-    dq = Q1 - Q0f
-    r1 = r0 + 2.0 * (P0[0] * dq[:, 0] + P0[1] * dq[:, 1])
-    return SimState(Qprev=Q0f, Qcurr=Q1, r=r1, n=1, t=dt)
+    if op is None:
+        op = step_operator(p, dt, assembly.assemble_stiffness(mesh),
+                           assembly.assemble_div_form(mesh), assembly.lumped_mass(mesh))
+    Kq, Dq, Lq = op.products(q)
+    return SimState(q=q, dq=dq, r=r, Kq=Kq, Dq=Dq, Lq=Lq, r_nodes=r0,
+                    n=n, t=n * dt)
 
 
 def build_default_Qt0(mesh: StructuredMesh, p: Params,
@@ -128,17 +136,16 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params,
     when omitted) and the inverse lumped mass, keeping the initialization
     consistent with the mesh.
     """
-    idx = mesh.interior_nodes
     if K is None:
         K = assembly.assemble_stiffness(mesh)
-    x0 = Q0field[idx].reshape(-1)
-    gamma_dof = np.repeat(mesh.gamma[idx], 2)
-    lap = -(p.L1) * (K @ x0) / gamma_dof
-
+    x0 = mesh.gather_interior(Q0field)
+    qt = -(p.L1) * (K @ x0) / np.repeat(mesh.gamma[mesh.interior_nodes], 2)
     P0 = aux_P(np.stack((x0[0::2], x0[1::2])), p)
-    out = np.zeros_like(Q0field)
-    out[idx, 0] = lap.reshape(-1, 2)[:, 0] - r0field[idx] * P0[0]
-    out[idx, 1] = lap.reshape(-1, 2)[:, 1] - r0field[idx] * P0[1]
+    r0 = mesh.gather_interior(r0field)
+    qt[0::2] -= r0 * P0[0]
+    qt[1::2] -= r0 * P0[1]
+    out = np.zeros((mesh.n_nodes, 2))
+    mesh.scatter_interior(out, qt)
     return out
 
 
@@ -167,53 +174,38 @@ def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     """
     if op is None:
         op = step_operator(p, dt, K, D, weights)
-    v = interior_of(state, p, mesh, K, D)
+    q = state.q
     # a C-contiguous (2, n) copy, so that P and every matvec read
     # contiguous vectors
-    op.set_rank_one(aux_P(np.stack((v.q[0::2], v.q[1::2])), p))
+    op.set_rank_one(aux_P(np.stack((q[0::2], q[1::2])), p))
 
-    # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r) with
-    # L = c_k K + c_d D, and the residual of the start value q,
-    # rhs - A q = (sigma/dt^2) w dq - 2 L q - w r p, formed without the
-    # cancellation of subtracting A q from rhs.
-    Lq = op.ck * v.Kq
-    if v.Dq is not None:
-        Lq += op.cd * v.Dq
-    rhs = op.cm * (weights * v.q)
-    rhs -= Lq
-    res = -2.0 * Lq
+    # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r), and the
+    # residual of the start value q, rhs - A q = (sigma/dt^2) w dq - 2 L q
+    # - w r p, formed without the cancellation of subtracting A q from rhs.
+    rhs = op.cm * (weights * q)
+    rhs -= state.Lq
+    res = -2.0 * state.Lq
     if p.sigma > 0.0:
-        inertia = (p.sigma / dt ** 2) * (weights * v.dq)
+        inertia = (p.sigma / dt ** 2) * (weights * state.dq)
         rhs += inertia
         res += inertia
-    s = op.project(v.q)
-    s -= v.r
+    s = op.project(q)
+    s -= state.r
     op.spread(s, rhs)
-    op.spread(-v.r, res)
+    op.spread(-state.r, res)
 
     n, t = state.n + 1, state.t + dt
     try:
-        x, _ = cg_solve(op, rhs, tol=cg_tol, maxiter=maxiter, x0=v.q, r0=res)
+        x, _ = cg_solve(op, rhs, tol=cg_tol, maxiter=maxiter, x0=q, r0=res)
     except ConvergenceError as exc:
         raise _step_failure(n, t, str(exc), exc.residual) from exc
     if not np.all(np.isfinite(x)):
         raise _step_failure(n, t, "non-finite values in Q update")
 
-    dq = x - v.q
-    r_int = v.r + 2.0 * op.project(dq)
-    if not np.all(np.isfinite(r_int)):
+    dq = x - q
+    r = state.r + 2.0 * op.project(dq)
+    if not np.all(np.isfinite(r)):
         raise _step_failure(n, t, "non-finite values in r update")
-
-    Qnew = np.zeros_like(state.Qcurr)
-    mesh.scatter_interior(Qnew, x)
-    rnew = state.r.copy()
-    mesh.scatter_interior(rnew, r_int)
-    return SimState(
-        Qprev=state.Qcurr if p.sigma > 0.0 else None,
-        Qcurr=Qnew,
-        r=rnew,
-        n=n,
-        t=t,
-        interior=Interior(q=x, dq=dq, r=r_int, Kq=K @ x,
-                          Dq=None if v.Dq is None else D @ x),
-    )
+    # cg_solve confirmed x last, so op holds the products of x
+    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, Dq=op.Dx, Lq=op.Lx,
+                    r_nodes=state.r_nodes, n=n, t=t)

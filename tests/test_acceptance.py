@@ -27,7 +27,8 @@ from qtflow.experiments import (
 )
 from qtflow.mesh import build_mesh
 from qtflow.model import aux_P, aux_r, bulk_derivative_f, bulk_potential
-from qtflow.stepper import build_default_Qt0, initialize, interpolate_qfield, nodal_r, step
+from qtflow.stepper import (build_default_Qt0, initialize, interpolate_qfield, nodal_field,
+                            nodal_r, step)
 
 import oracles
 
@@ -114,7 +115,7 @@ def test_criterion_3_structure_preservation():
 
     ref = oracles.FullMatrixStepper(mesh, params, dt)
     to_full = lambda W: np.array([oracles.to_full(a, b) for a, b in W[idx]])
-    Qf, Qp, rf = to_full(state.Qcurr), to_full(state.Qprev), state.r[idx].copy()
+    Qf, Qp, rf = to_full(nodal_field(mesh, state, "Q")), to_full(Q0), state.r.copy()
 
     sym = trace = match = 0.0
     for _ in range(10):
@@ -123,7 +124,8 @@ def test_criterion_3_structure_preservation():
         Qp, Qf = Qf, Qf_new
         sym = max(sym, float(np.max(np.abs(Qf[:, 0, 1] - Qf[:, 1, 0]))))
         trace = max(trace, float(np.max(np.abs(Qf[:, 0, 0] + Qf[:, 1, 1]))))
-        match = max(match, float(np.max(np.abs(to_full(state.Qcurr) - Qf))))
+        Q = to_full(nodal_field(mesh, state, "Q"))
+        match = max(match, float(np.max(np.abs(Q - Qf))))
     ok = sym < 1e-12 and trace < 1e-12 and match < 1e-10
     report(3, "full-matrix reference: symmetric, trace-free, matches reduced",
            ok, "asym %.2e, trace %.2e, mismatch %.2e" % (sym, trace, match))
@@ -255,7 +257,7 @@ def test_criterion_8_equilibrium(equilibrium_run):
         len(totals) == 1000
         and len(set(totals)) == 1
         and abs(totals[0] - 2000.0) <= 1e-9 * 2000.0
-        and np.all(res.state.Qcurr == 0.0)
+        and np.all(nodal_field(res.mesh, res.state, "Q") == 0.0)
     )
     report(8, "zero data stays zero with constant energy 2000 for 1000 steps",
            ok, "E = %.12g" % totals[0])

@@ -29,7 +29,7 @@ class TestDiscreteEnergy:
         mesh = build_mesh(0, 2, 0, 2, 16, 16)
         K, D, w = forms(mesh)
         state = initialize(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
-        rec = discrete_energy(state, P6, 1e-3, mesh, K, D, w)
+        rec = discrete_energy(state, P6, 1e-3, mesh, w)
         assert rec.total == pytest.approx(2000.0, rel=1e-12)
         assert rec.kinetic == 0.0 and rec.elastic == 0.0 and rec.divpart == 0.0
 
@@ -44,8 +44,13 @@ class TestDiscreteEnergy:
         r = np.sqrt(1000.0) + rng.uniform(-0.1, 0.1, size=mesh.n_nodes)
         pdiv = Params(L1=0.001, L2=0.0005, L3=0.0005, a=-0.2, b=1, c=1,
                       A0=500.0, sigma=0.025)
-        state = SimState(Qprev=Qp, Qcurr=Q, r=r, n=1, t=1e-3)
-        rec = discrete_energy(state, pdiv, 1e-3, mesh, K, D, w)
+        q = mesh.gather_interior(Q)
+        Kq, Dq = K @ q, D @ q
+        state = SimState(q=q, dq=q - mesh.gather_interior(Qp),
+                         r=mesh.gather_interior(r), Kq=Kq, Dq=Dq,
+                         Lq=pdiv.L1 * Kq + 0.5 * (pdiv.L2 + pdiv.L3) * Dq,
+                         r_nodes=r, n=1, t=1e-3)
+        rec = discrete_energy(state, pdiv, 1e-3, mesh, w)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):
             assert part >= 0.0
         assert rec.total == pytest.approx(
@@ -56,7 +61,7 @@ class TestDiscreteEnergy:
         K, D, w = forms(mesh)
         p0 = Params(L1=0.001, L2=0, L3=0, a=-0.2, b=1, c=1, A0=500.0, sigma=0.0)
         state = initialize(mesh, p0, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
-        rec = discrete_energy(state, p0, 1e-3, mesh, K, D, w)
+        rec = discrete_energy(state, p0, 1e-3, mesh, w)
         assert rec.kinetic == 0.0 and rec.divpart == 0.0
 
 

@@ -107,6 +107,36 @@ class TestStencilMatchesElementAssembly:
             assert np.max(np.abs(A.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+class TestDivFormEqualsStiffness:
+    """On the interior (zero boundary trace) the tensor divergence form is
+    the vector stiffness: its cross terms d1 q1 d2 q2 form a discrete null
+    Lagrangian and cancel on every interior edge."""
+
+    @pytest.mark.parametrize("extent, nx, ny", [
+        ((0.0, 2.0, 0.0, 2.0), 4, 4),
+        ((0.0, 2.0, 0.0, 2.0), 16, 16),
+        ((0.0, 2.0, 0.0, 2.0), 128, 128),
+        ((0.0, 2.0, 0.0, 2.0), 256, 256),
+        ((-1.0, 1.0, -1.0, 1.0), 7, 7),
+        ((0.0, 3.0, 0.0, 1.0), 30, 10),
+        ((0.1, 1.4, -0.3, 1.0), 13, 13),
+    ])
+    def test_bitwise(self, extent, nx, ny):
+        mesh = build_mesh(*extent, nx, ny)
+        assert_same_csr(assemble_div_form(mesh), assemble_stiffness(mesh))
+
+    @pytest.mark.parametrize("extent, n", [
+        ((0.0, 2.0, 0.0, 2.0), 16),
+        ((-1.0, 1.0, -1.0, 1.0), 7),
+        ((0.1, 1.4, -0.3, 1.0), 13),
+    ])
+    def test_element_oracles_agree_to_roundoff(self, extent, n):
+        mesh = build_mesh(*extent, n, n)
+        K = oracles.interior_stiffness_by_elements(mesh).toarray()
+        D = oracles.div_form_by_elements(mesh).toarray()
+        assert np.max(np.abs(D - K)) <= 1e-15 * np.max(np.abs(K))
+
+
 class TestDivForm:
     def test_symmetry_and_psd(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)

@@ -132,7 +132,7 @@ class TestCgSolve:
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         exact = b - A.matvec(x0)
-        x, iters = cg_solve(A, b, tol=1e-10, x0=x0, r0=exact)
+        x, iters = cg_solve(A, b, tol=1e-10, x0=x0, r0=exact.copy())  # r0 is consumed
         assert iters > 0
         assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
         # a wrong residual cannot end the solve early: a zero one is
@@ -140,6 +140,48 @@ class TestCgSolve:
         for wrong in (np.zeros(n), 1.01 * exact):
             x, _ = cg_solve(A, b, tol=1e-10, x0=x0, r0=wrong)
             assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
+
+    def test_x0_never_written_and_products_of_x_kept(self):
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        rng = np.random.RandomState(19)
+        A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
+        n = 2 * mesh.n_interior
+        b = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        kept = x0.copy()
+        for r0 in (None, b - A.matvec(x0)):
+            x, iters = cg_solve(A, b, tol=1e-10, x0=x0, r0=r0)
+            assert iters > 0
+            assert np.array_equal(x0, kept)
+            assert np.array_equal(A.Kx, A.K @ x)
+            assert np.array_equal(A.Dx, A.D @ x)
+            assert np.array_equal(A.Lx, A.ck * A.Kx + A.cd * A.Dx)
+
+    def test_zero_rhs_keeps_products_of_returned_x(self):
+        mesh = build_mesh(0, 2, 0, 2, 4, 4)
+        rng = np.random.RandomState(23)
+        A = make_operator(mesh, rng=rng)
+        n = 2 * mesh.n_interior
+        A.residual(np.zeros(n), rng.standard_normal(n))  # products of another x
+        x0 = rng.standard_normal(n)
+        kept = x0.copy()
+        x, iters = cg_solve(A, np.zeros(n), x0=x0)
+        assert iters == 0 and np.all(x == 0.0)
+        assert np.array_equal(x0, kept)
+        for product in (A.Kx, A.Dx, A.Lx):
+            assert np.all(product == 0.0)
+
+    def test_residual_matches_matvec(self):
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        rng = np.random.RandomState(29)
+        for div_coef in (0.0, 0.2):
+            A = make_operator(mesh, rng=rng, mass_coef=3.0, grad_coef=1.0,
+                              div_coef=div_coef)
+            x = rng.standard_normal(2 * mesh.n_interior)
+            b = rng.standard_normal(x.shape[0])
+            ref = b - A.matvec(x)
+            assert np.max(np.abs(A.residual(b, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert (A.Dx is None) == (div_coef == 0.0)
 
     def test_nonconvergence_reports_residual(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)

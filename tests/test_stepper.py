@@ -7,12 +7,14 @@ from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.experiments import default_initial_q
 from qtflow.mesh import build_mesh
 from qtflow.model import Params, aux_P, aux_r
+from qtflow import stepper
 from qtflow.solver import ConvergenceError
 from qtflow.stepper import (
     SimState,
     build_default_Qt0,
     initialize,
     interpolate_qfield,
+    nodal_field,
     nodal_r,
     step,
     step_operator,
@@ -39,8 +41,8 @@ class TestInitialize:
     def test_zero_data(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         state = initialize(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * y))
-        assert np.all(state.Qcurr == 0.0) and np.all(state.Qprev == 0.0)
-        assert np.allclose(state.r, np.sqrt(1000.0), rtol=1e-15)
+        assert np.all(nodal_field(mesh, state, "Q") == 0.0) and np.all(state.dq == 0.0)
+        assert np.allclose(nodal_field(mesh, state, "r"), np.sqrt(1000.0), rtol=1e-15)
         assert state.n == 1 and state.t == 1e-3
 
     def test_default_profile_vanishes_on_boundary(self):
@@ -58,14 +60,14 @@ class TestInitialize:
     def test_parabolic_one_level_start(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         state = initialize(mesh, P6_PAR, 1e-3, default_initial_q)
-        assert state.Qprev is None
+        assert state.dq is None
         assert state.n == 0 and state.t == 0.0
 
     def test_r_unchanged_when_qt0_zero(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         state = initialize(mesh, P6, 1e-3, default_initial_q, Qt0=None)
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        assert np.array_equal(state.r, nodal_r(mesh, P6, Q0))
+        assert np.array_equal(nodal_field(mesh, state, "r"), nodal_r(mesh, P6, Q0))
 
     def test_r_first_level_update(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
@@ -75,9 +77,9 @@ class TestInitialize:
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
         P0 = aux_P(Q0.T, P6)
-        dq = state.Qcurr - Q0
+        dq = nodal_field(mesh, state, "Q") - Q0
         expect = r0 + 2.0 * (P0[0] * dq[:, 0] + P0[1] * dq[:, 1])
-        assert np.allclose(state.r, expect, rtol=1e-14)
+        assert np.allclose(nodal_field(mesh, state, "r"), expect, rtol=1e-14)
 
 
 class TestDefaultQt0:
@@ -124,9 +126,9 @@ class TestDefaultQt0:
         qt0 = build_default_Qt0(mesh, P6, Q0, r0)
         dt = 1e-3
         state = initialize(mesh, P6, dt, Q0, qt0)
-        e1 = discrete_energy(state, P6, dt, mesh, K, D, w).total
+        e1 = discrete_energy(state, P6, dt, mesh, w).total
         state = step(state, P6, dt, mesh, K, D, w, cg_tol=1e-12)
-        e2 = discrete_energy(state, P6, dt, mesh, K, D, w).total
+        e2 = discrete_energy(state, P6, dt, mesh, w).total
         assert e2 <= e1
 
 
@@ -137,8 +139,9 @@ class TestStep:
         state = initialize(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
         for _ in range(5):
             state = step(state, P6, 1e-3, mesh, K, D, w)
-        assert np.all(state.Qcurr == 0.0)
-        assert np.array_equal(state.r, np.full(mesh.n_nodes, np.sqrt(1000.0)))
+        assert np.all(nodal_field(mesh, state, "Q") == 0.0)
+        assert np.array_equal(nodal_field(mesh, state, "r"),
+                              np.full(mesh.n_nodes, np.sqrt(1000.0)))
 
     def test_single_interior_node_matches_dense_solve(self):
         mesh = build_mesh(0, 2, 0, 2, 2, 2)
@@ -168,18 +171,18 @@ class TestStep:
             - p.L1 * (Kd @ q) - 0.5 * (p.L2 + p.L3) * (Dd @ q) \
             - wv * r0 * pv + wv[0] * float(pv @ q) * pv
         expect = np.linalg.solve(A, rhs)
-        assert np.max(np.abs(new.Qcurr[node] - expect)) < 1e-12
+        assert np.max(np.abs(nodal_field(mesh, new, "Q")[node] - expect)) < 1e-12
 
     def test_boundary_values_pinned(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         state = initialize(mesh, P6, 1e-3, default_initial_q,
                            Qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
-        r_bnd = state.r[mesh.is_boundary].copy()
+        r_bnd = nodal_field(mesh, state, "r")[mesh.is_boundary]
         for _ in range(10):
             state = step(state, P6, 1e-3, mesh, K, D, w)
-        assert np.all(state.Qcurr[mesh.is_boundary] == 0.0)
-        assert np.array_equal(state.r[mesh.is_boundary], r_bnd)
+        assert np.all(nodal_field(mesh, state, "Q")[mesh.is_boundary] == 0.0)
+        assert np.array_equal(nodal_field(mesh, state, "r")[mesh.is_boundary], r_bnd)
 
     def test_energy_identity_and_monotonicity(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -193,17 +196,18 @@ class TestStep:
             else:
                 state = initialize(mesh, p, dt, Q0)
             idx = mesh.interior_nodes
-            rec = discrete_energy(state, p, dt, mesh, K, D, w)
+            rec = discrete_energy(state, p, dt, mesh, w)
             e0 = rec.total
             prev_dtq = None
             if p.sigma > 0:
-                prev_dtq = (state.Qcurr[idx] - state.Qprev[idx]).reshape(-1) / dt
+                prev_dtq = (nodal_field(mesh, state, "Q")[idx] - Q0[idx]).reshape(-1) / dt
             for _ in range(50):
                 old = state
                 old_total = rec.total
                 state = step(state, p, dt, mesh, K, D, w, cg_tol=1e-12)
-                rec = discrete_energy(state, p, dt, mesh, K, D, w)
-                dtq = (state.Qcurr[idx] - old.Qcurr[idx]).reshape(-1) / dt
+                rec = discrete_energy(state, p, dt, mesh, w)
+                dtq = (nodal_field(mesh, state, "Q")[idx]
+                       - nodal_field(mesh, old, "Q")[idx]).reshape(-1) / dt
                 resid = rec.total - old_total + dt * h_norm_sq(w, dtq)
                 if p.sigma > 0:
                     resid += 0.5 * p.sigma * h_norm_sq(w, dtq - prev_dtq)
@@ -227,14 +231,15 @@ class TestStep:
         par = advance(par, P6_PAR, dt, mesh, K, D, w, 11)
 
         assert hyper.t == pytest.approx(par.t, rel=1e-12)
-        assert h1_error_field(hyper.Qcurr, par.Qcurr, norm_forms(mesh)) < 1e-6
+        assert h1_error_field(nodal_field(mesh, hyper, "Q"), nodal_field(mesh, par, "Q"),
+                              norm_forms(mesh)) < 1e-6
 
     def test_fields_stay_finite_flag(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         K, D, w = forms(mesh)
         state = initialize(mesh, P6, 1e-3, default_initial_q)
         state = step(state, P6, 1e-3, mesh, K, D, w)
-        assert np.all(np.isfinite(state.Qcurr)) and np.all(np.isfinite(state.r))
+        assert np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.r))
 
     def test_convergence_error_names_the_step(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -266,20 +271,142 @@ class TestCarriedInterior:
         fresh = carried
         op = step_operator(params, dt, K, D, w)
 
-        def nodal(s):
-            return SimState(Qprev=s.Qprev, Qcurr=s.Qcurr, r=s.r, n=s.n, t=s.t)
+        def rebuilt(s, Qprev):
+            """s rebuilt from nodal fields alone (its Q and r and the
+            previous Q level), every product formed anew; and its Q."""
+            Q = nodal_field(mesh, s, "Q")
+            q = mesh.gather_interior(Q)
+            dq = None if Qprev is None else q - mesh.gather_interior(Qprev)
+            Kq = K @ q
+            Dq = D @ q if params.L2 + params.L3 != 0 else None
+            Lq = params.L1 * Kq
+            if Dq is not None:
+                Lq += 0.5 * (params.L2 + params.L3) * Dq
+            r = mesh.gather_interior(nodal_field(mesh, s, "r"))
+            return SimState(q=q, dq=dq, r=r, Kq=Kq, Dq=Dq, Lq=Lq,
+                            r_nodes=s.r_nodes, n=s.n, t=s.t), Q
 
+        fresh, Qf = rebuilt(fresh, Q0 if params.sigma > 0 else None)
         for _ in range(10):
             carried = step(carried, params, dt, mesh, K, D, w, cg_tol=1e-12, op=op)
-            fresh = nodal(step(nodal(fresh), params, dt, mesh, K, D, w, cg_tol=1e-12))
-            assert carried.interior is not None and fresh.interior is None
-            for a, b in ((carried.Qcurr, fresh.Qcurr), (carried.r, fresh.r)):
+            fresh, Qf = rebuilt(step(fresh, params, dt, mesh, K, D, w, cg_tol=1e-12),
+                                Qf if params.sigma > 0 else None)
+            for name in ("Q", "r"):
+                a = nodal_field(mesh, carried, name)
+                b = nodal_field(mesh, fresh, name)
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-            e_c = discrete_energy(carried, params, dt, mesh, K, D, w)
-            e_f = discrete_energy(fresh, params, dt, mesh, K, D, w)
+            e_c = discrete_energy(carried, params, dt, mesh, w)
+            e_f = discrete_energy(fresh, params, dt, mesh, w)
             for part in ("kinetic", "elastic", "divpart", "rpart", "total"):
                 assert getattr(e_c, part) == pytest.approx(getattr(e_f, part), rel=1e-13)
         assert (e_c.divpart > 0) == (params.L2 > 0)  # the D product was exercised
+
+
+P6_DIV_PAR = replace(P6_DIV, sigma=0.0)
+
+
+def start(mesh, params, dt, K):
+    """The default initial state of a run, as experiments builds it."""
+    Q0 = interpolate_qfield(mesh, default_initial_q)
+    r0 = nodal_r(mesh, params, Q0)
+    qt0 = build_default_Qt0(mesh, params, Q0, r0, K) if params.sigma > 0 else None
+    return initialize(mesh, params, dt, Q0, qt0, r0=r0)
+
+
+class Counted:
+    """A sparse matrix that counts the products taken with it."""
+
+    def __init__(self, M):
+        self.M = M
+        self.calls = 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.M @ x
+
+
+class TestCarriedProducts:
+    @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
+    def test_products_equal_fresh_products(self, params):
+        """Every state of ten steps carries exactly K q, D q and L q."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        K, D, w = forms(mesh)
+        dt = 1e-3
+        ck, cd = params.L1, 0.5 * (params.L2 + params.L3)
+        state = start(mesh, params, dt, K)
+        op = step_operator(params, dt, K, D, w)
+        for _ in range(11):
+            assert np.array_equal(state.Kq, K @ state.q)
+            if cd == 0.0:
+                assert state.Dq is None
+                assert np.array_equal(state.Lq, ck * state.Kq)
+            else:
+                assert np.array_equal(state.Dq, D @ state.q)
+                assert np.array_equal(state.Lq, ck * state.Kq + cd * state.Dq)
+            state = step(state, params, dt, mesh, K, D, w, op=op)
+
+    @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
+    def test_products_per_step(self, params, monkeypatch):
+        """One op.base product per CG iteration, one K product (and one D
+        product) for the confirmation, and nothing else."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        K, D, w = forms(mesh)
+        dt = 1e-3
+        state = start(mesh, params, dt, K)
+        op = step_operator(params, dt, K, D, w)
+        op.K, op.D, op.base = Counted(K), Counted(D), Counted(op.base)
+        Kc, Dc = Counted(K), Counted(D)
+
+        iters = []
+        cg_solve = stepper.cg_solve
+
+        def counting_cg(*args, **kwargs):
+            x, k = cg_solve(*args, **kwargs)
+            iters.append(k)
+            return x, k
+
+        monkeypatch.setattr(stepper, "cg_solve", counting_cg)
+        with_div = params.L2 + params.L3 != 0
+        for _ in range(10):
+            counts = (op.base.calls, op.K.calls, op.D.calls)
+            state = step(state, params, dt, mesh, Kc, Dc, w, op=op)
+            assert (op.base.calls - counts[0], op.K.calls - counts[1],
+                    op.D.calls - counts[2]) == (iters[-1], 1, int(with_div))
+        assert Kc.calls == Dc.calls == 0
+        assert sum(iters) > 0
+
+
+class TestNodalField:
+    def test_reproduces_the_nodal_path(self):
+        """Ten sigma > 0 steps: the nodal Q and r of every state, bit for
+        bit, as a run over full-node arrays forms them: the first level by
+        the nodal update, then Q scattered into zeros and r copied from the
+        last level with its interior replaced."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        K, D, w = forms(mesh)
+        dt = 1e-3
+        idx, bnd = mesh.interior_nodes, mesh.is_boundary
+        Q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(mesh, P6, Q0)
+        qt0 = build_default_Qt0(mesh, P6, Q0, r0, K)
+        state = initialize(mesh, P6, dt, Q0, qt0, r0=r0)
+
+        Q = Q0 + dt * qt0
+        P0 = aux_P(Q0.T.copy(), P6)
+        dQ = Q - Q0
+        r = r0 + 2.0 * (P0[0] * dQ[:, 0] + P0[1] * dQ[:, 1])
+        for _ in range(11):
+            assert np.array_equal(nodal_field(mesh, state, "Q"), Q)
+            assert np.array_equal(nodal_field(mesh, state, "r"), r)
+            assert np.all(Q[bnd] == 0.0)
+            assert np.array_equal(r[bnd], r0[bnd])
+            state = step(state, P6, dt, mesh, K, D, w)
+            Q = np.zeros_like(Q)
+            Q[idx] = state.q.reshape(-1, 2)
+            r = r.copy()
+            r[idx] = state.r
+        with pytest.raises(ValueError):
+            nodal_field(mesh, state, "P")
 
 
 class TestFullMatrixReference:
@@ -295,9 +422,9 @@ class TestFullMatrixReference:
 
         ref = oracles.FullMatrixStepper(mesh, params, dt)
         to_full = lambda W: np.array([oracles.to_full(a, b) for a, b in W[idx]])
-        Qf = to_full(state.Qcurr)
-        Qp = to_full(state.Qprev)
-        rf = state.r[idx].copy()
+        Qf = to_full(nodal_field(mesh, state, "Q"))
+        Qp = to_full(Q0)
+        rf = state.r.copy()
 
         for _ in range(nsteps):
             state = step(state, params, dt, mesh, K, D, w, cg_tol=1e-13)
@@ -308,9 +435,9 @@ class TestFullMatrixReference:
             assert np.max(np.abs(Qf[:, 0, 1] - Qf[:, 1, 0])) < 1e-12
             assert np.max(np.abs(Qf[:, 0, 0] + Qf[:, 1, 1])) < 1e-12
             # and matches the reduced production stepper
-            red = to_full(state.Qcurr)
+            red = to_full(nodal_field(mesh, state, "Q"))
             assert np.max(np.abs(red - Qf)) < 1e-10
-        assert np.max(np.abs(state.r[idx] - rf)) < 1e-10
+        assert np.max(np.abs(state.r - rf)) < 1e-10
 
     def test_matches_reduced_stepper_with_div_terms(self):
         self._run_comparison(P6_DIV)
