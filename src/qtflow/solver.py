@@ -146,7 +146,10 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, tol: float = 1e-10,
         rz = rz_new
         Ap = A.matvec(p)
         alpha = rz / float(p @ Ap)
-        x = x + alpha * p  # out of place: x0 belongs to the caller
+        if k == 1:
+            x = x + alpha * p  # out of place: x0 belongs to the caller
+        else:
+            x += alpha * p
         r -= alpha * Ap
         if np.linalg.norm(r) <= limit:
             true_r = A.residual(rhs, x)
