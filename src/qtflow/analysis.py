@@ -18,7 +18,7 @@ from scipy import sparse
 from . import assembly
 from .mesh import NestedInjection, StructuredMesh
 from .model import Params
-from .stepper import SimState, nodal_field
+from .stepper import SimState
 
 
 @dataclass
@@ -58,7 +58,7 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
         divpart = 0.5 * (p.L2 + p.L3) * float(state.q @ state.Dq)
     # a sum over the full nodal field: split into interior and boundary
     # parts it would round differently
-    r = nodal_field(mesh, state, "r")
+    r = state.r_field(mesh)
     rpart = 0.5 * float(mesh.gamma @ (r * r))
     total = kinetic + elastic + divpart + rpart
     return EnergyRecord(kinetic, elastic, divpart, rpart, total, rate_sq)

@@ -23,7 +23,6 @@ from .stepper import (
     build_default_Qt0,
     initialize,
     interpolate_qfield,
-    nodal_field,
     nodal_r,
     step,
     step_operator,
@@ -224,7 +223,7 @@ def _simulate(case: Case) -> RunResult:
         if case.pert_qt0 != 0.0:
             Qt0[idx, 0] += case.pert_qt0
     op = step_operator(params, dt, K, D, w)
-    state = initialize(mesh, params, dt, Q0, Qt0, r0=r0, op=op)
+    state = initialize(mesh, params, dt, Q0, Qt0, r0, op)
 
     trace = [analysis.discrete_energy(state, params, dt, mesh, w)]
     prev_dtq = state.dq / dt if params.sigma > 0.0 else None
@@ -232,7 +231,7 @@ def _simulate(case: Case) -> RunResult:
     for _ in range(N - state.n):
         old_total = trace[-1].total
         try:
-            state = step(state, params, dt, mesh, K, D, w, cg_tol=case.cg_tol, op=op)
+            state = step(state, params, dt, op, cg_tol=case.cg_tol)
         except ConvergenceError as exc:
             raise ConvergenceError("%s: %s" % (case, exc), exc.residual,
                                    step=exc.step, t=exc.t, case=case) from exc
@@ -317,7 +316,7 @@ def _refinement(levels, cases, threads, compare) -> StudyResult:
 
 def _zero_trace_r(res: RunResult) -> np.ndarray:
     """r as a finite element function with zero boundary trace."""
-    r = nodal_field(res.mesh, res.state, "r")
+    r = res.state.r_field(res.mesh)
     r[res.mesh.is_boundary] = 0.0
     return r
 
@@ -346,10 +345,10 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
 
     def compare(res, ref, forms):
         inj = nested_injection(res.mesh, ref.mesh)
-        Qt = analysis.transfer_to_fine(nodal_field(res.mesh, res.state, "Q"),
+        Qt = analysis.transfer_to_fine(res.state.Q_field(res.mesh),
                                        inj, ref.mesh)
         rt = analysis.transfer_to_fine(_zero_trace_r(res), inj, ref.mesh)
-        Qref = nodal_field(ref.mesh, ref.state, "Q")
+        Qref = ref.state.Q_field(ref.mesh)
         return (analysis.h1_error_component(Qt, Qref, forms, 0),
                 analysis.h1_error_component(Qt, Qref, forms, 1),
                 analysis.l2_error_scalar(rt, _zero_trace_r(ref), forms))
@@ -371,12 +370,12 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
              for dt in (cfg.reference_dt,) + cfg.dt_list]
 
     def compare(res, ref, forms):
-        Q = nodal_field(res.mesh, res.state, "Q")
-        Qref = nodal_field(ref.mesh, ref.state, "Q")
+        Q = res.state.Q_field(res.mesh)
+        Qref = ref.state.Q_field(ref.mesh)
         return (analysis.h1_error_component(Q, Qref, forms, 0),
                 analysis.h1_error_component(Q, Qref, forms, 1),
-                analysis.l2_error_scalar(nodal_field(res.mesh, res.state, "r"),
-                                         nodal_field(ref.mesh, ref.state, "r"), forms))
+                analysis.l2_error_scalar(res.state.r_field(res.mesh),
+                                         ref.state.r_field(ref.mesh), forms))
 
     return _refinement(cfg.dt_list, cases, cfg.threads, compare)
 
@@ -417,9 +416,9 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
     par = results[0]
     forms = analysis.norm_forms(par.mesh)
 
-    Qpar = nodal_field(par.mesh, par.state, "Q")
+    Qpar = par.state.Q_field(par.mesh)
     rows = [SigmaRow(sigma=s, p1=p1, p2=p2, h1_error=analysis.h1_error_field(
-                Qpar, nodal_field(res.mesh, res.state, "Q"), forms))
+                Qpar, res.state.Q_field(res.mesh), forms))
             for (p1, p2, s), res in zip(keys, results[1:])]
 
     slopes = {}

@@ -59,12 +59,14 @@ class StructuredMesh:
         """Interior entries of a nodal field as a flat (interleaved) copy."""
         return self._interior_view(field).flatten()
 
-    def scatter_interior(self, field: np.ndarray, values: np.ndarray) -> None:
-        """Write a flat (interleaved) interior vector into a nodal field."""
+    def scatter_interior(self, field: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Write a flat (interleaved) interior vector into a nodal field,
+        which is returned."""
         if not field.flags.c_contiguous:
             raise ValueError("nodal field must be C-contiguous to be written in place")
         view = self._interior_view(field)
         view[...] = values.reshape(view.shape)
+        return field
 
 
 def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:

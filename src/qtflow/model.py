@@ -74,7 +74,12 @@ def bulk_derivative_f(Q: np.ndarray, p: Params) -> np.ndarray:
     it equals its own isotropic part and the deviator is zero.  What is
     left is (a + c tr(Q^2)) Q.
     """
-    return (p.a + p.c * trace_q2(Q)) * np.asarray(Q)
+    return _f(Q, trace_q2(Q), p)
+
+
+def _f(Q: np.ndarray, t2, p: Params) -> np.ndarray:
+    """f at Q, given t2 = tr(Q^2)."""
+    return (p.a + p.c * t2) * np.asarray(Q)
 
 
 def aux_r(Q: np.ndarray, p: Params):
@@ -99,6 +104,6 @@ def aux_P(Q: np.ndarray, p: Params) -> np.ndarray:
     formed once for both.  The result follows the memory order of Q; pass
     a C-contiguous field to get a C-contiguous P."""
     t2 = trace_q2(Q)
-    P = (p.a + p.c * t2) * np.asarray(Q)  # f(Q), see bulk_derivative_f
+    P = _f(Q, t2, p)
     P /= _aux_r(t2, p)
     return P

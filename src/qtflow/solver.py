@@ -157,7 +157,8 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, tol: float = 1e-10,
                 return x, k
             # The recurrence drifted from the true residual: restart from
             # it, since the search directions built on the drift are stale.
-            r, p = true_r, None
+            # The assembled product rounds as the iterates do.
+            r, p = rhs - A.matvec(x), None
 
     res = float(np.linalg.norm(A.residual(rhs, x)) / norm_b)
     raise ConvergenceError(

@@ -19,7 +19,8 @@ the two-level terms drop and only one history level is kept.
 A state holds interior vectors only: the homogeneous Dirichlet condition
 keeps boundary Q at zero, and boundary r values stay at their initial
 value because their update increment vanishes there, so one full-node r
-array per run holds them.  nodal_field() builds nodal fields on demand.
+array per run holds them.  SimState.Q_field() and r_field() build nodal
+fields on demand.
 """
 
 from __future__ import annotations
@@ -45,40 +46,27 @@ class SimState:
     Kq: np.ndarray             # K q
     Dq: np.ndarray | None      # D q; None when the divergence term is off
     Lq: np.ndarray             # L1 K q + (L2 + L3)/2 D q
-    r_nodes: np.ndarray        # (N,) the run's nodal r, read on the boundary
+    r0: np.ndarray             # (N,) the run's nodal r^0, read on the boundary
     n: int
     t: float
 
+    def Q_field(self, mesh: StructuredMesh) -> np.ndarray:
+        """Q^n as a nodal (N, 2) field, zero on the boundary."""
+        return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), self.q)
 
-def nodal_field(mesh: StructuredMesh, state: SimState, name: str) -> np.ndarray:
-    """The nodal "Q" (N, 2), zero on the boundary, or "r" (N,), with the
-    run's boundary values, of a state."""
-    if name == "Q":
-        out, values = np.zeros((mesh.n_nodes, 2)), state.q
-    elif name == "r":
-        out, values = state.r_nodes.copy(), state.r
-    else:
-        raise ValueError("unknown field %r" % name)
-    mesh.scatter_interior(out, values)
-    return out
+    def r_field(self, mesh: StructuredMesh) -> np.ndarray:
+        """r^n as a nodal (N,) field, with the run's boundary values."""
+        return mesh.scatter_interior(self.r0.copy(), self.r)
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
-    """Nodal interpolation with homogeneous Dirichlet boundary values.
-
-    data is either a callable (x, y) -> (q1, q2) or an (N, 2) array of
-    nodal values; boundary entries are forced to zero either way.
-    """
-    if callable(data):
-        q1, q2 = data(mesh.nodes[:, 0], mesh.nodes[:, 1])
-        field = np.column_stack([
-            np.broadcast_to(q1, mesh.n_nodes),
-            np.broadcast_to(q2, mesh.n_nodes),
-        ]).astype(float)
-    else:
-        field = np.array(data, dtype=float)
-        if field.shape != (mesh.n_nodes, 2):
-            raise ValueError("field shape %s does not match mesh" % (field.shape,))
+    """Nodal interpolation of a callable (x, y) -> (q1, q2), with the
+    boundary entries forced to the homogeneous Dirichlet value zero."""
+    q1, q2 = data(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    field = np.column_stack([
+        np.broadcast_to(q1, mesh.n_nodes),
+        np.broadcast_to(q2, mesh.n_nodes),
+    ]).astype(float)
     field[mesh.is_boundary] = 0.0
     return field
 
@@ -87,15 +75,11 @@ def nodal_r(mesh: StructuredMesh, p: Params, Qfield: np.ndarray) -> np.ndarray:
     return np.asarray(aux_r(Qfield.T, p))
 
 
-def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None,
-               r0=None, op: StepOperator | None = None) -> SimState:
-    """Build the starting state.
-
-    Q0 and Qt0 are callables or nodal arrays as interpolate_qfield() takes
-    them; only their interior values are read.  r0 is the nodal r of the
-    nodal array Q0 when the caller has formed it.  op is the run's
-    operator from step_operator(), which forms the products of the state;
-    it is built here when omitted.
+def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
+               Qt0: np.ndarray | None, r0: np.ndarray, op: StepOperator) -> SimState:
+    """Build the starting state from the nodal fields Q0, r0 = nodal_r(Q0)
+    and Qt0, of which only the interior values are read; op is the run's
+    operator from step_operator(), which forms the products of the state.
 
     For sigma > 0 the second level is the explicit start
     Q^1 = Q^0 + dt * Qt0 and r^1 follows from the lumped r update; for
@@ -103,29 +87,17 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0, Qt0=None,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if r0 is None:
-        Q0 = interpolate_qfield(mesh, Q0)
-        r0 = nodal_r(mesh, p, Q0)
     q = mesh.gather_interior(Q0)
     r = mesh.gather_interior(r0)
     dq, n = None, 0
     if p.sigma > 0.0:
-        qt = 0.0
-        if Qt0 is not None:
-            qt = mesh.gather_interior(
-                interpolate_qfield(mesh, Qt0) if callable(Qt0) else Qt0)
-        q0, q = q, q + dt * qt
+        q0, q = q, q + dt * mesh.gather_interior(Qt0)
         P0 = aux_P(np.stack((q0[0::2], q0[1::2])), p)
         dq = q - q0
         r = r + 2.0 * (P0[0] * dq[0::2] + P0[1] * dq[1::2])
         n = 1
-
-    if op is None:
-        op = step_operator(p, dt, assembly.assemble_stiffness(mesh),
-                           assembly.assemble_div_form(mesh), assembly.lumped_mass(mesh))
     Kq, Dq, Lq = op.products(q)
-    return SimState(q=q, dq=dq, r=r, Kq=Kq, Dq=Dq, Lq=Lq, r_nodes=r0,
-                    n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=Kq, Dq=Dq, Lq=Lq, r0=r0, n=n, t=n * dt)
 
 
 def build_default_Qt0(mesh: StructuredMesh, p: Params,
@@ -144,9 +116,7 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params,
     r0 = mesh.gather_interior(r0field)
     qt[0::2] -= r0 * P0[0]
     qt[1::2] -= r0 * P0[1]
-    out = np.zeros((mesh.n_nodes, 2))
-    mesh.scatter_interior(out, qt)
-    return out
+    return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), qt)
 
 
 def step_operator(p: Params, dt: float, K, D, weights) -> StepOperator:
@@ -163,17 +133,14 @@ def _step_failure(n: int, t: float, message: str,
                             residual, step=n, t=t)
 
 
-def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
-         K, D, weights, cg_tol: float = 1e-10, maxiter: int | None = None,
-         op: StepOperator | None = None) -> SimState:
-    """Advance one time step; returns the new state.
+def step(state: SimState, p: Params, dt: float, op: StepOperator,
+         cg_tol: float = 1e-10, maxiter: int | None = None) -> SimState:
+    """Advance one time step with the run's operator op from
+    step_operator(); returns the new state.
 
-    op is the run's operator from step_operator() with the same p, dt, K,
-    D and weights; it is built here when omitted.  A failed solve raises
-    ConvergenceError with .step = state.n + 1 and .t = state.t + dt.
+    A failed solve raises ConvergenceError with .step = state.n + 1 and
+    .t = state.t + dt.
     """
-    if op is None:
-        op = step_operator(p, dt, K, D, weights)
     q = state.q
     # a C-contiguous (2, n) copy, so that P and every matvec read
     # contiguous vectors
@@ -182,11 +149,11 @@ def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r), and the
     # residual of the start value q, rhs - A q = (sigma/dt^2) w dq - 2 L q
     # - w r p, formed without the cancellation of subtracting A q from rhs.
-    rhs = op.cm * (weights * q)
+    rhs = op.cm * (op.w * q)
     rhs -= state.Lq
     res = -2.0 * state.Lq
     if p.sigma > 0.0:
-        inertia = (p.sigma / dt ** 2) * (weights * state.dq)
+        inertia = (p.sigma / dt ** 2) * (op.w * state.dq)
         rhs += inertia
         res += inertia
     s = op.project(q)
@@ -208,4 +175,4 @@ def step(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
         raise _step_failure(n, t, "non-finite values in r update")
     # cg_solve confirmed x last, so op holds the products of x
     return SimState(q=x, dq=dq, r=r, Kq=op.Kx, Dq=op.Dx, Lq=op.Lx,
-                    r_nodes=state.r_nodes, n=n, t=t)
+                    r0=state.r0, n=n, t=t)

@@ -27,10 +27,10 @@ from qtflow.experiments import (
 )
 from qtflow.mesh import build_mesh
 from qtflow.model import aux_P, aux_r, bulk_derivative_f, bulk_potential
-from qtflow.stepper import (build_default_Qt0, initialize, interpolate_qfield, nodal_field,
-                            nodal_r, step)
+from qtflow.stepper import interpolate_qfield, step
 
 import oracles
+from states import default_start
 
 
 def report(num, name, ok, detail=""):
@@ -104,27 +104,23 @@ def test_criterion_3_structure_preservation():
     params = replace(DEFAULT_PARAMS, L2=0.0005, L3=0.0005)
     dt = 1e-3
     mesh = build_mesh(0, 2, 0, 2, 4, 4)  # 5x5 nodes
-    K = assemble_stiffness(mesh)
-    D = assemble_div_form(mesh)
-    w = lumped_mass(mesh)
     idx = mesh.interior_nodes
 
     Q0 = interpolate_qfield(mesh, default_initial_q)
-    r0 = nodal_r(mesh, params, Q0)
-    state = initialize(mesh, params, dt, Q0, build_default_Qt0(mesh, params, Q0, r0))
+    state, op = default_start(mesh, params, dt)
 
     ref = oracles.FullMatrixStepper(mesh, params, dt)
     to_full = lambda W: np.array([oracles.to_full(a, b) for a, b in W[idx]])
-    Qf, Qp, rf = to_full(nodal_field(mesh, state, "Q")), to_full(Q0), state.r.copy()
+    Qf, Qp, rf = to_full(state.Q_field(mesh)), to_full(Q0), state.r.copy()
 
     sym = trace = match = 0.0
     for _ in range(10):
-        state = step(state, params, dt, mesh, K, D, w, cg_tol=1e-13)
+        state = step(state, params, dt, op, cg_tol=1e-13)
         Qf_new, rf = ref.step(Qf, Qp, rf)
         Qp, Qf = Qf, Qf_new
         sym = max(sym, float(np.max(np.abs(Qf[:, 0, 1] - Qf[:, 1, 0]))))
         trace = max(trace, float(np.max(np.abs(Qf[:, 0, 0] + Qf[:, 1, 1]))))
-        Q = to_full(nodal_field(mesh, state, "Q"))
+        Q = to_full(state.Q_field(mesh))
         match = max(match, float(np.max(np.abs(Q - Qf))))
     ok = sym < 1e-12 and trace < 1e-12 and match < 1e-10
     report(3, "full-matrix reference: symmetric, trace-free, matches reduced",
@@ -257,7 +253,7 @@ def test_criterion_8_equilibrium(equilibrium_run):
         len(totals) == 1000
         and len(set(totals)) == 1
         and abs(totals[0] - 2000.0) <= 1e-9 * 2000.0
-        and np.all(nodal_field(res.mesh, res.state, "Q") == 0.0)
+        and np.all(res.state.Q_field(res.mesh) == 0.0)
     )
     report(8, "zero data stays zero with constant energy 2000 for 1000 steps",
            ok, "E = %.12g" % totals[0])

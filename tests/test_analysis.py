@@ -13,9 +13,10 @@ from qtflow.analysis import (
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.mesh import build_mesh, nested_injection
 from qtflow.model import Params
-from qtflow.stepper import SimState, initialize
+from qtflow.stepper import SimState
 
 import oracles
+from states import start
 
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 
@@ -28,7 +29,7 @@ class TestDiscreteEnergy:
     def test_zero_state_value(self):
         mesh = build_mesh(0, 2, 0, 2, 16, 16)
         K, D, w = forms(mesh)
-        state = initialize(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
+        state, _ = start(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
         rec = discrete_energy(state, P6, 1e-3, mesh, w)
         assert rec.total == pytest.approx(2000.0, rel=1e-12)
         assert rec.kinetic == 0.0 and rec.elastic == 0.0 and rec.divpart == 0.0
@@ -49,7 +50,7 @@ class TestDiscreteEnergy:
         state = SimState(q=q, dq=q - mesh.gather_interior(Qp),
                          r=mesh.gather_interior(r), Kq=Kq, Dq=Dq,
                          Lq=pdiv.L1 * Kq + 0.5 * (pdiv.L2 + pdiv.L3) * Dq,
-                         r_nodes=r, n=1, t=1e-3)
+                         r0=r, n=1, t=1e-3)
         rec = discrete_energy(state, pdiv, 1e-3, mesh, w)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):
             assert part >= 0.0
@@ -60,7 +61,7 @@ class TestDiscreteEnergy:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         K, D, w = forms(mesh)
         p0 = Params(L1=0.001, L2=0, L3=0, a=-0.2, b=1, c=1, A0=500.0, sigma=0.0)
-        state = initialize(mesh, p0, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
+        state, _ = start(mesh, p0, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
         rec = discrete_energy(state, p0, 1e-3, mesh, w)
         assert rec.kinetic == 0.0 and rec.divpart == 0.0
 

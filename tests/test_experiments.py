@@ -15,7 +15,6 @@ from qtflow.experiments import (
     time_refinement_study,
     validate_config,
 )
-from qtflow.stepper import nodal_field
 
 
 class TestConfigValidation:
@@ -85,7 +84,7 @@ class TestRunSingle:
         assert len(set(totals)) == 1
         assert totals[0] == pytest.approx(2000.0, rel=1e-12)
         assert all(abs(rec.dissipation_residual) <= 1e-12 for rec in res.trace)
-        assert np.all(nodal_field(res.mesh, res.state, "Q") == 0.0)
+        assert np.all(res.state.Q_field(res.mesh) == 0.0)
 
     def test_energy_strictly_nonincreasing(self):
         cfg = ExperimentConfig(kind="run", nx=8, ny=8, T=0.01, dt=1e-3)
@@ -99,9 +98,9 @@ class TestRunSingle:
         cfg = ExperimentConfig(kind="run", nx=6, ny=6, T=0.01, dt=1e-3)
         r1 = run_single(cfg)
         r2 = run_single(cfg)
-        for name in ("Q", "r"):
-            assert np.array_equal(nodal_field(r1.mesh, r1.state, name),
-                                  nodal_field(r2.mesh, r2.state, name))
+        for name in ("Q_field", "r_field"):
+            assert np.array_equal(getattr(r1.state, name)(r1.mesh),
+                                  getattr(r2.state, name)(r2.mesh))
         assert [rec.total for rec in r1.trace] == [rec.total for rec in r2.trace]
 
     def test_parabolic_run_counts_steps(self):

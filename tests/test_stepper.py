@@ -14,13 +14,13 @@ from qtflow.stepper import (
     build_default_Qt0,
     initialize,
     interpolate_qfield,
-    nodal_field,
     nodal_r,
     step,
     step_operator,
 )
 
 import oracles
+from states import default_start, start
 
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 P6_DIV = replace(P6, L2=0.0005, L3=0.0005)
@@ -31,18 +31,18 @@ def forms(mesh):
     return assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
 
 
-def advance(state, p, dt, mesh, K, D, w, nsteps, cg_tol=1e-12):
+def advance(state, p, dt, op, nsteps, cg_tol=1e-12):
     for _ in range(nsteps):
-        state = step(state, p, dt, mesh, K, D, w, cg_tol=cg_tol)
+        state = step(state, p, dt, op, cg_tol=cg_tol)
     return state
 
 
 class TestInitialize:
     def test_zero_data(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
-        state = initialize(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * y))
-        assert np.all(nodal_field(mesh, state, "Q") == 0.0) and np.all(state.dq == 0.0)
-        assert np.allclose(nodal_field(mesh, state, "r"), np.sqrt(1000.0), rtol=1e-15)
+        state, _ = start(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * y))
+        assert np.all(state.Q_field(mesh) == 0.0) and np.all(state.dq == 0.0)
+        assert np.allclose(state.r_field(mesh), np.sqrt(1000.0), rtol=1e-15)
         assert state.n == 1 and state.t == 1e-3
 
     def test_default_profile_vanishes_on_boundary(self):
@@ -59,27 +59,27 @@ class TestInitialize:
 
     def test_parabolic_one_level_start(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
-        state = initialize(mesh, P6_PAR, 1e-3, default_initial_q)
+        state, _ = start(mesh, P6_PAR, 1e-3, default_initial_q)
         assert state.dq is None
         assert state.n == 0 and state.t == 0.0
 
     def test_r_unchanged_when_qt0_zero(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
-        state = initialize(mesh, P6, 1e-3, default_initial_q, Qt0=None)
+        state, _ = start(mesh, P6, 1e-3, default_initial_q, Qt0=None)
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        assert np.array_equal(nodal_field(mesh, state, "r"), nodal_r(mesh, P6, Q0))
+        assert np.array_equal(state.r_field(mesh), nodal_r(mesh, P6, Q0))
 
     def test_r_first_level_update(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         dt = 1e-3
         qt0 = lambda x, y: (np.full_like(x, 0.3), np.full_like(x, -0.1))
-        state = initialize(mesh, P6, dt, default_initial_q, Qt0=qt0)
+        state, _ = start(mesh, P6, dt, default_initial_q, Qt0=qt0)
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
         P0 = aux_P(Q0.T, P6)
-        dq = nodal_field(mesh, state, "Q") - Q0
+        dq = state.Q_field(mesh) - Q0
         expect = r0 + 2.0 * (P0[0] * dq[:, 0] + P0[1] * dq[:, 1])
-        assert np.allclose(nodal_field(mesh, state, "r"), expect, rtol=1e-14)
+        assert np.allclose(state.r_field(mesh), expect, rtol=1e-14)
 
 
 class TestDefaultQt0:
@@ -125,9 +125,10 @@ class TestDefaultQt0:
         r0 = nodal_r(mesh, P6, Q0)
         qt0 = build_default_Qt0(mesh, P6, Q0, r0)
         dt = 1e-3
-        state = initialize(mesh, P6, dt, Q0, qt0)
+        op = step_operator(P6, dt, K, D, w)
+        state = initialize(mesh, P6, dt, Q0, qt0, r0, op)
         e1 = discrete_energy(state, P6, dt, mesh, w).total
-        state = step(state, P6, dt, mesh, K, D, w, cg_tol=1e-12)
+        state = step(state, P6, dt, op, cg_tol=1e-12)
         e2 = discrete_energy(state, P6, dt, mesh, w).total
         assert e2 <= e1
 
@@ -135,12 +136,11 @@ class TestDefaultQt0:
 class TestStep:
     def test_equilibrium_is_exact(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
-        K, D, w = forms(mesh)
-        state = initialize(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
+        state, op = start(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
         for _ in range(5):
-            state = step(state, P6, 1e-3, mesh, K, D, w)
-        assert np.all(nodal_field(mesh, state, "Q") == 0.0)
-        assert np.array_equal(nodal_field(mesh, state, "r"),
+            state = step(state, P6, 1e-3, op)
+        assert np.all(state.Q_field(mesh) == 0.0)
+        assert np.array_equal(state.r_field(mesh),
                               np.full(mesh.n_nodes, np.sqrt(1000.0)))
 
     def test_single_interior_node_matches_dense_solve(self):
@@ -152,8 +152,8 @@ class TestStep:
         Q0 = np.zeros((mesh.n_nodes, 2))
         node = mesh.interior_nodes[0]
         Q0[node] = [0.4, -0.3]
-        state = initialize(mesh, P6_DIV, dt, Q0, None)
-        new = step(state, P6_DIV, dt, mesh, K, D, w, cg_tol=1e-14)
+        state, op = start(mesh, P6_DIV, dt, Q0)
+        new = step(state, P6_DIV, dt, op, cg_tol=1e-14)
 
         # dense rebuild of the same 2x2 system
         p = P6_DIV
@@ -171,18 +171,17 @@ class TestStep:
             - p.L1 * (Kd @ q) - 0.5 * (p.L2 + p.L3) * (Dd @ q) \
             - wv * r0 * pv + wv[0] * float(pv @ q) * pv
         expect = np.linalg.solve(A, rhs)
-        assert np.max(np.abs(nodal_field(mesh, new, "Q")[node] - expect)) < 1e-12
+        assert np.max(np.abs(new.Q_field(mesh)[node] - expect)) < 1e-12
 
     def test_boundary_values_pinned(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        K, D, w = forms(mesh)
-        state = initialize(mesh, P6, 1e-3, default_initial_q,
-                           Qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
-        r_bnd = nodal_field(mesh, state, "r")[mesh.is_boundary]
+        state, op = start(mesh, P6, 1e-3, default_initial_q,
+                          Qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
+        r_bnd = state.r_field(mesh)[mesh.is_boundary]
         for _ in range(10):
-            state = step(state, P6, 1e-3, mesh, K, D, w)
-        assert np.all(nodal_field(mesh, state, "Q")[mesh.is_boundary] == 0.0)
-        assert np.array_equal(nodal_field(mesh, state, "r")[mesh.is_boundary], r_bnd)
+            state = step(state, P6, 1e-3, op)
+        assert np.all(state.Q_field(mesh)[mesh.is_boundary] == 0.0)
+        assert np.array_equal(state.r_field(mesh)[mesh.is_boundary], r_bnd)
 
     def test_energy_identity_and_monotonicity(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -191,23 +190,22 @@ class TestStep:
         for p in (P6, P6_DIV, P6_PAR):
             Q0 = interpolate_qfield(mesh, default_initial_q)
             r0 = nodal_r(mesh, p, Q0)
-            if p.sigma > 0:
-                state = initialize(mesh, p, dt, Q0, build_default_Qt0(mesh, p, Q0, r0))
-            else:
-                state = initialize(mesh, p, dt, Q0)
+            qt0 = build_default_Qt0(mesh, p, Q0, r0) if p.sigma > 0 else None
+            op = step_operator(p, dt, K, D, w)
+            state = initialize(mesh, p, dt, Q0, qt0, r0, op)
             idx = mesh.interior_nodes
             rec = discrete_energy(state, p, dt, mesh, w)
             e0 = rec.total
             prev_dtq = None
             if p.sigma > 0:
-                prev_dtq = (nodal_field(mesh, state, "Q")[idx] - Q0[idx]).reshape(-1) / dt
+                prev_dtq = (state.Q_field(mesh)[idx] - Q0[idx]).reshape(-1) / dt
             for _ in range(50):
                 old = state
                 old_total = rec.total
-                state = step(state, p, dt, mesh, K, D, w, cg_tol=1e-12)
+                state = step(state, p, dt, op, cg_tol=1e-12)
                 rec = discrete_energy(state, p, dt, mesh, w)
-                dtq = (nodal_field(mesh, state, "Q")[idx]
-                       - nodal_field(mesh, old, "Q")[idx]).reshape(-1) / dt
+                dtq = (state.Q_field(mesh)[idx]
+                       - old.Q_field(mesh)[idx]).reshape(-1) / dt
                 resid = rec.total - old_total + dt * h_norm_sq(w, dtq)
                 if p.sigma > 0:
                     resid += 0.5 * p.sigma * h_norm_sq(w, dtq - prev_dtq)
@@ -224,31 +222,31 @@ class TestStep:
         qt0 = build_default_Qt0(mesh, replace(P6, sigma=1e-12), Q0, r0)
 
         tiny = replace(P6, sigma=1e-12)
-        hyper = initialize(mesh, tiny, dt, Q0, qt0)
-        hyper = advance(hyper, tiny, dt, mesh, K, D, w, 10)
+        op = step_operator(tiny, dt, K, D, w)
+        hyper = initialize(mesh, tiny, dt, Q0, qt0, r0, op)
+        hyper = advance(hyper, tiny, dt, op, 10)
 
-        par = initialize(mesh, P6_PAR, dt, Q0)
-        par = advance(par, P6_PAR, dt, mesh, K, D, w, 11)
+        op = step_operator(P6_PAR, dt, K, D, w)
+        par = initialize(mesh, P6_PAR, dt, Q0, None, r0, op)
+        par = advance(par, P6_PAR, dt, op, 11)
 
         assert hyper.t == pytest.approx(par.t, rel=1e-12)
-        assert h1_error_field(nodal_field(mesh, hyper, "Q"), nodal_field(mesh, par, "Q"),
+        assert h1_error_field(hyper.Q_field(mesh), par.Q_field(mesh),
                               norm_forms(mesh)) < 1e-6
 
     def test_fields_stay_finite_flag(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
-        K, D, w = forms(mesh)
-        state = initialize(mesh, P6, 1e-3, default_initial_q)
-        state = step(state, P6, 1e-3, mesh, K, D, w)
+        state, op = start(mesh, P6, 1e-3, default_initial_q)
+        state = step(state, P6, 1e-3, op)
         assert np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.r))
 
     def test_convergence_error_names_the_step(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        K, D, w = forms(mesh)
         dt = 1e-3
-        state = initialize(mesh, P6, dt, default_initial_q)
-        state = step(state, P6, dt, mesh, K, D, w)
+        state, op = start(mesh, P6, dt, default_initial_q)
+        state = step(state, P6, dt, op)
         with pytest.raises(ConvergenceError) as info:
-            step(state, P6, dt, mesh, K, D, w, cg_tol=1e-300, maxiter=1)
+            step(state, P6, dt, op, cg_tol=1e-300, maxiter=1)
         err = info.value
         assert (err.step, err.t) == (state.n + 1, state.t + dt)
         assert "step %d (t = %.6g)" % (state.n + 1, state.t + dt) in str(err)
@@ -264,17 +262,16 @@ class TestCarriedInterior:
         K, D, w = forms(mesh)
         dt = 1e-3
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        qt0 = None
-        if params.sigma > 0:
-            qt0 = build_default_Qt0(mesh, params, Q0, nodal_r(mesh, params, Q0), K)
-        carried = initialize(mesh, params, dt, Q0, qt0)
-        fresh = carried
+        r0 = nodal_r(mesh, params, Q0)
+        qt0 = build_default_Qt0(mesh, params, Q0, r0, K) if params.sigma > 0 else None
         op = step_operator(params, dt, K, D, w)
+        carried = initialize(mesh, params, dt, Q0, qt0, r0, op)
+        fresh = carried
 
         def rebuilt(s, Qprev):
             """s rebuilt from nodal fields alone (its Q and r and the
             previous Q level), every product formed anew; and its Q."""
-            Q = nodal_field(mesh, s, "Q")
+            Q = s.Q_field(mesh)
             q = mesh.gather_interior(Q)
             dq = None if Qprev is None else q - mesh.gather_interior(Qprev)
             Kq = K @ q
@@ -282,18 +279,18 @@ class TestCarriedInterior:
             Lq = params.L1 * Kq
             if Dq is not None:
                 Lq += 0.5 * (params.L2 + params.L3) * Dq
-            r = mesh.gather_interior(nodal_field(mesh, s, "r"))
+            r = mesh.gather_interior(s.r_field(mesh))
             return SimState(q=q, dq=dq, r=r, Kq=Kq, Dq=Dq, Lq=Lq,
-                            r_nodes=s.r_nodes, n=s.n, t=s.t), Q
+                            r0=s.r0, n=s.n, t=s.t), Q
 
         fresh, Qf = rebuilt(fresh, Q0 if params.sigma > 0 else None)
         for _ in range(10):
-            carried = step(carried, params, dt, mesh, K, D, w, cg_tol=1e-12, op=op)
-            fresh, Qf = rebuilt(step(fresh, params, dt, mesh, K, D, w, cg_tol=1e-12),
+            carried = step(carried, params, dt, op, cg_tol=1e-12)
+            fresh_op = step_operator(params, dt, K, D, w)
+            fresh, Qf = rebuilt(step(fresh, params, dt, fresh_op, cg_tol=1e-12),
                                 Qf if params.sigma > 0 else None)
-            for name in ("Q", "r"):
-                a = nodal_field(mesh, carried, name)
-                b = nodal_field(mesh, fresh, name)
+            for a, b in ((carried.Q_field(mesh), fresh.Q_field(mesh)),
+                         (carried.r_field(mesh), fresh.r_field(mesh))):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
             e_c = discrete_energy(carried, params, dt, mesh, w)
             e_f = discrete_energy(fresh, params, dt, mesh, w)
@@ -303,14 +300,6 @@ class TestCarriedInterior:
 
 
 P6_DIV_PAR = replace(P6_DIV, sigma=0.0)
-
-
-def start(mesh, params, dt, K):
-    """The default initial state of a run, as experiments builds it."""
-    Q0 = interpolate_qfield(mesh, default_initial_q)
-    r0 = nodal_r(mesh, params, Q0)
-    qt0 = build_default_Qt0(mesh, params, Q0, r0, K) if params.sigma > 0 else None
-    return initialize(mesh, params, dt, Q0, qt0, r0=r0)
 
 
 class Counted:
@@ -333,8 +322,7 @@ class TestCarriedProducts:
         K, D, w = forms(mesh)
         dt = 1e-3
         ck, cd = params.L1, 0.5 * (params.L2 + params.L3)
-        state = start(mesh, params, dt, K)
-        op = step_operator(params, dt, K, D, w)
+        state, op = default_start(mesh, params, dt)
         for _ in range(11):
             assert np.array_equal(state.Kq, K @ state.q)
             if cd == 0.0:
@@ -343,19 +331,16 @@ class TestCarriedProducts:
             else:
                 assert np.array_equal(state.Dq, D @ state.q)
                 assert np.array_equal(state.Lq, ck * state.Kq + cd * state.Dq)
-            state = step(state, params, dt, mesh, K, D, w, op=op)
+            state = step(state, params, dt, op)
 
     @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
     def test_products_per_step(self, params, monkeypatch):
         """One op.base product per CG iteration, one K product (and one D
         product) for the confirmation, and nothing else."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        K, D, w = forms(mesh)
         dt = 1e-3
-        state = start(mesh, params, dt, K)
-        op = step_operator(params, dt, K, D, w)
-        op.K, op.D, op.base = Counted(K), Counted(D), Counted(op.base)
-        Kc, Dc = Counted(K), Counted(D)
+        state, op = default_start(mesh, params, dt)
+        op.K, op.D, op.base = Counted(op.K), Counted(op.D), Counted(op.base)
 
         iters = []
         cg_solve = stepper.cg_solve
@@ -369,10 +354,9 @@ class TestCarriedProducts:
         with_div = params.L2 + params.L3 != 0
         for _ in range(10):
             counts = (op.base.calls, op.K.calls, op.D.calls)
-            state = step(state, params, dt, mesh, Kc, Dc, w, op=op)
+            state = step(state, params, dt, op)
             assert (op.base.calls - counts[0], op.K.calls - counts[1],
                     op.D.calls - counts[2]) == (iters[-1], 1, int(with_div))
-        assert Kc.calls == Dc.calls == 0
         assert sum(iters) > 0
 
 
@@ -389,45 +373,41 @@ class TestNodalField:
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
         qt0 = build_default_Qt0(mesh, P6, Q0, r0, K)
-        state = initialize(mesh, P6, dt, Q0, qt0, r0=r0)
+        op = step_operator(P6, dt, K, D, w)
+        state = initialize(mesh, P6, dt, Q0, qt0, r0, op)
 
         Q = Q0 + dt * qt0
         P0 = aux_P(Q0.T.copy(), P6)
         dQ = Q - Q0
         r = r0 + 2.0 * (P0[0] * dQ[:, 0] + P0[1] * dQ[:, 1])
         for _ in range(11):
-            assert np.array_equal(nodal_field(mesh, state, "Q"), Q)
-            assert np.array_equal(nodal_field(mesh, state, "r"), r)
+            assert np.array_equal(state.Q_field(mesh), Q)
+            assert np.array_equal(state.r_field(mesh), r)
             assert np.all(Q[bnd] == 0.0)
             assert np.array_equal(r[bnd], r0[bnd])
-            state = step(state, P6, dt, mesh, K, D, w)
+            state = step(state, P6, dt, op)
             Q = np.zeros_like(Q)
             Q[idx] = state.q.reshape(-1, 2)
             r = r.copy()
             r[idx] = state.r
-        with pytest.raises(ValueError):
-            nodal_field(mesh, state, "P")
 
 
 class TestFullMatrixReference:
     def _run_comparison(self, params, nsteps=10, dt=1e-3):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)  # 5x5 nodes
-        K, D, w = forms(mesh)
         idx = mesh.interior_nodes
 
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(mesh, params, Q0)
-        qt0 = build_default_Qt0(mesh, params, Q0, r0)
-        state = initialize(mesh, params, dt, Q0, qt0)
+        state, op = default_start(mesh, params, dt)
 
         ref = oracles.FullMatrixStepper(mesh, params, dt)
         to_full = lambda W: np.array([oracles.to_full(a, b) for a, b in W[idx]])
-        Qf = to_full(nodal_field(mesh, state, "Q"))
+        Qf = to_full(state.Q_field(mesh))
         Qp = to_full(Q0)
         rf = state.r.copy()
 
         for _ in range(nsteps):
-            state = step(state, params, dt, mesh, K, D, w, cg_tol=1e-13)
+            state = step(state, params, dt, op, cg_tol=1e-13)
             Qf_new, rf = ref.step(Qf, Qp, rf)
             Qp, Qf = Qf, Qf_new
 
@@ -435,7 +415,7 @@ class TestFullMatrixReference:
             assert np.max(np.abs(Qf[:, 0, 1] - Qf[:, 1, 0])) < 1e-12
             assert np.max(np.abs(Qf[:, 0, 0] + Qf[:, 1, 1])) < 1e-12
             # and matches the reduced production stepper
-            red = to_full(nodal_field(mesh, state, "Q"))
+            red = to_full(state.Q_field(mesh))
             assert np.max(np.abs(red - Qf)) < 1e-10
         assert np.max(np.abs(state.r - rf)) < 1e-10
 
