@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from functools import partial
 
 from . import __version__
 from .experiments import (
+    MESH_FIELDS,
     ConfigError,
     ExperimentConfig,
     run_single,
@@ -34,29 +36,15 @@ from .experiments import (
 from .model import Params
 
 
-def _float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("%s is not a finite number" % text.strip())
-    return value
-
-
-def _float_list(text, inf_ok=False):
-    """Numbers separated by commas or spaces; inf_ok also admits inf, which
-    as a perturbation exponent means no perturbation."""
-    values = tuple(float(tok) for tok in text.replace(",", " ").split())
-    for value in values:
-        if not (math.isfinite(value) or inf_ok and value == math.inf):
-            raise ValueError("%r is not a finite number" % value)
-    return values
+def _float_list(text):
+    """Numbers separated by commas or spaces; validate_config rejects the
+    ones a list may not hold."""
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 #: Converter of a config value by the type of its dataclass field; an
 #: optional field (``T | None``) converts like T.
-_CONVERTERS = {"float": _float, "int": int, "str": str, "tuple": _float_list,
-               "Exponents": partial(_float_list, inf_ok=True)}
-
-_MESH_FIELDS = ("x0", "x1", "y0", "y1", "nx", "ny")
+_CONVERTERS = {"float": float, "int": int, "str": str, "tuple": _float_list}
 
 
 def _keys(cls, keep) -> dict:
@@ -69,10 +57,10 @@ def _keys(cls, keep) -> dict:
 #: Accepted keys of each config section: [mesh] is the geometry of
 #: ExperimentConfig, [params] every Params field, [experiment] the rest.
 _SECTIONS = {
-    "mesh": _keys(ExperimentConfig, lambda name: name in _MESH_FIELDS),
+    "mesh": _keys(ExperimentConfig, lambda name: name in MESH_FIELDS),
     "params": _keys(Params, lambda name: True),
     "experiment": _keys(ExperimentConfig,
-                        lambda name: name not in _MESH_FIELDS and name != "params"),
+                        lambda name: name not in MESH_FIELDS and name != "params"),
 }
 
 
@@ -262,7 +250,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed blocks up to 32 MiB for reuse (its dynamic
+    maximum).  By default it maps blocks above 128 KiB until freeing a
+    larger one raises that, and trims the heap top above twice it, so a run
+    whose set-up freed no large block faulted every step's vectors (1 MB at
+    256^2) in afresh."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not glibc
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

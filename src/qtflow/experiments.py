@@ -36,11 +36,9 @@ DEFAULT_SIGMA_LIST = (1e-3, 10.0 ** -2.5, 1e-2, 10.0 ** -1.5, 1e-1)
 DEFAULT_H_LIST = (0.5, 0.25, 0.125, 0.0625)
 DEFAULT_DT_LIST = (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
 
-#: Type of the perturbation-exponent lists: entries are finite numbers, or
-#: inf for no perturbation, where other lists take finite numbers only.
-Exponents = tuple
-
 KINDS = ("run", "space", "time", "sigma")
+#: The ExperimentConfig fields of the [mesh] config section.
+MESH_FIELDS = ("x0", "x1", "y0", "y1", "nx", "ny")
 INITIAL_PROFILES = ("default", "zero")
 
 
@@ -69,8 +67,8 @@ class ExperimentConfig:
     dt_list: tuple | None = None
     reference_dt: float = 6.25e-5
     sigma_list: tuple | None = None
-    p1_list: Exponents = (0.5, 1.0, math.inf)
-    p2_list: Exponents = (0.5, math.inf)
+    p1_list: tuple = (0.5, 1.0, math.inf)  # inf: no perturbation
+    p2_list: tuple = (0.5, math.inf)
     out_dir: str | None = None
     cg_tol: float = 1e-10
     threads: int = 1
@@ -90,26 +88,25 @@ def num_steps(T: float, dt: float) -> int:
 
 
 def _check_finite(cfg: ExperimentConfig) -> None:
-    """Reject non-finite numbers, naming the field.  Perturbation exponents
-    may also be +inf, which means no perturbation."""
-    for name in ("x0", "x1", "y0", "y1", "T", "dt", "reference_dt", "cg_tol"):
-        value = getattr(cfg, name)
+    """Reject non-finite numbers, naming the field by its config key
+    (section.key).  Perturbation exponents may also be +inf, which means
+    no perturbation."""
+    def key(name):
+        return ("mesh." if name in MESH_FIELDS else "experiment.") + name
+
+    numbers = [(key(name), getattr(cfg, name)) for name in
+               ("x0", "x1", "y0", "y1", "T", "dt", "reference_dt", "cg_tol")]
+    numbers += [("params." + f.name, getattr(cfg.params, f.name))
+                for f in fields(cfg.params)]
+    for name, value in numbers:
         if value is not None and not math.isfinite(value):
             raise ConfigError("%s must be a finite number, got %r" % (name, value))
-    for f in fields(cfg.params):
-        value = getattr(cfg.params, f.name)
-        if not math.isfinite(value):
-            raise ConfigError("params.%s must be a finite number, got %r" % (f.name, value))
-    for name in ("h_list", "dt_list", "sigma_list"):
+    for name in ("h_list", "dt_list", "sigma_list", "p1_list", "p2_list"):
+        inf_ok = name in ("p1_list", "p2_list")
         for value in getattr(cfg, name) or ():
-            if not math.isfinite(value):
-                raise ConfigError("%s entries must be finite numbers, got %r"
-                                  % (name, value))
-    for name in ("p1_list", "p2_list"):
-        for value in getattr(cfg, name):
-            if not (math.isfinite(value) or value == math.inf):
-                raise ConfigError("%s entries must be finite numbers or inf, got %r"
-                                  % (name, value))
+            if not (math.isfinite(value) or inf_ok and value == math.inf):
+                raise ConfigError("%s entries must be finite numbers%s, got %r"
+                                  % (key(name), " or inf" if inf_ok else "", value))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:

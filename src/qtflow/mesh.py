@@ -4,6 +4,10 @@ Every lattice square is split along its lower-left to upper-right diagonal,
 so stencils are identical everywhere and runs are reproducible.  Nodes are
 ordered lexicographically: index = j * (nx + 1) + i for lattice coordinates
 (i, j).
+
+Nothing is stored per triangle: every cell is a translate of the first
+one (StructuredMesh.cell), so set-up works from lattice arithmetic, and the
+lumped weights come from the number of triangles at each node.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from scipy import sparse
 class StructuredMesh:
     """Uniform right-triangle mesh of [x0,x1] x [y0,y1].
 
-    gamma holds the lumped weights (integral of each hat function) and
-    interior_index maps a node to its position in the interior unknown
-    ordering, or -1 on the boundary.  Instances are treated as immutable.
+    gamma holds the lumped weights (integral of each hat function).
+    Instances are treated as immutable.
     """
 
     x0: float
@@ -31,10 +34,8 @@ class StructuredMesh:
     ny: int
     h: float
     nodes: np.ndarray        # (N, 2) coordinates
-    triangles: np.ndarray    # (M, 3) node indices, positive orientation
     is_boundary: np.ndarray  # (N,) bool
     gamma: np.ndarray        # (N,) lumped weights
-    interior_index: np.ndarray  # (N,) int, -1 on boundary
     interior_nodes: np.ndarray  # (n,) node indices of interior nodes
 
     @property
@@ -44,6 +45,14 @@ class StructuredMesh:
     @property
     def n_interior(self) -> int:
         return self.interior_nodes.shape[0]
+
+    @property
+    def cell(self) -> np.ndarray:
+        """(2, 3) node indices of the first cell's triangles, (ll, lr, ur)
+        and (ll, ur, ul), each positively oriented; cell + c is the cell
+        whose lower-left node is c."""
+        s = self.nx + 1
+        return np.array([[0, 1, s + 1], [0, s + 1, s]])
 
     def _interior_view(self, field: np.ndarray) -> np.ndarray:
         """The interior entries of a nodal field, shaped (ny-1, nx-1, ...).
@@ -79,54 +88,39 @@ def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
         raise ValueError("cells must be square: hx=%g differs from hy=%g" % (hx, hy))
     h = hx
 
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))  # row-major in j
-    xs = x0 + ii.ravel() * h
-    ys = y0 + jj.ravel() * h
-    nodes = np.column_stack([xs, ys])
+    nodes = np.empty((ny + 1, nx + 1, 2))
+    nodes[..., 0] = x0 + np.arange(nx + 1) * h
+    nodes[..., 1] = (y0 + np.arange(ny + 1) * h)[:, None]
 
-    # two triangles per square, diagonal from lower-left to upper-right
-    ic, jc = np.meshgrid(np.arange(nx), np.arange(ny))
-    ll = (jc * (nx + 1) + ic).ravel()
-    lr = ll + 1
-    ul = ll + (nx + 1)
-    ur = ul + 1
-    nsq = nx * ny
-    triangles = np.empty((2 * nsq, 3), dtype=np.int64)
-    triangles[0::2] = np.column_stack([ll, lr, ur])
-    triangles[1::2] = np.column_stack([ll, ur, ul])
+    # Triangles per node: a cell's lower-left and upper-right corners lie
+    # on both of its triangles, the other two corners on one.  Every
+    # triangle adds the same area / 3 to each of its nodes, and k equal
+    # additions give the same sum in any order.
+    count = np.zeros((ny + 1, nx + 1), dtype=np.intp)
+    count[:-1, :-1] += 2
+    count[1:, 1:] += 2
+    count[:-1, 1:] += 1
+    count[1:, :-1] += 1
+    sums = np.zeros(7)
+    np.cumsum(np.full(6, 0.5 * h * h / 3.0), out=sums[1:])
 
-    area = 0.5 * h * h
-    gamma = np.bincount(
-        triangles.ravel(),
-        weights=np.full(triangles.size, area / 3.0),
-        minlength=nodes.shape[0],
-    )
-
-    on_edge = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
-    is_boundary = on_edge.ravel()
-
-    interior_index = np.full(nodes.shape[0], -1, dtype=np.int64)
-    interior_nodes = np.flatnonzero(~is_boundary)
-    interior_index[interior_nodes] = np.arange(interior_nodes.size)
+    is_boundary = np.ones((ny + 1, nx + 1), dtype=bool)
+    is_boundary[1:-1, 1:-1] = False
+    is_boundary = is_boundary.ravel()
 
     return StructuredMesh(
         x0=float(x0), x1=float(x1), y0=float(y0), y1=float(y1),
         nx=int(nx), ny=int(ny), h=float(h),
-        nodes=nodes, triangles=triangles, is_boundary=is_boundary,
-        gamma=gamma, interior_index=interior_index, interior_nodes=interior_nodes,
+        nodes=nodes.reshape(-1, 2), is_boundary=is_boundary,
+        gamma=sums[count].ravel(), interior_nodes=np.flatnonzero(~is_boundary),
     )
 
 
 @dataclass
 class NestedInjection:
-    """P1 interpolation data from a coarse mesh onto a nested fine mesh.
+    """P1 interpolation from a coarse mesh onto a nested fine mesh: the
+    sparse operator that evaluates a coarse nodal field at the fine nodes."""
 
-    For each fine node: the containing coarse triangle and its barycentric
-    weights.  matrix is the equivalent sparse interpolation operator.
-    """
-
-    coarse_triangle: np.ndarray  # (Nf,) triangle index into coarse mesh
-    bary: np.ndarray             # (Nf, 3) barycentric weights
     matrix: sparse.csr_matrix    # (Nf, Nc)
 
 
@@ -144,12 +138,9 @@ def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> NestedInje
     if fine.ny // coarse.ny != m:
         raise ValueError("refinement ratio differs between axes")
 
-    i = np.arange(fine.nx + 1)
-    j = np.arange(fine.ny + 1)
-    ii, jj = np.meshgrid(i, j)
+    ii, jj = np.meshgrid(np.arange(fine.nx + 1), np.arange(fine.ny + 1))
     ii = ii.ravel()
     jj = jj.ravel()
-
     ic = np.minimum(ii // m, coarse.nx - 1)
     jc = np.minimum(jj // m, coarse.ny - 1)
     iloc = ii - ic * m
@@ -157,23 +148,16 @@ def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> NestedInje
     xi = iloc / m
     eta = jloc / m
 
-    square = jc * coarse.nx + ic
-    lower = iloc >= jloc  # triangle (ll, lr, ur); else (ll, ur, ul)
-    tri = np.where(lower, 2 * square, 2 * square + 1)
-
-    bary = np.empty((ii.size, 3))
-    bary[lower, 0] = 1.0 - xi[lower]
-    bary[lower, 1] = xi[lower] - eta[lower]
-    bary[lower, 2] = eta[lower]
-    up = ~lower
-    bary[up, 0] = 1.0 - eta[up]
-    bary[up, 1] = xi[up]
-    bary[up, 2] = eta[up] - xi[up]
-
-    cols = coarse.triangles[tri]  # (Nf, 3)
+    # barycentric weights in the lower triangle (ll, lr, ur) or else in the
+    # upper one (ll, ur, ul) of the containing coarse cell
+    lower = iloc >= jloc
+    bary = np.column_stack([1.0 - np.where(lower, xi, eta),
+                            np.where(lower, xi - eta, xi),
+                            np.where(lower, eta, eta - xi)])
+    cols = (jc * (coarse.nx + 1) + ic)[:, None] + coarse.cell[np.where(lower, 0, 1)]
     rows = np.repeat(np.arange(ii.size), 3)
     matrix = sparse.csr_matrix(
         (bary.ravel(), (rows, cols.ravel())),
         shape=(fine.n_nodes, coarse.n_nodes),
     )
-    return NestedInjection(coarse_triangle=tri, bary=bary, matrix=matrix)
+    return NestedInjection(matrix=matrix)

@@ -49,11 +49,19 @@ class StepOperator:
         self.cd = float(div_coef)
         self.n = weights.shape[0]
 
-        base = sparse.diags(self.cm * weights, format="csr") + self.ck * stiffness
+        # c_m w added into the diagonal of c_k K, as the sum of the two
+        # sparse matrices rounds.  The copy shares the index arrays of K,
+        # which setdiag leaves alone when K is canonical (sorted, no
+        # duplicates) and holds its diagonal, as the stencil forms do.
+        base = sparse.csr_matrix((self.ck * stiffness.data, stiffness.indices,
+                                  stiffness.indptr), shape=stiffness.shape)
+        diag = base.diagonal() + self.cm * weights
+        base.setdiag(diag)
         if div_form is not None and self.cd != 0.0:
             base = base + self.cd * div_form
-        self.base = base.tocsr()
-        self._base_diag = self.base.diagonal()
+            diag = base.diagonal()
+        self.base = base
+        self._base_diag = diag
         self.w = weights
         self.set_rank_one(p_nodes)
 

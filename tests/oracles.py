@@ -4,15 +4,15 @@ Everything here deliberately avoids the production code paths: tensors are
 kept as dense 2x2 matrices, basis gradients come from solving a local
 linear system, quadrature uses the edge-midpoint rule, and the reference
 stepper works on all four matrix entries with a dense solve.  The
-element-by-element interior forms and the alpha pairing share only the
-per-triangle geometry with production code, so that the stencil assembly
+element-by-element forms and the alpha pairing share only the
+per-triangle geometry with production code, so that the lattice assembly
 can be compared against them bit for bit.
 """
 
 import numpy as np
 from scipy import sparse
 
-from qtflow.assembly import element_geometry, scalar_stiffness
+from qtflow.assembly import element_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,71 @@ def P_dense(Q, p):
 
 
 # ---------------------------------------------------------------------------
+# meshes of the bit-equality tests
+
+#: Cell counts of the dyadic [0,2]^2 meshes: node coordinates are exact
+#: binary numbers, so every cell's element matrices equal the first cell's.
+DYADIC_SIZES = (4, 8, 16, 32, 64, 128, 256)
+
+#: (extent, nx, ny) of meshes whose node coordinates are not all binary
+#: fractions, where the lattice and element assemblies may round apart.
+NON_DYADIC_MESHES = (
+    ((-1.0, 1.0, -1.0, 1.0), 7, 7),
+    ((0.0, 3.0, 0.0, 1.0), 30, 10),
+    ((0.1, 1.4, -0.3, 1.0), 13, 13),
+)
+
+
+# ---------------------------------------------------------------------------
+# mesh bookkeeping
+
+
+def triangles(mesh):
+    """(M, 3) node indices of every triangle, positively oriented: the
+    lower triangle (ll, lr, ur), then the upper one (ll, ur, ul) of each
+    cell, cells in lexicographic order."""
+    ic, jc = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny))
+    ll = (jc * (mesh.nx + 1) + ic).ravel()
+    ur = ll + mesh.nx + 2
+    tri = np.empty((2 * ll.size, 3), dtype=np.int64)
+    tri[0::2] = np.column_stack([ll, ll + 1, ur])
+    tri[1::2] = np.column_stack([ll, ur, ur - 1])
+    return tri
+
+
+def interior_index(mesh):
+    """Position of every node in the interior unknown ordering, -1 on the
+    boundary."""
+    index = np.full(mesh.n_nodes, -1)
+    index[mesh.interior_nodes] = np.arange(mesh.n_interior)
+    return index
+
+
+def lumped_weights_by_bincount(mesh):
+    """Integral of every hat function: area / 3 from each triangle at the
+    node, accumulated triangle by triangle."""
+    tri = triangles(mesh)
+    return np.bincount(tri.ravel(), weights=np.full(tri.size, 0.5 * mesh.h * mesh.h / 3.0),
+                       minlength=mesh.n_nodes)
+
+
+def barycentric(pts, point):
+    """Barycentric coordinates of point in the triangle with vertices pts."""
+    A = np.column_stack([np.ones(3), pts]).T
+    return np.linalg.solve(A, np.array([1.0, point[0], point[1]]))
+
+
+def containing_triangle(mesh, point):
+    """The first triangle of mesh that contains point, and the point's
+    barycentric coordinates in it, by search over all triangles."""
+    for tri in triangles(mesh):
+        bary = barycentric(mesh.nodes[tri], point)
+        if np.all(bary > -1e-12):
+            return tri, bary
+    raise ValueError("point outside the mesh")
+
+
+# ---------------------------------------------------------------------------
 # element geometry, independent of the production formulas
 
 
@@ -71,7 +136,7 @@ def midpoint_quad_sq(mesh, nodal):
     """Integral of the square of a P1 function via the edge-midpoint rule
     (exact for quadratics)."""
     total = 0.0
-    for tri in mesh.triangles:
+    for tri in triangles(mesh):
         pts = mesh.nodes[tri]
         vals = nodal[tri]
         area = tri_area(pts)
@@ -84,7 +149,7 @@ def midpoint_quad_sq(mesh, nodal):
 def hat_integrals(mesh):
     """Integral of every hat function by midpoint quadrature."""
     gamma = np.zeros(mesh.n_nodes)
-    for tri in mesh.triangles:
+    for tri in triangles(mesh):
         pts = mesh.nodes[tri]
         area = tri_area(pts)
         for local in range(3):
@@ -99,7 +164,7 @@ def hat_integrals(mesh):
 def div_form_quadrature(mesh, W1, W2):
     """Exact integral of div(W1) . div(W2) for reduced nodal fields."""
     total = 0.0
-    for tri in mesh.triangles:
+    for tri in triangles(mesh):
         pts = mesh.nodes[tri]
         area = tri_area(pts)
         grads = tri_grads(pts)
@@ -120,22 +185,54 @@ def element_stiffness(pts):
 
 
 # ---------------------------------------------------------------------------
-# element-by-element interior forms
+# element-by-element forms
+
+
+def _all_node_form(mesh, entry):
+    """Element assembly over all nodes; entry(area, grads, i, j) gives the
+    contribution of basis pair (i, j) of every triangle."""
+    tri = triangles(mesh)
+    area, grads = element_geometry(mesh, tri)
+    rows, cols, data = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(tri[:, i])
+            cols.append(tri[:, j])
+            data.append(entry(area, grads, i, j))
+    n = mesh.n_nodes
+    return sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def scalar_stiffness_by_elements(mesh):
+    """All-node scalar stiffness, with exact cancellations dropped."""
+    K = _all_node_form(mesh, lambda area, grads, i, j:
+                       area * (grads[:, i] * grads[:, j]).sum(axis=1))
+    K.eliminate_zeros()
+    return K
+
+
+def consistent_mass_by_elements(mesh):
+    """All-node consistent P1 mass matrix."""
+    return _all_node_form(mesh, lambda area, grads, i, j:
+                          area / 12.0 * (2.0 if i == j else 1.0))
 
 
 def interior_stiffness_by_elements(mesh):
     """Interleaved interior stiffness: the all-node element assembly
     restricted to interior nodes, one copy per component."""
     idx = mesh.interior_nodes
-    K = scalar_stiffness(mesh)[idx][:, idx]
+    K = scalar_stiffness_by_elements(mesh)[idx][:, idx]
     return sparse.kron(K, sparse.identity(2, format="csr"), format="csr")
 
 
 def div_form_by_elements(mesh):
     """Interleaved interior divergence form from element triplets over all
     nodes, restricted to interior DOFs, with exact cancellations dropped."""
-    area, grads = element_geometry(mesh)
-    tri = mesh.triangles
+    tri = triangles(mesh)
+    area, grads = element_geometry(mesh, tri)
     rows, cols, data = [], [], []
     for i in range(3):
         gi = grads[:, i]
@@ -168,8 +265,8 @@ def alpha_pairing(mesh, W1, W2):
     pairing equals -2 times the div form for symmetric trace-free fields).
     Fields are (N, 2) nodal arrays that vanish on the boundary.
     """
-    area, grads = element_geometry(mesh)
-    tri = mesh.triangles
+    tri = triangles(mesh)
+    area, grads = element_geometry(mesh, tri)
 
     def entry_gradients(W):
         q1 = W[tri, 0]  # (M, 3)
@@ -225,8 +322,8 @@ class FullMatrixStepper:
         self.n = n
 
         G = np.zeros((2, 2, n, n))
-        inter = mesh.interior_index
-        for tri in mesh.triangles:
+        inter = interior_index(mesh)
+        for tri in triangles(mesh):
             pts = mesh.nodes[tri]
             area = tri_area(pts)
             grads = tri_grads(pts)

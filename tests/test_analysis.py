@@ -99,7 +99,7 @@ class TestErrorNorms:
         e = A[:, 0] - B[:, 0]
         l2sq = oracles.midpoint_quad_sq(mesh, e)
         gradsq = 0.0
-        for tri in mesh.triangles:
+        for tri in oracles.triangles(mesh):
             pts = mesh.nodes[tri]
             g = oracles.tri_grads(pts).T @ e[tri]
             gradsq += oracles.tri_area(pts) * float(g @ g)

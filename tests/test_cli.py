@@ -201,8 +201,11 @@ initial = zero
 
     @pytest.mark.parametrize("section,key,value", [
         ("params", "A0", "nan"),
+        ("params", "L1", "nan"),
+        ("mesh", "x0", "inf"),
         ("experiment", "cg_tol", "nan"),
         ("experiment", "T", "inf"),
+        ("experiment", "sigma_list", "1e-2, nan"),
     ])
     def test_non_finite_value_exit_one(self, tmp_path, capsys, section, key, value):
         cfgpath = write(tmp_path, "[%s]\n%s = %s\n" % (section, key, value))

@@ -1,0 +1,117 @@
+"""Pinned output bits: the SHA-256 of every CSV and .dat file that small
+configs of each subcommand write.
+
+The configs cover the stiffness and divergence forms (run, space-refine),
+the norm forms on a 64^2 reference (space-refine), the time study and the
+sigma sweep with finite and infinite exponents.  The hashes were recorded
+with numpy 2.4.6 and scipy 1.17.1, BLAS pinned to one thread; other
+versions or thread counts may round differently, so the test skips there.
+A change that keeps these hashes kept every output bit of these configs.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+import scipy
+
+from qtflow.cli import main
+
+RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+CONFIGS = {
+    "run": """
+[mesh]
+nx = 16
+[params]
+L2 = 5e-4
+L3 = 5e-4
+[experiment]
+T = 0.02
+dt = 1e-3
+""",
+    "space-refine": """
+[params]
+L2 = 5e-4
+L3 = 5e-4
+sigma = 0.0
+[experiment]
+T = 0.01
+dt = 1e-3
+h_list = 0.5, 0.25, 0.125
+reference_level = 5
+""",
+    "time-refine": """
+[mesh]
+nx = 8
+[experiment]
+T = 0.008
+dt_list = 4e-3, 2e-3
+reference_dt = 1e-3
+""",
+    "sigma-study": """
+[mesh]
+nx = 4
+[experiment]
+T = 0.01
+dt = 1e-3
+sigma_list = 1e-3, 1e-2, 1e-1
+p1_list = 1, inf
+p2_list = 1, inf
+""",
+}
+
+HASHES = {
+    "run": {
+        "energy_trace.csv":
+            "5bae4682369f2fb30dc48e36c9c4cca8a482d25cc8e11ee5c069af87f4b8195c",
+    },
+    "space-refine": {
+        "space_refinement.csv":
+            "060f624214f7d9f680b05a6a7e424e6ac58c6784520db647b3231c5142e55a79",
+    },
+    "time-refine": {
+        "time_refinement.csv":
+            "75bd3f63d203dabb5daa1454bbe9c7e3eb6b3f873b80aa527f6c5757dd633908",
+    },
+    "sigma-study": {
+        "sigma_study.csv":
+            "3853998bbb61a5b52cb52f2cddfeeecfad822a78fe16d931326e24f6e17d2466",
+        "sigma_case_p1_1_p2_1.dat":
+            "b5170cbea31a828daa50a19f74cc9806b571d4d13f1af65157f026872e54daa8",
+        "sigma_case_p1_1_p2_inf.dat":
+            "6f607a494343905bd10aa4a89abb500c10ac725bf601ab1883b054712e8dafef",
+        "sigma_case_p1_inf_p2_1.dat":
+            "e1614dab7a435badd7e3b538c6457adfec88f3576d3142bf30691a3f77dd8569",
+        "sigma_case_p1_inf_p2_inf.dat":
+            "9e49778fce20643faa08f9814e1ca04d4b75a27ad3a1a3e1e53552197e1eb1d5",
+    },
+}
+
+
+def skip_reason():
+    """Why this environment may round differently from the recorded one,
+    or None."""
+    running = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if running != RECORDED_VERSIONS:
+        return "hashes recorded with %s, running %s" % (RECORDED_VERSIONS, running)
+    for var in BLAS_THREAD_VARS:
+        if os.environ.get(var) != "1":
+            return "hashes recorded with %s=1, running %s" % (var, os.environ.get(var))
+    return None
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+def test_output_hashes(subcommand, tmp_path, capsys):
+    reason = skip_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIGS[subcommand])
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir() if path.suffix in (".csv", ".dat")}
+    assert written == HASHES[subcommand]

@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.experiments import DEFAULT_PARAMS
 from qtflow.mesh import build_mesh
 from qtflow.solver import ConvergenceError, StepOperator, cg_solve
 from qtflow.stepper import step_operator
+
+import oracles
 
 
 def make_operator(mesh, rng=None, mass_coef=100.0, grad_coef=0.01, div_coef=0.005):
@@ -63,6 +66,35 @@ class TestStepOperator:
         scale = np.abs(dense).max()
         np.testing.assert_allclose(dense_matrix(op, n), dense, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(op.diag, np.diag(dense), rtol=1e-14)
+
+
+class TestConstantPart:
+    """The constant part is bit-equal to the sum of the sparse matrices
+    diags(c_m w) + c_k K (+ c_d D), indices and values, with the same
+    diagonal; the coefficients are fine_run's and space_aniso's."""
+
+    @staticmethod
+    def check(mesh, with_div):
+        K, D, w = assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
+        cm, ck, cd = 1.0 / 1.25e-4 + 0.025 / 1.25e-4 ** 2, 1e-3, 5e-4
+        op = StepOperator(w, K, D if with_div else None, None, cm, ck, cd)
+        ref = sparse.diags(cm * w, format="csr") + ck * K
+        if with_div:
+            ref = ref + cd * D
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.base, name), getattr(ref, name)), name
+        assert np.array_equal(op.diag, ref.diagonal())
+
+    @pytest.mark.parametrize("with_div", [False, True])
+    @pytest.mark.parametrize("n", oracles.DYADIC_SIZES)
+    def test_bitwise_on_dyadic_meshes(self, n, with_div):
+        self.check(build_mesh(0.0, 2.0, 0.0, 2.0, n, n), with_div)
+
+    # the same additions in the same order: bit-equal on any mesh
+    @pytest.mark.parametrize("with_div", [False, True])
+    @pytest.mark.parametrize("extent, nx, ny", oracles.NON_DYADIC_MESHES)
+    def test_bitwise_on_non_dyadic_meshes(self, extent, nx, ny, with_div):
+        self.check(build_mesh(*extent, nx, ny), with_div)
 
 
 class TestCgSolve:
