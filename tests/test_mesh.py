@@ -75,15 +75,12 @@ class TestBuildMesh:
         thin.gather_interior(field)[:] = 5.0
         assert np.all(field == 1.0)
 
-    @pytest.mark.parametrize("n", oracles.DYADIC_SIZES)
-    def test_gamma_bitwise_against_bincount(self, n):
-        mesh = build_mesh(0.0, 2.0, 0.0, 2.0, n, n)
-        assert np.array_equal(mesh.gamma, oracles.lumped_weights_by_bincount(mesh))
-
     # every triangle adds the same area / 3, whatever the coordinates, so
     # the weights are bit-equal off dyadic meshes too (measured deviation 0)
-    @pytest.mark.parametrize("extent, nx, ny", oracles.NON_DYADIC_MESHES)
-    def test_gamma_bitwise_on_non_dyadic_meshes(self, extent, nx, ny):
+    @pytest.mark.parametrize("extent, nx, ny", [
+        ((0.0, 2.0, 0.0, 2.0), n, n) for n in oracles.DYADIC_SIZES
+    ] + list(oracles.NON_DYADIC_MESHES))
+    def test_gamma_bitwise_against_bincount(self, extent, nx, ny):
         mesh = build_mesh(*extent, nx, ny)
         assert np.array_equal(mesh.gamma, oracles.lumped_weights_by_bincount(mesh))
 

@@ -71,10 +71,15 @@ class TestStepOperator:
 class TestConstantPart:
     """The constant part is bit-equal to the sum of the sparse matrices
     diags(c_m w) + c_k K (+ c_d D), indices and values, with the same
-    diagonal; the coefficients are fine_run's and space_aniso's."""
+    diagonal, on any mesh: it makes the same additions.  The coefficients
+    are fine_run's and space_aniso's."""
 
-    @staticmethod
-    def check(mesh, with_div):
+    @pytest.mark.parametrize("with_div", [False, True])
+    @pytest.mark.parametrize("extent, nx, ny", [
+        ((0.0, 2.0, 0.0, 2.0), n, n) for n in oracles.DYADIC_SIZES
+    ] + list(oracles.NON_DYADIC_MESHES))
+    def test_bitwise_against_sparse_sum(self, extent, nx, ny, with_div):
+        mesh = build_mesh(*extent, nx, ny)
         K, D, w = assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
         cm, ck, cd = 1.0 / 1.25e-4 + 0.025 / 1.25e-4 ** 2, 1e-3, 5e-4
         op = StepOperator(w, K, D if with_div else None, None, cm, ck, cd)
@@ -84,17 +89,6 @@ class TestConstantPart:
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op.base, name), getattr(ref, name)), name
         assert np.array_equal(op.diag, ref.diagonal())
-
-    @pytest.mark.parametrize("with_div", [False, True])
-    @pytest.mark.parametrize("n", oracles.DYADIC_SIZES)
-    def test_bitwise_on_dyadic_meshes(self, n, with_div):
-        self.check(build_mesh(0.0, 2.0, 0.0, 2.0, n, n), with_div)
-
-    # the same additions in the same order: bit-equal on any mesh
-    @pytest.mark.parametrize("with_div", [False, True])
-    @pytest.mark.parametrize("extent, nx, ny", oracles.NON_DYADIC_MESHES)
-    def test_bitwise_on_non_dyadic_meshes(self, extent, nx, ny, with_div):
-        self.check(build_mesh(*extent, nx, ny), with_div)
 
 
 class TestCgSolve:
