@@ -258,7 +258,7 @@ def _keep_freed_memory() -> None:
     256^2) in afresh."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):  # not glibc
+    except (OSError, AttributeError, TypeError):  # no C library, or not glibc
         return
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
