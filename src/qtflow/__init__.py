@@ -26,7 +26,7 @@ from .experiments import (
     space_refinement_study,
     time_refinement_study,
 )
-from .mesh import NestedInjection, StructuredMesh, build_mesh, nested_injection
+from .mesh import StructuredMesh, build_mesh, nested_injection
 from .model import Params, aux_P, aux_r, bulk_derivative_f, bulk_potential
 from .solver import ConvergenceError, StepOperator, cg_solve
 from .stepper import SimState, build_default_Qt0, initialize, step

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from . import assembly
-from .mesh import NestedInjection, StructuredMesh
+from .mesh import StructuredMesh
 from .model import Params
 from .stepper import SimState
 
@@ -110,10 +110,11 @@ def h1_error_field(QA: np.ndarray, QB: np.ndarray, forms: NormForms) -> float:
     return float(np.sqrt(2.0 * total))
 
 
-def transfer_to_fine(field: np.ndarray, injection: NestedInjection,
+def transfer_to_fine(field: np.ndarray, injection: sparse.csr_matrix,
                      fine_mesh: StructuredMesh) -> np.ndarray:
-    """P1-exact interpolation of a coarse nodal field onto the fine mesh."""
-    out = injection.matrix @ field
+    """P1-exact interpolation of a coarse nodal field onto the fine mesh,
+    with the injection from mesh.nested_injection()."""
+    out = injection @ field
     if out.shape[0] != fine_mesh.n_nodes:
         raise ValueError("injection does not target the given fine mesh")
     return out

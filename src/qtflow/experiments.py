@@ -94,19 +94,21 @@ def _check_finite(cfg: ExperimentConfig) -> None:
     def key(name):
         return ("mesh." if name in MESH_FIELDS else "experiment.") + name
 
-    numbers = [(key(name), getattr(cfg, name)) for name in
-               ("x0", "x1", "y0", "y1", "T", "dt", "reference_dt", "cg_tol")]
-    numbers += [("params." + f.name, getattr(cfg.params, f.name))
-                for f in fields(cfg.params)]
-    for name, value in numbers:
-        if value is not None and not math.isfinite(value):
+    typed = [(key(f.name), f.type.split(" | ")[0], getattr(cfg, f.name))
+             for f in fields(cfg)]
+    typed += [("params." + f.name, f.type, getattr(cfg.params, f.name))
+              for f in fields(cfg.params)]
+    for name, kind, value in typed:
+        if value is None:
+            continue
+        if kind == "float" and not math.isfinite(value):
             raise ConfigError("%s must be a finite number, got %r" % (name, value))
-    for name in ("h_list", "dt_list", "sigma_list", "p1_list", "p2_list"):
-        inf_ok = name in ("p1_list", "p2_list")
-        for value in getattr(cfg, name) or ():
-            if not (math.isfinite(value) or inf_ok and value == math.inf):
-                raise ConfigError("%s entries must be finite numbers%s, got %r"
-                                  % (key(name), " or inf" if inf_ok else "", value))
+        if kind == "tuple":
+            inf_ok = name in ("experiment.p1_list", "experiment.p2_list")
+            for entry in value:
+                if not (math.isfinite(entry) or inf_ok and entry == math.inf):
+                    raise ConfigError("%s entries must be finite numbers%s, got %r"
+                                      % (name, " or inf" if inf_ok else "", entry))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -125,14 +127,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("nx must be at least 2")
     if cfg.ny is not None and cfg.ny < 2:
         raise ConfigError("ny must be at least 2")
-    if cfg.dt is not None:
-        if cfg.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        num_steps(cfg.T, cfg.dt)
-    for dt in cfg.dt_list or ():
-        num_steps(cfg.T, dt)
+    if cfg.dt is not None and cfg.dt <= 0.0:
+        raise ConfigError("dt must be positive")
+    steps = [("experiment.dt", cfg.dt)] if cfg.dt is not None else []
+    steps += [("experiment.dt_list", dt) for dt in cfg.dt_list or ()]
     if cfg.kind == "time":
-        num_steps(cfg.T, cfg.reference_dt)
+        steps.append(("experiment.reference_dt", cfg.reference_dt))
+    for key, dt in steps:
+        try:
+            num_steps(cfg.T, dt)
+        except ConfigError as exc:
+            raise ConfigError("%s: %s" % (key, exc)) from None
     for s in cfg.sigma_list or ():
         if s <= 0.0:
             raise ConfigError("sigma list entries must be positive, got %r" % s)
@@ -252,7 +257,7 @@ def _run_cases(cases, threads):
 
 
 def run_single(config: ExperimentConfig) -> RunResult:
-    cfg = replace(config, dt=1e-3 if config.dt is None else config.dt)
+    cfg = replace(config, kind="run", dt=1e-3 if config.dt is None else config.dt)
     validate_config(cfg)
     nx = cfg.nx if cfg.nx is not None else 16
     return _simulate(Case.of(cfg, nx, cfg.ny if cfg.ny is not None else nx))

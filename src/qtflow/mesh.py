@@ -116,19 +116,16 @@ def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
     )
 
 
-@dataclass
-class NestedInjection:
+def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> sparse.csr_matrix:
     """P1 interpolation from a coarse mesh onto a nested fine mesh: the
-    sparse operator that evaluates a coarse nodal field at the fine nodes."""
-
-    matrix: sparse.csr_matrix    # (Nf, Nc)
-
-
-def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> NestedInjection:
-    """Locate every fine node inside the coarse triangulation.
+    (Nf, Nc) sparse operator that evaluates a coarse nodal field at the
+    fine nodes.
 
     Requires identical extents and fine cell counts that are an integer
-    multiple of the coarse ones.
+    multiple of the coarse ones.  Every fine node lies in one triangle of
+    its coarse cell, so each row holds three barycentric weights, in
+    column order: (ll, lr, ur) in the lower triangle, (ll, ul, ur) in the
+    upper one.
     """
     if (coarse.x0, coarse.x1, coarse.y0, coarse.y1) != (fine.x0, fine.x1, fine.y0, fine.y1):
         raise ValueError("meshes cover different rectangles")
@@ -138,26 +135,21 @@ def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> NestedInje
     if fine.ny // coarse.ny != m:
         raise ValueError("refinement ratio differs between axes")
 
-    ii, jj = np.meshgrid(np.arange(fine.nx + 1), np.arange(fine.ny + 1))
-    ii = ii.ravel()
-    jj = jj.ravel()
+    # the containing coarse cell and local lattice offsets, per axis
+    ii, jj = np.arange(fine.nx + 1), np.arange(fine.ny + 1)
     ic = np.minimum(ii // m, coarse.nx - 1)
     jc = np.minimum(jj // m, coarse.ny - 1)
-    iloc = ii - ic * m
-    jloc = jj - jc * m
-    xi = iloc / m
-    eta = jloc / m
-
-    # barycentric weights in the lower triangle (ll, lr, ur) or else in the
-    # upper one (ll, ur, ul) of the containing coarse cell
+    iloc, jloc = ii - ic * m, (jj - jc * m)[:, None]
+    xi, eta = iloc / m, jloc / m
     lower = iloc >= jloc
-    bary = np.column_stack([1.0 - np.where(lower, xi, eta),
-                            np.where(lower, xi - eta, xi),
-                            np.where(lower, eta, eta - xi)])
-    cols = (jc * (coarse.nx + 1) + ic)[:, None] + coarse.cell[np.where(lower, 0, 1)]
-    rows = np.repeat(np.arange(ii.size), 3)
-    matrix = sparse.csr_matrix(
-        (bary.ravel(), (rows, cols.ravel())),
-        shape=(fine.n_nodes, coarse.n_nodes),
-    )
-    return NestedInjection(matrix=matrix)
+
+    s = coarse.nx + 1
+    ll = (jc[:, None] * s + ic).astype(np.int32)
+    indices = np.stack([ll, ll + np.where(lower, 1, s).astype(np.int32),
+                        ll + np.int32(s + 1)], axis=-1)
+    data = np.stack([1.0 - np.where(lower, xi, eta),
+                     np.where(lower, xi - eta, eta - xi),
+                     np.where(lower, eta, xi)], axis=-1)
+    indptr = np.arange(0, 3 * fine.n_nodes + 1, 3, dtype=np.int32)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                             shape=(fine.n_nodes, coarse.n_nodes))

@@ -121,8 +121,9 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params,
 
 def step_operator(p: Params, dt: float, K, D, weights) -> StepOperator:
     """The step operator of a run; its constant part is built once here
-    and step() installs the rank-one part of each step."""
-    return StepOperator(weights, K, D, None, 1.0 / dt + p.sigma / dt ** 2,
+    and step() installs the rank-one part of each step.  D is part of it
+    exactly when given: pass None when L2 + L3 = 0."""
+    return StepOperator(weights, K, D, 1.0 / dt + p.sigma / dt ** 2,
                         p.L1, 0.5 * (p.L2 + p.L3))
 
 
@@ -163,7 +164,7 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
 
     n, t = state.n + 1, state.t + dt
     try:
-        x, _ = cg_solve(op, rhs, tol=cg_tol, maxiter=maxiter, x0=q, r0=res)
+        x, _ = cg_solve(op, rhs, q, res, tol=cg_tol, maxiter=maxiter)
     except ConvergenceError as exc:
         raise _step_failure(n, t, str(exc), exc.residual) from exc
     if not np.all(np.isfinite(x)):

@@ -90,6 +90,30 @@ def interior_index(mesh):
     return index
 
 
+def nested_injection_by_coo(coarse, fine):
+    """The nested injection assembled from COO triplets, one row of
+    barycentric weights per fine node: (ll, lr, ur) in the lower triangle
+    of its coarse cell, else (ll, ur, ul) in the upper one."""
+    m = fine.nx // coarse.nx
+    ii, jj = np.meshgrid(np.arange(fine.nx + 1), np.arange(fine.ny + 1))
+    ii = ii.ravel()
+    jj = jj.ravel()
+    ic = np.minimum(ii // m, coarse.nx - 1)
+    jc = np.minimum(jj // m, coarse.ny - 1)
+    iloc = ii - ic * m
+    jloc = jj - jc * m
+    xi = iloc / m
+    eta = jloc / m
+    lower = iloc >= jloc
+    bary = np.column_stack([1.0 - np.where(lower, xi, eta),
+                            np.where(lower, xi - eta, xi),
+                            np.where(lower, eta, eta - xi)])
+    cols = (jc * (coarse.nx + 1) + ic)[:, None] + coarse.cell[np.where(lower, 0, 1)]
+    rows = np.repeat(np.arange(ii.size), 3)
+    return sparse.csr_matrix((bary.ravel(), (rows, cols.ravel())),
+                             shape=(fine.n_nodes, coarse.n_nodes))
+
+
 def lumped_weights_by_bincount(mesh):
     """Integral of every hat function: area / 3 from each triangle at the
     node, accumulated triangle by triangle."""

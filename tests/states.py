@@ -9,9 +9,10 @@ from qtflow.stepper import (build_default_Qt0, initialize, interpolate_qfield,
 
 
 def run_operator(mesh, params, dt):
-    """The step operator of a run on mesh."""
-    return step_operator(params, dt, assemble_stiffness(mesh),
-                         assemble_div_form(mesh), lumped_mass(mesh))
+    """The step operator of a run on mesh, with D when L2 + L3 != 0."""
+    D = assemble_div_form(mesh) if params.L2 + params.L3 != 0.0 else None
+    return step_operator(params, dt, assemble_stiffness(mesh), D,
+                         lumped_mass(mesh))
 
 
 def start(mesh, params, dt, Q0, Qt0=None):

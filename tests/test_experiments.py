@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from qtflow.experiments import (
     DEFAULT_PARAMS,
@@ -15,6 +15,16 @@ from qtflow.experiments import (
     time_refinement_study,
     validate_config,
 )
+
+
+def config_fields(kind):
+    """The ExperimentConfig fields whose declared type is kind (or
+    kind | None)."""
+    return [f.name for f in fields(ExperimentConfig) if f.type.split(" | ")[0] == kind]
+
+
+#: Lists whose entries may be +inf (no perturbation).
+EXPONENT_LISTS = ("p1_list", "p2_list")
 
 
 class TestConfigValidation:
@@ -43,24 +53,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(nx=1))
 
-    @pytest.mark.parametrize("field", ["x0", "x1", "y0", "y1", "T", "dt",
-                                       "reference_dt", "cg_tol"])
+    @pytest.mark.parametrize("field", config_fields("float"))
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_numbers_name_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             validate_config(ExperimentConfig(**{field: value}))
 
-    @pytest.mark.parametrize("field", ["h_list", "dt_list", "sigma_list"])
+    @pytest.mark.parametrize("field", [name for name in config_fields("tuple")
+                                       if name not in EXPONENT_LISTS])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_list_entries_name_the_list(self, field, value):
         with pytest.raises(ConfigError, match=field):
             validate_config(ExperimentConfig(**{field: (1e-2, value)}))
 
-    @pytest.mark.parametrize("field", ["p1_list", "p2_list"])
+    @pytest.mark.parametrize("field", EXPONENT_LISTS)
     def test_exponent_lists_reject_nan_but_allow_inf(self, field):
+        assert field in config_fields("tuple")
         with pytest.raises(ConfigError, match=field):
             validate_config(ExperimentConfig(**{field: (0.5, math.nan)}))
         validate_config(ExperimentConfig(**{field: (0.5, math.inf)}))
+
+    @pytest.mark.parametrize("key, config", [
+        ("experiment.dt", ExperimentConfig(T=0.01, dt=3e-4)),
+        ("experiment.dt_list", ExperimentConfig(T=0.01, dt_list=(1e-3, 3e-4))),
+        ("experiment.reference_dt",
+         ExperimentConfig(kind="time", T=0.01, dt_list=(1e-3,), reference_dt=3e-4)),
+    ], ids=["dt", "dt_list", "reference_dt"])
+    def test_step_count_errors_name_the_key(self, key, config):
+        with pytest.raises(ConfigError, match="^%s: T/dt = " % key):
+            validate_config(config)
 
     def test_non_finite_param_names_the_param(self):
         with pytest.raises(ConfigError, match="params.A0"):
@@ -76,6 +97,12 @@ class TestConfigValidation:
 
 
 class TestRunSingle:
+    def test_ignores_a_stale_kind(self):
+        """A run never reads reference_dt, whatever kind the config names."""
+        res = run_single(ExperimentConfig(kind="time", nx=4, T=0.01, dt=1e-3,
+                                          reference_dt=3e-4))
+        assert res.state.n == 10
+
     def test_zero_data_constant_energy(self):
         cfg = ExperimentConfig(kind="run", nx=8, ny=8, T=0.01, dt=1e-3,
                                initial="zero")

@@ -116,7 +116,7 @@ class TestNestedInjection:
         for ci in range(coarse.n_nodes):
             x, y = coarse.nodes[ci]
             fi = int(round((y / fine.h))) * (fine.nx + 1) + int(round(x / fine.h))
-            row = inj.matrix.getrow(fi).toarray().ravel()
+            row = inj.getrow(fi).toarray().ravel()
             assert row[ci] == pytest.approx(1.0, abs=1e-15)
             assert abs(row.sum() - 1.0) < 1e-14
 
@@ -126,7 +126,7 @@ class TestNestedInjection:
         inj = nested_injection(coarse, fine)
         # fine node at the midpoint of a horizontal coarse edge
         fi = 0 * (fine.nx + 1) + 1  # (0.25, 0)
-        row = inj.matrix.getrow(fi).toarray().ravel()
+        row = inj.getrow(fi).toarray().ravel()
         assert row[0] == 0.5 and row[1] == 0.5  # coarse nodes (0, 0), (0.5, 0)
         assert row.sum() == 1.0
 
@@ -139,7 +139,7 @@ class TestNestedInjection:
             tri, bary = oracles.containing_triangle(coarse, fine.nodes[fi])
             expect = np.zeros(coarse.n_nodes)
             expect[tri] = bary
-            row = inj.matrix.getrow(fi).toarray().ravel()
+            row = inj.getrow(fi).toarray().ravel()
             assert np.allclose(row, expect, atol=1e-12)
             assert np.all(row > -1e-12)
             assert abs(row.sum() - 1.0) < 1e-13
@@ -149,8 +149,23 @@ class TestNestedInjection:
         fine = build_mesh(0, 2, 0, 2, 16, 16)
         inj = nested_injection(coarse, fine)
         lin = lambda pts: 0.75 * pts[:, 0] - 1.25 * pts[:, 1] + 0.5
-        transferred = inj.matrix @ lin(coarse.nodes)
+        transferred = inj @ lin(coarse.nodes)
         assert np.max(np.abs(transferred - lin(fine.nodes))) < 1e-13
+
+    @pytest.mark.parametrize("extent, nc, nf", [
+        ((0.0, 2.0, 0.0, 2.0), nc, nf) for nc in (4, 8, 16)
+        for nf in oracles.DYADIC_SIZES if nf > nc
+    ] + [
+        (extent, nc, nf) for extent in ((0.0, 1.0, 0.0, 1.0), (0.1, 0.7, 0.1, 0.7))
+        for nc, nf in ((4, 8), (4, 32), (8, 64))
+    ])
+    def test_bitwise_against_coo_build(self, extent, nc, nf):
+        coarse, fine = build_mesh(*extent, nc, nc), build_mesh(*extent, nf, nf)
+        inj = nested_injection(coarse, fine)
+        ref = oracles.nested_injection_by_coo(coarse, fine)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(inj, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_rejects_non_nested(self):
         coarse = build_mesh(0, 2, 0, 2, 4, 4)

@@ -14,13 +14,24 @@ import oracles
 
 
 def make_operator(mesh, rng=None, mass_coef=100.0, grad_coef=0.01, div_coef=0.005):
+    """A step operator with D when div_coef != 0, and a random rank-one
+    part when rng is given (a zero one otherwise)."""
     K = assemble_stiffness(mesh)
-    D = assemble_div_form(mesh)
+    D = assemble_div_form(mesh) if div_coef != 0.0 else None
     w = lumped_mass(mesh)
-    p = None
+    A = StepOperator(w, K, D, mass_coef, grad_coef, div_coef)
+    p = np.zeros((2, mesh.n_interior))
     if rng is not None:
         p = rng.uniform(-0.2, 0.2, size=(2, mesh.n_interior))
-    return StepOperator(w, K, D, p, mass_coef, grad_coef, div_coef)
+    A.set_rank_one(p)
+    return A
+
+
+def solve(A, b, **kw):
+    """cg_solve from x0 = 0 with its residual r0 = b, unless kw gives them."""
+    kw.setdefault("x0", np.zeros_like(b))
+    kw.setdefault("r0", b.copy())
+    return cg_solve(A, b, **kw)
 
 
 def dense_matrix(A, n):
@@ -37,9 +48,8 @@ def dense_step_operator(w, K, D, p, cm, ck, cd):
     A = cm * np.diag(w) + ck * K.toarray()
     if D is not None:
         A += cd * D.toarray()
-    if p is not None:
-        for z in range(p.shape[1]):
-            A[2 * z:2 * z + 2, 2 * z:2 * z + 2] += w[2 * z] * np.outer(p[:, z], p[:, z])
+    for z in range(p.shape[1]):
+        A[2 * z:2 * z + 2, 2 * z:2 * z + 2] += w[2 * z] * np.outer(p[:, z], p[:, z])
     return A
 
 
@@ -54,10 +64,12 @@ class TestStepOperator:
         params = replace(DEFAULT_PARAMS, L2=ell, L3=ell, sigma=sigma)
         dt = 1e-3
         rng = np.random.RandomState(21)
-        op = step_operator(params, dt, K, D, w)
+        op = step_operator(params, dt, K, D if with_div else None, w)
         # a previous step's rank-one part must be replaced, not accumulated
         op.set_rank_one(rng.uniform(-1.0, 1.0, size=(2, mesh.n_interior)))
-        p = rng.uniform(-0.2, 0.2, size=(2, mesh.n_interior)) if with_p else None
+        p = np.zeros((2, mesh.n_interior))
+        if with_p:
+            p = rng.uniform(-0.2, 0.2, size=(2, mesh.n_interior))
         op.set_rank_one(p)
 
         n = 2 * mesh.n_interior
@@ -82,7 +94,8 @@ class TestConstantPart:
         mesh = build_mesh(*extent, nx, ny)
         K, D, w = assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
         cm, ck, cd = 1.0 / 1.25e-4 + 0.025 / 1.25e-4 ** 2, 1e-3, 5e-4
-        op = StepOperator(w, K, D if with_div else None, None, cm, ck, cd)
+        op = StepOperator(w, K, D if with_div else None, cm, ck, cd)
+        op.set_rank_one(np.zeros((2, mesh.n_interior)))
         ref = sparse.diags(cm * w, format="csr") + ck * K
         if with_div:
             ref = ref + cd * D
@@ -95,7 +108,7 @@ class TestCgSolve:
     def test_zero_rhs(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         A = make_operator(mesh)
-        x, iters = cg_solve(A, np.zeros(2 * mesh.n_interior))
+        x, iters = solve(A, np.zeros(2 * mesh.n_interior))
         assert iters == 0
         assert np.all(x == 0.0)
 
@@ -103,10 +116,11 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         K = assemble_stiffness(mesh)
         w = lumped_mass(mesh)
-        A = StepOperator(w, K, None, None, mass_coef=50.0, grad_coef=0.0, div_coef=0.0)
+        A = StepOperator(w, K, None, 50.0, 0.0, 0.0)
+        A.set_rank_one(np.zeros((2, mesh.n_interior)))
         rng = np.random.RandomState(3)
         b = rng.standard_normal(2 * mesh.n_interior)
-        x, iters = cg_solve(A, b)
+        x, iters = solve(A, b)
         assert iters == 1
         assert np.allclose(x, b / (50.0 * w), rtol=1e-12)
 
@@ -119,7 +133,7 @@ class TestCgSolve:
         M = dense_matrix(A, 10)
         assert np.allclose(M, M.T, atol=1e-13)
         b = rng.standard_normal(10)
-        x, _ = cg_solve(A, b, tol=1e-14)
+        x, _ = solve(A, b, tol=1e-14)
         ref = np.linalg.solve(M, b)
         assert np.max(np.abs(x - ref)) < 1e-10
 
@@ -129,7 +143,7 @@ class TestCgSolve:
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
         b = rng.standard_normal(2 * mesh.n_interior)
         for tol in (1e-6, 1e-10):
-            x, _ = cg_solve(A, b, tol=tol)
+            x, _ = solve(A, b, tol=tol)
             assert np.linalg.norm(b - A.matvec(x)) <= tol * np.linalg.norm(b)
 
     def test_warm_start(self):
@@ -137,8 +151,8 @@ class TestCgSolve:
         rng = np.random.RandomState(9)
         A = make_operator(mesh, rng=rng)
         b = rng.standard_normal(2 * mesh.n_interior)
-        x, iters = cg_solve(A, b, tol=1e-12)
-        x2, iters2 = cg_solve(A, b, tol=1e-12, x0=x)
+        x, iters = solve(A, b, tol=1e-12)
+        x2, iters2 = solve(A, b, tol=1e-12, x0=x, r0=A.residual(b, x))
         assert iters2 == 0
         assert np.array_equal(x, x2)
 
@@ -147,7 +161,7 @@ class TestCgSolve:
         rng = np.random.RandomState(11)
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.0)
         b = rng.standard_normal(2 * mesh.n_interior)
-        runs = {cg_solve(A, b, tol=1e-10)[1] for _ in range(3)}
+        runs = {solve(A, b, tol=1e-10)[1] for _ in range(3)}
         assert len(runs) == 1
 
     def test_supplied_initial_residual_is_verified(self):
@@ -158,14 +172,41 @@ class TestCgSolve:
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         exact = b - A.matvec(x0)
-        x, iters = cg_solve(A, b, tol=1e-10, x0=x0, r0=exact.copy())  # r0 is consumed
+        x, iters = solve(A, b, tol=1e-10, x0=x0, r0=exact.copy())  # r0 is consumed
         assert iters > 0
         assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
         # a wrong residual cannot end the solve early: a zero one is
         # re-checked at the start, a scaled one when the recurrence converges
         for wrong in (np.zeros(n), 1.01 * exact):
-            x, _ = cg_solve(A, b, tol=1e-10, x0=x0, r0=wrong)
+            x, _ = solve(A, b, tol=1e-10, x0=x0, r0=wrong)
             assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
+
+    def test_restart_makes_one_matvec_per_iteration(self):
+        """r0 = 1.01 times the true residual: the recurrence meets the limit
+        on the wrong residual, the confirmation rejects it, and CG restarts
+        from the true residual it formed, with no product of its own."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        rng = np.random.RandomState(17)
+        A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
+        n = 2 * mesh.n_interior
+        b = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        r0 = 1.01 * (b - A.matvec(x0))
+        calls = {"matvec": 0, "residual": 0}
+
+        def counted(name):
+            method = getattr(A, name)
+
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+            return call
+
+        A.matvec, A.residual = counted("matvec"), counted("residual")
+        x, iters = solve(A, b, tol=1e-10, x0=x0, r0=r0)
+        assert calls["residual"] == 2  # one rejected confirmation, one kept
+        assert calls["matvec"] == iters
+        assert np.linalg.norm(A.residual(b, x)) <= 1e-10 * np.linalg.norm(b)
 
     def test_x0_never_written_and_products_of_x_kept(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -175,8 +216,8 @@ class TestCgSolve:
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         kept = x0.copy()
-        for r0 in (None, b - A.matvec(x0)):
-            x, iters = cg_solve(A, b, tol=1e-10, x0=x0, r0=r0)
+        for r0 in (b - A.matvec(x0), np.zeros(n)):  # the second is wrong
+            x, iters = solve(A, b, tol=1e-10, x0=x0, r0=r0)
             assert iters > 0
             assert np.array_equal(x0, kept)
             assert np.array_equal(A.Kx, A.K @ x)
@@ -191,7 +232,7 @@ class TestCgSolve:
         A.residual(np.zeros(n), rng.standard_normal(n))  # products of another x
         x0 = rng.standard_normal(n)
         kept = x0.copy()
-        x, iters = cg_solve(A, np.zeros(n), x0=x0)
+        x, iters = solve(A, np.zeros(n), x0=x0, r0=-A.matvec(x0))
         assert iters == 0 and np.all(x == 0.0)
         assert np.array_equal(x0, kept)
         for product in (A.Kx, A.Dx, A.Lx):
@@ -215,5 +256,5 @@ class TestCgSolve:
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.0)
         b = rng.standard_normal(2 * mesh.n_interior)
         with pytest.raises(ConvergenceError) as info:
-            cg_solve(A, b, tol=1e-14, maxiter=1)
+            solve(A, b, tol=1e-14, maxiter=1)
         assert info.value.residual > 0.0
