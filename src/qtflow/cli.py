@@ -82,7 +82,7 @@ def parse_config(path: str | None) -> ExperimentConfig:
             raise ConfigError("unknown config section [%s]" % section)
         for key in cp.options(section):
             if key not in keys:
-                raise ConfigError("unknown key %r in section [%s]" % (key, section))
+                raise ConfigError("unknown key %s.%s" % (section, key))
             try:
                 given[section][key] = keys[key](cp.get(section, key))
             except ValueError as exc:
@@ -103,6 +103,11 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     return "%.17g" % x
+
+
+def _rounded(x, spec="%.2f") -> str:
+    """A console number; "-" where there is none."""
+    return "-" if x is None else spec % x
 
 
 def _csv(header: str, rows) -> str:
@@ -136,13 +141,10 @@ def _write_refinement(filename, level_name, result, out_dir, created) -> None:
         [astuple(row) for row in result.rows]), created)
     print("%-10s %-9s %-6s %-9s %-6s %-9s %-6s"
           % (level_name, "err_Q11", "ord", "err_Q12", "ord", "err_r", "ord"))
-    def order(x):
-        return "-" if x is None else "%.2f" % x
-
     for row in result.rows:
         print("%-10.4g %-9.3g %-6s %-9.3g %-6s %-9.3g %-6s" % (
-            row.level, row.err_q11, order(row.ord_q11), row.err_q12,
-            order(row.ord_q12), row.err_r, order(row.ord_r)))
+            row.level, row.err_q11, _rounded(row.ord_q11), row.err_q12,
+            _rounded(row.ord_q12), row.err_r, _rounded(row.ord_r)))
 
 
 def _write_sigma(result, out_dir, created) -> None:
@@ -156,23 +158,19 @@ def _write_sigma(result, out_dir, created) -> None:
         text = "".join("%s %s\n" % (_fmt(r.sigma), _fmt(r.h1_error))
                        for r in rows)
         _write(os.path.join(out_dir, name), text, created)
-        print("case p1=%g p2=%g: fitted slope %.3f" % (p1, p2, slope))
+        print("case p1=%g p2=%g: fitted slope %s" % (p1, p2, _rounded(slope, "%.3f")))
 
 
-#: Subcommand name: (experiment kind, help text, name of the study function
-#: in this module, looked up per call so that it can be rebound, and the
-#: writer of its outputs and console summary).
+#: Subcommand name: (help text, name of the study function in this module,
+#: looked up per call so that it can be rebound, and the writer of its
+#: outputs and console summary).
 _SUBCOMMANDS = {
-    "run": ("run", "single simulation with an energy trace", "run_single",
-            _write_run),
-    "space-refine": ("space", "spatial refinement error study",
-                     "space_refinement_study",
+    "run": ("single simulation with an energy trace", "run_single", _write_run),
+    "space-refine": ("spatial refinement error study", "space_refinement_study",
                      partial(_write_refinement, "space_refinement.csv", "h")),
-    "time-refine": ("time", "time-step refinement error study",
-                    "time_refinement_study",
+    "time-refine": ("time-step refinement error study", "time_refinement_study",
                     partial(_write_refinement, "time_refinement.csv", "dt")),
-    "sigma-study": ("sigma", "zero-inertia limit sweep", "sigma_study",
-                    _write_sigma),
+    "sigma-study": ("zero-inertia limit sweep", "sigma_study", _write_sigma),
 }
 
 
@@ -186,7 +184,7 @@ def _sanitize(obj):
     return obj
 
 
-def _manifest(out_dir, config, timings, created) -> str:
+def _manifest(out_dir, subcommand, config, timings, created) -> str:
     inventory = {}
     for path in created:
         with open(path, "rb") as handle:
@@ -194,6 +192,7 @@ def _manifest(out_dir, config, timings, created) -> str:
         inventory[os.path.relpath(path, out_dir)] = digest
     payload = {
         "version": __version__,
+        "subcommand": subcommand,
         "config": _sanitize(asdict(config)),
         "wall_clock_seconds": timings,
         "files": inventory,
@@ -202,28 +201,24 @@ def _manifest(out_dir, config, timings, created) -> str:
 
 
 def dispatch(subcommand: str, config: ExperimentConfig, out_dir: str) -> int:
-    """Run one experiment and write its artifacts below out_dir."""
+    """Run one experiment and write its artifacts below out_dir, which is
+    created only once the experiment has succeeded."""
     if subcommand not in _SUBCOMMANDS:
         raise ConfigError("unknown subcommand %r" % subcommand)
-    kind, _, study, write = _SUBCOMMANDS[subcommand]
-    config = replace(config, kind=kind)
-    os.makedirs(out_dir, exist_ok=True)
+    _, study, write = _SUBCOMMANDS[subcommand]
+    t0 = time.perf_counter()
+    result = globals()[study](config)
+    timings = {"compute": time.perf_counter() - t0}
 
+    os.makedirs(out_dir, exist_ok=True)
     created: list = []
-    timings: dict = {}
     try:
-        t0 = time.perf_counter()
-        result = globals()[study](config)
-        timings["compute"] = time.perf_counter() - t0
         t1 = time.perf_counter()
         write(result, out_dir, created)
         timings["write"] = time.perf_counter() - t1
 
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        _write(manifest_path, _manifest(out_dir, config, timings, created[:]),
-               created)
-    except ConfigError:
-        raise
+        _write(os.path.join(out_dir, "manifest.json"),
+               _manifest(out_dir, subcommand, config, timings, created[:]), created)
     except Exception:
         for path in created:
             if os.path.exists(path):
@@ -238,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mass-lumped FEM solver for inertial Q-tensor flows",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, blurb, _, _) in _SUBCOMMANDS.items():
+    for name, (blurb, _, _) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", default=None, help="path to a config file")
         cmd.add_argument("--out", default=None,

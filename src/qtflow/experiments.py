@@ -36,10 +36,14 @@ DEFAULT_SIGMA_LIST = (1e-3, 10.0 ** -2.5, 1e-2, 10.0 ** -1.5, 1e-1)
 DEFAULT_H_LIST = (0.5, 0.25, 0.125, 0.0625)
 DEFAULT_DT_LIST = (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
 
-KINDS = ("run", "space", "time", "sigma")
 #: The ExperimentConfig fields of the [mesh] config section.
 MESH_FIELDS = ("x0", "x1", "y0", "y1", "nx", "ny")
 INITIAL_PROFILES = ("default", "zero")
+#: Fields whose given values (every entry, for a list) must be positive.
+POSITIVE_FIELDS = ("T", "dt", "reference_dt", "cg_tol", "h_list", "dt_list",
+                   "sigma_list")
+#: The least value of each integer field.
+INT_MINIMA = {"nx": 2, "ny": 2, "reference_level": 1, "threads": 1}
 
 
 def default_initial_q(x, y):
@@ -51,7 +55,6 @@ def default_initial_q(x, y):
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "run"
     x0: float = 0.0
     x1: float = 2.0
     y0: float = 0.0
@@ -65,7 +68,7 @@ class ExperimentConfig:
     h_list: tuple | None = None
     reference_level: int = 7
     dt_list: tuple | None = None
-    reference_dt: float = 6.25e-5
+    reference_dt: float | None = None
     sigma_list: tuple | None = None
     p1_list: tuple = (0.5, 1.0, math.inf)  # inf: no perturbation
     p2_list: tuple = (0.5, math.inf)
@@ -81,68 +84,48 @@ class ConfigError(ValueError):
 def num_steps(T: float, dt: float) -> int:
     """Number of steps; rejects T/dt that is not integral."""
     ratio = T / dt
-    k = round(ratio)
+    k = round(ratio) if math.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-12 * max(1.0, ratio):
         raise ConfigError("T/dt = %r is not an integer" % ratio)
     return k
 
 
-def _check_finite(cfg: ExperimentConfig) -> None:
-    """Reject non-finite numbers, naming the field by its config key
-    (section.key).  Perturbation exponents may also be +inf, which means
-    no perturbation."""
-    def key(name):
-        return ("mesh." if name in MESH_FIELDS else "experiment.") + name
-
-    typed = [(key(f.name), f.type.split(" | ")[0], getattr(cfg, f.name))
-             for f in fields(cfg)]
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Check every given value by the type of its field, naming the first bad
+    one as section.key: numbers finite (the exponents may also be +inf, no
+    perturbation), POSITIVE_FIELDS positive, integers at least their
+    INT_MINIMA, lists not empty, extents ordered, time steps dividing T."""
+    typed = [(("mesh." if f.name in MESH_FIELDS else "experiment.") + f.name,
+              f.type.split(" | ")[0], getattr(cfg, f.name)) for f in fields(cfg)]
     typed += [("params." + f.name, f.type, getattr(cfg.params, f.name))
               for f in fields(cfg.params)]
-    for name, kind, value in typed:
-        if value is None:
+    for key, type_name, value in typed:  # T comes before the time steps
+        name = key.split(".")[1]
+        if type_name == "int" and value is not None and value < INT_MINIMA[name]:
+            raise ConfigError("%s must be at least %d, got %r"
+                              % (key, INT_MINIMA[name], value))
+        if type_name not in ("float", "tuple") or value is None:
             continue
-        if kind == "float" and not math.isfinite(value):
-            raise ConfigError("%s must be a finite number, got %r" % (name, value))
-        if kind == "tuple":
-            inf_ok = name in ("experiment.p1_list", "experiment.p2_list")
-            for entry in value:
-                if not (math.isfinite(entry) or inf_ok and entry == math.inf):
-                    raise ConfigError("%s entries must be finite numbers%s, got %r"
-                                      % (name, " or inf" if inf_ok else "", entry))
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    _check_finite(cfg)
-    if cfg.kind not in KINDS:
-        raise ConfigError("unknown experiment kind %r" % cfg.kind)
+        entries = value if type_name == "tuple" else (value,)
+        if not entries:
+            raise ConfigError("%s must not be empty" % key)
+        inf_ok = name in ("p1_list", "p2_list")
+        for entry in entries:
+            if not (math.isfinite(entry) or inf_ok and entry == math.inf):
+                raise ConfigError("%s must be finite%s, got %r"
+                                  % (key, " or inf" if inf_ok else "", entry))
+            if name in POSITIVE_FIELDS and entry <= 0.0:
+                raise ConfigError("%s must be positive, got %r" % (key, entry))
+            if name in ("dt", "dt_list", "reference_dt"):
+                try:
+                    num_steps(cfg.T, entry)
+                except ConfigError as exc:
+                    raise ConfigError("%s: %s" % (key, exc)) from None
     if cfg.initial not in INITIAL_PROFILES:
-        raise ConfigError("unknown initial profile %r" % cfg.initial)
-    if cfg.T <= 0.0:
-        raise ConfigError("T must be positive")
-    if cfg.cg_tol <= 0.0:
-        raise ConfigError("cg_tol must be positive")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be at least 1")
-    if cfg.nx is not None and cfg.nx < 2:
-        raise ConfigError("nx must be at least 2")
-    if cfg.ny is not None and cfg.ny < 2:
-        raise ConfigError("ny must be at least 2")
-    if cfg.dt is not None and cfg.dt <= 0.0:
-        raise ConfigError("dt must be positive")
-    steps = [("experiment.dt", cfg.dt)] if cfg.dt is not None else []
-    steps += [("experiment.dt_list", dt) for dt in cfg.dt_list or ()]
-    if cfg.kind == "time":
-        steps.append(("experiment.reference_dt", cfg.reference_dt))
-    for key, dt in steps:
-        try:
-            num_steps(cfg.T, dt)
-        except ConfigError as exc:
-            raise ConfigError("%s: %s" % (key, exc)) from None
-    for s in cfg.sigma_list or ():
-        if s <= 0.0:
-            raise ConfigError("sigma list entries must be positive, got %r" % s)
-    if cfg.reference_level < 1:
-        raise ConfigError("reference_level must be at least 1")
+        raise ConfigError("experiment.initial: unknown profile %r" % cfg.initial)
+    for lo, hi in (("x0", "x1"), ("y0", "y1")):
+        if getattr(cfg, hi) <= getattr(cfg, lo):
+            raise ConfigError("mesh.%s must exceed mesh.%s" % (hi, lo))
 
 
 @dataclass
@@ -256,11 +239,28 @@ def _run_cases(cases, threads):
     return [_simulate(case) for case in cases]
 
 
-def run_single(config: ExperimentConfig) -> RunResult:
-    cfg = replace(config, kind="run", dt=1e-3 if config.dt is None else config.dt)
+def _resolved(config: ExperimentConfig, **defaults) -> ExperimentConfig:
+    """config with its unset fields among defaults set to them, validated."""
+    cfg = replace(config, **{name: value for name, value in defaults.items()
+                             if getattr(config, name) is None})
     validate_config(cfg)
-    nx = cfg.nx if cfg.nx is not None else 16
-    return _simulate(Case.of(cfg, nx, cfg.ny if cfg.ny is not None else nx))
+    return cfg
+
+
+def _cells(cfg: ExperimentConfig, nx: int) -> tuple:
+    """The (nx, ny) of cfg's square cells; nx defaults to the given count,
+    ny to nx."""
+    nx = nx if cfg.nx is None else cfg.nx
+    ny = nx if cfg.ny is None else cfg.ny
+    hx, hy = (cfg.x1 - cfg.x0) / nx, (cfg.y1 - cfg.y0) / ny
+    if abs(hx - hy) > 1e-12 * max(hx, hy):
+        raise ConfigError("mesh.ny: cells must be square, got %g x %g" % (hx, hy))
+    return nx, ny
+
+
+def run_single(config: ExperimentConfig) -> RunResult:
+    cfg = _resolved(config, dt=1e-3)
+    return _simulate(Case.of(cfg, *_cells(cfg, 16)))
 
 
 @dataclass
@@ -281,20 +281,28 @@ class StudyResult:
     slopes: dict = field(default_factory=dict)
 
 
-def _check_halving_chain(values, name):
+def _check_halving_chain(values, key):
     if len(values) < 2:
-        raise ConfigError("%s needs at least two entries" % name)
+        raise ConfigError("%s needs at least two entries" % key)
     for a, b in zip(values, values[1:]):
         if abs(a / b - 2.0) > 1e-9:
-            raise ConfigError("%s is not a halving chain: %r" % (name, values))
+            raise ConfigError("%s is not a halving chain: %r" % (key, values))
 
 
 def _cells_for_h(width, h):
     n = width / h
     k = round(n)
     if k < 2 or abs(n - k) > 1e-9:
-        raise ConfigError("mesh size h=%r does not divide the domain width" % h)
+        raise ConfigError("experiment.h_list: mesh size h=%r does not divide "
+                          "the domain into at least 2 cells per axis" % h)
     return k
+
+
+def _orders(errors):
+    """The observed orders of a halving chain's errors; None on the first
+    level and where an order needs an error that is zero."""
+    return [None] + [analysis.convergence_orders(pair, 2.0)[0] if min(pair) > 0.0
+                     else None for pair in zip(errors, errors[1:])]
 
 
 def _refinement(levels, cases, threads, compare) -> StudyResult:
@@ -308,8 +316,7 @@ def _refinement(levels, cases, threads, compare) -> StudyResult:
     ref = results[0]
     forms = analysis.norm_forms(ref.mesh)
     errs = [compare(res, ref, forms) for res in results[1:]]
-    o11, o12, o_r = ([None] + analysis.convergence_orders(col, 2.0)
-                     for col in zip(*errs))
+    o11, o12, o_r = (_orders(col) for col in zip(*errs))
     rows = [RefinementRow(level, e[0], o11[k], e[1], o12[k], e[2], o_r[k])
             for k, (level, e) in enumerate(zip(levels, errs))]
     return StudyResult(rows=rows,
@@ -332,18 +339,20 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     (its natural discrete space), so the coarse boundary ramp is part of
     the measured error.
     """
-    cfg = replace(config, kind="space", dt=1.25e-4 if config.dt is None else config.dt)
-    validate_config(cfg)
-    h_list = tuple(cfg.h_list) if cfg.h_list is not None else DEFAULT_H_LIST
-    _check_halving_chain(h_list, "h list")
+    cfg = _resolved(config, dt=1.25e-4, h_list=DEFAULT_H_LIST)
+    h_list = tuple(cfg.h_list)
+    _check_halving_chain(h_list, "experiment.h_list")
 
     width = cfg.x1 - cfg.x0
     height = cfg.y1 - cfg.y0
     h_ref = 2.0 ** (-cfg.reference_level)
-    if min(h_list) <= h_ref:
-        raise ConfigError("h list must stay strictly coarser than the reference")
+    m = h_list[-1] / h_ref  # the reference mesh refines the finest m times
+    if m < 1.5 or abs(m - round(m)) > 1e-9 * m:
+        raise ConfigError("experiment.h_list must end at an integer multiple >= 2 "
+                          "of the reference mesh size 2^-reference_level, got %r" % m)
     cases = [Case.of(cfg, _cells_for_h(width, h), _cells_for_h(height, h))
-             for h in (h_ref,) + h_list]
+             for h in h_list + (h_ref,)]
+    cases.insert(0, cases.pop())  # reference first; sized last, so a bad h is named
 
     def compare(res, ref, forms):
         inj = nested_injection(res.mesh, ref.mesh)
@@ -360,16 +369,13 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
 
 def time_refinement_study(config: ExperimentConfig) -> StudyResult:
     """Errors against a small-step reference on a single mesh."""
-    cfg = replace(config, kind="time", dt_list=tuple(
-        DEFAULT_DT_LIST if config.dt_list is None else config.dt_list))
-    validate_config(cfg)
-    nx = cfg.nx if cfg.nx is not None else 32
-    ny = cfg.ny if cfg.ny is not None else nx
-    _check_halving_chain(cfg.dt_list, "dt list")
-    if min(cfg.dt_list) <= cfg.reference_dt:
-        raise ConfigError("dt list must end above the reference dt")
-    cases = [replace(Case.of(cfg, nx, ny), dt=dt)
-             for dt in (cfg.reference_dt,) + cfg.dt_list]
+    cfg = _resolved(config, dt_list=DEFAULT_DT_LIST, reference_dt=6.25e-5)
+    dt_list = tuple(cfg.dt_list)
+    _check_halving_chain(dt_list, "experiment.dt_list")
+    if min(dt_list) <= cfg.reference_dt:
+        raise ConfigError("experiment.dt_list must end above experiment.reference_dt")
+    case = Case.of(cfg, *_cells(cfg, 32))
+    cases = [replace(case, dt=dt) for dt in (cfg.reference_dt,) + dt_list]
 
     def compare(res, ref, forms):
         Q = res.state.Q_field(res.mesh)
@@ -379,7 +385,7 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
                 analysis.l2_error_scalar(res.state.r_field(res.mesh),
                                          ref.state.r_field(ref.mesh), forms))
 
-    return _refinement(cfg.dt_list, cases, cfg.threads, compare)
+    return _refinement(dt_list, cases, cfg.threads, compare)
 
 
 @dataclass
@@ -398,18 +404,17 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
     exponent p2 (an infinite exponent means no perturbation); the errors
     against the parabolic run at final time are fitted to a log-log slope.
     """
-    cfg = replace(config, kind="sigma", dt=1e-5 if config.dt is None else config.dt)
-    validate_config(cfg)
-    nx = cfg.nx if cfg.nx is not None else 16
-    ny = cfg.ny if cfg.ny is not None else nx
-    sigma_list = tuple(cfg.sigma_list) if cfg.sigma_list is not None else DEFAULT_SIGMA_LIST
+    cfg = _resolved(config, dt=1e-5, sigma_list=DEFAULT_SIGMA_LIST)
+    sigma_list = tuple(cfg.sigma_list)
     span = math.log10(max(sigma_list) / min(sigma_list))
     if span < 1.5 - 1e-9:
-        raise ConfigError("sigma sweep must span at least 1.5 decades, got %.2f" % span)
+        raise ConfigError("experiment.sigma_list must span at least 1.5 decades, "
+                          "got %.2f" % span)
 
     pairs = list(product(cfg.p1_list, cfg.p2_list))
     keys = [(p1, p2, s) for p1, p2 in pairs for s in sigma_list]
-    parabolic = replace(Case.of(cfg, nx, ny), params=replace(cfg.params, sigma=0.0))
+    parabolic = replace(Case.of(cfg, *_cells(cfg, 16)),
+                        params=replace(cfg.params, sigma=0.0))
     cases = [parabolic] + [replace(parabolic, params=replace(cfg.params, sigma=s),
                                    pert_q0=0.0 if math.isinf(p1) else 0.5 * s ** p1,
                                    pert_qt0=0.0 if math.isinf(p2) else 0.5 * s ** p2)
@@ -423,13 +428,12 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
                 Qpar, res.state.Q_field(res.mesh), forms))
             for (p1, p2, s), res in zip(keys, results[1:])]
 
-    slopes = {}
+    xs = np.log(np.array(sigma_list))
+    slopes = {}  # None where an error is zero, which has no logarithm
     for p1, p2 in pairs:
-        pts = [(row.sigma, row.h1_error) for row in rows
-               if row.p1 == p1 and row.p2 == p2]
-        xs = np.log(np.array([p[0] for p in pts]))
-        ys = np.log(np.array([p[1] for p in pts]))
-        slopes[(p1, p2)] = float(np.polyfit(xs, ys, 1)[0])
+        errors = np.array([row.h1_error for row in rows if (row.p1, row.p2) == (p1, p2)])
+        slopes[(p1, p2)] = (float(np.polyfit(xs, np.log(errors), 1)[0])
+                            if errors.min() > 0.0 else None)
 
     return StudyResult(rows=rows,
                        max_energy_increase=max(r.max_energy_increase for r in results),

@@ -47,31 +47,31 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def identity_run():
-    cfg = ExperimentConfig(kind="run", nx=16, ny=16, T=0.1, dt=1e-3)
+    cfg = ExperimentConfig(nx=16, ny=16, T=0.1, dt=1e-3)
     return run_single(cfg)
 
 
 @pytest.fixture(scope="module")
 def equilibrium_run():
-    cfg = ExperimentConfig(kind="run", nx=16, ny=16, T=1.0, dt=1e-3,
+    cfg = ExperimentConfig(nx=16, ny=16, T=1.0, dt=1e-3,
                            initial="zero")
     return run_single(cfg)
 
 
 @pytest.fixture(scope="module")
 def time_study():
-    return time_refinement_study(ExperimentConfig(kind="time"))
+    return time_refinement_study(ExperimentConfig())
 
 
 @pytest.fixture(scope="module")
 def space_study():
-    return space_refinement_study(ExperimentConfig(kind="space"))
+    return space_refinement_study(ExperimentConfig())
 
 
 @pytest.fixture(scope="module")
 def sigma_sweep():
     # dt relaxed from 1e-5 to 1e-4 for suite runtime; slope targets unchanged
-    return sigma_study(ExperimentConfig(kind="sigma", dt=1e-4))
+    return sigma_study(ExperimentConfig(dt=1e-4))
 
 
 # ---------------------------------------------------------------------------

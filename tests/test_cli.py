@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 import os
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -120,6 +121,8 @@ class TestDispatchRun:
 
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["version"]
+        assert manifest["subcommand"] == "run"
+        assert "kind" not in manifest["config"]
         assert "energy_trace.csv" in manifest["files"]
         assert manifest["config"]["initial"] == "zero"
 
@@ -179,6 +182,20 @@ class TestDispatchStudies:
             dispatch("run", cfg, out)
         assert not os.path.exists(os.path.join(out, "energy_trace.csv"))
 
+    def test_failed_study_creates_no_directory(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "fail")
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3, initial="zero")
+
+        import qtflow.cli as cli_mod
+
+        def boom(config):
+            raise RuntimeError("synthetic solver failure")
+
+        monkeypatch.setattr(cli_mod, "run_single", boom)
+        with pytest.raises(RuntimeError):
+            dispatch("run", cfg, out)
+        assert not os.path.exists(out)
+
 
 class TestMain:
     def test_run_exit_zero(self, tmp_path):
@@ -194,6 +211,70 @@ initial = zero
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfgpath, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "energy_trace.csv"))
+
+    #: Malformed configs that once ended in exit 2, in exit 0 with an empty
+    #: CSV, or in a misleading message, and the key each must name.
+    MALFORMED = [
+        ("time-refine", "[experiment]\ndt_list = 0.0\n", "experiment.dt_list"),
+        ("space-refine", "[experiment]\nh_list = 0.5, 0.0\n", "experiment.h_list"),
+        ("sigma-study", "[experiment]\nsigma_list =\n", "experiment.sigma_list"),
+        ("run", "[mesh]\nnx = 3\nny = 4\n", "mesh.ny"),
+        ("run", "[mesh]\nx1 = 0.0\n", "mesh.x1"),
+        ("sigma-study", "[experiment]\np1_list =\n", "experiment.p1_list"),
+        ("time-refine", "[experiment]\nreference_dt = -1e-3\n",
+         "experiment.reference_dt"),
+        ("run", "[experiment]\nkind = time\nT = 3e-4\ndt = 1e-4\n", "experiment.kind"),
+    ]
+
+    @pytest.mark.parametrize("subcommand,text,key", MALFORMED,
+                             ids=[key for _, _, key in MALFORMED])
+    def test_malformed_config_exit_one_before_any_output(self, tmp_path, capsys,
+                                                         subcommand, text, key):
+        cfgpath = write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfgpath, "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_ignores_the_time_study_default_step(self, tmp_path):
+        """The default reference_dt, 6.25e-5, does not divide T = 3e-4; a run
+        never reads it."""
+        cfgpath = write(tmp_path, "[mesh]\nnx = 4\n[experiment]\nT = 3e-4\ndt = 1e-4\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfgpath, "--out", str(out)]) == 0
+        assert len((out / "energy_trace.csv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("subcommand,text,csv", [
+        ("space-refine", "h_list = 0.5, 0.25\nreference_level = 3\n",
+         "space_refinement.csv"),
+        ("time-refine", "dt_list = 2e-4, 1e-4\nreference_dt = 5e-5\n",
+         "time_refinement.csv"),
+    ])
+    def test_zero_errors_leave_orders_empty(self, tmp_path, capsys, subcommand,
+                                            text, csv):
+        cfgpath = write(tmp_path, "[mesh]\nnx = 4\n[experiment]\ninitial = zero\n"
+                        "T = 1e-3\ndt = 1e-4\n" + text)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfgpath, "--out", str(out)]) == 0
+        # zero data stay zero, so the Q errors vanish (error_r of the space
+        # study measures the coarse boundary ramp of r, which does not)
+        rows = (out / csv).read_text().splitlines()[1:]
+        assert [row.split(",")[1:5] for row in rows] == [["0", "", "0", ""]] * 2
+        console = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[1:5] for line in console] == [["0", "-", "0", "-"]] * 2
+
+    def test_zero_errors_leave_the_slope_empty(self, tmp_path, capsys):
+        cfgpath = write(tmp_path, "[mesh]\nnx = 4\n[experiment]\ninitial = zero\n"
+                        "T = 1e-3\ndt = 1e-4\nsigma_list = 1e-3, 1e-1\n"
+                        "p1_list = 1, inf\np2_list = inf\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sigma-study", "--config", cfgpath, "--out", str(out)]) == 0
+        slopes = [row for row in (out / "sigma_study.csv").read_text().splitlines()
+                  if row.startswith("slope,")]
+        assert slopes[0].split(",")[3] != "" and slopes[1] == "slope,inf,inf,"
+        assert "case p1=inf p2=inf: fitted slope -" in capsys.readouterr().out
 
     def test_validation_error_exit_one(self, tmp_path):
         cfgpath = write(tmp_path, "[experiment]\nT = 0.1\ndt = 3e-4\n")

@@ -39,8 +39,6 @@ class TestConfigValidation:
 
     def test_bad_fields(self):
         with pytest.raises(ConfigError):
-            validate_config(ExperimentConfig(kind="bogus"))
-        with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(initial="garbage"))
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(T=-1.0))
@@ -77,7 +75,7 @@ class TestConfigValidation:
         ("experiment.dt", ExperimentConfig(T=0.01, dt=3e-4)),
         ("experiment.dt_list", ExperimentConfig(T=0.01, dt_list=(1e-3, 3e-4))),
         ("experiment.reference_dt",
-         ExperimentConfig(kind="time", T=0.01, dt_list=(1e-3,), reference_dt=3e-4)),
+         ExperimentConfig(T=0.01, dt_list=(1e-3,), reference_dt=3e-4)),
     ], ids=["dt", "dt_list", "reference_dt"])
     def test_step_count_errors_name_the_key(self, key, config):
         with pytest.raises(ConfigError, match="^%s: T/dt = " % key):
@@ -96,15 +94,29 @@ class TestConfigValidation:
             run_single(ExperimentConfig(**{field: value}))
 
 
+@pytest.mark.parametrize("study", [run_single, time_refinement_study, sigma_study])
+@pytest.mark.parametrize("cells", [dict(nx=3, ny=4), dict(ny=8), dict(nx=8, y1=1.0)])
+def test_non_square_cells_name_mesh_ny(study, cells):
+    """ny defaults to nx and nx to the study's count; either way the cells
+    must be square before anything runs."""
+    with pytest.raises(ConfigError, match="^mesh.ny: cells must be square"):
+        study(ExperimentConfig(T=0.02, dt=1e-3, **cells))
+
+
 class TestRunSingle:
-    def test_ignores_a_stale_kind(self):
-        """A run never reads reference_dt, whatever kind the config names."""
-        res = run_single(ExperimentConfig(kind="time", nx=4, T=0.01, dt=1e-3,
-                                          reference_dt=3e-4))
-        assert res.state.n == 10
+    def test_rejects_a_given_reference_dt_that_breaks_T(self):
+        """Every given step is checked, as a given dt_list already is."""
+        with pytest.raises(ConfigError, match="^experiment.reference_dt: T/dt = "):
+            run_single(ExperimentConfig(nx=4, T=0.01, dt=1e-3, reference_dt=3e-4))
+
+    def test_runs_where_the_time_study_default_breaks_T(self):
+        """A run reads no reference_dt, so the time study's default 6.25e-5,
+        which does not divide T = 3e-4, is not checked."""
+        res = run_single(ExperimentConfig(nx=4, T=3e-4, dt=1e-4))
+        assert res.state.n == 3
 
     def test_zero_data_constant_energy(self):
-        cfg = ExperimentConfig(kind="run", nx=8, ny=8, T=0.01, dt=1e-3,
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3,
                                initial="zero")
         res = run_single(cfg)
         totals = [rec.total for rec in res.trace]
@@ -114,7 +126,7 @@ class TestRunSingle:
         assert np.all(res.state.Q_field(res.mesh) == 0.0)
 
     def test_energy_strictly_nonincreasing(self):
-        cfg = ExperimentConfig(kind="run", nx=8, ny=8, T=0.01, dt=1e-3)
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3)
         res = run_single(cfg)
         totals = [rec.total for rec in res.trace]
         assert len(totals) == 10  # sigma > 0: states n = 1..N
@@ -122,7 +134,7 @@ class TestRunSingle:
         assert res.max_energy_increase <= 0.0
 
     def test_deterministic_reruns(self):
-        cfg = ExperimentConfig(kind="run", nx=6, ny=6, T=0.01, dt=1e-3)
+        cfg = ExperimentConfig(nx=6, ny=6, T=0.01, dt=1e-3)
         r1 = run_single(cfg)
         r2 = run_single(cfg)
         for name in ("Q_field", "r_field"):
@@ -131,7 +143,7 @@ class TestRunSingle:
         assert [rec.total for rec in r1.trace] == [rec.total for rec in r2.trace]
 
     def test_parabolic_run_counts_steps(self):
-        cfg = ExperimentConfig(kind="run", nx=6, ny=6, T=0.01, dt=1e-3,
+        cfg = ExperimentConfig(nx=6, ny=6, T=0.01, dt=1e-3,
                                params=replace(DEFAULT_PARAMS, sigma=0.0))
         res = run_single(cfg)
         assert res.state.n == 10
@@ -156,11 +168,11 @@ def norm_form_calls(monkeypatch):
 
 @pytest.mark.parametrize("study, cfg", [
     (space_refinement_study, ExperimentConfig(
-        kind="space", T=0.01, dt=1e-3, h_list=(1.0, 0.5, 0.25), reference_level=3)),
+        T=0.01, dt=1e-3, h_list=(1.0, 0.5, 0.25), reference_level=3)),
     (time_refinement_study, ExperimentConfig(
-        kind="time", nx=8, ny=8, T=0.02, dt_list=(4e-3, 2e-3), reference_dt=5e-4)),
+        nx=8, ny=8, T=0.02, dt_list=(4e-3, 2e-3), reference_dt=5e-4)),
     (sigma_study, ExperimentConfig(
-        kind="sigma", nx=6, ny=6, T=0.01, dt=1e-3, sigma_list=(1e-3, 1e-1))),
+        nx=6, ny=6, T=0.01, dt=1e-3, sigma_list=(1e-3, 1e-1))),
 ], ids=["space", "time", "sigma"])
 def test_study_builds_norm_forms_once(study, cfg, norm_form_calls):
     study(cfg)
@@ -169,7 +181,7 @@ def test_study_builds_norm_forms_once(study, cfg, norm_form_calls):
 
 class TestSpaceStudy:
     def test_smoke_structure_and_nesting(self):
-        cfg = ExperimentConfig(kind="space", T=0.01, dt=1e-3,
+        cfg = ExperimentConfig(T=0.01, dt=1e-3,
                                h_list=(1.0, 0.5), reference_level=3)
         res = space_refinement_study(cfg)
         assert [row.level for row in res.rows] == [1.0, 0.5]
@@ -182,16 +194,22 @@ class TestSpaceStudy:
     def test_rejects_degenerate_or_broken_chains(self):
         with pytest.raises(ConfigError):
             space_refinement_study(ExperimentConfig(
-                kind="space", T=0.01, dt=1e-3, h_list=(0.5, 0.2),
+                T=0.01, dt=1e-3, h_list=(0.5, 0.2),
                 reference_level=3))
         with pytest.raises(ConfigError):
             # chain reaching the reference level is degenerate
             space_refinement_study(ExperimentConfig(
-                kind="space", T=0.01, dt=1e-3, h_list=(0.25, 0.125),
+                T=0.01, dt=1e-3, h_list=(0.25, 0.125),
                 reference_level=3))
 
+    def test_rejects_a_chain_that_does_not_nest_in_the_reference(self):
+        # 0.2 is 6.4 times the reference mesh size 2^-5, so the meshes do not nest
+        with pytest.raises(ConfigError, match="^experiment.h_list must end at"):
+            space_refinement_study(ExperimentConfig(
+                T=0.01, dt=1e-3, h_list=(0.4, 0.2), reference_level=5))
+
     def test_threaded_matches_serial(self):
-        cfg = ExperimentConfig(kind="space", T=0.01, dt=1e-3,
+        cfg = ExperimentConfig(T=0.01, dt=1e-3,
                                h_list=(1.0, 0.5), reference_level=3)
         serial = space_refinement_study(cfg)
         threaded = space_refinement_study(replace(cfg, threads=2))
@@ -203,7 +221,7 @@ class TestSpaceStudy:
 
 class TestTimeStudy:
     def test_smoke_orders_positive(self):
-        cfg = ExperimentConfig(kind="time", nx=8, ny=8, T=0.02,
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.02,
                                dt_list=(4e-3, 2e-3), reference_dt=5e-4)
         res = time_refinement_study(cfg)
         assert [row.level for row in res.rows] == [4e-3, 2e-3]
@@ -213,18 +231,18 @@ class TestTimeStudy:
     def test_rejects_chain_reaching_reference(self):
         with pytest.raises(ConfigError):
             time_refinement_study(ExperimentConfig(
-                kind="time", nx=8, ny=8, T=0.02,
+                nx=8, ny=8, T=0.02,
                 dt_list=(2e-3, 1e-3), reference_dt=1e-3))
 
 
 class TestSigmaStudy:
     def test_requires_positive_and_wide_sweep(self):
         with pytest.raises(ConfigError):
-            sigma_study(ExperimentConfig(kind="sigma", nx=6, ny=6, T=0.01,
+            sigma_study(ExperimentConfig(nx=6, ny=6, T=0.01,
                                          dt=1e-3, sigma_list=(1e-2, 2e-2)))
 
     def test_error_nondecreasing_in_sigma(self):
-        cfg = ExperimentConfig(kind="sigma", nx=8, ny=8, T=0.02, dt=5e-4,
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.02, dt=5e-4,
                                sigma_list=(1e-3, 1e-2, 1e-1),
                                p1_list=(math.inf,), p2_list=(math.inf,))
         res = sigma_study(cfg)
@@ -234,7 +252,7 @@ class TestSigmaStudy:
         assert res.max_energy_increase <= 0.0
 
     def test_error_nondecreasing_for_every_case(self):
-        cfg = ExperimentConfig(kind="sigma", nx=8, ny=8, T=0.02, dt=5e-4,
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.02, dt=5e-4,
                                sigma_list=(1e-3, 1e-2, 1e-1))
         res = sigma_study(cfg)
         for p1 in cfg.p1_list:
@@ -244,7 +262,7 @@ class TestSigmaStudy:
                 assert errs == sorted(errs), (p1, p2, errs)
 
     def test_rows_ordered_by_case_then_sigma(self):
-        cfg = ExperimentConfig(kind="sigma", nx=6, ny=6, T=0.02, dt=1e-3,
+        cfg = ExperimentConfig(nx=6, ny=6, T=0.02, dt=1e-3,
                                sigma_list=(1e-3, 1e-1),
                                p1_list=(1.0, math.inf), p2_list=(math.inf,))
         res = sigma_study(cfg)
@@ -266,7 +284,7 @@ class TestSigmaStudy:
             return solve(op, *args, **kwargs)
 
         monkeypatch.setattr(stepper, "cg_solve", failing_cg_solve)
-        cfg = ExperimentConfig(kind="sigma", nx=6, ny=6, T=0.01, dt=dt,
+        cfg = ExperimentConfig(nx=6, ny=6, T=0.01, dt=dt,
                                sigma_list=(1e-3, failing_sigma),
                                p1_list=(0.5,), p2_list=(math.inf,), threads=1)
         with pytest.raises(ConvergenceError) as info:
@@ -283,7 +301,7 @@ class TestSigmaStudy:
 
     def test_perturbation_applied_interior_only(self):
         # with a perturbed start, boundary DOFs of the hyperbolic run stay 0
-        cfg = ExperimentConfig(kind="sigma", nx=6, ny=6, T=0.01, dt=1e-3,
+        cfg = ExperimentConfig(nx=6, ny=6, T=0.01, dt=1e-3,
                                sigma_list=(1e-3, 1e-1),
                                p1_list=(0.5,), p2_list=(0.5,))
         res = sigma_study(cfg)

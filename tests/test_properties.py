@@ -5,14 +5,21 @@ Examples are derandomized, so every run draws the same cases.
 
 import math
 import os
+import re
 import tempfile
+from dataclasses import fields
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtflow.cli import parse_config
-from qtflow.experiments import INITIAL_PROFILES, KINDS, ExperimentConfig
+from qtflow.experiments import (
+    INITIAL_PROFILES,
+    ConfigError,
+    ExperimentConfig,
+    validate_config,
+)
 from qtflow.model import Params, aux_P, aux_r, bulk_derivative_f, bulk_potential
 
 import oracles
@@ -30,7 +37,8 @@ def optional(strategy):
 
 @st.composite
 def valid_configs(draw):
-    """Configs that validate_config accepts: every time step divides T."""
+    """Configs that validate_config accepts: the extents are ordered and
+    every time step divides T."""
     dt = draw(finite(1e-6, 1e-1))
     T = draw(st.integers(1, 1000)) * dt
 
@@ -45,16 +53,19 @@ def valid_configs(draw):
                     L3=draw(finite(0.0, 1.0)), a=draw(finite()), b=draw(finite()),
                     c=draw(finite(1e-6, 1e3)), A0=draw(finite(1e-6, 1e6)),
                     sigma=draw(finite(0.0, 10.0)))
+    def extents():
+        return st.lists(finite(), min_size=2, max_size=2, unique=True).map(sorted)
+
+    (x0, x1), (y0, y1) = draw(extents()), draw(extents())
     return ExperimentConfig(
-        kind=draw(st.sampled_from(KINDS)),
-        x0=draw(finite()), x1=draw(finite()), y0=draw(finite()), y1=draw(finite()),
+        x0=x0, x1=x1, y0=y0, y1=y1,
         nx=draw(optional(st.integers(2, 512))), ny=draw(optional(st.integers(2, 512))),
         T=T, dt=draw(optional(st.just(dt))), params=params,
         initial=draw(st.sampled_from(INITIAL_PROFILES)),
         h_list=draw(optional(number_list(finite(1e-4, 10.0)))),
         reference_level=draw(st.integers(1, 12)),
         dt_list=draw(optional(number_list(divisor_of_T()))),
-        reference_dt=draw(divisor_of_T()),
+        reference_dt=draw(optional(divisor_of_T())),
         sigma_list=draw(optional(number_list(finite(1e-6, 10.0)))),
         p1_list=draw(number_list(exponent)), p2_list=draw(number_list(exponent)),
         out_dir=draw(optional(st.text("abcxyz0123456789_-./", min_size=1, max_size=12))),
@@ -93,6 +104,50 @@ def test_config_round_trips_through_ini(cfg):
         with open(path, "w") as handle:
             handle.write(ini_text(cfg))
         assert parse_config(path) == cfg
+
+
+#: Any number of every sign, zero, nan and the infinities.
+ANY_FLOAT = st.sampled_from((0.0, -1.0, math.nan, math.inf)) | st.floats()
+ANY_NUMBER = {
+    "float": ANY_FLOAT,
+    "int": st.integers(),
+    "tuple": st.lists(ANY_FLOAT, max_size=3).map(tuple),  # empty ones too
+}
+
+
+def any_value(f):
+    """Any value of a numeric field; None too, where the field allows it."""
+    strategy = ANY_NUMBER[f.type.split(" | ")[0]]
+    return optional(strategy) if f.type.endswith(" | None") else strategy
+
+
+#: Any value of each numeric ExperimentConfig field, and any params that
+#: Params itself accepts.
+ANY_FIELD = {f.name: any_value(f) for f in fields(ExperimentConfig)
+             if f.type.split(" | ")[0] in ANY_NUMBER}
+POSITIVE = st.floats(min_value=0.0, exclude_min=True) | st.just(math.nan)
+NONNEGATIVE = st.floats(min_value=0.0) | st.just(math.nan)
+ANY_FIELD["params"] = st.builds(
+    Params, L1=POSITIVE, L2=NONNEGATIVE, L3=NONNEGATIVE, a=st.floats(),
+    b=st.floats(), c=POSITIVE, A0=POSITIVE, sigma=NONNEGATIVE)
+
+
+@st.composite
+def any_configs(draw):
+    """The default config with one or two fields set to any value."""
+    names = draw(st.lists(st.sampled_from(sorted(ANY_FIELD)), min_size=1, max_size=2))
+    return ExperimentConfig(**{name: draw(ANY_FIELD[name]) for name in names})
+
+
+@settings(PROPERTY, max_examples=300)
+@given(any_configs())
+@example(ExperimentConfig(dt_list=(0.0,)))  # a zero step must not divide T by zero
+@example(ExperimentConfig(T=1e300, dt=1e-10))  # nor T/dt overflow into round()
+def test_validate_config_raises_only_config_errors_naming_a_key(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        assert re.match(r"(mesh|params|experiment)\.\w+", str(exc)), str(exc)
 
 
 tensor_fields = st.lists(st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0)),
