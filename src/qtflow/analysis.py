@@ -52,10 +52,10 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
             raise ValueError("state has no previous level but sigma > 0")
         kinetic = 0.5 * p.sigma * rate_sq
 
-    elastic = p.L1 * float(state.q @ state.Kq)
-    divpart = 0.0
-    if state.Dq is not None:
-        divpart = 0.5 * (p.L2 + p.L3) * float(state.q @ state.Dq)
+    # the divergence form is K (assembly.assemble_div_form): q.Kq is q.Dq
+    qKq = float(state.q @ state.Kq)
+    elastic = p.L1 * qKq
+    divpart = 0.5 * (p.L2 + p.L3) * qKq
     # a sum over the full nodal field: split into interior and boundary
     # parts it would round differently
     r = state.r_field(mesh)

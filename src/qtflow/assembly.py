@@ -11,17 +11,24 @@ cell is a translate of the first one, so the first cell's two triangles
 give every entry: the entry of node z at lattice offset o (one of (0, 0),
 (+-1, 0), (0, +-1), +-(1, 1)) sums, in triangle and then local order, the
 contributions of the triangles that hold z and z + o.  At an interior node
-all of them are present, so the interior forms (stiffness, divergence form)
-apply one 2x2 block per offset, dropping offsets that land on the boundary;
-the all-node forms of the error norms add each contribution over the lattice
-slice of nodes whose cell holds it.  Zero sums are not stored.
+all of them are present, so the interior stiffness applies one scalar
+value per offset to each component, dropping offsets that land on the
+boundary; the all-node forms of the error norms add each contribution over
+the lattice slice of nodes whose cell holds it.  Zero sums are not stored.
+
+The divergence form is the interior stiffness.  For a reduced field the
+tensor divergence is (dx q1 + dy q2, dx q2 - dy q1), so |div Q|^2 is
+|grad q1|^2 + |grad q2|^2 plus the cross terms 2 (dx q1 dy q2 - dy q1
+dx q2), a null Lagrangian: it integrates to zero for fields that vanish on
+the boundary, and in the lattice sums its two contributions on each
+interior edge are the same number with opposite signs.
 
 With exact binary node coordinates (a dyadic cell size and origin) every
-cell's element matrices equal the first cell's bit for bit; stiffness and
-divergence contributions are 0, +-1/2 and +-1, exact in any order, and a
-mass entry sums equal contributions, so the lattice forms equal the element
-assembly exactly.  Elsewhere the cells differ by the roundoff of their
-coordinates, and so do the two assemblies.
+cell's element matrices equal the first cell's bit for bit; stiffness
+contributions are 0, +-1/2 and +-1, exact in any order, and a mass entry
+sums equal contributions, so the lattice forms equal the element assembly
+exactly.  Elsewhere the cells differ by the roundoff of their coordinates,
+and so do the two assemblies.
 """
 
 from __future__ import annotations
@@ -107,26 +114,24 @@ def consistent_mass(mesh: StructuredMesh) -> sparse.csr_matrix:
                       area / 12.0 * (2.0 if i == j else 1.0))
 
 
-def _stencil_matrix(mesh: StructuredMesh, element_block) -> sparse.csr_matrix:
-    """Interleaved interior matrix applying the same stencil blocks at every
-    interior node; element_block(area, grads, i, j) is the 2x2 contribution
-    of basis pair (i, j) of a triangle.  Offsets that land on the boundary
-    and block entries that are exactly zero are not stored."""
-    blocks = {}
-    for offset, _, block in _cell_contributions(mesh, element_block):
-        blocks[offset] = blocks.get(offset, 0.0) + block
-    # one template entry per stored (offset, column component) of each row
-    # component, in column order: offsets sorted by (dj, di), then component
-    templates = [[(*off, c2, blocks[off][c, c2])
-                  for off in sorted(blocks) for c2 in range(2)
-                  if blocks[off][c, c2] != 0.0]
-                 for c in range(2)]
-    table = np.array(templates[0] + templates[1])
+def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
+    """Interior Dirichlet stiffness acting on interleaved (q1, q2) vectors:
+    the scalar stencil applied to each component at every interior node,
+    with no coupling.  Offsets that land on the boundary and offsets whose
+    sum is exactly zero are not stored."""
+    sums = {}
+    for offset, _, value in _cell_contributions(mesh, _grad_dot):
+        sums[offset] = sums.get(offset, 0.0) + value
+    # one template (dj, di, component, value) per row component and stored
+    # offset, with the column at the row's own component: in column order,
+    # offsets sorted by (dj, di)
+    table = np.array([(*off, c, value) for c in range(2)
+                      for off, value in sorted(sums.items()) if value != 0.0])
     dj, di, comp = table[:, :3].astype(np.int32).T
 
     # lattice coordinates of each template's column node, per interior
-    # column i and row j; an entry is stored where both are interior, so a
-    # row's count sums in_j * in_i over its component's templates
+    # column i and row j; an entry is stored where both are interior, so
+    # both rows of a node count in_j * in_i summed over the offsets
     ni, nj = mesh.nx - 1, mesh.ny - 1
     i = np.arange(ni, dtype=np.int32)[:, None] + di
     j = np.arange(nj, dtype=np.int32)[:, None] + dj
@@ -134,39 +139,17 @@ def _stencil_matrix(mesh: StructuredMesh, element_block) -> sparse.csr_matrix:
     in_j = (j >= 0) & (j < nj)
     inside = in_j[:, None] & in_i                   # (nj, ni, templates)
     cols = (2 * ni * j)[:, None] + (2 * i + comp)
-    split = len(templates[0])
-    counts = np.stack([in_j[:, g].astype(np.int32) @ in_i[:, g].T.astype(np.int32)
-                       for g in (slice(None, split), slice(split, None))], axis=2)
+    half = len(table) // 2
+    counts = in_j[:, :half].astype(np.int32) @ in_i[:, :half].T.astype(np.int32)
     data = np.broadcast_to(table[:, 3], inside.shape)[inside]
-    return _csr(counts.ravel(), data, cols[inside])
-
-
-def _stiffness_block(area, grads, i, j):
-    return _grad_dot(area, grads, i, j) * np.eye(2)
-
-
-def _div_block(area, grads, i, j):
-    same = _grad_dot(area, grads, i, j)
-    cross = area * (grads[i, 0] * grads[j, 1] - grads[i, 1] * grads[j, 0])
-    return np.array([[same, cross], [-cross, same]])
-
-
-def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
-    """Interior Dirichlet stiffness acting on interleaved (q1, q2) vectors.
-
-    Each component sees the plain scalar stiffness; there is no coupling.
-    """
-    return _stencil_matrix(mesh, _stiffness_block)
+    return _csr(np.repeat(counts, 2), data, cols[inside])
 
 
 def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:
-    """Divergence form over interior interleaved DOFs.
-
-    For a reduced field the tensor divergence is
-    (dx q1 + dy q2, dx q2 - dy q1); the form x' D y integrates the dot
-    product of the two divergence vectors and so couples q1 with q2.
-    """
-    return _stencil_matrix(mesh, _div_block)
+    """Divergence form over interior interleaved DOFs, x' D y the integral
+    of div X . div Y.  Its cross terms cancel on the interior (see the
+    module docstring), so it is the interior stiffness, entry for entry."""
+    return assemble_stiffness(mesh)
 
 
 def lumped_mass(mesh: StructuredMesh) -> np.ndarray:

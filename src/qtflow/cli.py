@@ -71,9 +71,11 @@ def parse_config(path: str | None) -> ExperimentConfig:
     cp = configparser.ConfigParser(default_section="")
     cp.optionxform = str
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError("config file %s does not exist" % path)
-        cp.read(path)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                cp.read_file(handle)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError("cannot read config file %s: %s" % (path, exc))
 
     given = {section: {} for section in _SECTIONS}
     for section in cp.sections():

@@ -252,6 +252,7 @@ def _cells(cfg: ExperimentConfig, nx: int) -> tuple:
     ny to nx."""
     nx = nx if cfg.nx is None else cfg.nx
     ny = nx if cfg.ny is None else cfg.ny
+    nx, ny = _whole_cells(nx, ny, "mesh.nx, mesh.ny")
     hx, hy = (cfg.x1 - cfg.x0) / nx, (cfg.y1 - cfg.y0) / ny
     if abs(hx - hy) > 1e-12 * max(hx, hy):
         raise ConfigError("mesh.ny: cells must be square, got %g x %g" % (hx, hy))
@@ -289,13 +290,18 @@ def _check_halving_chain(values, key):
             raise ConfigError("%s is not a halving chain: %r" % (key, values))
 
 
-def _cells_for_h(width, h):
-    n = width / h
-    k = round(n)
-    if k < 2 or abs(n - k) > 1e-9:
-        raise ConfigError("experiment.h_list: mesh size h=%r does not divide "
-                          "the domain into at least 2 cells per axis" % h)
-    return k
+def _whole_cells(nx, ny, key: str) -> tuple:
+    """The integer counts of the nx x ny cells (inf too) that key sizes, if
+    the interior stiffness fits int32 indices: two rows per interior node, of
+    five entries (the diagonal offsets cancel) less those past the boundary."""
+    ni, nj = nx - 1, ny - 1
+    if not 2 * (5 * ni * nj - 2 * ni - 2 * nj) < 2 ** 31:  # nan from inf too
+        raise ConfigError("%s: %g x %g cells outgrow int32 indices" % (key, nx, ny))
+    cells = round(nx), round(ny)
+    if min(cells) < 2 or max(abs(nx - cells[0]), abs(ny - cells[1])) > 1e-9:
+        raise ConfigError("%s: %r x %r cells are not at least 2 whole cells "
+                          "per axis" % (key, nx, ny))
+    return cells
 
 
 def _orders(errors):
@@ -343,16 +349,20 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     h_list = tuple(cfg.h_list)
     _check_halving_chain(h_list, "experiment.h_list")
 
-    width = cfg.x1 - cfg.x0
-    height = cfg.y1 - cfg.y0
-    h_ref = 2.0 ** (-cfg.reference_level)
-    m = h_list[-1] / h_ref  # the reference mesh refines the finest m times
+    width, height, level = cfg.x1 - cfg.x0, cfg.y1 - cfg.y0, cfg.reference_level
+    cases = [Case.of(cfg, *_whole_cells(width / h, height / h, "experiment.h_list"))
+             for h in h_list]
+    # the reference mesh, first, has extent 2^level cells per axis, formed
+    # without 2^-level, which is 0 from level 1075 up
+    try:
+        n_ref = math.ldexp(width, level), math.ldexp(height, level)
+    except OverflowError:
+        n_ref = math.inf, math.inf
+    cases.insert(0, Case.of(cfg, *_whole_cells(*n_ref, "experiment.reference_level")))
+    m = math.ldexp(h_list[-1], level)  # the reference mesh refines the finest m times
     if m < 1.5 or abs(m - round(m)) > 1e-9 * m:
         raise ConfigError("experiment.h_list must end at an integer multiple >= 2 "
                           "of the reference mesh size 2^-reference_level, got %r" % m)
-    cases = [Case.of(cfg, _cells_for_h(width, h), _cells_for_h(height, h))
-             for h in h_list + (h_ref,)]
-    cases.insert(0, cases.pop())  # reference first; sized last, so a bad h is named
 
     def compare(res, ref, forms):
         inj = nested_injection(res.mesh, ref.mesh)
@@ -411,6 +421,10 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
         raise ConfigError("experiment.sigma_list must span at least 1.5 decades, "
                           "got %.2f" % span)
 
+    for key in ("p1_list", "p2_list"):  # a pair's .dat file name prints them by %g
+        values = getattr(cfg, key)
+        if len({"%g" % p for p in values}) < len(values):
+            raise ConfigError("experiment.%s: %r prints two alike" % (key, values))
     pairs = list(product(cfg.p1_list, cfg.p2_list))
     keys = [(p1, p2, s) for p1, p2 in pairs for s in sigma_list]
     parabolic = replace(Case.of(cfg, *_cells(cfg, 16)),

@@ -6,7 +6,7 @@ the per-node rank-one term coming from the energy quadratization changes
 every step and is applied from its node vectors without assembling a
 matrix.  CG starts from the step's own start value and residual, and its
 one loop confirms every exit on the true residual, formed from the
-separate products K x and D x, which then serve the next step.
+separate products K x and L x, which then serve the next step.
 """
 
 from __future__ import annotations
@@ -90,21 +90,18 @@ class StepOperator:
         return y
 
     def products(self, x: np.ndarray):
-        """(K x, D x, L x) with L x = c_k K x + c_d D x; D x is None
-        without D."""
+        """(K x, L x) with L x = c_k K x + c_d D x, its D term only with D."""
         Kx = self.K @ x
         Lx = self.ck * Kx
-        Dx = None
         if self.D is not None:
-            Dx = self.D @ x
-            Lx += self.cd * Dx
-        return Kx, Dx, Lx
+            Lx += self.cd * (self.D @ x)
+        return Kx, Lx
 
     def residual(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """rhs - A x from the separate products of x rather than the
-        assembled part; keeps them as .Kx, .Dx and .Lx, the products of
-        the solution that a step hands on."""
-        self.Kx, self.Dx, self.Lx = self.products(x)
+        assembled part; keeps them as .Kx and .Lx, the products of the
+        solution that a step hands on."""
+        self.Kx, self.Lx = self.products(x)
         y = self.cm * (self.w * x)
         y += self.Lx
         self.spread(self.project(x), y)

@@ -44,7 +44,6 @@ class SimState:
     dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
     r: np.ndarray              # r^n at interior nodes
     Kq: np.ndarray             # K q
-    Dq: np.ndarray | None      # D q; None when the divergence term is off
     Lq: np.ndarray             # L1 K q + (L2 + L3)/2 D q
     r0: np.ndarray             # (N,) the run's nodal r^0, read on the boundary
     n: int
@@ -96,8 +95,8 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
         dq = q - q0
         r = r + 2.0 * (P0[0] * dq[0::2] + P0[1] * dq[1::2])
         n = 1
-    Kq, Dq, Lq = op.products(q)
-    return SimState(q=q, dq=dq, r=r, Kq=Kq, Dq=Dq, Lq=Lq, r0=r0, n=n, t=n * dt)
+    Kq, Lq = op.products(q)
+    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=r0, n=n, t=n * dt)
 
 
 def build_default_Qt0(mesh: StructuredMesh, p: Params,
@@ -175,5 +174,4 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     if not np.all(np.isfinite(r)):
         raise _step_failure(n, t, "non-finite values in r update")
     # cg_solve confirmed x last, so op holds the products of x
-    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, Dq=op.Dx, Lq=op.Lx,
-                    r0=state.r0, n=n, t=t)
+    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, Lq=op.Lx, r0=state.r0, n=n, t=t)

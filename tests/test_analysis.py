@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from qtflow.analysis import (
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.mesh import build_mesh, nested_injection
 from qtflow.model import Params
-from qtflow.stepper import SimState
+from qtflow.stepper import SimState, step
 
 import oracles
-from states import start
+from states import default_start, start
 
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 
@@ -46,16 +48,32 @@ class TestDiscreteEnergy:
         pdiv = Params(L1=0.001, L2=0.0005, L3=0.0005, a=-0.2, b=1, c=1,
                       A0=500.0, sigma=0.025)
         q = mesh.gather_interior(Q)
-        Kq, Dq = K @ q, D @ q
+        Kq = K @ q
         state = SimState(q=q, dq=q - mesh.gather_interior(Qp),
-                         r=mesh.gather_interior(r), Kq=Kq, Dq=Dq,
-                         Lq=pdiv.L1 * Kq + 0.5 * (pdiv.L2 + pdiv.L3) * Dq,
+                         r=mesh.gather_interior(r), Kq=Kq,
+                         Lq=pdiv.L1 * Kq + 0.5 * (pdiv.L2 + pdiv.L3) * (D @ q),
                          r0=r, n=1, t=1e-3)
         rec = discrete_energy(state, pdiv, 1e-3, mesh, w)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):
             assert part >= 0.0
         assert rec.total == pytest.approx(
             rec.kinetic + rec.elastic + rec.divpart + rec.rpart, rel=1e-14)
+
+    def test_divpart_is_the_divergence_energy(self):
+        """E_div, formed through K, against the element quadrature of
+        |div Q|^2, cross terms included, three steps into an anisotropic
+        run."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        p = replace(P6, L2=5e-4, L3=5e-4)
+        dt = 1e-3
+        state, op = default_start(mesh, p, dt)
+        for _ in range(3):
+            state = step(state, p, dt, op)
+        Q = state.Q_field(mesh)
+        ref = 0.5 * (p.L2 + p.L3) * oracles.div_form_quadrature(mesh, Q, Q)
+        assert ref > 0.0
+        assert discrete_energy(state, p, dt, mesh, op.w).divpart == pytest.approx(
+            ref, rel=1e-12)
 
     def test_sigma_zero_drops_kinetic(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)

@@ -82,6 +82,16 @@ def test_assembled_forms_store_no_zeros():
         assert A.nnz == A.count_nonzero()
 
 
+@pytest.mark.parametrize("extent, nx, ny", oracles.NON_DYADIC_MESHES + (
+    ((0.0, 2.0, 0.0, 2.0), 2, 2), ((0.0, 2.0, 0.0, 1.0), 16, 8)))
+def test_stiffness_stores_five_entries_per_row_less_the_boundary(extent, nx, ny):
+    """The count the mesh size bound of the experiments relies on: the
+    diagonal offsets cancel on every mesh, not only the dyadic ones."""
+    ni, nj = nx - 1, ny - 1
+    assert assemble_stiffness(build_mesh(*extent, nx, ny)).nnz == 2 * (
+        5 * ni * nj - 2 * ni - 2 * nj)
+
+
 def assert_same_csr(A, B):
     assert A.shape == B.shape
     for name in ("indptr", "indices", "data"):

@@ -110,8 +110,7 @@ class TestDispatchRun:
     def test_run_writes_trace_and_manifest(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert dispatch("run", self.cfg_zero(), out) == 0
-        trace = open(os.path.join(out, "energy_trace.csv")).read()
-        lines = trace.strip().split("\n")
+        lines = Path(out, "energy_trace.csv").read_text().strip().split("\n")
         assert lines[0] == "step,time,E_total,E_kinetic,E_elastic,E_div,E_r,dissipation_residual"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 10
@@ -119,7 +118,7 @@ class TestDispatchRun:
             assert float(row[2]) == pytest.approx(2000.0, rel=1e-12)
             assert abs(float(row[7])) <= 1e-12
 
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["version"]
         assert manifest["subcommand"] == "run"
         assert "kind" not in manifest["config"]
@@ -131,9 +130,8 @@ class TestDispatchRun:
         out2 = str(tmp_path / "b")
         dispatch("run", self.cfg_zero(), out1)
         dispatch("run", self.cfg_zero(), out2)
-        b1 = open(os.path.join(out1, "energy_trace.csv"), "rb").read()
-        b2 = open(os.path.join(out2, "energy_trace.csv"), "rb").read()
-        assert b1 == b2
+        assert (Path(out1, "energy_trace.csv").read_bytes()
+                == Path(out2, "energy_trace.csv").read_bytes())
 
     def test_unknown_subcommand(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -146,7 +144,7 @@ class TestDispatchStudies:
                                reference_dt=5e-4)
         out = str(tmp_path / "t")
         assert dispatch("time-refine", cfg, out) == 0
-        lines = open(os.path.join(out, "time_refinement.csv")).read().strip().split("\n")
+        lines = Path(out, "time_refinement.csv").read_text().strip().split("\n")
         assert lines[0] == "level,error_Q11,order_Q11,error_Q12,order_Q12,error_r,order_r"
         first = lines[1].split(",")
         assert first[2] == ""  # no order on the coarsest level
@@ -159,13 +157,13 @@ class TestDispatchStudies:
                                p1_list=(math.inf,), p2_list=(math.inf,))
         out = str(tmp_path / "s")
         assert dispatch("sigma-study", cfg, out) == 0
-        csv = open(os.path.join(out, "sigma_study.csv")).read().strip().split("\n")
+        csv = Path(out, "sigma_study.csv").read_text().strip().split("\n")
         assert csv[0] == "sigma,p1,p2,h1_error"
         assert csv[-1].startswith("slope,")
         dat = os.path.join(out, "sigma_case_p1_inf_p2_inf.dat")
         cols = np.loadtxt(dat)
         assert cols.shape == (2, 2)
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert "sigma_case_p1_inf_p2_inf.dat" in manifest["files"]
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
@@ -213,8 +211,11 @@ initial = zero
         assert os.path.exists(os.path.join(out, "energy_trace.csv"))
 
     #: Malformed configs that once ended in exit 2, in exit 0 with an empty
-    #: CSV, or in a misleading message, and the key each must name.
-    MALFORMED = [
+    #: CSV or with one file overwriting another, or in a misleading message,
+    #: and the key each must name.  Ids are keys, or key=value where a key
+    #: repeats.
+    SHORT_SWEEP = "[mesh]\nnx = 4\n[experiment]\nT = 1e-4\ndt = 1e-5\n"
+    MALFORMED = [pytest.param(*case, id=case[2]) for case in [
         ("time-refine", "[experiment]\ndt_list = 0.0\n", "experiment.dt_list"),
         ("space-refine", "[experiment]\nh_list = 0.5, 0.0\n", "experiment.h_list"),
         ("sigma-study", "[experiment]\nsigma_list =\n", "experiment.sigma_list"),
@@ -224,16 +225,50 @@ initial = zero
         ("time-refine", "[experiment]\nreference_dt = -1e-3\n",
          "experiment.reference_dt"),
         ("run", "[experiment]\nkind = time\nT = 3e-4\ndt = 1e-4\n", "experiment.kind"),
+    ]] + [
+        # meshes whose stiffness would outgrow int32 indices: the reference
+        # size 2^-level underflows to 0 at 1075 and makes the refinement
+        # ratio inf at 1074
+        pytest.param("space-refine", "[experiment]\nh_list = 0.5, 0.25\n"
+                     "reference_level = %d\n" % level, "experiment.reference_level",
+                     id="reference_level=%d" % level) for level in (1075, 1074, 40)
+    ] + [
+        pytest.param("run", "[mesh]\nnx = %d\nny = %d\n" % (2 ** 40, 2 ** 40),
+                     "mesh.nx", id="mesh.nx=2**40"),
+        # exponents that %g prints alike share a .dat file name
+        pytest.param("sigma-study", SHORT_SWEEP + "p1_list = 0.5, 0.5000001\n"
+                     "p2_list = inf\n", "experiment.p1_list", id="p1_list=0.5,0.5000001"),
+        pytest.param("sigma-study", SHORT_SWEEP + "p1_list = 0.5, 0.5\n",
+                     "experiment.p1_list", id="p1_list=0.5,0.5"),
+        pytest.param("sigma-study", SHORT_SWEEP + "p2_list = inf, inf\n",
+                     "experiment.p2_list", id="p2_list=inf,inf"),
     ]
 
-    @pytest.mark.parametrize("subcommand,text,key", MALFORMED,
-                             ids=[key for _, _, key in MALFORMED])
+    @pytest.mark.parametrize("subcommand,text,key", MALFORMED)
     def test_malformed_config_exit_one_before_any_output(self, tmp_path, capsys,
                                                          subcommand, text, key):
         cfgpath = write(tmp_path, text)
         out = tmp_path / "o"
         assert main([subcommand, "--config", cfgpath, "--out", str(out)]) == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        None,                                     # a directory
+        b"T = 1e-3\n",                            # no section header
+        b"[experiment]\nT = 1e-3\nT = 2e-3\n",   # a key given twice
+        b"[experiment]\nT = 1e-3 \xff\n",         # not UTF-8
+    ], ids=["directory", "no_section", "duplicate_key", "not_utf8"])
+    def test_unreadable_config_exit_one_naming_the_path(self, tmp_path, capsys,
+                                                        content):
+        path = tmp_path / "config.ini"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "config file %s" % path in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_ignores_the_time_study_default_step(self, tmp_path):
@@ -313,7 +348,7 @@ h_list = 1.0, 0.5
         out = str(tmp_path / "ref")
         assert main(["space-refine", "--config", cfgpath, "--out", out,
                      "--reference-level", "3"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["config"]["reference_level"] == 3
 
     def test_threads_flag_override(self, tmp_path):
@@ -328,5 +363,5 @@ initial = zero
 """)
         out = str(tmp_path / "thr")
         assert main(["run", "--config", cfgpath, "--out", out, "--threads", "2"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["config"]["threads"] == 2

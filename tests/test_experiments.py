@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import fields, replace
 
+from qtflow import experiments
 from qtflow.experiments import (
     DEFAULT_PARAMS,
     ConfigError,
@@ -207,6 +208,24 @@ class TestSpaceStudy:
         with pytest.raises(ConfigError, match="^experiment.h_list must end at"):
             space_refinement_study(ExperimentConfig(
                 T=0.01, dt=1e-3, h_list=(0.4, 0.2), reference_level=5))
+
+    def test_reference_level_bounded_by_int32_indices(self, monkeypatch):
+        """On [0, 2]^2, level 12 (8192^2 cells, 670,859,282 stiffness
+        entries) fits int32 indices and reaches the runs; level 13
+        (2,683,895,826 entries) is rejected before any run."""
+        class Reached(Exception):
+            pass
+
+        def run_cases(cases, threads):
+            raise Reached((cases[0].nx, cases[0].ny))
+
+        monkeypatch.setattr(experiments, "_run_cases", run_cases)
+        cfg = ExperimentConfig(T=0.01, dt=1e-3, h_list=(0.5, 0.25), reference_level=12)
+        with pytest.raises(Reached) as info:
+            space_refinement_study(cfg)
+        assert info.value.args[0] == (8192, 8192)
+        with pytest.raises(ConfigError, match="^experiment.reference_level"):
+            space_refinement_study(replace(cfg, reference_level=13))
 
     def test_threaded_matches_serial(self):
         cfg = ExperimentConfig(T=0.01, dt=1e-3,

@@ -275,12 +275,11 @@ class TestCarriedInterior:
             q = mesh.gather_interior(Q)
             dq = None if Qprev is None else q - mesh.gather_interior(Qprev)
             Kq = K @ q
-            Dq = D @ q if params.L2 + params.L3 != 0 else None
             Lq = params.L1 * Kq
-            if Dq is not None:
-                Lq += 0.5 * (params.L2 + params.L3) * Dq
+            if params.L2 + params.L3 != 0:
+                Lq += 0.5 * (params.L2 + params.L3) * (D @ q)
             r = mesh.gather_interior(s.r_field(mesh))
-            return SimState(q=q, dq=dq, r=r, Kq=Kq, Dq=Dq, Lq=Lq,
+            return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq,
                             r0=s.r0, n=s.n, t=s.t), Q
 
         fresh, Qf = rebuilt(fresh, Q0 if params.sigma > 0 else None)
@@ -296,7 +295,7 @@ class TestCarriedInterior:
             e_f = discrete_energy(fresh, params, dt, mesh, w)
             for part in ("kinetic", "elastic", "divpart", "rpart", "total"):
                 assert getattr(e_c, part) == pytest.approx(getattr(e_f, part), rel=1e-13)
-        assert (e_c.divpart > 0) == (params.L2 > 0)  # the D product was exercised
+        assert (e_c.divpart > 0) == (params.L2 > 0)  # the divergence term was exercised
 
 
 P6_DIV_PAR = replace(P6_DIV, sigma=0.0)
@@ -317,7 +316,7 @@ class Counted:
 class TestCarriedProducts:
     @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
     def test_products_equal_fresh_products(self, params):
-        """Every state of ten steps carries exactly K q, D q and L q."""
+        """Every state of ten steps carries exactly K q and L q."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         dt = 1e-3
@@ -325,12 +324,8 @@ class TestCarriedProducts:
         state, op = default_start(mesh, params, dt)
         for _ in range(11):
             assert np.array_equal(state.Kq, K @ state.q)
-            if cd == 0.0:
-                assert state.Dq is None
-                assert np.array_equal(state.Lq, ck * state.Kq)
-            else:
-                assert np.array_equal(state.Dq, D @ state.q)
-                assert np.array_equal(state.Lq, ck * state.Kq + cd * state.Dq)
+            Lq = ck * state.Kq if cd == 0.0 else ck * state.Kq + cd * (D @ state.q)
+            assert np.array_equal(state.Lq, Lq)
             state = step(state, params, dt, op)
 
     @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
