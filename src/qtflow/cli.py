@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import ctypes
 import hashlib
 import json
 import math
@@ -247,22 +246,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_memory() -> None:
-    """Let glibc keep freed blocks up to 32 MiB for reuse (its dynamic
-    maximum).  By default it maps blocks above 128 KiB until freeing a
-    larger one raises that, and trims the heap top above twice it, so a run
-    whose set-up freed no large block faulted every step's vectors (1 MB at
-    256^2) in afresh."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # no C library, or not glibc
-        return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+def _check_out(path: str, key: str) -> None:
+    """Reject an output path at or below a file before the study runs."""
+    while not os.path.lexists(path):
+        path = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(path):
+        raise ConfigError("%s: %s is not a directory" % (key, path))
 
 
 def main(argv=None) -> int:
-    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -275,6 +267,7 @@ def main(argv=None) -> int:
         if args.reference_level is not None:
             config = replace(config, reference_level=args.reference_level)
         out_dir = args.out or config.out_dir or "out"
+        _check_out(out_dir, "--out" if args.out else "experiment.out_dir")
         return dispatch(args.subcommand, config, out_dir)
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)

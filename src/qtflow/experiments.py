@@ -234,7 +234,7 @@ def _simulate(case: Case) -> RunResult:
 
 def _run_cases(cases, threads):
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(cases))) as pool:
             return list(pool.map(_simulate, cases))
     return [_simulate(case) for case in cases]
 

@@ -6,7 +6,9 @@ the per-node rank-one term coming from the energy quadratization changes
 every step and is applied from its node vectors without assembling a
 matrix.  CG starts from the step's own start value and residual, and its
 one loop confirms every exit on the true residual, formed from the
-separate products K x and L x, which then serve the next step.
+separate products K x and L x, which then serve the next step.  The
+operator owns the work vectors of a step; every vector that a solve
+returns or leaves on it for a caller to keep (x, K x, L x) is new.
 """
 
 from __future__ import annotations
@@ -63,26 +65,32 @@ class StepOperator:
         self.base = base
         self._base_diag = diag
         self.w = weights
+        # work vectors: the diagonal, step()'s rhs, the residual CG starts
+        # from and residual() writes, CG's z, direction and temporary; per
+        # node, project()'s result, a temporary and the weighted p
+        self.diag, self.rhs, self.res, self.z, self.dir, self.tmp = \
+            np.empty((6, self.n))
+        self._s, self._t, *self._wp = np.empty((4, self.n // 2))
 
     def set_rank_one(self, p_nodes) -> None:
         """Install the rank-one vectors (2, n) of one step."""
         self.p = p_nodes
-        self._wp = self.w[0::2] * p_nodes
-        diag = self._base_diag.copy()
-        diag[0::2] += self._wp[0] * p_nodes[0]
-        diag[1::2] += self._wp[1] * p_nodes[1]
-        self.diag = diag
+        self.diag[:] = self._base_diag
+        for c in (0, 1):
+            np.multiply(self.w[0::2], p_nodes[c], out=self._wp[c])
+            self.diag[c::2] += np.multiply(self._wp[c], p_nodes[c], out=self._t)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """p_z . x_z at every interior node."""
-        s = self.p[0] * x[0::2]
-        s += self.p[1] * x[1::2]
+        """p_z . x_z at every interior node, in the operator's vector that
+        the next call overwrites."""
+        s = np.multiply(self.p[0], x[0::2], out=self._s)
+        s += np.multiply(self.p[1], x[1::2], out=self._t)
         return s
 
     def spread(self, s: np.ndarray, y: np.ndarray) -> None:
         """y += w_z s_z p_z at every interior node, in place."""
-        y[0::2] += self._wp[0] * s
-        y[1::2] += self._wp[1] * s
+        y[0::2] += np.multiply(self._wp[0], s, out=self._t)
+        y[1::2] += np.multiply(self._wp[1], s, out=self._t)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.base @ x
@@ -99,13 +107,14 @@ class StepOperator:
 
     def residual(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """rhs - A x from the separate products of x rather than the
-        assembled part; keeps them as .Kx and .Lx, the products of the
-        solution that a step hands on."""
+        assembled part, in the operator's vector .res; keeps the products
+        as .Kx and .Lx, the products of the solution that a step hands on."""
         self.Kx, self.Lx = self.products(x)
-        y = self.cm * (self.w * x)
+        y = np.multiply(self.w, x, out=self.res)
+        y *= self.cm
         y += self.Lx
         self.spread(self.project(x), y)
-        return rhs - y
+        return np.subtract(rhs, y, out=y)
 
 
 def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
@@ -129,7 +138,7 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
         maxiter = 10 * rhs.shape[0]
     limit = tol * norm_b
 
-    x, r, p = x0, r0, None
+    x, r, p, tmp = x0, r0, None, A.tmp
     for k in range(maxiter + 1):
         if np.linalg.norm(r) <= limit:
             true_r = A.residual(rhs, x)
@@ -139,17 +148,19 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
             r, p = true_r, None
         if k == maxiter:
             break
-        z = r / A.diag
+        # a first direction is z itself, so it is formed in its own vector
+        z = np.divide(r, A.diag, out=A.dir if p is None else A.z)
         rz_new = float(r @ z)
-        p = z if p is None else z + (rz_new / rz) * p
+        p = z if p is None else np.add(
+            z, np.multiply(p, rz_new / rz, out=p), out=p)
         rz = rz_new
         Ap = A.matvec(p)
         alpha = rz / float(p @ Ap)
         if k == 0:
-            x = x + alpha * p  # out of place: x0 belongs to the caller
+            x = x + np.multiply(p, alpha, out=tmp)  # x0 belongs to the caller
         else:
-            x += alpha * p
-        r -= alpha * Ap
+            x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(Ap, alpha, out=tmp)
 
     res = float(np.linalg.norm(A.residual(rhs, x)) / norm_b)
     raise ConvergenceError(

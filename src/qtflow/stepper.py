@@ -146,20 +146,22 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     # contiguous vectors
     op.set_rank_one(aux_P(np.stack((q[0::2], q[1::2])), p))
 
-    # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r), and the
-    # residual of the start value q, rhs - A q = (sigma/dt^2) w dq - 2 L q
-    # - w r p, formed without the cancellation of subtracting A q from rhs.
-    rhs = op.cm * (op.w * q)
+    # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r) and the start
+    # residual rhs - A q = (sigma/dt^2) w dq - 2 L q - w r p, in the
+    # operator's vectors and without the cancellation of rhs - A q.
+    rhs = np.multiply(op.w, q, out=op.rhs)
+    rhs *= op.cm
     rhs -= state.Lq
-    res = -2.0 * state.Lq
+    res = np.multiply(state.Lq, -2.0, out=op.res)
     if p.sigma > 0.0:
-        inertia = (p.sigma / dt ** 2) * (op.w * state.dq)
+        inertia = np.multiply(op.w, state.dq, out=op.tmp)
+        inertia *= p.sigma / dt ** 2
         rhs += inertia
         res += inertia
     s = op.project(q)
     s -= state.r
     op.spread(s, rhs)
-    op.spread(-state.r, res)
+    op.spread(np.negative(state.r, out=s), res)
 
     n, t = state.n + 1, state.t + dt
     try:

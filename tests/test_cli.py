@@ -253,6 +253,37 @@ initial = zero
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, study, below, from_config", [
+        ("run", "run_single", False, False),                # --out names a file
+        ("time-refine", "time_refinement_study", True, False),   # --out file/sub
+        ("space-refine", "space_refinement_study", True, True),  # out_dir file/sub
+    ])
+    def test_output_path_at_a_file_exit_one_before_the_study(
+            self, tmp_path, capsys, monkeypatch, subcommand, study, below,
+            from_config):
+        """An output directory that cannot be made at or below an existing
+        file is a configuration error found before the study runs, not a
+        failure to write its results afterwards."""
+        import qtflow.cli as cli_mod
+
+        def never(config):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli_mod, study, never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "sub") if below else str(blocker)
+        if from_config:
+            argv = ["--config", write(tmp_path, "[experiment]\nout_dir = %s\n" % out)]
+        else:
+            argv = ["--out", out]
+        key = "experiment.out_dir" if from_config else "--out"
+        assert main([subcommand] + argv) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: %s: " % key in err
+        assert str(blocker) in err and "not a directory" in err
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("content", [
         None,                                     # a directory
         b"T = 1e-3\n",                            # no section header

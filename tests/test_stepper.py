@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from qtflow.analysis import discrete_energy, h1_error_field, h_norm_sq, norm_forms
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
@@ -357,6 +357,30 @@ class TestCarriedProducts:
             assert (op.base.calls - counts[0], op.K.calls - counts[1],
                     d_calls() - counts[2]) == (iters[-1], 1, int(with_div))
         assert sum(iters) > 0
+
+
+class TestStatesOwnTheirArrays:
+    @pytest.mark.parametrize("params", [P6, P6_DIV, P6_PAR, P6_DIV_PAR],
+                             ids=["inertial", "inertial_div", "parabolic",
+                                  "parabolic_div"])
+    def test_later_steps_leave_kept_states_alone(self, params):
+        """The operator reuses its work vectors every step; no array of a
+        state a caller keeps may be one of them."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        dt = 1e-3
+        state, op = default_start(mesh, params, dt)
+        kept = []
+        for n in range(6):
+            if n < 3:
+                arrays = {f.name: getattr(state, f.name) for f in fields(state)
+                          if isinstance(getattr(state, f.name), np.ndarray)}
+                kept.append((arrays, {k: v.copy() for k, v in arrays.items()}))
+            state = step(state, params, dt, op)
+        assert (op.D is not None) == (params.L2 + params.L3 != 0)
+        for arrays, copies in kept:
+            assert set(arrays) >= {"q", "r", "Kq", "Lq", "r0"}
+            for name, array in arrays.items():
+                assert np.array_equal(array, copies[name]), name
 
 
 class TestNodalField:
