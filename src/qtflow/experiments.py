@@ -191,24 +191,29 @@ def _simulate(case: Case) -> RunResult:
     K = assembly.assemble_stiffness(mesh)
     D = assembly.assemble_div_form(mesh) if (params.L2 + params.L3) != 0.0 else None
     w = assembly.lumped_mass(mesh)
-    idx = mesh.interior_nodes
 
-    if case.initial == "zero":
-        Q0 = np.zeros((mesh.n_nodes, 2))
-    else:
-        Q0 = interpolate_qfield(mesh, default_initial_q)
+    Q0 = (np.zeros((mesh.n_nodes, 2)) if case.initial == "zero"
+          else interpolate_qfield(mesh, default_initial_q))
     if case.pert_q0 != 0.0:
-        Q0[idx, 0] += case.pert_q0
+        mesh.interior_view(Q0)[..., 0] += case.pert_q0
 
     N = num_steps(case.T, dt)
-    r0 = nodal_r(mesh, params, Q0)
-    Qt0 = None
-    if params.sigma > 0.0:
-        Qt0 = build_default_Qt0(mesh, params, Q0, r0, K)
+    try:
+        r0 = nodal_r(mesh, params, Q0)
+    except ValueError as exc:  # a later step's radicand is the solver's
+        raise ConfigError("params.A0: %s for the initial state of %s"
+                          % (exc, case)) from None
+
+    def velocity(*args):
+        """The default initial velocity, pert_qt0 added to its q1 entries."""
+        qt = build_default_Qt0(*args)
         if case.pert_qt0 != 0.0:
-            Qt0[idx, 0] += case.pert_qt0
+            qt[0::2] += case.pert_qt0
+        return qt
+
     op = step_operator(params, dt, K, D, w)
-    state = initialize(mesh, params, dt, Q0, Qt0, r0, op)
+    state = initialize(mesh, params, dt, Q0, r0, op, velocity)
+    del Q0  # the state holds the interior vectors
 
     trace = [analysis.discrete_energy(state, params, dt, mesh, w)]
     prev_dtq = state.dq / dt if params.sigma > 0.0 else None

@@ -54,7 +54,7 @@ class StructuredMesh:
         s = self.nx + 1
         return np.array([[0, 1, s + 1], [0, s + 1, s]])
 
-    def _interior_view(self, field: np.ndarray) -> np.ndarray:
+    def interior_view(self, field: np.ndarray) -> np.ndarray:
         """The interior entries of a nodal field, shaped (ny-1, nx-1, ...).
 
         Interior nodes form the inner block of the lexicographic lattice, so
@@ -66,14 +66,14 @@ class StructuredMesh:
 
     def gather_interior(self, field: np.ndarray) -> np.ndarray:
         """Interior entries of a nodal field as a flat (interleaved) copy."""
-        return self._interior_view(field).flatten()
+        return self.interior_view(field).flatten()
 
     def scatter_interior(self, field: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Write a flat (interleaved) interior vector into a nodal field,
         which is returned."""
         if not field.flags.c_contiguous:
             raise ValueError("nodal field must be C-contiguous to be written in place")
-        view = self._interior_view(field)
+        view = self.interior_view(field)
         view[...] = values.reshape(view.shape)
         return field
 

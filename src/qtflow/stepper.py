@@ -59,14 +59,14 @@ class SimState:
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
-    """Nodal interpolation of a callable (x, y) -> (q1, q2), with the
-    boundary entries forced to the homogeneous Dirichlet value zero."""
-    q1, q2 = data(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    field = np.column_stack([
-        np.broadcast_to(q1, mesh.n_nodes),
-        np.broadcast_to(q2, mesh.n_nodes),
-    ]).astype(float)
-    field[mesh.is_boundary] = 0.0
+    """Nodal interpolation of a callable (x, y) -> (q1, q2), zero on the
+    boundary (the homogeneous Dirichlet value).  The callable is called once,
+    on the interior lattice axes x of shape (nx-1,) and y of shape (ny-1, 1),
+    so it must broadcast; q1 and q2 broadcast to the interior block."""
+    lattice = mesh.nodes.reshape(mesh.ny + 1, mesh.nx + 1, 2)
+    field = np.zeros((mesh.n_nodes, 2))
+    block = mesh.interior_view(field)
+    block[..., 0], block[..., 1] = data(lattice[0, 1:-1, 0], lattice[1:-1, :1, 1])
     return field
 
 
@@ -74,48 +74,53 @@ def nodal_r(mesh: StructuredMesh, p: Params, Qfield: np.ndarray) -> np.ndarray:
     return np.asarray(aux_r(Qfield.T, p))
 
 
-def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
-               Qt0: np.ndarray | None, r0: np.ndarray, op: StepOperator) -> SimState:
-    """Build the starting state from the nodal fields Q0, r0 = nodal_r(Q0)
-    and Qt0, of which only the interior values are read; op is the run's
-    operator from step_operator(), which forms the products of the state.
+def build_default_Qt0(mesh: StructuredMesh, p: Params, q0: np.ndarray,
+                      r0: np.ndarray, P0: np.ndarray,
+                      op: StepOperator | None = None) -> np.ndarray:
+    """Discrete initial time derivative L1*Lap(Q0) - r0 P(Q0) as an interior
+    vector, from the interior vectors q0, r0 and P0 = P(q0), shaped (2, n/2).
 
-    For sigma > 0 the second level is the explicit start
-    Q^1 = Q^0 + dt * Qt0 and r^1 follows from the lumped r update; for
-    sigma = 0 a single level suffices and Qt0 is ignored.
-    """
+    The Laplacian acts through the stiffness and the lumped weights w of the
+    run's operator op (assembled here when omitted), keeping the
+    initialization consistent with the mesh; w/2 is gamma exactly."""
+    K, w = ((op.K, op.w) if op is not None else
+            (assembly.assemble_stiffness(mesh), assembly.lumped_mass(mesh)))
+    qt = K @ q0
+    qt *= -(p.L1)
+    qt /= w * 0.5
+    qt[0::2] -= r0 * P0[0]
+    qt[1::2] -= r0 * P0[1]
+    return qt
+
+
+def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
+               r0: np.ndarray, op: StepOperator,
+               velocity=build_default_Qt0) -> SimState:
+    """Build the starting state from the nodal fields Q0 and r0 = nodal_r(Q0),
+    of which only the interior values are read; op is the run's operator
+    from step_operator(), which forms the products of the state.
+
+    For sigma > 0 the second level is the explicit start Q^1 = Q^0 + dt Qt0
+    and r^1 follows from the lumped r update.  The interior vector Qt0 is
+    velocity(mesh, p, q0, r0, P0, op), with the interior q0 and r0 and
+    P0 = P(q0), which the r update uses too.  For sigma = 0 a single level
+    suffices and velocity is not called."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     q = mesh.gather_interior(Q0)
     r = mesh.gather_interior(r0)
     dq, n = None, 0
     if p.sigma > 0.0:
-        q0, q = q, q + dt * mesh.gather_interior(Qt0)
-        P0 = aux_P(np.stack((q0[0::2], q0[1::2])), p)
-        dq = q - q0
+        P0 = aux_P(np.stack((q[0::2], q[1::2])), p)
+        # fresh vectors only for what the state keeps: a lower set-up peak
+        q0, q = q, dt * velocity(mesh, p, q, r, P0, op)
+        q += q0
+        dq = np.subtract(q, q0, out=q0)
         r = r + 2.0 * (P0[0] * dq[0::2] + P0[1] * dq[1::2])
+        del P0
         n = 1
     Kq, Lq = op.products(q)
     return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=r0, n=n, t=n * dt)
-
-
-def build_default_Qt0(mesh: StructuredMesh, p: Params,
-                      Q0field: np.ndarray, r0field: np.ndarray, K=None) -> np.ndarray:
-    """Discrete initial time derivative L1*Lap(Q0) - r0 P(Q0).
-
-    The Laplacian acts through the interior stiffness K (assembled here
-    when omitted) and the inverse lumped mass, keeping the initialization
-    consistent with the mesh.
-    """
-    if K is None:
-        K = assembly.assemble_stiffness(mesh)
-    x0 = mesh.gather_interior(Q0field)
-    qt = -(p.L1) * (K @ x0) / np.repeat(mesh.gamma[mesh.interior_nodes], 2)
-    P0 = aux_P(np.stack((x0[0::2], x0[1::2])), p)
-    r0 = mesh.gather_interior(r0field)
-    qt[0::2] -= r0 * P0[0]
-    qt[1::2] -= r0 * P0[1]
-    return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), qt)
 
 
 def step_operator(p: Params, dt: float, K, D, weights) -> StepOperator:

@@ -6,13 +6,20 @@ linear system, quadrature uses the edge-midpoint rule, and the reference
 stepper works on all four matrix entries with a dense solve.  The
 element-by-element forms and the alpha pairing share only the
 per-triangle geometry with production code, so that the lattice assembly
-can be compared against them bit for bit.
+can be compared against them bit for bit.  The nodal set-up at the end is
+the exception: it keeps the start of a run as it was built over nodal
+fields, with the production pointwise algebra, as the bitwise reference of
+the interior set-up.
 """
 
 import numpy as np
 from scipy import sparse
 
 from qtflow.assembly import element_geometry
+from qtflow.experiments import default_initial_q
+from qtflow.mesh import build_mesh
+from qtflow.model import aux_P, aux_r
+from qtflow.stepper import SimState
 
 
 # ---------------------------------------------------------------------------
@@ -418,3 +425,66 @@ class FullMatrixStepper:
         Qnew = qnew.reshape(n, 2, 2)
         rnew = r + np.einsum("kab,kab->k", P, Qnew - Qfull)
         return Qnew, rnew
+
+
+# ---------------------------------------------------------------------------
+# the set-up over nodal fields
+#
+# A run's start built from (N, 2) fields, as the set-up did before it worked
+# on interior vectors: the callable evaluated at every node, the default
+# velocity built from gathers of its own and scattered into a nodal field,
+# and a first level that gathers Q0 again and forms P(q0) a second time.
+# The interior set-up must equal it bit for bit.
+
+
+def nodal_interpolate_qfield(mesh, data):
+    """The callable at every node's coordinates, the boundary entries set to
+    zero afterwards."""
+    q1, q2 = data(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    field = np.column_stack([
+        np.broadcast_to(q1, mesh.n_nodes),
+        np.broadcast_to(q2, mesh.n_nodes),
+    ]).astype(float)
+    field[mesh.is_boundary] = 0.0
+    return field
+
+
+def nodal_default_Qt0(mesh, p, Q0, r0, K):
+    """The default initial velocity L1*Lap(Q0) - r0 P(Q0) as a nodal field,
+    from the nodal Q0 and r0."""
+    x0 = mesh.gather_interior(Q0)
+    qt = -(p.L1) * (K @ x0) / np.repeat(mesh.gamma[mesh.interior_nodes], 2)
+    P0 = aux_P(np.stack((x0[0::2], x0[1::2])), p)
+    r0 = mesh.gather_interior(r0)
+    qt[0::2] -= r0 * P0[0]
+    qt[1::2] -= r0 * P0[1]
+    return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), qt)
+
+
+def nodal_start(case, op):
+    """The starting state of an experiments.Case, with op the run's step
+    operator: the nodal Q0, r0 and (for sigma > 0) Qt0, each perturbation
+    added at the interior nodes, then the explicit first level in two
+    passes."""
+    p, dt = case.params, case.dt
+    mesh = build_mesh(case.x0, case.x1, case.y0, case.y1, case.nx, case.ny)
+    idx = mesh.interior_nodes
+    Q0 = (np.zeros((mesh.n_nodes, 2)) if case.initial == "zero"
+          else nodal_interpolate_qfield(mesh, default_initial_q))
+    if case.pert_q0 != 0.0:
+        Q0[idx, 0] += case.pert_q0
+    r0 = np.asarray(aux_r(Q0.T, p))
+    q = mesh.gather_interior(Q0)
+    r = mesh.gather_interior(r0)
+    dq, n = None, 0
+    if p.sigma > 0.0:
+        Qt0 = nodal_default_Qt0(mesh, p, Q0, r0, op.K)
+        if case.pert_qt0 != 0.0:
+            Qt0[idx, 0] += case.pert_qt0
+        q0, q = q, q + dt * mesh.gather_interior(Qt0)
+        P0 = aux_P(np.stack((q0[0::2], q0[1::2])), p)
+        dq = q - q0
+        r = r + 2.0 * (P0[0] * dq[0::2] + P0[1] * dq[1::2])
+        n = 1
+    Kq, Lq = op.products(q)
+    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=r0, n=n, t=n * dt)

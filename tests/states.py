@@ -4,8 +4,7 @@ import numpy as np
 
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.experiments import default_initial_q
-from qtflow.stepper import (build_default_Qt0, initialize, interpolate_qfield,
-                            nodal_r, step_operator)
+from qtflow.stepper import initialize, interpolate_qfield, nodal_r, step_operator
 
 
 def run_operator(mesh, params, dt):
@@ -20,19 +19,18 @@ def start(mesh, params, dt, Q0, Qt0=None):
     callable or a nodal array; Qt0=None starts at rest."""
     if callable(Q0):
         Q0 = interpolate_qfield(mesh, Q0)
-    if Qt0 is None:
-        Qt0 = np.zeros_like(Q0)
-    elif callable(Qt0):
+    if callable(Qt0):
         Qt0 = interpolate_qfield(mesh, Qt0)
+    qt0 = (np.zeros(2 * mesh.n_interior) if Qt0 is None
+           else mesh.gather_interior(Qt0))
     op = run_operator(mesh, params, dt)
-    return initialize(mesh, params, dt, Q0, Qt0, nodal_r(mesh, params, Q0), op), op
+    return initialize(mesh, params, dt, Q0, nodal_r(mesh, params, Q0), op,
+                      lambda *_: qt0), op
 
 
 def default_start(mesh, params, dt):
     """The default starting state and operator of a run, with the default
     Qt0 for sigma > 0, as experiments builds them."""
     Q0 = interpolate_qfield(mesh, default_initial_q)
-    r0 = nodal_r(mesh, params, Q0)
     op = run_operator(mesh, params, dt)
-    Qt0 = build_default_Qt0(mesh, params, Q0, r0, op.K) if params.sigma > 0 else None
-    return initialize(mesh, params, dt, Q0, Qt0, r0, op), op
+    return initialize(mesh, params, dt, Q0, nodal_r(mesh, params, Q0), op), op

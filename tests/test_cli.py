@@ -225,6 +225,8 @@ initial = zero
         ("time-refine", "[experiment]\nreference_dt = -1e-3\n",
          "experiment.reference_dt"),
         ("run", "[experiment]\nkind = time\nT = 3e-4\ndt = 1e-4\n", "experiment.kind"),
+        # a nonpositive radicand at the initial state
+        ("run", "[params]\nA0 = 0.001\n", "params.A0"),
     ]] + [
         # meshes whose stiffness would outgrow int32 indices: the reference
         # size 2^-level underflows to 0 at 1075 and makes the refinement
@@ -341,6 +343,16 @@ initial = zero
                   if row.startswith("slope,")]
         assert slopes[0].split(",")[3] != "" and slopes[1] == "slope,inf,inf,"
         assert "case p1=inf p2=inf: fitted slope -" in capsys.readouterr().out
+
+    def test_radicand_failure_in_a_later_step_exit_two(self, tmp_path, capsys):
+        """A0 suits the initial state, but the state reaches the bulk
+        minimum within 100 steps (at step 93)."""
+        cfgpath = write(tmp_path, "[mesh]\nnx = 2\nny = 2\n[params]\nA0 = 0.005\n"
+                        "sigma = 0.0\n[experiment]\nT = 1.0\ndt = 1e-2\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfgpath, "--out", str(out)]) == 2
+        assert "nonpositive radicand" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_error_exit_one(self, tmp_path):
         cfgpath = write(tmp_path, "[experiment]\nT = 0.1\ndt = 3e-4\n")

@@ -103,6 +103,15 @@ class TestConstantPart:
             assert np.array_equal(getattr(op.base, name), getattr(ref, name)), name
         assert np.array_equal(op.diag, ref.diagonal())
 
+    def test_shares_the_index_arrays_of_K_without_D(self):
+        """The constant part stores no index arrays of its own when D is
+        None: about 3 MB at 256^2."""
+        mesh = build_mesh(0, 2, 0, 2, 16, 16)
+        K = assemble_stiffness(mesh)
+        op = StepOperator(lumped_mass(mesh), K, None, 8e3, 1e-3, 0.0)
+        assert np.shares_memory(op.base.indices, K.indices)
+        assert np.shares_memory(op.base.indptr, K.indptr)
+
 
 class TestCgSolve:
     def test_zero_rhs(self):

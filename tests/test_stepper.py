@@ -31,6 +31,13 @@ def forms(mesh):
     return assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
 
 
+def default_velocity(mesh, p, Q0, r0, op=None):
+    """build_default_Qt0 from the nodal fields Q0 and r0."""
+    q0 = mesh.gather_interior(Q0)
+    P0 = aux_P(np.stack((q0[0::2], q0[1::2])), p)
+    return build_default_Qt0(mesh, p, q0, mesh.gather_interior(r0), P0, op)
+
+
 def advance(state, p, dt, op, nsteps, cg_tol=1e-12):
     for _ in range(nsteps):
         state = step(state, p, dt, op, cg_tol=cg_tol)
@@ -87,7 +94,7 @@ class TestDefaultQt0:
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         Q0 = np.zeros((mesh.n_nodes, 2))
         r0 = nodal_r(mesh, P6, Q0)
-        assert np.all(build_default_Qt0(mesh, P6, Q0, r0) == 0.0)
+        assert np.all(default_velocity(mesh, P6, Q0, r0) == 0.0)
 
     def test_discrete_eigenvector(self):
         # with the bulk part disabled, Qt0 = -L1 * lambda * Q0 for an
@@ -106,27 +113,27 @@ class TestDefaultQt0:
 
         Q0 = np.zeros((mesh.n_nodes, 2))
         Q0[mesh.interior_nodes] = v.reshape(-1, 2)
-        qt0 = build_default_Qt0(mesh, P6, Q0, np.zeros(mesh.n_nodes))
-        expect = -P6.L1 * lam * Q0
+        qt0 = default_velocity(mesh, P6, Q0, np.zeros(mesh.n_nodes))
+        expect = -P6.L1 * lam * v
         assert np.max(np.abs(qt0 - expect)) < 1e-6 * lam * P6.L1
 
     def test_caller_stiffness_gives_same_result(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
-        K = assemble_stiffness(mesh)
-        assert np.array_equal(build_default_Qt0(mesh, P6, Q0, r0, K),
-                              build_default_Qt0(mesh, P6, Q0, r0))
+        op = step_operator(P6, 1e-3, assemble_stiffness(mesh), None,
+                           lumped_mass(mesh))
+        assert np.array_equal(default_velocity(mesh, P6, Q0, r0, op),
+                              default_velocity(mesh, P6, Q0, r0))
 
     def test_energy_drop_after_one_step(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
-        qt0 = build_default_Qt0(mesh, P6, Q0, r0)
         dt = 1e-3
         op = step_operator(P6, dt, K, D, w)
-        state = initialize(mesh, P6, dt, Q0, qt0, r0, op)
+        state = initialize(mesh, P6, dt, Q0, r0, op)
         e1 = discrete_energy(state, P6, dt, mesh, w).total
         state = step(state, P6, dt, op, cg_tol=1e-12)
         e2 = discrete_energy(state, P6, dt, mesh, w).total
@@ -190,9 +197,8 @@ class TestStep:
         for p in (P6, P6_DIV, P6_PAR):
             Q0 = interpolate_qfield(mesh, default_initial_q)
             r0 = nodal_r(mesh, p, Q0)
-            qt0 = build_default_Qt0(mesh, p, Q0, r0) if p.sigma > 0 else None
             op = step_operator(p, dt, K, D, w)
-            state = initialize(mesh, p, dt, Q0, qt0, r0, op)
+            state = initialize(mesh, p, dt, Q0, r0, op)
             idx = mesh.interior_nodes
             rec = discrete_energy(state, p, dt, mesh, w)
             e0 = rec.total
@@ -219,15 +225,14 @@ class TestStep:
         dt = 1e-4
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
-        qt0 = build_default_Qt0(mesh, replace(P6, sigma=1e-12), Q0, r0)
 
         tiny = replace(P6, sigma=1e-12)
         op = step_operator(tiny, dt, K, D, w)
-        hyper = initialize(mesh, tiny, dt, Q0, qt0, r0, op)
+        hyper = initialize(mesh, tiny, dt, Q0, r0, op)
         hyper = advance(hyper, tiny, dt, op, 10)
 
         op = step_operator(P6_PAR, dt, K, D, w)
-        par = initialize(mesh, P6_PAR, dt, Q0, None, r0, op)
+        par = initialize(mesh, P6_PAR, dt, Q0, r0, op)
         par = advance(par, P6_PAR, dt, op, 11)
 
         assert hyper.t == pytest.approx(par.t, rel=1e-12)
@@ -263,9 +268,8 @@ class TestCarriedInterior:
         dt = 1e-3
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, params, Q0)
-        qt0 = build_default_Qt0(mesh, params, Q0, r0, K) if params.sigma > 0 else None
         op = step_operator(params, dt, K, D, w)
-        carried = initialize(mesh, params, dt, Q0, qt0, r0, op)
+        carried = initialize(mesh, params, dt, Q0, r0, op)
         fresh = carried
 
         def rebuilt(s, Qprev):
@@ -395,9 +399,9 @@ class TestNodalField:
         idx, bnd = mesh.interior_nodes, mesh.is_boundary
         Q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(mesh, P6, Q0)
-        qt0 = build_default_Qt0(mesh, P6, Q0, r0, K)
+        qt0 = oracles.nodal_default_Qt0(mesh, P6, Q0, r0, K)
         op = step_operator(P6, dt, K, D, w)
-        state = initialize(mesh, P6, dt, Q0, qt0, r0, op)
+        state = initialize(mesh, P6, dt, Q0, r0, op)
 
         Q = Q0 + dt * qt0
         P0 = aux_P(Q0.T.copy(), P6)
