@@ -42,10 +42,11 @@ def h_norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
 
 
 def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
-                    weights) -> EnergyRecord:
+                    weights, dtq: np.ndarray | None = None) -> EnergyRecord:
     """Energy of a state, from the interior vectors and products it
-    carries."""
-    rate_sq = 0.0 if state.dq is None else h_norm_sq(weights, state.dq / dt)
+    carries; dtq is the rate state.dq / dt when the caller has formed it."""
+    dtq = state.dq / dt if dtq is None and state.dq is not None else dtq
+    rate_sq = 0.0 if dtq is None else h_norm_sq(weights, dtq)
     kinetic = 0.0
     if p.sigma > 0.0:
         if state.dq is None:

@@ -138,9 +138,7 @@ class RunResult:
     @property
     def max_energy_increase(self) -> float:
         totals = [rec.total for rec in self.trace]
-        if len(totals) < 2:
-            return 0.0
-        return float(max(b - a for a, b in zip(totals, totals[1:])))
+        return float(max((b - a for a, b in zip(totals, totals[1:])), default=0.0))
 
 
 @dataclass(frozen=True)
@@ -215,8 +213,8 @@ def _simulate(case: Case) -> RunResult:
     state = initialize(mesh, params, dt, Q0, r0, op, velocity)
     del Q0  # the state holds the interior vectors
 
-    trace = [analysis.discrete_energy(state, params, dt, mesh, w)]
     prev_dtq = state.dq / dt if params.sigma > 0.0 else None
+    trace = [analysis.discrete_energy(state, params, dt, mesh, w, prev_dtq)]
 
     for _ in range(N - state.n):
         old_total = trace[-1].total
@@ -225,10 +223,10 @@ def _simulate(case: Case) -> RunResult:
         except ConvergenceError as exc:
             raise ConvergenceError("%s: %s" % (case, exc), exc.residual,
                                    step=exc.step, t=exc.t, case=case) from exc
-        rec = analysis.discrete_energy(state, params, dt, mesh, w)
+        dtq = state.dq / dt if params.sigma > 0.0 else None
+        rec = analysis.discrete_energy(state, params, dt, mesh, w, dtq)
         resid = rec.total - old_total + dt * rec.rate_sq
         if params.sigma > 0.0:
-            dtq = state.dq / dt
             resid += 0.5 * params.sigma * analysis.h_norm_sq(w, dtq - prev_dtq)
             prev_dtq = dtq
         rec.dissipation_residual = resid

@@ -55,11 +55,15 @@ def trace_q2(Q: np.ndarray):
 
 
 def _potential(t2, p: Params):
-    """The bulk energy density as a function of t2 = tr(Q^2)."""
+    """The bulk energy density as a function of t2 = tr(Q^2), formed in t2."""
     # tr(Q^3) vanishes identically for symmetric trace-free 2x2 matrices;
     # the b term is kept in the formula for fidelity to the 3D form.
     t3 = 0.0
-    return 0.5 * p.a * t2 - (p.b / 3.0) * t3 + 0.25 * p.c * t2 * t2
+    quartic = 0.25 * p.c * t2 * t2
+    t2 *= 0.5 * p.a
+    t2 -= (p.b / 3.0) * t3
+    t2 += quartic
+    return t2
 
 
 def bulk_potential(Q: np.ndarray, p: Params):
@@ -89,8 +93,10 @@ def aux_r(Q: np.ndarray, p: Params):
 
 
 def _aux_r(t2, p: Params):
-    """r as a function of t2 = tr(Q^2)."""
-    rad = 2.0 * (_potential(t2, p) + p.A0)
+    """r as a function of t2 = tr(Q^2), which it overwrites."""
+    rad = _potential(t2, p)
+    rad += p.A0
+    rad *= 2.0
     if np.min(rad) <= 0.0:
         raise ValueError(
             "nonpositive radicand in auxiliary variable: A0=%g is too small"

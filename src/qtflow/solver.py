@@ -5,10 +5,10 @@ stiffness and divergence form) is assembled once into one sparse matrix;
 the per-node rank-one term coming from the energy quadratization changes
 every step and is applied from its node vectors without assembling a
 matrix.  CG starts from the step's own start value and residual, and its
-one loop confirms every exit on the true residual, formed from the
-separate products K x and L x, which then serve the next step.  The
-operator owns the work vectors of a step; every vector that a solve
-returns or leaves on it for a caller to keep (x, K x, L x) is new.
+one loop confirms every exit on the true residual, formed from K x, the
+one sparse product (the divergence form is K), and L x; both then serve
+the next step.  The operator owns the work vectors of a step; every vector
+that a solve returns or leaves on it for a caller to keep is new.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from scipy import sparse
 
 class ConvergenceError(RuntimeError):
     """CG failed to reach the requested residual within maxiter, or a step
-    produced non-finite values.  Raised from a time step, it names the step
-    index and the time it was advancing to; raised from an experiment, it
-    also names the case (.case).  Each is None otherwise."""
+    met non-finite values or a nonpositive radicand.  From a time step, it
+    names the step index and the time it was advancing to; from an
+    experiment, also the case (.case).  Each is None otherwise."""
 
     def __init__(self, message: str, residual: float,
                  step: int | None = None, t: float | None = None,
@@ -36,11 +36,11 @@ class ConvergenceError(RuntimeError):
 class StepOperator:
     """SPD operator  c_m diag(w) + c_k K + c_d D + rank-one per node.
 
-    D is part of the operator exactly when it is given.  The rank-one part
-    applies x -> w_z (p_z . x_z) p_z at every interior node z, where p[0]
-    and p[1] hold the reduced components of the quadratization gradient at
-    the interior nodes (p has shape (2, n)); set_rank_one() installs it for
-    each step, before any matvec or residual, and keeps the constant part.
+    D is part of the operator exactly when given, and must equal K entry
+    for entry (ValueError otherwise).  The rank-one part applies x -> w_z
+    (p_z . x_z) p_z at every interior node z, p[0] and p[1] (p is (2, n))
+    holding the reduced components of the quadratization gradient there;
+    set_rank_one() installs it before a step's first matvec or residual.
     """
 
     def __init__(self, weights, K, D, cm, ck, cd):
@@ -50,9 +50,12 @@ class StepOperator:
         self.ck = float(ck)
         self.cd = float(cd)
         self.n = weights.shape[0]
+        if D is not None and not all(map(np.array_equal, (D.indptr, D.indices, D.data),
+                                         (K.indptr, K.indices, K.data))):
+            raise ValueError("the divergence form D must equal the stiffness K")
 
-        # c_m w added into the diagonal of c_k K, as the sum of the two
-        # sparse matrices rounds.  The copy shares the index arrays of K,
+        # c_m w added into the diagonal of c_k K, then c_d D, as the sums of
+        # the sparse matrices round.  The copy shares the index arrays of K,
         # which setdiag leaves alone when K is canonical (sorted, no
         # duplicates) and holds its diagonal, as the stencil forms do.
         base = sparse.csr_matrix((self.ck * K.data, K.indices, K.indptr),
@@ -60,14 +63,14 @@ class StepOperator:
         diag = base.diagonal() + self.cm * weights
         base.setdiag(diag)
         if D is not None:
-            base = base + self.cd * D
+            base.data += self.cd * K.data
             diag = base.diagonal()
         self.base = base
         self._base_diag = diag
         self.w = weights
-        # work vectors: the diagonal, step()'s rhs, the residual CG starts
-        # from and residual() writes, CG's z, direction and temporary; per
-        # node, project()'s result, a temporary and the weighted p
+        # work vectors: the diagonal, step()'s rhs, the residual CG starts from
+        # and residual() writes, CG's z and direction, a temporary of CG and
+        # products(); per node, project()'s result, a temporary and weighted p
         self.diag, self.rhs, self.res, self.z, self.dir, self.tmp = \
             np.empty((6, self.n))
         self._s, self._t, *self._wp = np.empty((4, self.n // 2))
@@ -75,16 +78,17 @@ class StepOperator:
     def set_rank_one(self, p_nodes) -> None:
         """Install the rank-one vectors (2, n) of one step."""
         self.p = p_nodes
-        self.diag[:] = self._base_diag
         for c in (0, 1):
             np.multiply(self.w[0::2], p_nodes[c], out=self._wp[c])
-            self.diag[c::2] += np.multiply(self._wp[c], p_nodes[c], out=self._t)
+            t = np.multiply(self._wp[c], p_nodes[c], out=self._t)
+            np.add(self._base_diag[c::2], t, out=self.diag[c::2])
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """p_z . x_z at every interior node, in the operator's vector that
-        the next call overwrites."""
-        s = np.multiply(self.p[0], x[0::2], out=self._s)
-        s += np.multiply(self.p[1], x[1::2], out=self._t)
+        """p_z . x_z at every interior node, x interleaved (n,) or split (2,
+        n/2), in the operator's vector that the next call overwrites."""
+        x0, x1 = (x[0::2], x[1::2]) if x.ndim == 1 else x
+        s = np.multiply(self.p[0], x0, out=self._s)
+        s += np.multiply(self.p[1], x1, out=self._t)
         return s
 
     def spread(self, s: np.ndarray, y: np.ndarray) -> None:
@@ -98,11 +102,11 @@ class StepOperator:
         return y
 
     def products(self, x: np.ndarray):
-        """(K x, L x) with L x = c_k K x + c_d D x, its D term only with D."""
+        """(K x, L x), L x = c_k K x + c_d D x from the one product D x = K x."""
         Kx = self.K @ x
         Lx = self.ck * Kx
         if self.D is not None:
-            Lx += self.cd * (self.D @ x)
+            Lx += np.multiply(self.cd, Kx, out=self.tmp)
         return Kx, Lx
 
     def residual(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:

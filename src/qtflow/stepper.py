@@ -143,13 +143,18 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     """Advance one time step with the run's operator op from
     step_operator(); returns the new state.
 
-    A failed solve raises ConvergenceError with .step = state.n + 1 and
-    .t = state.t + dt.
+    A failed solve or a nonpositive radicand in P raises ConvergenceError
+    with .step = state.n + 1 and .t = state.t + dt.
     """
     q = state.q
-    # a C-contiguous (2, n) copy, so that P and every matvec read
-    # contiguous vectors
-    op.set_rank_one(aux_P(np.stack((q[0::2], q[1::2])), p))
+    n, t = state.n + 1, state.t + dt
+    # a C-contiguous (2, n/2) copy, so that P, p.q and every matvec read
+    # contiguous vectors; the projection replaces it before the solve
+    s = np.stack((q[0::2], q[1::2]))
+    try:
+        op.set_rank_one(aux_P(s, p))
+    except ValueError as exc:
+        raise _step_failure(n, t, str(exc)) from exc
 
     # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r) and the start
     # residual rhs - A q = (sigma/dt^2) w dq - 2 L q - w r p, in the
@@ -163,12 +168,11 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
         inertia *= p.sigma / dt ** 2
         rhs += inertia
         res += inertia
-    s = op.project(q)
+    s = op.project(s)
     s -= state.r
     op.spread(s, rhs)
     op.spread(np.negative(state.r, out=s), res)
 
-    n, t = state.n + 1, state.t + dt
     try:
         x, _ = cg_solve(op, rhs, q, res, tol=cg_tol, maxiter=maxiter)
     except ConvergenceError as exc:

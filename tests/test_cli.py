@@ -351,7 +351,9 @@ initial = zero
                         "sigma = 0.0\n[experiment]\nT = 1.0\ndt = 1e-2\n")
         out = tmp_path / "o"
         assert main(["run", "--config", cfgpath, "--out", str(out)]) == 2
-        assert "nonpositive radicand" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nonpositive radicand" in err
+        assert "step 93" in err and "case nx=2" in err
         assert not out.exists()
 
     def test_validation_error_exit_one(self, tmp_path):

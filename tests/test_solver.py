@@ -112,6 +112,37 @@ class TestConstantPart:
         assert np.shares_memory(op.base.indices, K.indices)
         assert np.shares_memory(op.base.indptr, K.indptr)
 
+    def test_shares_the_index_arrays_of_K_with_D(self):
+        """c_d D is added into the values of the copy of K, not as a sparse
+        sum, which would make new index arrays."""
+        mesh = build_mesh(0, 2, 0, 2, 16, 16)
+        K, D = assemble_stiffness(mesh), assemble_div_form(mesh)
+        op = StepOperator(lumped_mass(mesh), K, D, 8e3, 1e-3, 5e-4)
+        assert np.shares_memory(op.base.indices, K.indices)
+        assert np.shares_memory(op.base.indptr, K.indptr)
+
+
+class TestDivFormCheck:
+    """The operator takes D x to be K x, so a D that is not K entry for
+    entry is refused when the operator is built."""
+
+    def build(self, D):
+        mesh = build_mesh(0, 2, 0, 2, 6, 6)
+        return StepOperator(lumped_mass(mesh), assemble_stiffness(mesh), D,
+                            8e3, 1e-3, 5e-4)
+
+    def test_one_perturbed_entry_raises(self):
+        D = assemble_div_form(build_mesh(0, 2, 0, 2, 6, 6))
+        D.data[7] *= 1.0 + 2.0 ** -52
+        with pytest.raises(ValueError, match="must equal the stiffness"):
+            self.build(D)
+
+    def test_other_structure_raises(self):
+        D = assemble_div_form(build_mesh(0, 2, 0, 2, 6, 6)).tolil()
+        D[0, D.shape[1] - 1] = 1.0  # one more stored entry
+        with pytest.raises(ValueError, match="must equal the stiffness"):
+            self.build(D.tocsr())
+
 
 class TestCgSolve:
     def test_zero_rhs(self):

@@ -257,6 +257,22 @@ class TestStep:
         assert "step %d (t = %.6g)" % (state.n + 1, state.t + dt) in str(err)
         assert err.residual > 1e-300
 
+    def test_radicand_failure_names_the_step(self):
+        """A state below the bulk minimum that A0 does not cover fails in
+        aux_P, at the step that it starts."""
+        mesh = build_mesh(0, 2, 0, 2, 4, 4)
+        dt = 1e-3
+        state, op = start(mesh, P6, dt, default_initial_q)
+        state = step(state, P6, dt, op)
+        low = replace(P6, A0=1e-6)
+        with pytest.raises(ConvergenceError) as info:
+            step(state, low, dt, op)
+        err = info.value
+        assert (err.step, err.t) == (state.n + 1, state.t + dt)
+        assert "step %d (t = %.6g): nonpositive radicand" % (err.step, err.t) \
+            in str(err)
+        assert isinstance(err.__cause__, ValueError)
+
 
 class TestCarriedInterior:
     @pytest.mark.parametrize("params", [P6_DIV, P6_PAR], ids=["inertial_div", "parabolic"])
@@ -334,8 +350,8 @@ class TestCarriedProducts:
 
     @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
     def test_products_per_step(self, params, monkeypatch):
-        """One op.base product per CG iteration, one K product (and one D
-        product) for the confirmation, and nothing else."""
+        """One op.base product per CG iteration, one K product for the
+        confirmation, and nothing else: D x is K x, so D is never applied."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         dt = 1e-3
         state, op = default_start(mesh, params, dt)
@@ -359,7 +375,7 @@ class TestCarriedProducts:
             counts = (op.base.calls, op.K.calls, d_calls())
             state = step(state, params, dt, op)
             assert (op.base.calls - counts[0], op.K.calls - counts[1],
-                    d_calls() - counts[2]) == (iters[-1], 1, int(with_div))
+                    d_calls() - counts[2]) == (iters[-1], 1, 0)
         assert sum(iters) > 0
 
 
