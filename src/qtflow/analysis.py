@@ -83,12 +83,16 @@ def _check_nodal(forms: NormForms, shape: tuple, *fields) -> None:
         raise ValueError("fields do not match the mesh")
 
 
+def _h1_sq(e: np.ndarray, forms: NormForms):
+    """Squared H1 norm of the scalar nodal field e."""
+    return e @ (forms.mass @ e) + e @ (forms.stiffness @ e)
+
+
 def h1_error_component(A: np.ndarray, B: np.ndarray, forms: NormForms,
                        component: int) -> float:
     """H1 norm of one scalar component of the difference of two Q fields."""
     _check_nodal(forms, (2,), A, B)
-    e = A[:, component] - B[:, component]
-    return float(np.sqrt(e @ (forms.mass @ e) + e @ (forms.stiffness @ e)))
+    return float(np.sqrt(_h1_sq(A[:, component] - B[:, component], forms)))
 
 
 def l2_error_scalar(rA: np.ndarray, rB: np.ndarray, forms: NormForms) -> float:
@@ -106,8 +110,7 @@ def h1_error_field(QA: np.ndarray, QB: np.ndarray, forms: NormForms) -> float:
     _check_nodal(forms, (2,), QA, QB)
     total = 0.0
     for comp in range(2):
-        e = QA[:, comp] - QB[:, comp]
-        total += float(e @ (forms.mass @ e) + e @ (forms.stiffness @ e))
+        total += float(_h1_sq(QA[:, comp] - QB[:, comp], forms))
     return float(np.sqrt(2.0 * total))
 
 

@@ -36,13 +36,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .mesh import StructuredMesh
+from .mesh import CELL, StructuredMesh
 
 
-def element_geometry(mesh: StructuredMesh, triangles: np.ndarray):
-    """Signed areas (M,) and constant basis gradients (M, 3, 2) of the given
-    triangles (node index triples)."""
-    pts = mesh.nodes[triangles]
+def element_geometry(pts: np.ndarray):
+    """Signed areas (M,) and constant basis gradients (M, 3, 2) of the
+    triangles with vertex coordinates pts (M, 3, 2)."""
     v1 = pts[:, 1] - pts[:, 0]
     v2 = pts[:, 2] - pts[:, 0]
     area = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
@@ -54,20 +53,23 @@ def element_geometry(mesh: StructuredMesh, triangles: np.ndarray):
     return area, grads
 
 
+def cell_geometry(mesh: StructuredMesh):
+    """element_geometry() of the first cell's two triangles (CELL), at the
+    mesh's lattice coordinates."""
+    x, y = mesh.axes()
+    return element_geometry(np.stack((x[CELL[..., 1]], y[CELL[..., 0]]), axis=-1))
+
+
 def _cell_contributions(mesh: StructuredMesh, entry):
     """The contributions of the first cell, in triangle and then local
     order: (offset, corner, entry(area, grads, i, j)) for basis pair (i, j)
     of each triangle, where offset is the lattice offset (dj, di) from node
     i to node j and corner the position (cj, ci) of node i in the cell."""
-    cell = mesh.cell
-    area, grads = element_geometry(mesh, cell)
-    cj, ci = np.divmod(cell, mesh.nx + 1)
-    for t in range(2):
-        for i in range(3):
-            for j in range(3):
-                yield ((int(cj[t, j] - cj[t, i]), int(ci[t, j] - ci[t, i])),
-                       (int(cj[t, i]), int(ci[t, i])),
-                       entry(area[t], grads[t], i, j))
+    area, grads = cell_geometry(mesh)
+    for t, tri in enumerate(CELL.tolist()):
+        for i, (cj, ci) in enumerate(tri):
+            for j, (oj, oi) in enumerate(tri):
+                yield (oj - cj, oi - ci), (cj, ci), entry(area[t], grads[t], i, j)
 
 
 def _csr(counts: np.ndarray, data: np.ndarray, cols: np.ndarray) -> sparse.csr_matrix:

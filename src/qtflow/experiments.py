@@ -197,7 +197,7 @@ def _simulate(case: Case) -> RunResult:
 
     N = num_steps(case.T, dt)
     try:
-        r0 = nodal_r(mesh, params, Q0)
+        r0 = nodal_r(params, Q0)
     except ValueError as exc:  # a later step's radicand is the solver's
         raise ConfigError("params.A0: %s for the initial state of %s"
                           % (exc, case)) from None
@@ -334,9 +334,7 @@ def _refinement(levels, cases, threads, compare) -> StudyResult:
 
 def _zero_trace_r(res: RunResult) -> np.ndarray:
     """r as a finite element function with zero boundary trace."""
-    r = res.state.r_field(res.mesh)
-    r[res.mesh.is_boundary] = 0.0
-    return r
+    return res.mesh.scatter_interior(np.zeros(res.mesh.n_nodes), res.state.r)
 
 
 def space_refinement_study(config: ExperimentConfig) -> StudyResult:

@@ -5,9 +5,11 @@ so stencils are identical everywhere and runs are reproducible.  Nodes are
 ordered lexicographically: index = j * (nx + 1) + i for lattice coordinates
 (i, j).
 
-Nothing is stored per triangle: every cell is a translate of the first
-one (StructuredMesh.cell), so set-up works from lattice arithmetic, and the
-lumped weights come from the number of triangles at each node.
+Nothing is stored per node or per triangle but the lumped weights: node
+coordinates, boundary flags and interior indices all follow from the
+lattice (StructuredMesh.axes()), every cell is a translate of the first
+one (CELL), and the lumped weights come from the number of triangles at
+each node.
 """
 
 from __future__ import annotations
@@ -18,12 +20,18 @@ import numpy as np
 from scipy import sparse
 
 
+#: The first cell's triangles as lattice corners (row, col) of their
+#: vertices: (ll, lr, ur) and (ll, ur, ul), each positively oriented.
+CELL = np.array([[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 1), (1, 0)]])
+
+
 @dataclass
 class StructuredMesh:
     """Uniform right-triangle mesh of [x0,x1] x [y0,y1].
 
-    gamma holds the lumped weights (integral of each hat function).
-    Instances are treated as immutable.
+    gamma holds the lumped weights (integral of each hat function).  The
+    interior nodes are the inner block of the lattice, which
+    interior_view() reaches.  Instances are treated as immutable.
     """
 
     x0: float
@@ -33,26 +41,21 @@ class StructuredMesh:
     nx: int
     ny: int
     h: float
-    nodes: np.ndarray        # (N, 2) coordinates
-    is_boundary: np.ndarray  # (N,) bool
     gamma: np.ndarray        # (N,) lumped weights
-    interior_nodes: np.ndarray  # (n,) node indices of interior nodes
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (self.nx + 1) * (self.ny + 1)
 
     @property
     def n_interior(self) -> int:
-        return self.interior_nodes.shape[0]
+        return (self.nx - 1) * (self.ny - 1)
 
-    @property
-    def cell(self) -> np.ndarray:
-        """(2, 3) node indices of the first cell's triangles, (ll, lr, ur)
-        and (ll, ur, ul), each positively oriented; cell + c is the cell
-        whose lower-left node is c."""
-        s = self.nx + 1
-        return np.array([[0, 1, s + 1], [0, s + 1, s]])
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lattice axes x (nx+1,) and y (ny+1,): node (i, j) lies at
+        (x[i], y[j])."""
+        return (self.x0 + np.arange(self.nx + 1) * self.h,
+                self.y0 + np.arange(self.ny + 1) * self.h)
 
     def interior_view(self, field: np.ndarray) -> np.ndarray:
         """The interior entries of a nodal field, shaped (ny-1, nx-1, ...).
@@ -88,10 +91,6 @@ def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
         raise ValueError("cells must be square: hx=%g differs from hy=%g" % (hx, hy))
     h = hx
 
-    nodes = np.empty((ny + 1, nx + 1, 2))
-    nodes[..., 0] = x0 + np.arange(nx + 1) * h
-    nodes[..., 1] = (y0 + np.arange(ny + 1) * h)[:, None]
-
     # Triangles per node: a cell's lower-left and upper-right corners lie
     # on both of its triangles, the other two corners on one.  Every
     # triangle adds the same area / 3 to each of its nodes, and k equal
@@ -104,15 +103,9 @@ def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
     sums = np.zeros(7)
     np.cumsum(np.full(6, 0.5 * h * h / 3.0), out=sums[1:])
 
-    is_boundary = np.ones((ny + 1, nx + 1), dtype=bool)
-    is_boundary[1:-1, 1:-1] = False
-    is_boundary = is_boundary.ravel()
-
     return StructuredMesh(
         x0=float(x0), x1=float(x1), y0=float(y0), y1=float(y1),
-        nx=int(nx), ny=int(ny), h=float(h),
-        nodes=nodes.reshape(-1, 2), is_boundary=is_boundary,
-        gamma=sums[count].ravel(), interior_nodes=np.flatnonzero(~is_boundary),
+        nx=int(nx), ny=int(ny), h=float(h), gamma=sums[count].ravel(),
     )
 
 

@@ -63,14 +63,14 @@ def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
     boundary (the homogeneous Dirichlet value).  The callable is called once,
     on the interior lattice axes x of shape (nx-1,) and y of shape (ny-1, 1),
     so it must broadcast; q1 and q2 broadcast to the interior block."""
-    lattice = mesh.nodes.reshape(mesh.ny + 1, mesh.nx + 1, 2)
+    x, y = mesh.axes()
     field = np.zeros((mesh.n_nodes, 2))
     block = mesh.interior_view(field)
-    block[..., 0], block[..., 1] = data(lattice[0, 1:-1, 0], lattice[1:-1, :1, 1])
+    block[..., 0], block[..., 1] = data(x[1:-1], y[1:-1, None])
     return field
 
 
-def nodal_r(mesh: StructuredMesh, p: Params, Qfield: np.ndarray) -> np.ndarray:
+def nodal_r(p: Params, Qfield: np.ndarray) -> np.ndarray:
     return np.asarray(aux_r(Qfield.T, p))
 
 
@@ -96,7 +96,7 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params, q0: np.ndarray,
 def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
                r0: np.ndarray, op: StepOperator,
                velocity=build_default_Qt0) -> SimState:
-    """Build the starting state from the nodal fields Q0 and r0 = nodal_r(Q0),
+    """Build the starting state from the nodal fields Q0 and r0 = nodal_r(p, Q0),
     of which only the interior values are read; op is the run's operator
     from step_operator(), which forms the products of the state.
 

@@ -71,9 +71,34 @@ NON_DYADIC_MESHES = (
     ((0.1, 1.4, -0.3, 1.0), 13, 13),
 )
 
+#: Extents of the set-up comparisons and their square cells: dyadic,
+#: non-dyadic, and 3:1.
+SETUP_MESHES = (((0.0, 2.0, 0.0, 2.0), 16, 16), ((0.1, 1.4, 0.1, 1.4), 13, 13),
+                ((0.0, 3.0, 0.0, 1.0), 30, 10))
+
 
 # ---------------------------------------------------------------------------
 # mesh bookkeeping
+
+
+def nodes(mesh):
+    """(N, 2) node coordinates in lexicographic order."""
+    xy = np.empty((mesh.ny + 1, mesh.nx + 1, 2))
+    xy[..., 0] = mesh.x0 + np.arange(mesh.nx + 1) * mesh.h
+    xy[..., 1] = (mesh.y0 + np.arange(mesh.ny + 1) * mesh.h)[:, None]
+    return xy.reshape(-1, 2)
+
+
+def is_boundary(mesh):
+    """(N,) flags of the nodes on the boundary."""
+    flags = np.ones((mesh.ny + 1, mesh.nx + 1), dtype=bool)
+    flags[1:-1, 1:-1] = False
+    return flags.ravel()
+
+
+def interior_nodes(mesh):
+    """(n,) node indices of the interior nodes, in interior order."""
+    return np.flatnonzero(~is_boundary(mesh))
 
 
 def triangles(mesh):
@@ -93,7 +118,7 @@ def interior_index(mesh):
     """Position of every node in the interior unknown ordering, -1 on the
     boundary."""
     index = np.full(mesh.n_nodes, -1)
-    index[mesh.interior_nodes] = np.arange(mesh.n_interior)
+    index[interior_nodes(mesh)] = np.arange(mesh.n_interior)
     return index
 
 
@@ -115,7 +140,9 @@ def nested_injection_by_coo(coarse, fine):
     bary = np.column_stack([1.0 - np.where(lower, xi, eta),
                             np.where(lower, xi - eta, xi),
                             np.where(lower, eta, eta - xi)])
-    cols = (jc * (coarse.nx + 1) + ic)[:, None] + coarse.cell[np.where(lower, 0, 1)]
+    s = coarse.nx + 1
+    cell = np.array([[0, 1, s + 1], [0, s + 1, s]])
+    cols = (jc * s + ic)[:, None] + cell[np.where(lower, 0, 1)]
     rows = np.repeat(np.arange(ii.size), 3)
     return sparse.csr_matrix((bary.ravel(), (rows, cols.ravel())),
                              shape=(fine.n_nodes, coarse.n_nodes))
@@ -138,8 +165,9 @@ def barycentric(pts, point):
 def containing_triangle(mesh, point):
     """The first triangle of mesh that contains point, and the point's
     barycentric coordinates in it, by search over all triangles."""
+    xy = nodes(mesh)
     for tri in triangles(mesh):
-        bary = barycentric(mesh.nodes[tri], point)
+        bary = barycentric(xy[tri], point)
         if np.all(bary > -1e-12):
             return tri, bary
     raise ValueError("point outside the mesh")
@@ -167,8 +195,9 @@ def midpoint_quad_sq(mesh, nodal):
     """Integral of the square of a P1 function via the edge-midpoint rule
     (exact for quadratics)."""
     total = 0.0
+    xy = nodes(mesh)
     for tri in triangles(mesh):
-        pts = mesh.nodes[tri]
+        pts = xy[tri]
         vals = nodal[tri]
         area = tri_area(pts)
         mids = [(vals[0] + vals[1]) / 2.0, (vals[1] + vals[2]) / 2.0,
@@ -180,8 +209,9 @@ def midpoint_quad_sq(mesh, nodal):
 def hat_integrals(mesh):
     """Integral of every hat function by midpoint quadrature."""
     gamma = np.zeros(mesh.n_nodes)
+    xy = nodes(mesh)
     for tri in triangles(mesh):
-        pts = mesh.nodes[tri]
+        pts = xy[tri]
         area = tri_area(pts)
         for local in range(3):
             vals = np.zeros(3)
@@ -195,8 +225,9 @@ def hat_integrals(mesh):
 def div_form_quadrature(mesh, W1, W2):
     """Exact integral of div(W1) . div(W2) for reduced nodal fields."""
     total = 0.0
+    xy = nodes(mesh)
     for tri in triangles(mesh):
-        pts = mesh.nodes[tri]
+        pts = xy[tri]
         area = tri_area(pts)
         grads = tri_grads(pts)
 
@@ -223,7 +254,7 @@ def _all_node_form(mesh, entry):
     """Element assembly over all nodes; entry(area, grads, i, j) gives the
     contribution of basis pair (i, j) of every triangle."""
     tri = triangles(mesh)
-    area, grads = element_geometry(mesh, tri)
+    area, grads = element_geometry(nodes(mesh)[tri])
     rows, cols, data = [], [], []
     for i in range(3):
         for j in range(3):
@@ -254,7 +285,7 @@ def consistent_mass_by_elements(mesh):
 def interior_stiffness_by_elements(mesh):
     """Interleaved interior stiffness: the all-node element assembly
     restricted to interior nodes, one copy per component."""
-    idx = mesh.interior_nodes
+    idx = interior_nodes(mesh)
     K = scalar_stiffness_by_elements(mesh)[idx][:, idx]
     return sparse.kron(K, sparse.identity(2, format="csr"), format="csr")
 
@@ -263,7 +294,7 @@ def div_form_by_elements(mesh):
     """Interleaved interior divergence form from element triplets over all
     nodes, restricted to interior DOFs, with exact cancellations dropped."""
     tri = triangles(mesh)
-    area, grads = element_geometry(mesh, tri)
+    area, grads = element_geometry(nodes(mesh)[tri])
     rows, cols, data = [], [], []
     for i in range(3):
         gi = grads[:, i]
@@ -281,7 +312,7 @@ def div_form_by_elements(mesh):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n2, n2),
     ).tocsr()
-    dofs = np.repeat(2 * mesh.interior_nodes, 2)
+    dofs = np.repeat(2 * interior_nodes(mesh), 2)
     dofs[1::2] += 1
     D = D[dofs][:, dofs]
     D.eliminate_zeros()
@@ -297,7 +328,7 @@ def alpha_pairing(mesh, W1, W2):
     Fields are (N, 2) nodal arrays that vanish on the boundary.
     """
     tri = triangles(mesh)
-    area, grads = element_geometry(mesh, tri)
+    area, grads = element_geometry(nodes(mesh)[tri])
 
     def entry_gradients(W):
         q1 = W[tri, 0]  # (M, 3)
@@ -347,15 +378,16 @@ class FullMatrixStepper:
         self.mesh = mesh
         self.p = params
         self.dt = dt
-        self.idx = mesh.interior_nodes
+        self.idx = interior_nodes(mesh)
         self.gamma = mesh.gamma[self.idx]
         n = len(self.idx)
         self.n = n
 
         G = np.zeros((2, 2, n, n))
+        xy = nodes(mesh)
         inter = interior_index(mesh)
         for tri in triangles(mesh):
-            pts = mesh.nodes[tri]
+            pts = xy[tri]
             area = tri_area(pts)
             grads = tri_grads(pts)
             for li in range(3):
@@ -440,12 +472,13 @@ class FullMatrixStepper:
 def nodal_interpolate_qfield(mesh, data):
     """The callable at every node's coordinates, the boundary entries set to
     zero afterwards."""
-    q1, q2 = data(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    xy = nodes(mesh)
+    q1, q2 = data(xy[:, 0], xy[:, 1])
     field = np.column_stack([
         np.broadcast_to(q1, mesh.n_nodes),
         np.broadcast_to(q2, mesh.n_nodes),
     ]).astype(float)
-    field[mesh.is_boundary] = 0.0
+    field[is_boundary(mesh)] = 0.0
     return field
 
 
@@ -453,7 +486,7 @@ def nodal_default_Qt0(mesh, p, Q0, r0, K):
     """The default initial velocity L1*Lap(Q0) - r0 P(Q0) as a nodal field,
     from the nodal Q0 and r0."""
     x0 = mesh.gather_interior(Q0)
-    qt = -(p.L1) * (K @ x0) / np.repeat(mesh.gamma[mesh.interior_nodes], 2)
+    qt = -(p.L1) * (K @ x0) / np.repeat(mesh.gamma[interior_nodes(mesh)], 2)
     P0 = aux_P(np.stack((x0[0::2], x0[1::2])), p)
     r0 = mesh.gather_interior(r0)
     qt[0::2] -= r0 * P0[0]
@@ -468,7 +501,7 @@ def nodal_start(case, op):
     passes."""
     p, dt = case.params, case.dt
     mesh = build_mesh(case.x0, case.x1, case.y0, case.y1, case.nx, case.ny)
-    idx = mesh.interior_nodes
+    idx = interior_nodes(mesh)
     Q0 = (np.zeros((mesh.n_nodes, 2)) if case.initial == "zero"
           else nodal_interpolate_qfield(mesh, default_initial_q))
     if case.pert_q0 != 0.0:

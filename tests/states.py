@@ -24,7 +24,7 @@ def start(mesh, params, dt, Q0, Qt0=None):
     qt0 = (np.zeros(2 * mesh.n_interior) if Qt0 is None
            else mesh.gather_interior(Qt0))
     op = run_operator(mesh, params, dt)
-    return initialize(mesh, params, dt, Q0, nodal_r(mesh, params, Q0), op,
+    return initialize(mesh, params, dt, Q0, nodal_r(params, Q0), op,
                       lambda *_: qt0), op
 
 
@@ -33,4 +33,4 @@ def default_start(mesh, params, dt):
     Qt0 for sigma > 0, as experiments builds them."""
     Q0 = interpolate_qfield(mesh, default_initial_q)
     op = run_operator(mesh, params, dt)
-    return initialize(mesh, params, dt, Q0, nodal_r(mesh, params, Q0), op), op
+    return initialize(mesh, params, dt, Q0, nodal_r(params, Q0), op), op

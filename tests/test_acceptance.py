@@ -104,7 +104,7 @@ def test_criterion_3_structure_preservation():
     params = replace(DEFAULT_PARAMS, L2=0.0005, L3=0.0005)
     dt = 1e-3
     mesh = build_mesh(0, 2, 0, 2, 4, 4)  # 5x5 nodes
-    idx = mesh.interior_nodes
+    idx = oracles.interior_nodes(mesh)
 
     Q0 = interpolate_qfield(mesh, default_initial_q)
     state, op = default_start(mesh, params, dt)
@@ -229,13 +229,13 @@ def test_criterion_7_model_algebra_suite():
     # alpha pairing equals -2 (div form)
     mesh = build_mesh(0, 2, 0, 2, 8, 8)
     D = assemble_div_form(mesh)
-    idx = mesh.interior_nodes
+    idx = oracles.interior_nodes(mesh)
     worst_alpha = 0.0
     for _ in range(10):
         W1 = rng.uniform(-1, 1, size=(mesh.n_nodes, 2))
         W2 = rng.uniform(-1, 1, size=(mesh.n_nodes, 2))
-        W1[mesh.is_boundary] = 0.0
-        W2[mesh.is_boundary] = 0.0
+        W1[oracles.is_boundary(mesh)] = 0.0
+        W2[oracles.is_boundary(mesh)] = 0.0
         div_val = float(W1[idx].reshape(-1) @ (D @ W2[idx].reshape(-1)))
         pair = oracles.alpha_pairing(mesh, W1, W2)
         worst_alpha = max(worst_alpha,

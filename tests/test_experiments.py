@@ -225,12 +225,6 @@ def first_step_of(case, monkeypatch, at_build_mesh=None, at_first_step=None):
     return seen["state"], seen["op"], seen["value"]
 
 
-#: Extents of the set-up comparisons and their square cells: dyadic,
-#: non-dyadic, and 3:1.
-SETUP_MESHES = [((0.0, 2.0, 0.0, 2.0), 16, 16), ((0.1, 1.4, 0.1, 1.4), 13, 13),
-                ((0.0, 3.0, 0.0, 1.0), 30, 10)]
-
-
 class TestInteriorSetup:
     """The start of a run, built on interior vectors, equals the start built
     over nodal fields (tests/oracles.py) bit for bit."""
@@ -241,7 +235,7 @@ class TestInteriorSetup:
         lambda x, y: (np.full_like(x, 0.3), np.full_like(x, -0.1)),
         lambda x, y: (0.0 * x, 0.25),
     ], ids=["default", "mixed", "row", "scalar"])
-    @pytest.mark.parametrize("extent, nx, ny", SETUP_MESHES)
+    @pytest.mark.parametrize("extent, nx, ny", oracles.SETUP_MESHES)
     def test_interpolation(self, extent, nx, ny, data):
         mesh = build_mesh(*extent, nx, ny)
         assert np.array_equal(stepper.interpolate_qfield(mesh, data),
@@ -253,7 +247,7 @@ class TestInteriorSetup:
         (0.025, 0.05, -0.3, "default"),
         (0.025, 0.0, 0.2, "zero"),
     ], ids=["parabolic", "inertial", "perturbed", "zero_perturbed_qt0"])
-    @pytest.mark.parametrize("extent, nx, ny", SETUP_MESHES)
+    @pytest.mark.parametrize("extent, nx, ny", oracles.SETUP_MESHES)
     def test_start_state(self, extent, nx, ny, sigma, pert_q0, pert_qt0, initial,
                          monkeypatch):
         dt = 1e-3
@@ -268,12 +262,13 @@ class TestInteriorSetup:
             assert (a is None and b is None) or np.array_equal(a, b), name
 
 
-def test_setup_keeps_at_most_32_vectors(monkeypatch):
+def test_setup_keeps_at_most_30_vectors(monkeypatch):
     """What a 128^2 sigma > 0 run holds at its first step, counted by
     tracemalloc from the mesh build on, in n-vectors (8 n bytes, n interior
-    DOFs): 31.1 measured, and 33.2 when the set-up keeps its nodal Q0 and
-    Qt0 fields to the first step.  Deterministic for given numpy and
-    scipy."""
+    DOFs): 29.5 measured, 31.1 when the mesh stores its node coordinates,
+    boundary flags and interior indices, and 33.2 when the set-up also
+    keeps its nodal Q0 and Qt0 fields to the first step.  Deterministic
+    for given numpy and scipy."""
     case = experiments.Case(0.0, 2.0, 0.0, 2.0, 128, 128, DEFAULT_PARAMS,
                             1.25e-4, 3 * 1.25e-4, 1e-10)
     try:
@@ -282,7 +277,7 @@ def test_setup_keeps_at_most_32_vectors(monkeypatch):
             at_first_step=lambda: tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    assert held / (8 * state.q.size) <= 32.0
+    assert held / (8 * state.q.size) <= 30.0
 
 
 def test_initial_radicand_failure_is_a_config_error():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtflow.mesh import build_mesh, nested_injection
+from qtflow.mesh import CELL, build_mesh, nested_injection
 
 import oracles
 
@@ -16,44 +16,48 @@ class TestBuildMesh:
 
     def test_positive_uniform_areas(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        areas = np.array([oracles.tri_area(mesh.nodes[t]) for t in oracles.triangles(mesh)])
+        xy = oracles.nodes(mesh)
+        areas = np.array([oracles.tri_area(xy[t]) for t in oracles.triangles(mesh)])
         assert np.all(areas > 0)
         assert np.allclose(areas, mesh.h ** 2 / 2.0, rtol=1e-13)
 
     def test_cells_are_translates_of_the_first(self):
         mesh = build_mesh(0, 3, 0, 2, 6, 4)
-        tri = oracles.triangles(mesh).reshape(mesh.ny, mesh.nx, 2, 3)
-        ll = np.arange(mesh.ny)[:, None] * (mesh.nx + 1) + np.arange(mesh.nx)
-        assert np.array_equal(tri, ll[:, :, None, None] + mesh.cell)
+        # the lattice corners (row, col) of every triangle's vertices are
+        # the first cell's, CELL, shifted to the cell's lower-left corner
+        corners = np.stack(np.divmod(oracles.triangles(mesh), mesh.nx + 1), axis=-1)
+        ll = np.stack(np.meshgrid(np.arange(mesh.ny), np.arange(mesh.nx), indexing="ij"),
+                      axis=-1)
+        assert np.array_equal(corners.reshape(mesh.ny, mesh.nx, 2, 3, 2),
+                              ll[:, :, None, None] + CELL)
 
     def test_refinement_quarters_areas(self):
         coarse = build_mesh(0, 2, 0, 2, 4, 4)
         fine = build_mesh(0, 2, 0, 2, 8, 8)
-        a_c = oracles.tri_area(coarse.nodes[oracles.triangles(coarse)[0]])
-        a_f = oracles.tri_area(fine.nodes[oracles.triangles(fine)[0]])
+        a_c = oracles.tri_area(oracles.nodes(coarse)[oracles.triangles(coarse)[0]])
+        a_f = oracles.tri_area(oracles.nodes(fine)[oracles.triangles(fine)[0]])
         assert a_f == pytest.approx(a_c / 4.0, rel=1e-14)
 
     def test_boundary_flags(self):
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
-        on_edge = (
-            (mesh.nodes[:, 0] == 0.0) | (mesh.nodes[:, 0] == 2.0)
-            | (mesh.nodes[:, 1] == 0.0) | (mesh.nodes[:, 1] == 2.0)
-        )
-        assert np.array_equal(mesh.is_boundary, on_edge)
-        assert mesh.is_boundary.sum() == 2 * (5 + 5)
+        x, y = oracles.nodes(mesh).T
+        on_edge = (x == 0.0) | (x == 2.0) | (y == 0.0) | (y == 2.0)
+        assert np.array_equal(oracles.is_boundary(mesh), on_edge)
+        assert oracles.is_boundary(mesh).sum() == 2 * (5 + 5)
         assert mesh.n_interior == 16
 
     def test_interior_index_round_trip(self):
         mesh = build_mesh(0, 1, 0, 1, 3, 3)
         index = oracles.interior_index(mesh)
-        for pos, node in enumerate(mesh.interior_nodes):
+        for pos, node in enumerate(oracles.interior_nodes(mesh)):
             assert index[node] == pos
-        assert np.all(index[mesh.is_boundary] == -1)
-        assert np.array_equal(mesh.interior_nodes, np.flatnonzero(~mesh.is_boundary))
+        assert np.all(index[oracles.is_boundary(mesh)] == -1)
+        assert np.array_equal(oracles.interior_nodes(mesh),
+                              np.flatnonzero(~oracles.is_boundary(mesh)))
 
     def test_interior_gather_and_scatter_follow_interior_order(self):
         mesh = build_mesh(0, 3, 0, 2, 6, 4)
-        idx = mesh.interior_nodes
+        idx = oracles.interior_nodes(mesh)
         rng = np.random.RandomState(1)
         Q = rng.standard_normal((mesh.n_nodes, 2))
         r = rng.standard_normal(mesh.n_nodes)
@@ -92,11 +96,11 @@ class TestBuildMesh:
     def test_interior_and_corner_weights(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         h2 = mesh.h ** 2
-        interior = ~mesh.is_boundary
+        interior = ~oracles.is_boundary(mesh)
         assert np.allclose(mesh.gamma[interior], h2, rtol=1e-13)
         # corners: two triangles meet the diagonal corners, one the others
         corner_vals = sorted(
-            mesh.gamma[i] for i, (x, y) in enumerate(mesh.nodes)
+            mesh.gamma[i] for i, (x, y) in enumerate(oracles.nodes(mesh))
             if (x in (0.0, 2.0)) and (y in (0.0, 2.0))
         )
         assert np.allclose(corner_vals, [h2 / 6, h2 / 6, h2 / 3, h2 / 3], rtol=1e-13)
@@ -113,8 +117,7 @@ class TestNestedInjection:
         coarse = build_mesh(0, 2, 0, 2, 8, 8)
         fine = build_mesh(0, 2, 0, 2, 16, 16)
         inj = nested_injection(coarse, fine)
-        for ci in range(coarse.n_nodes):
-            x, y = coarse.nodes[ci]
+        for ci, (x, y) in enumerate(oracles.nodes(coarse)):
             fi = int(round((y / fine.h))) * (fine.nx + 1) + int(round(x / fine.h))
             row = inj.getrow(fi).toarray().ravel()
             assert row[ci] == pytest.approx(1.0, abs=1e-15)
@@ -135,8 +138,9 @@ class TestNestedInjection:
         fine = build_mesh(0, 2, 0, 2, 12, 12)
         inj = nested_injection(coarse, fine)
         rng = np.random.RandomState(1)
+        xy = oracles.nodes(fine)
         for fi in rng.choice(fine.n_nodes, size=40, replace=False):
-            tri, bary = oracles.containing_triangle(coarse, fine.nodes[fi])
+            tri, bary = oracles.containing_triangle(coarse, xy[fi])
             expect = np.zeros(coarse.n_nodes)
             expect[tri] = bary
             row = inj.getrow(fi).toarray().ravel()
@@ -149,8 +153,8 @@ class TestNestedInjection:
         fine = build_mesh(0, 2, 0, 2, 16, 16)
         inj = nested_injection(coarse, fine)
         lin = lambda pts: 0.75 * pts[:, 0] - 1.25 * pts[:, 1] + 0.5
-        transferred = inj @ lin(coarse.nodes)
-        assert np.max(np.abs(transferred - lin(fine.nodes))) < 1e-13
+        transferred = inj @ lin(oracles.nodes(coarse))
+        assert np.max(np.abs(transferred - lin(oracles.nodes(fine)))) < 1e-13
 
     @pytest.mark.parametrize("extent, nc, nf", [
         ((0.0, 2.0, 0.0, 2.0), nc, nf) for nc in (4, 8, 16)

@@ -56,11 +56,11 @@ class TestInitialize:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         Q0 = interpolate_qfield(mesh, default_initial_q)
         # the director data vanishes on the boundary before any clamping
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        x, y = oracles.nodes(mesh).T
         n1 = x * (2 - x) * y * (2 - y)
         n2 = np.sin(np.pi * x) * np.sin(0.5 * np.pi * y)
-        assert np.max(np.abs(n1[mesh.is_boundary])) < 1e-13
-        assert np.max(np.abs(n2[mesh.is_boundary])) < 1e-12
+        assert np.max(np.abs(n1[oracles.is_boundary(mesh)])) < 1e-13
+        assert np.max(np.abs(n2[oracles.is_boundary(mesh)])) < 1e-12
         assert np.allclose(Q0[:, 0], 0.5 * (n1 ** 2 - n2 ** 2), atol=1e-12)
         assert np.allclose(Q0[:, 1], n1 * n2, atol=1e-12)
 
@@ -74,7 +74,7 @@ class TestInitialize:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         state, _ = start(mesh, P6, 1e-3, default_initial_q, Qt0=None)
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        assert np.array_equal(state.r_field(mesh), nodal_r(mesh, P6, Q0))
+        assert np.array_equal(state.r_field(mesh), nodal_r(P6, Q0))
 
     def test_r_first_level_update(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
@@ -82,7 +82,7 @@ class TestInitialize:
         qt0 = lambda x, y: (np.full_like(x, 0.3), np.full_like(x, -0.1))
         state, _ = start(mesh, P6, dt, default_initial_q, Qt0=qt0)
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(mesh, P6, Q0)
+        r0 = nodal_r(P6, Q0)
         P0 = aux_P(Q0.T, P6)
         dq = state.Q_field(mesh) - Q0
         expect = r0 + 2.0 * (P0[0] * dq[:, 0] + P0[1] * dq[:, 1])
@@ -93,7 +93,7 @@ class TestDefaultQt0:
     def test_zero_data_gives_zero(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         Q0 = np.zeros((mesh.n_nodes, 2))
-        r0 = nodal_r(mesh, P6, Q0)
+        r0 = nodal_r(P6, Q0)
         assert np.all(default_velocity(mesh, P6, Q0, r0) == 0.0)
 
     def test_discrete_eigenvector(self):
@@ -101,7 +101,7 @@ class TestDefaultQt0:
         # eigenvector of the lumped-inverse stiffness
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         K = assemble_stiffness(mesh)
-        gdof = np.repeat(mesh.gamma[mesh.interior_nodes], 2)
+        gdof = np.repeat(mesh.gamma[oracles.interior_nodes(mesh)], 2)
 
         rng = np.random.RandomState(5)
         v = rng.standard_normal(2 * mesh.n_interior)
@@ -112,7 +112,7 @@ class TestDefaultQt0:
             v /= lam
 
         Q0 = np.zeros((mesh.n_nodes, 2))
-        Q0[mesh.interior_nodes] = v.reshape(-1, 2)
+        Q0[oracles.interior_nodes(mesh)] = v.reshape(-1, 2)
         qt0 = default_velocity(mesh, P6, Q0, np.zeros(mesh.n_nodes))
         expect = -P6.L1 * lam * v
         assert np.max(np.abs(qt0 - expect)) < 1e-6 * lam * P6.L1
@@ -120,7 +120,7 @@ class TestDefaultQt0:
     def test_caller_stiffness_gives_same_result(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(mesh, P6, Q0)
+        r0 = nodal_r(P6, Q0)
         op = step_operator(P6, 1e-3, assemble_stiffness(mesh), None,
                            lumped_mass(mesh))
         assert np.array_equal(default_velocity(mesh, P6, Q0, r0, op),
@@ -130,7 +130,7 @@ class TestDefaultQt0:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(mesh, P6, Q0)
+        r0 = nodal_r(P6, Q0)
         dt = 1e-3
         op = step_operator(P6, dt, K, D, w)
         state = initialize(mesh, P6, dt, Q0, r0, op)
@@ -157,7 +157,7 @@ class TestStep:
         dt = 1e-3
 
         Q0 = np.zeros((mesh.n_nodes, 2))
-        node = mesh.interior_nodes[0]
+        node = oracles.interior_nodes(mesh)[0]
         Q0[node] = [0.4, -0.3]
         state, op = start(mesh, P6_DIV, dt, Q0)
         new = step(state, P6_DIV, dt, op, cg_tol=1e-14)
@@ -184,11 +184,11 @@ class TestStep:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         state, op = start(mesh, P6, 1e-3, default_initial_q,
                           Qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
-        r_bnd = state.r_field(mesh)[mesh.is_boundary]
+        r_bnd = state.r_field(mesh)[oracles.is_boundary(mesh)]
         for _ in range(10):
             state = step(state, P6, 1e-3, op)
-        assert np.all(state.Q_field(mesh)[mesh.is_boundary] == 0.0)
-        assert np.array_equal(state.r_field(mesh)[mesh.is_boundary], r_bnd)
+        assert np.all(state.Q_field(mesh)[oracles.is_boundary(mesh)] == 0.0)
+        assert np.array_equal(state.r_field(mesh)[oracles.is_boundary(mesh)], r_bnd)
 
     def test_energy_identity_and_monotonicity(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -196,10 +196,10 @@ class TestStep:
         dt = 1e-3
         for p in (P6, P6_DIV, P6_PAR):
             Q0 = interpolate_qfield(mesh, default_initial_q)
-            r0 = nodal_r(mesh, p, Q0)
+            r0 = nodal_r(p, Q0)
             op = step_operator(p, dt, K, D, w)
             state = initialize(mesh, p, dt, Q0, r0, op)
-            idx = mesh.interior_nodes
+            idx = oracles.interior_nodes(mesh)
             rec = discrete_energy(state, p, dt, mesh, w)
             e0 = rec.total
             prev_dtq = None
@@ -224,7 +224,7 @@ class TestStep:
         K, D, w = forms(mesh)
         dt = 1e-4
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(mesh, P6, Q0)
+        r0 = nodal_r(P6, Q0)
 
         tiny = replace(P6, sigma=1e-12)
         op = step_operator(tiny, dt, K, D, w)
@@ -283,7 +283,7 @@ class TestCarriedInterior:
         K, D, w = forms(mesh)
         dt = 1e-3
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(mesh, params, Q0)
+        r0 = nodal_r(params, Q0)
         op = step_operator(params, dt, K, D, w)
         carried = initialize(mesh, params, dt, Q0, r0, op)
         fresh = carried
@@ -412,9 +412,9 @@ class TestNodalField:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         dt = 1e-3
-        idx, bnd = mesh.interior_nodes, mesh.is_boundary
+        idx, bnd = oracles.interior_nodes(mesh), oracles.is_boundary(mesh)
         Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(mesh, P6, Q0)
+        r0 = nodal_r(P6, Q0)
         qt0 = oracles.nodal_default_Qt0(mesh, P6, Q0, r0, K)
         op = step_operator(P6, dt, K, D, w)
         state = initialize(mesh, P6, dt, Q0, r0, op)
@@ -438,7 +438,7 @@ class TestNodalField:
 class TestFullMatrixReference:
     def _run_comparison(self, params, nsteps=10, dt=1e-3):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)  # 5x5 nodes
-        idx = mesh.interior_nodes
+        idx = oracles.interior_nodes(mesh)
 
         Q0 = interpolate_qfield(mesh, default_initial_q)
         state, op = default_start(mesh, params, dt)
