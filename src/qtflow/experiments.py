@@ -187,7 +187,6 @@ def _simulate(case: Case) -> RunResult:
     params, dt = case.params, case.dt
     mesh = build_mesh(case.x0, case.x1, case.y0, case.y1, case.nx, case.ny)
     K = assembly.assemble_stiffness(mesh)
-    D = assembly.assemble_div_form(mesh) if (params.L2 + params.L3) != 0.0 else None
     w = assembly.lumped_mass(mesh)
 
     Q0 = (np.zeros((mesh.n_nodes, 2)) if case.initial == "zero"
@@ -209,7 +208,8 @@ def _simulate(case: Case) -> RunResult:
             qt[0::2] += case.pert_qt0
         return qt
 
-    op = step_operator(params, dt, K, D, w)
+    op = step_operator(params, dt, K, assembly.assemble_div_form(mesh)
+                       if (params.L2 + params.L3) != 0.0 else None, w)
     state = initialize(mesh, params, dt, Q0, r0, op, velocity)
     del Q0  # the state holds the interior vectors
 

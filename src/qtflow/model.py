@@ -56,12 +56,10 @@ def trace_q2(Q: np.ndarray):
 
 def _potential(t2, p: Params):
     """The bulk energy density as a function of t2 = tr(Q^2), formed in t2."""
-    # tr(Q^3) vanishes identically for symmetric trace-free 2x2 matrices;
-    # the b term is kept in the formula for fidelity to the 3D form.
-    t3 = 0.0
+    # tr(Q^3) vanishes identically for symmetric trace-free 2x2 matrices,
+    # so the b term (b/3) tr(Q^3) of the 3D form drops out.
     quartic = 0.25 * p.c * t2 * t2
     t2 *= 0.5 * p.a
-    t2 -= (p.b / 3.0) * t3
     t2 += quartic
     return t2
 
@@ -97,7 +95,7 @@ def _aux_r(t2, p: Params):
     rad = _potential(t2, p)
     rad += p.A0
     rad *= 2.0
-    if np.min(rad) <= 0.0:
+    if rad.min() <= 0.0:
         raise ValueError(
             "nonpositive radicand in auxiliary variable: A0=%g is too small"
             % p.A0

@@ -13,6 +13,8 @@ that a solve returns or leaves on it for a caller to keep is new.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 
@@ -44,8 +46,6 @@ class StepOperator:
     """
 
     def __init__(self, weights, K, D, cm, ck, cd):
-        self.K = K
-        self.D = D
         self.cm = float(cm)
         self.ck = float(ck)
         self.cd = float(cd)
@@ -53,6 +53,8 @@ class StepOperator:
         if D is not None and not all(map(np.array_equal, (D.indptr, D.indices, D.data),
                                          (K.indptr, K.indices, K.data))):
             raise ValueError("the divergence form D must equal the stiffness K")
+        self.K = K
+        self.D = None if D is None else K  # one matrix for both
 
         # c_m w added into the diagonal of c_k K, then c_d D, as the sums of
         # the sparse matrices round.  The copy shares the index arrays of K,
@@ -66,7 +68,8 @@ class StepOperator:
             base.data += self.cd * K.data
             diag = base.diagonal()
         self.base = base
-        self._base_diag = diag
+        # the diagonal by component, (2, n/2), read without a stride
+        self._base_diag = diag.reshape(-1, 2).T.copy()
         self.w = weights
         # work vectors: the diagonal, step()'s rhs, the residual CG starts from
         # and residual() writes, CG's z and direction, a temporary of CG and
@@ -81,7 +84,7 @@ class StepOperator:
         for c in (0, 1):
             np.multiply(self.w[0::2], p_nodes[c], out=self._wp[c])
             t = np.multiply(self._wp[c], p_nodes[c], out=self._t)
-            np.add(self._base_diag[c::2], t, out=self.diag[c::2])
+            np.add(self._base_diag[c], t, out=self.diag[c::2])
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """p_z . x_z at every interior node, x interleaved (n,) or split (2,
@@ -129,24 +132,26 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
     (overwritten), and x0 is never written.  Returns (x, iterations).
     Whenever the recurrence residual meets the limit, the true residual
     from A.residual confirms it, which leaves the products of x on A; a
-    rejected confirmation (a drifted recurrence or a wrong r0) restarts CG
-    from the true residual.  Raises ConvergenceError when maxiter is
-    exhausted.
+    rejected confirmation (a drifted recurrence or a wrong r0, NaN too)
+    restarts CG from the true residual.  Raises ConvergenceError when
+    maxiter is exhausted, and at once when rhs is not finite.
     """
-    norm_b = np.linalg.norm(rhs)
+    norm_b = math.sqrt(rhs @ rhs)
     if norm_b == 0.0:
         x = np.zeros_like(rhs)
         A.residual(rhs, x)
         return x, 0
+    if not math.isfinite(norm_b):
+        raise ConvergenceError("non-finite right-hand side", math.nan)
     if maxiter is None:
         maxiter = 10 * rhs.shape[0]
     limit = tol * norm_b
 
     x, r, p, tmp = x0, r0, None, A.tmp
     for k in range(maxiter + 1):
-        if np.linalg.norm(r) <= limit:
+        if not math.sqrt(r @ r) > limit:
             true_r = A.residual(rhs, x)
-            if np.linalg.norm(true_r) <= limit:
+            if math.sqrt(true_r @ true_r) <= limit:
                 return x, k
             # the search directions built on the wrong residual are stale
             r, p = true_r, None
@@ -166,7 +171,8 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
             x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(Ap, alpha, out=tmp)
 
-    res = float(np.linalg.norm(A.residual(rhs, x)) / norm_b)
+    true_r = A.residual(rhs, x)
+    res = math.sqrt(true_r @ true_r) / norm_b
     raise ConvergenceError(
         "CG did not converge in %d iterations (relative residual %.3e)"
         % (maxiter, res),

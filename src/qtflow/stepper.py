@@ -111,7 +111,7 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
     r = mesh.gather_interior(r0)
     dq, n = None, 0
     if p.sigma > 0.0:
-        P0 = aux_P(np.stack((q[0::2], q[1::2])), p)
+        P0 = aux_P(q.reshape(-1, 2).T.copy(), p)
         # fresh vectors only for what the state keeps: a lower set-up peak
         q0, q = q, dt * velocity(mesh, p, q, r, P0, op)
         q += q0
@@ -150,7 +150,7 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     n, t = state.n + 1, state.t + dt
     # a C-contiguous (2, n/2) copy, so that P, p.q and every matvec read
     # contiguous vectors; the projection replaces it before the solve
-    s = np.stack((q[0::2], q[1::2]))
+    s = q.reshape(-1, 2).T.copy()
     try:
         op.set_rank_one(aux_P(s, p))
     except ValueError as exc:
@@ -177,12 +177,12 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
         x, _ = cg_solve(op, rhs, q, res, tol=cg_tol, maxiter=maxiter)
     except ConvergenceError as exc:
         raise _step_failure(n, t, str(exc), exc.residual) from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise _step_failure(n, t, "non-finite values in Q update")
 
     dq = x - q
     r = state.r + 2.0 * op.project(dq)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise _step_failure(n, t, "non-finite values in r update")
     # cg_solve confirmed x last, so op holds the products of x
     return SimState(q=x, dq=dq, r=r, Kq=op.Kx, Lq=op.Lx, r0=state.r0, n=n, t=t)

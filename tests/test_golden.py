@@ -2,8 +2,10 @@
 configs of each subcommand write.
 
 The configs cover the stiffness and divergence forms (run, space-refine),
-the norm forms on a 64^2 reference (space-refine), the time study and the
-sigma sweep with finite and infinite exponents.  The hashes were recorded
+a non-dyadic mesh, whose set-up rounds differently (run-nondyadic), the
+norm forms on a 64^2 reference (space-refine), the time study and the
+sigma sweep with finite and infinite exponents.  Each is keyed by a name
+and names its subcommand.  The hashes were recorded
 with numpy 2.4.6 and scipy 1.17.1, BLAS pinned to one thread; other
 versions or thread counts may round differently, so the test skips there.
 A change that keeps these hashes kept every output bit of these configs.
@@ -22,7 +24,7 @@ RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 CONFIGS = {
-    "run": """
+    "run": ("run", """
 [mesh]
 nx = 16
 [params]
@@ -31,8 +33,23 @@ L3 = 5e-4
 [experiment]
 T = 0.02
 dt = 1e-3
-""",
-    "space-refine": """
+"""),
+    "run-nondyadic": ("run", """
+[mesh]
+x0 = 0.1
+x1 = 1.4
+y0 = 0.1
+y1 = 1.4
+nx = 13
+ny = 13
+[params]
+L2 = 5e-4
+L3 = 5e-4
+[experiment]
+T = 0.02
+dt = 1e-3
+"""),
+    "space-refine": ("space-refine", """
 [params]
 L2 = 5e-4
 L3 = 5e-4
@@ -42,16 +59,16 @@ T = 0.01
 dt = 1e-3
 h_list = 0.5, 0.25, 0.125
 reference_level = 5
-""",
-    "time-refine": """
+"""),
+    "time-refine": ("time-refine", """
 [mesh]
 nx = 8
 [experiment]
 T = 0.008
 dt_list = 4e-3, 2e-3
 reference_dt = 1e-3
-""",
-    "sigma-study": """
+"""),
+    "sigma-study": ("sigma-study", """
 [mesh]
 nx = 4
 [experiment]
@@ -60,13 +77,17 @@ dt = 1e-3
 sigma_list = 1e-3, 1e-2, 1e-1
 p1_list = 1, inf
 p2_list = 1, inf
-""",
+"""),
 }
 
 HASHES = {
     "run": {
         "energy_trace.csv":
             "5bae4682369f2fb30dc48e36c9c4cca8a482d25cc8e11ee5c069af87f4b8195c",
+    },
+    "run-nondyadic": {
+        "energy_trace.csv":
+            "9e5025b76a6fee4d57ebfed85da523cd8e8c32643cd1736ebb20e11e1cd0baa6",
     },
     "space-refine": {
         "space_refinement.csv":
@@ -103,15 +124,16 @@ def skip_reason():
     return None
 
 
-@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
-def test_output_hashes(subcommand, tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_output_hashes(name, tmp_path, capsys):
     reason = skip_reason()
     if reason is not None:
         pytest.skip(reason)
+    subcommand, text = CONFIGS[name]
     config = tmp_path / "config.ini"
-    config.write_text(CONFIGS[subcommand])
+    config.write_text(text)
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir() if path.suffix in (".csv", ".dat")}
-    assert written == HASHES[subcommand]
+    assert written == HASHES[name]

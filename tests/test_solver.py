@@ -291,6 +291,30 @@ class TestCgSolve:
             Lx = A.ck * A.Kx if A.D is None else A.ck * A.Kx + A.cd * (A.D @ x)
             assert np.array_equal(A.Lx, Lx)
             assert (A.D is None) == (div_coef == 0.0)
+            assert A.D is None or A.D is A.K  # one matrix kept for both
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_rhs_raises_at_once(self, bad):
+        """An inf entry made the limit infinite, so x0 came back as if
+        converged; a NaN one ran to maxiter.  Either raises before any
+        product."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        A = make_operator(mesh, mass_coef=8e3, grad_coef=1e-3, div_coef=0.0)
+        b = np.random.RandomState(31).standard_normal(2 * mesh.n_interior)
+        b[5] = bad
+        A.matvec = A.residual = lambda *args: pytest.fail("a product was made")
+        with pytest.raises(ConvergenceError, match="non-finite right-hand side"):
+            solve(A, b)
+
+    def test_nan_initial_residual_restarts(self):
+        """A NaN r0 is not below the limit either, so the true residual
+        replaces it and CG converges instead of running to maxiter."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        A = make_operator(mesh, mass_coef=8e3, grad_coef=1e-3, div_coef=0.0)
+        b = np.random.RandomState(37).standard_normal(2 * mesh.n_interior)
+        x, iters = solve(A, b, r0=np.full_like(b, np.nan))
+        assert 0 < iters <= 5
+        assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
 
     def test_nonconvergence_reports_residual(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
