@@ -37,8 +37,8 @@ class EnergyRecord:
 
 
 def h_norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
-    """Squared lumped norm of an interleaved interior DOF vector."""
-    return float(weights @ (x * x))
+    """Squared lumped norm of a component-major interior vector (2, m)."""
+    return float(weights @ (x[0] * x[0] + x[1] * x[1]))
 
 
 def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
@@ -54,13 +54,13 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
         kinetic = 0.5 * p.sigma * rate_sq
 
     # the divergence form is K (assembly.assemble_div_form): q.Kq is q.Dq
-    qKq = float(state.q @ state.Kq)
+    qKq = float(np.vdot(state.q, state.Kq))
     elastic = p.L1 * qKq
     divpart = 0.5 * (p.L2 + p.L3) * qKq
-    # a sum over the full nodal field: split into interior and boundary
-    # parts it would round differently
-    r = state.r_field(mesh)
-    rpart = 0.5 * float(mesh.gamma @ (r * r))
+    # the interior sum (the weights are 2 gamma) and the boundary constant
+    # r0 times the boundary's summed weights
+    rpart = 0.5 * (0.5 * float(weights @ (state.r * state.r))
+                   + state.r0 * state.r0 * mesh.boundary_weight)
     total = kinetic + elastic + divpart + rpart
     return EnergyRecord(kinetic, elastic, divpart, rpart, total, rate_sq)
 

@@ -3,8 +3,8 @@
 Element matrices are exact (gradients of P1 basis functions are constant
 per triangle), so no quadrature error enters the assembled forms.
 
-Interior systems use an interleaved degree-of-freedom order: the q1 and q2
-components of interior node k occupy positions 2k and 2k+1.
+The interior forms are scalar m x m matrices over the m interior nodes: the
+solver applies them to each row (q1, q2) of its component-major vectors.
 
 Every form is built on the node lattice, not element by element.  Each
 cell is a translate of the first one, so the first cell's two triangles
@@ -12,9 +12,9 @@ give every entry: the entry of node z at lattice offset o (one of (0, 0),
 (+-1, 0), (0, +-1), +-(1, 1)) sums, in triangle and then local order, the
 contributions of the triangles that hold z and z + o.  At an interior node
 all of them are present, so the interior stiffness applies one scalar
-value per offset to each component, dropping offsets that land on the
-boundary; the all-node forms of the error norms add each contribution over
-the lattice slice of nodes whose cell holds it.  Zero sums are not stored.
+value per offset, dropping offsets that land on the boundary; the all-node
+forms of the error norms add each contribution over the lattice slice of
+nodes whose cell holds it.  Zero sums are not stored.
 
 The divergence form is the interior stiffness.  For a reduced field the
 tensor divergence is (dx q1 + dy q2, dx q2 - dy q1), so |div Q|^2 is
@@ -117,48 +117,42 @@ def consistent_mass(mesh: StructuredMesh) -> sparse.csr_matrix:
 
 
 def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
-    """Interior Dirichlet stiffness acting on interleaved (q1, q2) vectors:
-    the scalar stencil applied to each component at every interior node,
-    with no coupling.  Offsets that land on the boundary and offsets whose
+    """Interior Dirichlet stiffness, m x m over the interior nodes: the
+    scalar stencil at every interior node, equal to the interior block of
+    scalar_stiffness().  Offsets that land on the boundary and offsets whose
     sum is exactly zero are not stored."""
     sums = {}
     for offset, _, value in _cell_contributions(mesh, _grad_dot):
         sums[offset] = sums.get(offset, 0.0) + value
-    # one template (dj, di, component, value) per row component and stored
-    # offset, with the column at the row's own component: in column order,
+    # one template (dj, di, value) per stored offset, in column order:
     # offsets sorted by (dj, di)
-    table = np.array([(*off, c, value) for c in range(2)
-                      for off, value in sorted(sums.items()) if value != 0.0])
-    dj, di, comp = table[:, :3].astype(np.int32).T
+    table = np.array([(*off, value) for off, value in sorted(sums.items())
+                      if value != 0.0])
+    dj, di = table[:, :2].astype(np.int32).T
 
     # lattice coordinates of each template's column node, per interior
-    # column i and row j; an entry is stored where both are interior, so
-    # both rows of a node count in_j * in_i summed over the offsets
+    # column i and row j; an entry is stored where both are interior, so a
+    # row counts in_j * in_i summed over the offsets
     ni, nj = mesh.nx - 1, mesh.ny - 1
     i = np.arange(ni, dtype=np.int32)[:, None] + di
     j = np.arange(nj, dtype=np.int32)[:, None] + dj
     in_i = (i >= 0) & (i < ni)
     in_j = (j >= 0) & (j < nj)
     inside = in_j[:, None] & in_i                   # (nj, ni, templates)
-    cols = (2 * ni * j)[:, None] + (2 * i + comp)
-    half = len(table) // 2
-    counts = in_j[:, :half].astype(np.int32) @ in_i[:, :half].T.astype(np.int32)
-    data = np.broadcast_to(table[:, 3], inside.shape)[inside]
-    return _csr(np.repeat(counts, 2), data, cols[inside])
+    cols = (ni * j)[:, None] + i
+    counts = in_j.astype(np.int32) @ in_i.T.astype(np.int32)
+    data = np.broadcast_to(table[:, 2], inside.shape)[inside]
+    return _csr(counts.ravel(), data, cols[inside])
 
 
 def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:
-    """Divergence form over interior interleaved DOFs, x' D y the integral
-    of div X . div Y.  Its cross terms cancel on the interior (see the
-    module docstring), so it is the interior stiffness, entry for entry."""
+    """Divergence form over the interior nodes, summed over the component
+    rows the integral of div X . div Y.  Its cross terms cancel on the
+    interior (see the module docstring): it is the interior stiffness."""
     return assemble_stiffness(mesh)
 
 
 def lumped_mass(mesh: StructuredMesh) -> np.ndarray:
-    """Per-DOF lumped weights over interior interleaved DOFs.
-
-    The Frobenius contraction of reduced tensors carries a factor 2, which
-    is folded into the weights: each of the two DOFs of node z weighs
-    2 gamma_z.
-    """
-    return np.repeat(2.0 * mesh.gather_interior(mesh.gamma), 2)
+    """Lumped weights (m,) of the interior nodes, 2 gamma_z at node z: the
+    factor 2 of the Frobenius contraction of reduced tensors folded in."""
+    return 2.0 * mesh.gather_interior(mesh.gamma)

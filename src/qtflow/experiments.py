@@ -205,13 +205,13 @@ def _simulate(case: Case) -> RunResult:
         """The default initial velocity, pert_qt0 added to its q1 entries."""
         qt = build_default_Qt0(*args)
         if case.pert_qt0 != 0.0:
-            qt[0::2] += case.pert_qt0
+            qt[0] += case.pert_qt0
         return qt
 
     op = step_operator(params, dt, K, assembly.assemble_div_form(mesh)
                        if (params.L2 + params.L3) != 0.0 else None, w)
     state = initialize(mesh, params, dt, Q0, r0, op, velocity)
-    del Q0  # the state holds the interior vectors
+    del Q0, r0  # the state holds the interior vectors
 
     prev_dtq = state.dq / dt if params.sigma > 0.0 else None
     trace = [analysis.discrete_energy(state, params, dt, mesh, w, prev_dtq)]
@@ -295,8 +295,8 @@ def _check_halving_chain(values, key):
 
 def _whole_cells(nx, ny, key: str) -> tuple:
     """The integer counts of the nx x ny cells (inf too) that key sizes, if
-    the interior stiffness fits int32 indices: two rows per interior node, of
-    five entries (the diagonal offsets cancel) less those past the boundary."""
+    twice the interior stiffness fits int32 indices: five entries per
+    interior node (the diagonal offsets cancel), less those past the boundary."""
     ni, nj = nx - 1, ny - 1
     if not 2 * (5 * ni * nj - 2 * ni - 2 * nj) < 2 ** 31:  # nan from inf too
         raise ConfigError("%s: %g x %g cells outgrow int32 indices" % (key, nx, ny))

@@ -3,18 +3,20 @@
 Every lattice square is split along its lower-left to upper-right diagonal,
 so stencils are identical everywhere and runs are reproducible.  Nodes are
 ordered lexicographically: index = j * (nx + 1) + i for lattice coordinates
-(i, j).
+(i, j).  Interior vectors are component-major: gather_interior() makes a
+nodal Q field (N, 2) the C-contiguous rows q1 and q2 (2, m), and
+scatter_interior() writes them back.
 
 Nothing is stored per node or per triangle but the lumped weights: node
-coordinates, boundary flags and interior indices all follow from the
-lattice (StructuredMesh.axes()), every cell is a translate of the first
-one (CELL), and the lumped weights come from the number of triangles at
-each node.
+coordinates, boundary flags and interior indices follow from the lattice
+(axes()), every cell is a translate of the first one (CELL), and the lumped
+weights come from the number of triangles at each node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -51,6 +53,12 @@ class StructuredMesh:
     def n_interior(self) -> int:
         return (self.nx - 1) * (self.ny - 1)
 
+    @cached_property
+    def boundary_weight(self) -> float:
+        """The summed lumped weights of the boundary nodes."""
+        g = self.gamma.reshape(self.ny + 1, self.nx + 1)
+        return float(g[0].sum() + g[-1].sum() + g[1:-1, 0].sum() + g[1:-1, -1].sum())
+
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         """The lattice axes x (nx+1,) and y (ny+1,): node (i, j) lies at
         (x[i], y[j])."""
@@ -68,16 +76,18 @@ class StructuredMesh:
         return lattice[1:-1, 1:-1]
 
     def gather_interior(self, field: np.ndarray) -> np.ndarray:
-        """Interior entries of a nodal field as a flat (interleaved) copy."""
-        return self.interior_view(field).flatten()
+        """Interior entries of a nodal field (N, ...) as a C-contiguous
+        component-major copy (..., m): rows q1 and q2 of a Q field."""
+        view = np.moveaxis(self.interior_view(field), (0, 1), (-2, -1))
+        return view.copy().reshape(field.shape[1:] + (-1,))
 
     def scatter_interior(self, field: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Write a flat (interleaved) interior vector into a nodal field,
-        which is returned."""
+        """Write a component-major interior vector (..., m) into a nodal
+        field (N, ...), which is returned."""
         if not field.flags.c_contiguous:
             raise ValueError("nodal field must be C-contiguous to be written in place")
         view = self.interior_view(field)
-        view[...] = values.reshape(view.shape)
+        view[...] = np.moveaxis(values, -1, 0).reshape(view.shape)
         return field
 
 

@@ -1,7 +1,9 @@
 """Preconditioned conjugate gradients for the per-step SPD system.
 
-The part of the step operator that is constant over a run (lumped mass,
-stiffness and divergence form) is assembled once into one sparse matrix;
+Vectors are component-major C-contiguous (2, m) arrays, rows q1 and q2 at
+the m interior nodes; dot products run over all 2m entries.  The part of
+the step operator that is constant over a run (lumped mass, stiffness and
+divergence form) is one scalar m x m sparse matrix, applied to each row;
 the per-node rank-one term coming from the energy quadratization changes
 every step and is applied from its node vectors without assembling a
 matrix.  CG starts from the step's own start value and residual, and its
@@ -38,18 +40,18 @@ class ConvergenceError(RuntimeError):
 class StepOperator:
     """SPD operator  c_m diag(w) + c_k K + c_d D + rank-one per node.
 
+    K and D are m x m, applied to each row of a (2, m) vector, and w (m,).
     D is part of the operator exactly when given, and must equal K entry
     for entry (ValueError otherwise).  The rank-one part applies x -> w_z
-    (p_z . x_z) p_z at every interior node z, p[0] and p[1] (p is (2, n))
-    holding the reduced components of the quadratization gradient there;
-    set_rank_one() installs it before a step's first matvec or residual.
+    (p_z . x_z) p_z at every interior node z, p (2, m) holding the reduced
+    components of the quadratization gradient there; set_rank_one()
+    installs it before a step's first matvec or residual.
     """
 
     def __init__(self, weights, K, D, cm, ck, cd):
-        self.cm = float(cm)
-        self.ck = float(ck)
-        self.cd = float(cd)
-        self.n = weights.shape[0]
+        self.cm, self.ck, self.cd = float(cm), float(ck), float(cd)
+        m = weights.shape[0]
+        self.n = 2 * m  # unknowns
         if D is not None and not all(map(np.array_equal, (D.indptr, D.indices, D.data),
                                          (K.indptr, K.indices, K.data))):
             raise ValueError("the divergence form D must equal the stiffness K")
@@ -62,51 +64,46 @@ class StepOperator:
         # duplicates) and holds its diagonal, as the stencil forms do.
         base = sparse.csr_matrix((self.ck * K.data, K.indices, K.indptr),
                                  shape=K.shape)
-        diag = base.diagonal() + self.cm * weights
-        base.setdiag(diag)
+        base.setdiag(base.diagonal() + self.cm * weights)
         if D is not None:
             base.data += self.cd * K.data
-            diag = base.diagonal()
         self.base = base
-        # the diagonal by component, (2, n/2), read without a stride
-        self._base_diag = diag.reshape(-1, 2).T.copy()
+        self._base_diag = base.diagonal()  # diagonal() searches every row
         self.w = weights
-        # work vectors: the diagonal, step()'s rhs, the residual CG starts from
-        # and residual() writes, CG's z and direction, a temporary of CG and
-        # products(); per node, project()'s result, a temporary and weighted p
-        self.diag, self.rhs, self.res, self.z, self.dir, self.tmp = \
-            np.empty((6, self.n))
-        self._s, self._t, *self._wp = np.empty((4, self.n // 2))
+        # work vectors: the diagonal, step()'s rhs, the residual (CG's start,
+        # residual()'s), CG's z and direction, a shared temporary, w p; p . x
+        self.diag, self.rhs, self.res, self.z, self.dir, self.tmp, self._wp = \
+            np.empty((7, 2, m))
+        self._s = np.empty(m)
 
     def set_rank_one(self, p_nodes) -> None:
-        """Install the rank-one vectors (2, n) of one step."""
+        """Install the rank-one vectors (2, m) of one step."""
         self.p = p_nodes
-        for c in (0, 1):
-            np.multiply(self.w[0::2], p_nodes[c], out=self._wp[c])
-            t = np.multiply(self._wp[c], p_nodes[c], out=self._t)
-            np.add(self._base_diag[c], t, out=self.diag[c::2])
+        np.multiply(self.w, p_nodes, out=self._wp)
+        np.multiply(self._wp, p_nodes, out=self.diag)
+        self.diag += self._base_diag
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """p_z . x_z at every interior node, x interleaved (n,) or split (2,
-        n/2), in the operator's vector that the next call overwrites."""
-        x0, x1 = (x[0::2], x[1::2]) if x.ndim == 1 else x
-        s = np.multiply(self.p[0], x0, out=self._s)
-        s += np.multiply(self.p[1], x1, out=self._t)
-        return s
+        """p_z . x_z at every interior node, in the operator's vector that
+        the next call overwrites."""
+        t = np.multiply(self.p, x, out=self.tmp)
+        return np.add(t[0], t[1], out=self._s)
 
     def spread(self, s: np.ndarray, y: np.ndarray) -> None:
         """y += w_z s_z p_z at every interior node, in place."""
-        y[0::2] += np.multiply(self._wp[0], s, out=self._t)
-        y[1::2] += np.multiply(self._wp[1], s, out=self._t)
+        y += np.multiply(self._wp, s, out=self.tmp)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.base @ x
-        self.spread(self.project(x), y)
+        y = np.multiply(self._wp, self.project(x))
+        y[0] += self.base @ x[0]
+        y[1] += self.base @ x[1]
         return y
 
     def products(self, x: np.ndarray):
         """(K x, L x), L x = c_k K x + c_d D x from the one product D x = K x."""
-        Kx = self.K @ x
+        Kx = np.empty_like(x)
+        Kx[0] = self.K @ x[0]
+        Kx[1] = self.K @ x[1]
         Lx = self.ck * Kx
         if self.D is not None:
             Lx += np.multiply(self.cd, Kx, out=self.tmp)
@@ -136,7 +133,7 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
     restarts CG from the true residual.  Raises ConvergenceError when
     maxiter is exhausted, and at once when rhs is not finite.
     """
-    norm_b = math.sqrt(rhs @ rhs)
+    norm_b = math.sqrt(np.vdot(rhs, rhs))
     if norm_b == 0.0:
         x = np.zeros_like(rhs)
         A.residual(rhs, x)
@@ -144,14 +141,14 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
     if not math.isfinite(norm_b):
         raise ConvergenceError("non-finite right-hand side", math.nan)
     if maxiter is None:
-        maxiter = 10 * rhs.shape[0]
+        maxiter = 10 * rhs.size
     limit = tol * norm_b
 
     x, r, p, tmp = x0, r0, None, A.tmp
     for k in range(maxiter + 1):
-        if not math.sqrt(r @ r) > limit:
+        if not math.sqrt(np.vdot(r, r)) > limit:
             true_r = A.residual(rhs, x)
-            if math.sqrt(true_r @ true_r) <= limit:
+            if math.sqrt(np.vdot(true_r, true_r)) <= limit:
                 return x, k
             # the search directions built on the wrong residual are stale
             r, p = true_r, None
@@ -159,12 +156,12 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
             break
         # a first direction is z itself, so it is formed in its own vector
         z = np.divide(r, A.diag, out=A.dir if p is None else A.z)
-        rz_new = float(r @ z)
+        rz_new = float(np.vdot(r, z))
         p = z if p is None else np.add(
             z, np.multiply(p, rz_new / rz, out=p), out=p)
         rz = rz_new
         Ap = A.matvec(p)
-        alpha = rz / float(p @ Ap)
+        alpha = rz / float(np.vdot(p, Ap))
         if k == 0:
             x = x + np.multiply(p, alpha, out=tmp)  # x0 belongs to the caller
         else:
@@ -172,7 +169,7 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
         r -= np.multiply(Ap, alpha, out=tmp)
 
     true_r = A.residual(rhs, x)
-    res = math.sqrt(true_r @ true_r) / norm_b
+    res = math.sqrt(np.vdot(true_r, true_r)) / norm_b
     raise ConvergenceError(
         "CG did not converge in %d iterations (relative residual %.3e)"
         % (maxiter, res),

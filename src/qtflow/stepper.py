@@ -11,20 +11,20 @@ equation turns the coupled (Q, r) update into
 
     [ (1/dt + sigma/dt^2) diag(w) + L1 K + (L2+L3)/2 D + R ] q_new = rhs,
 
-where w are the lumped weights, K the interleaved scalar stiffness, D the
-divergence form and R the per-node rank-one operator
+where w are the lumped weights, K the scalar stiffness (applied to each
+component), D the divergence form and R the per-node rank-one operator
 x -> w_z (p_z . x_z) p_z built from P at the current state.  With sigma = 0
 the two-level terms drop and only one history level is kept.
 
-A state holds interior vectors only: the homogeneous Dirichlet condition
-keeps boundary Q at zero, and boundary r values stay at their initial
-value because their update increment vanishes there, so one full-node r
-array per run holds them.  SimState.Q_field() and r_field() build nodal
-fields on demand.
+A state holds interior vectors only: Q component-major (2, m), rows q1 and
+q2 at the m interior nodes, and r (m,).  Boundary Q stays zero (the
+Dirichlet condition), so boundary r stays sqrt(2 A0), the r of Q = 0.
+SimState.Q_field() and r_field() build nodal fields on demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +37,15 @@ from .solver import ConvergenceError, StepOperator, cg_solve
 
 @dataclass
 class SimState:
-    """State n of a run as interleaved interior vectors, with the sparse
-    products of its Q level carried into the energy and the next step."""
+    """State n of a run as interior vectors, with the sparse products of
+    its Q level carried into the energy and the next step."""
 
-    q: np.ndarray              # Q^n at interior DOFs
+    q: np.ndarray              # Q^n at interior nodes, (2, m)
     dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
     r: np.ndarray              # r^n at interior nodes
     Kq: np.ndarray             # K q
     Lq: np.ndarray             # L1 K q + (L2 + L3)/2 D q
-    r0: np.ndarray             # (N,) the run's nodal r^0, read on the boundary
+    r0: float                  # boundary r: aux_r of Q = 0 is sqrt(2 A0)
     n: int
     t: float
 
@@ -55,7 +55,7 @@ class SimState:
 
     def r_field(self, mesh: StructuredMesh) -> np.ndarray:
         """r^n as a nodal (N,) field, with the run's boundary values."""
-        return mesh.scatter_interior(self.r0.copy(), self.r)
+        return mesh.scatter_interior(np.full(mesh.n_nodes, self.r0), self.r)
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
@@ -78,18 +78,18 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params, q0: np.ndarray,
                       r0: np.ndarray, P0: np.ndarray,
                       op: StepOperator | None = None) -> np.ndarray:
     """Discrete initial time derivative L1*Lap(Q0) - r0 P(Q0) as an interior
-    vector, from the interior vectors q0, r0 and P0 = P(q0), shaped (2, n/2).
+    vector (2, m), from the interior vectors q0 (2, m), r0 (m,) and
+    P0 = P(q0) (2, m).
 
     The Laplacian acts through the stiffness and the lumped weights w of the
     run's operator op (assembled here when omitted), keeping the
     initialization consistent with the mesh; w/2 is gamma exactly."""
     K, w = ((op.K, op.w) if op is not None else
             (assembly.assemble_stiffness(mesh), assembly.lumped_mass(mesh)))
-    qt = K @ q0
+    qt = np.stack((K @ q0[0], K @ q0[1]))
     qt *= -(p.L1)
     qt /= w * 0.5
-    qt[0::2] -= r0 * P0[0]
-    qt[1::2] -= r0 * P0[1]
+    qt -= r0 * P0
     return qt
 
 
@@ -111,16 +111,17 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
     r = mesh.gather_interior(r0)
     dq, n = None, 0
     if p.sigma > 0.0:
-        P0 = aux_P(q.reshape(-1, 2).T.copy(), p)
+        P0 = aux_P(q, p)
         # fresh vectors only for what the state keeps: a lower set-up peak
         q0, q = q, dt * velocity(mesh, p, q, r, P0, op)
         q += q0
         dq = np.subtract(q, q0, out=q0)
-        r = r + 2.0 * (P0[0] * dq[0::2] + P0[1] * dq[1::2])
+        r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         del P0
         n = 1
     Kq, Lq = op.products(q)
-    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=r0, n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=math.sqrt(2.0 * p.A0),
+                    n=n, t=n * dt)
 
 
 def step_operator(p: Params, dt: float, K, D, weights) -> StepOperator:
@@ -148,11 +149,8 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     """
     q = state.q
     n, t = state.n + 1, state.t + dt
-    # a C-contiguous (2, n/2) copy, so that P, p.q and every matvec read
-    # contiguous vectors; the projection replaces it before the solve
-    s = q.reshape(-1, 2).T.copy()
     try:
-        op.set_rank_one(aux_P(s, p))
+        op.set_rank_one(aux_P(q, p))
     except ValueError as exc:
         raise _step_failure(n, t, str(exc)) from exc
 
@@ -168,7 +166,7 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
         inertia *= p.sigma / dt ** 2
         rhs += inertia
         res += inertia
-    s = op.project(s)
+    s = op.project(q)
     s -= state.r
     op.spread(s, rhs)
     op.spread(np.negative(state.r, out=s), res)

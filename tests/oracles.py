@@ -15,9 +15,9 @@ the interior set-up.
 import numpy as np
 from scipy import sparse
 
-from qtflow.assembly import element_geometry
+from qtflow.assembly import cell_geometry, element_geometry
 from qtflow.experiments import default_initial_q
-from qtflow.mesh import build_mesh
+from qtflow.mesh import CELL, build_mesh
 from qtflow.model import aux_P, aux_r
 from qtflow.stepper import SimState
 
@@ -283,11 +283,49 @@ def consistent_mass_by_elements(mesh):
 
 
 def interior_stiffness_by_elements(mesh):
-    """Interleaved interior stiffness: the all-node element assembly
-    restricted to interior nodes, one copy per component."""
+    """Interior stiffness: the all-node element assembly restricted to the
+    interior nodes."""
     idx = interior_nodes(mesh)
-    K = scalar_stiffness_by_elements(mesh)[idx][:, idx]
-    return sparse.kron(K, sparse.identity(2, format="csr"), format="csr")
+    return scalar_stiffness_by_elements(mesh)[idx][:, idx]
+
+
+def component_block(A, c, d):
+    """The block of an interleaved matrix (DOF 2k + c for component c of
+    interior node k) that maps component d to component c."""
+    return A[c::2][:, d::2]
+
+
+def interleaved_stiffness(mesh):
+    """The interior stiffness on interleaved vectors (DOF 2k + c for
+    component c of interior node k), built on the lattice with one template
+    per component and stored offset, the column at the row's own component.
+    Its two diagonal blocks must equal the scalar interior stiffness bit for
+    bit."""
+    sums = {}
+    area, grads = cell_geometry(mesh)
+    for t, tri in enumerate(CELL.tolist()):
+        for i, (cj, ci) in enumerate(tri):
+            for j, (oj, oi) in enumerate(tri):
+                g = area[t] * (grads[t, i, 0] * grads[t, j, 0]
+                               + grads[t, i, 1] * grads[t, j, 1])
+                sums[(oj - cj, oi - ci)] = sums.get((oj - cj, oi - ci), 0.0) + g
+    table = np.array([(*off, c, value) for c in range(2)
+                      for off, value in sorted(sums.items()) if value != 0.0])
+    dj, di, comp = table[:, :3].astype(np.int32).T
+    ni, nj = mesh.nx - 1, mesh.ny - 1
+    i = np.arange(ni, dtype=np.int32)[:, None] + di
+    j = np.arange(nj, dtype=np.int32)[:, None] + dj
+    in_i = (i >= 0) & (i < ni)
+    in_j = (j >= 0) & (j < nj)
+    inside = in_j[:, None] & in_i
+    cols = (2 * ni * j)[:, None] + (2 * i + comp)
+    half = len(table) // 2
+    counts = in_j[:, :half].astype(np.int32) @ in_i[:, :half].T.astype(np.int32)
+    data = np.broadcast_to(table[:, 3], inside.shape)[inside]
+    indptr = np.zeros(2 * counts.size + 1, dtype=np.int32)
+    np.cumsum(np.repeat(counts, 2), out=indptr[1:])
+    n = 2 * mesh.n_interior
+    return sparse.csr_matrix((data, cols[inside], indptr), shape=(n, n))
 
 
 def div_form_by_elements(mesh):
@@ -486,11 +524,8 @@ def nodal_default_Qt0(mesh, p, Q0, r0, K):
     """The default initial velocity L1*Lap(Q0) - r0 P(Q0) as a nodal field,
     from the nodal Q0 and r0."""
     x0 = mesh.gather_interior(Q0)
-    qt = -(p.L1) * (K @ x0) / np.repeat(mesh.gamma[interior_nodes(mesh)], 2)
-    P0 = aux_P(np.stack((x0[0::2], x0[1::2])), p)
-    r0 = mesh.gather_interior(r0)
-    qt[0::2] -= r0 * P0[0]
-    qt[1::2] -= r0 * P0[1]
+    qt = -(p.L1) * (K @ x0.T).T / mesh.gamma[interior_nodes(mesh)]
+    qt -= mesh.gather_interior(r0) * aux_P(x0, p)
     return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), qt)
 
 
@@ -515,9 +550,10 @@ def nodal_start(case, op):
         if case.pert_qt0 != 0.0:
             Qt0[idx, 0] += case.pert_qt0
         q0, q = q, q + dt * mesh.gather_interior(Qt0)
-        P0 = aux_P(np.stack((q0[0::2], q0[1::2])), p)
+        P0 = aux_P(q0, p)
         dq = q - q0
-        r = r + 2.0 * (P0[0] * dq[0::2] + P0[1] * dq[1::2])
+        r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         n = 1
     Kq, Lq = op.products(q)
-    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=r0, n=n, t=n * dt)
+    # the boundary r, read at the first node, a corner
+    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=float(r0[0]), n=n, t=n * dt)

@@ -21,7 +21,7 @@ def start(mesh, params, dt, Q0, Qt0=None):
         Q0 = interpolate_qfield(mesh, Q0)
     if callable(Qt0):
         Qt0 = interpolate_qfield(mesh, Qt0)
-    qt0 = (np.zeros(2 * mesh.n_interior) if Qt0 is None
+    qt0 = (np.zeros((2, mesh.n_interior)) if Qt0 is None
            else mesh.gather_interior(Qt0))
     op = run_operator(mesh, params, dt)
     return initialize(mesh, params, dt, Q0, nodal_r(params, Q0), op,

@@ -236,7 +236,7 @@ def test_criterion_7_model_algebra_suite():
         W2 = rng.uniform(-1, 1, size=(mesh.n_nodes, 2))
         W1[oracles.is_boundary(mesh)] = 0.0
         W2[oracles.is_boundary(mesh)] = 0.0
-        div_val = float(W1[idx].reshape(-1) @ (D @ W2[idx].reshape(-1)))
+        div_val = float(np.sum(W1[idx] * (D @ W2[idx])))
         pair = oracles.alpha_pairing(mesh, W1, W2)
         worst_alpha = max(worst_alpha,
                           abs(pair + 2.0 * div_val) / max(1.0, abs(pair)))

@@ -48,16 +48,30 @@ class TestDiscreteEnergy:
         pdiv = Params(L1=0.001, L2=0.0005, L3=0.0005, a=-0.2, b=1, c=1,
                       A0=500.0, sigma=0.025)
         q = mesh.gather_interior(Q)
-        Kq = K @ q
+        Kq = (K @ q.T).T
         state = SimState(q=q, dq=q - mesh.gather_interior(Qp),
                          r=mesh.gather_interior(r), Kq=Kq,
-                         Lq=pdiv.L1 * Kq + 0.5 * (pdiv.L2 + pdiv.L3) * (D @ q),
-                         r0=r, n=1, t=1e-3)
+                         Lq=pdiv.L1 * Kq + 0.5 * (pdiv.L2 + pdiv.L3) * (D @ q.T).T,
+                         r0=float(np.sqrt(1000.0)), n=1, t=1e-3)
         rec = discrete_energy(state, pdiv, 1e-3, mesh, w)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):
             assert part >= 0.0
         assert rec.total == pytest.approx(
             rec.kinetic + rec.elastic + rec.divpart + rec.rpart, rel=1e-14)
+
+    @pytest.mark.parametrize("extent, n", [((0.0, 2.0, 0.0, 2.0), 16),
+                                           ((0.1, 1.4, 0.1, 1.4), 13)])
+    def test_rpart_is_the_lumped_integral_of_the_nodal_r(self, extent, n):
+        """E_r from the interior r and the boundary constant r0 against the
+        lumped sum over the whole nodal r field, five steps into a run."""
+        mesh = build_mesh(*extent, n, n)
+        state, op = default_start(mesh, P6, 1e-3)
+        for _ in range(5):
+            state = step(state, P6, 1e-3, op)
+        r = state.r_field(mesh)
+        ref = 0.5 * float(mesh.gamma @ (r * r))
+        rpart = discrete_energy(state, P6, 1e-3, mesh, op.w).rpart
+        assert rpart == pytest.approx(ref, rel=4 * np.finfo(float).eps)
 
     def test_divpart_is_the_divergence_energy(self):
         """E_div, formed through K, against the element quadrature of

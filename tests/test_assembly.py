@@ -12,7 +12,7 @@ from qtflow.assembly import (
     lumped_mass,
     scalar_stiffness,
 )
-from qtflow.analysis import norm_forms
+from qtflow.analysis import h_norm_sq, norm_forms
 from qtflow.mesh import build_mesh
 
 import oracles
@@ -28,21 +28,21 @@ class TestStiffness:
     def test_five_point_stencil_at_every_interior_node(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K = assemble_stiffness(mesh)
+        assert K.shape == (mesh.n_interior, mesh.n_interior)
         stride = mesh.nx + 1
         index = oracles.interior_index(mesh)
         for node in oracles.interior_nodes(mesh):
             u = index[node]
-            row = K.getrow(2 * u).toarray().ravel()
-            assert row[2 * u] == pytest.approx(4.0, abs=1e-13)
+            row = K.getrow(u).toarray().ravel()
+            assert row[u] == pytest.approx(4.0, abs=1e-13)
             for neighbor in (node - 1, node + 1, node - stride, node + stride):
                 v = index[neighbor]
                 if v >= 0:
-                    assert row[2 * v] == pytest.approx(-1.0, abs=1e-13)
-                    assert row[2 * v + 1] == 0.0  # components never couple
+                    assert row[v] == pytest.approx(-1.0, abs=1e-13)
             for diag in (node + stride + 1, node - stride - 1):
                 v = index[diag]
                 if v >= 0:
-                    assert abs(row[2 * v]) < 1e-13
+                    assert abs(row[v]) < 1e-13
 
     def test_element_assembly_oracle(self):
         mesh = build_mesh(0, 1, 0, 1, 4, 4)
@@ -59,8 +59,7 @@ class TestStiffness:
     def test_constant_vector_in_kernel_away_from_boundary(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K = assemble_stiffness(mesh)
-        ones = np.ones(2 * mesh.n_interior)
-        out = (K @ ones).reshape(-1, 2)
+        out = K @ np.ones(mesh.n_interior)
         coords = oracles.nodes(mesh)[oracles.interior_nodes(mesh)]
         near_boundary = (
             (coords[:, 0] <= mesh.h) | (coords[:, 0] >= 2 - mesh.h)
@@ -88,10 +87,11 @@ def test_assembled_forms_store_no_zeros():
 @pytest.mark.parametrize("extent, nx, ny", oracles.NON_DYADIC_MESHES + (
     ((0.0, 2.0, 0.0, 2.0), 2, 2), ((0.0, 2.0, 0.0, 1.0), 16, 8)))
 def test_stiffness_stores_five_entries_per_row_less_the_boundary(extent, nx, ny):
-    """The count the mesh size bound of the experiments relies on: the
-    diagonal offsets cancel on every mesh, not only the dyadic ones."""
+    """The count the mesh size bound of the experiments relies on (it
+    bounds twice this count): the diagonal offsets cancel on every mesh,
+    not only the dyadic ones."""
     ni, nj = nx - 1, ny - 1
-    assert assemble_stiffness(build_mesh(*extent, nx, ny)).nnz == 2 * (
+    assert assemble_stiffness(build_mesh(*extent, nx, ny)).nnz == (
         5 * ni * nj - 2 * ni - 2 * nj)
 
 
@@ -99,6 +99,36 @@ def assert_same_csr(A, B):
     assert A.shape == B.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+def assert_component_blocks(A, K):
+    """The interleaved matrix A holds K on both diagonal component blocks,
+    bit for bit, and nothing that couples the components."""
+    for c in (0, 1):
+        assert_same_csr(oracles.component_block(A, c, c), K)
+        assert oracles.component_block(A, c, 1 - c).nnz == 0
+
+
+def interleaved_dense(K):
+    """K applied to each component of interleaved vectors, dense."""
+    return np.kron(K.toarray(), np.eye(2))
+
+
+@pytest.mark.parametrize("extent, nx, ny", [
+    ((0.0, 2.0, 0.0, 2.0), 16, 16),
+    ((0.0, 2.0, 0.0, 2.0), 128, 128),
+    ((0.1, 1.4, 0.1, 1.4), 13, 13),
+])
+def test_stiffness_is_the_scalar_interior_block(extent, nx, ny):
+    """The m x m interior stiffness is the interior block of the all-node
+    scalar stiffness and both diagonal blocks of the interleaved lattice
+    stiffness, bit for bit, off dyadic meshes too."""
+    mesh = build_mesh(*extent, nx, ny)
+    K = assemble_stiffness(mesh)
+    assert K.shape == (mesh.n_interior, mesh.n_interior)
+    idx = oracles.interior_nodes(mesh)
+    assert_same_csr(K, scalar_stiffness(mesh)[idx][:, idx])
+    assert_component_blocks(oracles.interleaved_stiffness(mesh), K)
 
 
 class TestStencilMatchesElementAssembly:
@@ -117,14 +147,17 @@ class TestStencilMatchesElementAssembly:
         # the divergence oracle's triplets take about 300 MB at 256^2;
         # there TestDivFormEqualsStiffness ties D to the stiffness bit for bit
         if n <= 128:
-            assert_same_csr(assemble_div_form(mesh), oracles.div_form_by_elements(mesh))
+            assert_component_blocks(oracles.div_form_by_elements(mesh),
+                                    assemble_div_form(mesh))
 
     def test_roundoff_on_non_dyadic_mesh(self):
         mesh = build_mesh(0, 1, 0, 1, 3, 3)  # h = 1/3
-        for A, ref in ((assemble_stiffness(mesh), oracles.interior_stiffness_by_elements(mesh)),
-                       (assemble_div_form(mesh), oracles.div_form_by_elements(mesh))):
+        for A, ref in ((assemble_stiffness(mesh).toarray(),
+                        oracles.interior_stiffness_by_elements(mesh)),
+                       (interleaved_dense(assemble_div_form(mesh)),
+                        oracles.div_form_by_elements(mesh))):
             ref = ref.toarray()
-            assert np.max(np.abs(A.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestNormFormsMatchElementAssembly:
@@ -147,7 +180,9 @@ def test_lattice_roundoff_on_non_dyadic_meshes(extent, nx, ny):
                           (consistent_mass, oracles.consistent_mass_by_elements),
                           (scalar_stiffness, oracles.scalar_stiffness_by_elements)):
         ref = oracle(mesh).toarray()
-        deviation = np.max(np.abs(build(mesh).toarray() - ref)) / np.max(np.abs(ref))
+        A = build(mesh)
+        A = interleaved_dense(A) if build is assemble_div_form else A.toarray()
+        deviation = np.max(np.abs(A - ref)) / np.max(np.abs(ref))
         assert deviation <= 16 * np.finfo(float).eps, build.__name__
 
 
@@ -214,7 +249,7 @@ class TestDivFormEqualsStiffness:
     ])
     def test_element_oracles_agree_to_roundoff(self, extent, n):
         mesh = build_mesh(*extent, n, n)
-        K = oracles.interior_stiffness_by_elements(mesh).toarray()
+        K = interleaved_dense(oracles.interior_stiffness_by_elements(mesh))
         D = oracles.div_form_by_elements(mesh).toarray()
         assert np.max(np.abs(D - K)) <= 1e-15 * np.max(np.abs(K))
 
@@ -249,9 +284,7 @@ class TestDivForm:
             for _ in range(10):
                 W1 = random_zero_trace_field(mesh, rng)
                 W2 = random_zero_trace_field(mesh, rng)
-                x = W1[idx].reshape(-1)
-                y = W2[idx].reshape(-1)
-                val = float(x @ (D @ y))
+                val = float(np.sum(W1[idx] * (D @ W2[idx])))
                 ref = oracles.div_form_quadrature(mesh, W1, W2)
                 assert val == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
@@ -271,9 +304,7 @@ class TestAlphaPairing:
             for _ in range(20):
                 W1 = random_zero_trace_field(mesh, rng)
                 W2 = random_zero_trace_field(mesh, rng)
-                x = W1[idx].reshape(-1)
-                y = W2[idx].reshape(-1)
-                div_val = float(x @ (D @ y))
+                div_val = float(np.sum(W1[idx] * (D @ W2[idx])))
                 pair = oracles.alpha_pairing(mesh, W1, W2)
                 assert pair + 2.0 * div_val == pytest.approx(
                     0.0, abs=1e-12 * max(1.0, abs(pair)))
@@ -290,21 +321,21 @@ class TestLumpedMass:
     def test_weights_are_twice_gamma(self):
         mesh = build_mesh(0, 2, 0, 2, 16, 16)
         w = lumped_mass(mesh)
-        assert w.shape == (2 * mesh.n_interior,)
-        assert np.allclose(w, np.repeat(2.0 * mesh.gamma[oracles.interior_nodes(mesh)], 2))
+        assert w.shape == (mesh.n_interior,)
+        assert np.array_equal(w, 2.0 * mesh.gamma[oracles.interior_nodes(mesh)])
 
     def test_single_node_norm(self):
         mesh = build_mesh(0, 2, 0, 2, 16, 16)
         w = lumped_mass(mesh)
-        x = np.zeros(2 * mesh.n_interior)
-        x[2 * 100] = 1.0  # q1 = 1 at one interior node
-        assert w @ (x * x) == pytest.approx(2.0 * mesh.h ** 2, rel=1e-13)
-        assert w @ np.zeros_like(x) == 0.0
+        x = np.zeros((2, mesh.n_interior))
+        x[0, 100] = 1.0  # q1 = 1 at one interior node
+        assert h_norm_sq(w, x) == pytest.approx(2.0 * mesh.h ** 2, rel=1e-13)
+        assert h_norm_sq(w, np.zeros_like(x)) == 0.0
 
     def test_bookkeeping_sum(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         w = lumped_mass(mesh)
-        assert w.sum() / 2.0 == pytest.approx(
+        assert w.sum() == pytest.approx(
             2.0 * mesh.gamma[oracles.interior_nodes(mesh)].sum(), rel=1e-14)
 
 

@@ -61,15 +61,20 @@ class TestBuildMesh:
         rng = np.random.RandomState(1)
         Q = rng.standard_normal((mesh.n_nodes, 2))
         r = rng.standard_normal(mesh.n_nodes)
-        assert np.array_equal(mesh.gather_interior(Q), Q[idx].reshape(-1))
+        # component-major: row c holds component c at the interior nodes
+        q = mesh.gather_interior(Q)
+        assert q.shape == (2, mesh.n_interior) and q.flags.c_contiguous
+        assert np.array_equal(q, Q[idx].T)
         assert np.array_equal(mesh.gather_interior(r), r[idx])
 
-        x = rng.standard_normal(2 * mesh.n_interior)
+        x = rng.standard_normal((2, mesh.n_interior))
         out = np.zeros_like(Q)
         mesh.scatter_interior(out, x)
         expect = np.zeros_like(Q)
-        expect[idx] = x.reshape(-1, 2)
+        expect[idx] = x.T
         assert np.array_equal(out, expect)
+        s = rng.standard_normal(mesh.n_interior)
+        assert np.array_equal(mesh.scatter_interior(np.zeros_like(r), s)[idx], s)
         with pytest.raises(ValueError):
             mesh.scatter_interior(np.asfortranarray(out), x)
 

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,11 @@ from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
 from qtflow.experiments import DEFAULT_PARAMS
 from qtflow.mesh import build_mesh
 from qtflow.solver import ConvergenceError, StepOperator, cg_solve
-from qtflow.stepper import step_operator
+import qtflow
+from qtflow.stepper import step, step_operator
 
 import oracles
+from states import default_start
 
 
 def make_operator(mesh, rng=None, mass_coef=100.0, grad_coef=0.01, div_coef=0.005):
@@ -35,22 +38,35 @@ def solve(A, b, **kw):
 
 
 def dense_matrix(A, n):
+    """The operator as a dense (n, n) matrix on the flattened (2, n/2)
+    vectors: component-major order."""
     cols = []
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        cols.append(A.matvec(e))
+        cols.append(A.matvec(e.reshape(2, -1)).ravel())
     return np.array(cols).T
 
 
 def dense_step_operator(w, K, D, p, cm, ck, cd):
-    """c_m diag(w) + c_k K + c_d D + w_z p_z p_z^T, assembled densely."""
+    """c_m diag(w) + c_k K + c_d D + w_z p_z p_z^T, assembled densely on the
+    flattened (2, m) vectors: the scalar part on both diagonal blocks, the
+    rank-one part as four diagonal blocks."""
     A = cm * np.diag(w) + ck * K.toarray()
     if D is not None:
         A += cd * D.toarray()
-    for z in range(p.shape[1]):
-        A[2 * z:2 * z + 2, 2 * z:2 * z + 2] += w[2 * z] * np.outer(p[:, z], p[:, z])
-    return A
+    return np.kron(np.eye(2), A) + np.block(
+        [[np.diag(w * p[c] * p[d]) for d in (0, 1)] for c in (0, 1)])
+
+
+def sparse_step_operator(op):
+    """The operator assembled as one sparse (2m, 2m) matrix in component-
+    major order: the constant part on both diagonal blocks, the rank-one
+    part as four diagonal blocks."""
+    wp = op.w * op.p
+    return sparse.bmat([[op.base + sparse.diags(wp[0] * op.p[0]), sparse.diags(wp[0] * op.p[1])],
+                        [sparse.diags(wp[1] * op.p[0]), op.base + sparse.diags(wp[1] * op.p[1])]],
+                       format="csr")
 
 
 class TestStepOperator:
@@ -77,7 +93,33 @@ class TestStepOperator:
                                     1.0 / dt + sigma / dt ** 2, params.L1, ell)
         scale = np.abs(dense).max()
         np.testing.assert_allclose(dense_matrix(op, n), dense, rtol=0, atol=1e-14 * scale)
-        np.testing.assert_allclose(op.diag, np.diag(dense), rtol=1e-14)
+        np.testing.assert_allclose(op.diag.ravel(), np.diag(dense), rtol=1e-14)
+
+    @pytest.mark.parametrize("extent, n", [((0.0, 2.0, 0.0, 2.0), 16),
+                                           ((0.1, 1.4, 0.1, 1.4), 13)])
+    @pytest.mark.parametrize("with_div", [False, True])
+    def test_matvec_matches_assembled_sparse_oracle(self, extent, n, with_div):
+        """matvec on (2, m) vectors against the whole operator assembled as
+        one sparse matrix and applied to the flattened vector; the
+        operator's sparse matrices are m x m, and op.n counts both
+        components."""
+        mesh = build_mesh(*extent, n, n)
+        m = mesh.n_interior
+        rng = np.random.RandomState(41)
+        op = step_operator(replace(DEFAULT_PARAMS, L2=5e-4 * with_div, L3=5e-4 * with_div),
+                           1.25e-4, assemble_stiffness(mesh),
+                           assemble_div_form(mesh) if with_div else None, lumped_mass(mesh))
+        op.set_rank_one(rng.uniform(-0.2, 0.2, size=(2, m)))
+        assert op.n == 2 * m
+        assert all(M.shape == (m, m) for M in (op.K, op.base))
+        x = rng.standard_normal((2, m))
+        ref = sparse_step_operator(op) @ x.ravel()
+        y = op.matvec(x)
+        assert y.shape == (2, m) and y.flags.c_contiguous
+        assert np.max(np.abs(y.ravel() - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # the constant part alone, bit for bit
+        op.set_rank_one(np.zeros((2, m)))
+        assert np.array_equal(op.matvec(x).ravel(), sparse_step_operator(op) @ x.ravel())
 
 
 class TestConstantPart:
@@ -101,7 +143,7 @@ class TestConstantPart:
             ref = ref + cd * D
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op.base, name), getattr(ref, name)), name
-        assert np.array_equal(op.diag, ref.diagonal())
+        assert np.array_equal(op.diag, [ref.diagonal()] * 2)
 
     def test_shares_the_index_arrays_of_K_without_D(self):
         """The constant part stores no index arrays of its own when D is
@@ -148,7 +190,7 @@ class TestCgSolve:
     def test_zero_rhs(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         A = make_operator(mesh)
-        x, iters = solve(A, np.zeros(2 * mesh.n_interior))
+        x, iters = solve(A, np.zeros((2, mesh.n_interior)))
         assert iters == 0
         assert np.all(x == 0.0)
 
@@ -159,7 +201,7 @@ class TestCgSolve:
         A = StepOperator(w, K, None, 50.0, 0.0, 0.0)
         A.set_rank_one(np.zeros((2, mesh.n_interior)))
         rng = np.random.RandomState(3)
-        b = rng.standard_normal(2 * mesh.n_interior)
+        b = rng.standard_normal((2, mesh.n_interior))
         x, iters = solve(A, b)
         assert iters == 1
         assert np.allclose(x, b / (50.0 * w), rtol=1e-12)
@@ -172,16 +214,16 @@ class TestCgSolve:
         A = make_operator(mesh, rng=rng, mass_coef=10.0, grad_coef=0.3, div_coef=0.1)
         M = dense_matrix(A, 10)
         assert np.allclose(M, M.T, atol=1e-13)
-        b = rng.standard_normal(10)
+        b = rng.standard_normal((2, 5))
         x, _ = solve(A, b, tol=1e-14)
-        ref = np.linalg.solve(M, b)
-        assert np.max(np.abs(x - ref)) < 1e-10
+        ref = np.linalg.solve(M, b.ravel())
+        assert np.max(np.abs(x.ravel() - ref)) < 1e-10
 
     def test_residual_contract(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         rng = np.random.RandomState(7)
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
-        b = rng.standard_normal(2 * mesh.n_interior)
+        b = rng.standard_normal((2, mesh.n_interior))
         for tol in (1e-6, 1e-10):
             x, _ = solve(A, b, tol=tol)
             assert np.linalg.norm(b - A.matvec(x)) <= tol * np.linalg.norm(b)
@@ -190,7 +232,7 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         rng = np.random.RandomState(9)
         A = make_operator(mesh, rng=rng)
-        b = rng.standard_normal(2 * mesh.n_interior)
+        b = rng.standard_normal((2, mesh.n_interior))
         x, iters = solve(A, b, tol=1e-12)
         x2, iters2 = solve(A, b, tol=1e-12, x0=x, r0=A.residual(b, x))
         assert iters2 == 0
@@ -200,7 +242,7 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         rng = np.random.RandomState(11)
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.0)
-        b = rng.standard_normal(2 * mesh.n_interior)
+        b = rng.standard_normal((2, mesh.n_interior))
         runs = {solve(A, b, tol=1e-10)[1] for _ in range(3)}
         assert len(runs) == 1
 
@@ -208,7 +250,7 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         rng = np.random.RandomState(17)
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
-        n = 2 * mesh.n_interior
+        n = (2, mesh.n_interior)
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         exact = b - A.matvec(x0)
@@ -228,7 +270,7 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         rng = np.random.RandomState(17)
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
-        n = 2 * mesh.n_interior
+        n = (2, mesh.n_interior)
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         r0 = 1.01 * (b - A.matvec(x0))
@@ -252,7 +294,7 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         rng = np.random.RandomState(19)
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.2)
-        n = 2 * mesh.n_interior
+        n = (2, mesh.n_interior)
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         kept = x0.copy()
@@ -260,14 +302,14 @@ class TestCgSolve:
             x, iters = solve(A, b, tol=1e-10, x0=x0, r0=r0)
             assert iters > 0
             assert np.array_equal(x0, kept)
-            assert np.array_equal(A.Kx, A.K @ x)
-            assert np.array_equal(A.Lx, A.ck * A.Kx + A.cd * (A.D @ x))
+            assert np.array_equal(A.Kx, (A.K @ x.T).T)
+            assert np.array_equal(A.Lx, A.ck * A.Kx + A.cd * (A.D @ x.T).T)
 
     def test_zero_rhs_keeps_products_of_returned_x(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         rng = np.random.RandomState(23)
         A = make_operator(mesh, rng=rng)
-        n = 2 * mesh.n_interior
+        n = (2, mesh.n_interior)
         A.residual(np.zeros(n), rng.standard_normal(n))  # products of another x
         x0 = rng.standard_normal(n)
         kept = x0.copy()
@@ -283,12 +325,12 @@ class TestCgSolve:
         for div_coef in (0.0, 0.2):
             A = make_operator(mesh, rng=rng, mass_coef=3.0, grad_coef=1.0,
                               div_coef=div_coef)
-            x = rng.standard_normal(2 * mesh.n_interior)
-            b = rng.standard_normal(x.shape[0])
+            x = rng.standard_normal((2, mesh.n_interior))
+            b = rng.standard_normal(x.shape)
             ref = b - A.matvec(x)
             assert np.max(np.abs(A.residual(b, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
             # the D product is taken exactly when D is given
-            Lx = A.ck * A.Kx if A.D is None else A.ck * A.Kx + A.cd * (A.D @ x)
+            Lx = A.ck * A.Kx if A.D is None else A.ck * A.Kx + A.cd * (A.D @ x.T).T
             assert np.array_equal(A.Lx, Lx)
             assert (A.D is None) == (div_coef == 0.0)
             assert A.D is None or A.D is A.K  # one matrix kept for both
@@ -300,8 +342,8 @@ class TestCgSolve:
         product."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         A = make_operator(mesh, mass_coef=8e3, grad_coef=1e-3, div_coef=0.0)
-        b = np.random.RandomState(31).standard_normal(2 * mesh.n_interior)
-        b[5] = bad
+        b = np.random.RandomState(31).standard_normal((2, mesh.n_interior))
+        b[1, 5] = bad
         A.matvec = A.residual = lambda *args: pytest.fail("a product was made")
         with pytest.raises(ConvergenceError, match="non-finite right-hand side"):
             solve(A, b)
@@ -311,7 +353,7 @@ class TestCgSolve:
         replaces it and CG converges instead of running to maxiter."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         A = make_operator(mesh, mass_coef=8e3, grad_coef=1e-3, div_coef=0.0)
-        b = np.random.RandomState(37).standard_normal(2 * mesh.n_interior)
+        b = np.random.RandomState(37).standard_normal((2, mesh.n_interior))
         x, iters = solve(A, b, r0=np.full_like(b, np.nan))
         assert 0 < iters <= 5
         assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
@@ -320,7 +362,44 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         rng = np.random.RandomState(13)
         A = make_operator(mesh, rng=rng, mass_coef=1.0, grad_coef=1.0, div_coef=0.0)
-        b = rng.standard_normal(2 * mesh.n_interior)
+        b = rng.standard_normal((2, mesh.n_interior))
         with pytest.raises(ConvergenceError) as info:
             solve(A, b, tol=1e-14, maxiter=1)
         assert info.value.residual > 0.0
+
+    def test_default_maxiter_counts_both_components(self):
+        """The default maxiter is 10 per unknown, 10 * 2m on a (2, m) rhs:
+        taken from the rows (rhs.shape[0] == 2) it would give up after 20
+        iterations.  An unreachable tolerance runs them all, one matvec
+        each, before it raises."""
+        mesh = build_mesh(0, 2, 0, 2, 4, 4)
+        A = make_operator(mesh, rng=np.random.RandomState(43), mass_coef=1.0,
+                          grad_coef=1.0, div_coef=0.0)
+        b = np.random.RandomState(47).standard_normal((2, mesh.n_interior))
+        matvec, calls = A.matvec, []
+        A.matvec = lambda x: calls.append(None) or matvec(x)
+        with pytest.raises(ConvergenceError, match="in 180 iterations"):
+            solve(A, b, tol=1e-20)  # below the rounding floor of the true residual
+        assert len(calls) == 10 * b.size == 180
+
+
+def test_no_interleaved_layout_in_the_solver():
+    """Vectors are component-major (2, m) and the sparse forms m x m: no
+    stride-2 slice of an interleaved vector is left in the package, and the
+    operator of an anisotropic run holds m x m matrices and (2, m) work
+    vectors."""
+    package = os.path.dirname(qtflow.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                text = handle.read()
+            assert "0::2" not in text and "1::2" not in text, name
+    mesh = build_mesh(0, 2, 0, 2, 8, 8)
+    m = mesh.n_interior
+    params = replace(DEFAULT_PARAMS, L2=5e-4, L3=5e-4)
+    state, op = default_start(mesh, params, 1e-3)
+    state = step(state, params, 1e-3, op)
+    assert op.K.shape == op.base.shape == (m, m) and op.D is op.K
+    assert op.w.shape == (m,) and op.n == 2 * m
+    for x in (op.diag, op.rhs, op.res, state.q, state.dq, state.Kq, state.Lq):
+        assert x.shape == (2, m) and x.flags.c_contiguous

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import fields, replace
@@ -34,8 +36,7 @@ def forms(mesh):
 def default_velocity(mesh, p, Q0, r0, op=None):
     """build_default_Qt0 from the nodal fields Q0 and r0."""
     q0 = mesh.gather_interior(Q0)
-    P0 = aux_P(np.stack((q0[0::2], q0[1::2])), p)
-    return build_default_Qt0(mesh, p, q0, mesh.gather_interior(r0), P0, op)
+    return build_default_Qt0(mesh, p, q0, mesh.gather_interior(r0), aux_P(q0, p), op)
 
 
 def advance(state, p, dt, op, nsteps, cg_tol=1e-12):
@@ -89,6 +90,23 @@ class TestInitialize:
         assert np.allclose(state.r_field(mesh), expect, rtol=1e-14)
 
 
+@pytest.mark.parametrize("A0", [500.0, 0.013, 3.3])
+def test_boundary_r_is_the_constant_sqrt_2_A0(A0):
+    """Q vanishes on the boundary, so nodal_r there is the r of Q = 0,
+    which a state keeps as the scalar r0: the same bits as sqrt(2 A0), at
+    every boundary node, and in the nodal r field of every later state."""
+    p = replace(P6, A0=A0)
+    mesh = build_mesh(0, 2, 0, 2, 8, 8)
+    Q0 = interpolate_qfield(mesh, default_initial_q)
+    bnd = oracles.is_boundary(mesh)
+    r0 = math.sqrt(2.0 * A0)
+    assert np.all(nodal_r(p, Q0)[bnd] == r0)
+    state, op = default_start(mesh, p, 1e-3)
+    state = step(state, p, 1e-3, op)
+    assert type(state.r0) is float and state.r0 == r0
+    assert np.all(state.r_field(mesh)[bnd] == r0)
+
+
 class TestDefaultQt0:
     def test_zero_data_gives_zero(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
@@ -101,18 +119,18 @@ class TestDefaultQt0:
         # eigenvector of the lumped-inverse stiffness
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         K = assemble_stiffness(mesh)
-        gdof = np.repeat(mesh.gamma[oracles.interior_nodes(mesh)], 2)
+        gamma = mesh.gamma[oracles.interior_nodes(mesh)]
 
         rng = np.random.RandomState(5)
-        v = rng.standard_normal(2 * mesh.n_interior)
+        v = rng.standard_normal((2, mesh.n_interior))
         lam = 0.0
         for _ in range(600):  # power iteration on the generalized problem
-            v = (K @ v) / gdof
+            v = (K @ v.T).T / gamma
             lam = np.linalg.norm(v)
             v /= lam
 
         Q0 = np.zeros((mesh.n_nodes, 2))
-        Q0[oracles.interior_nodes(mesh)] = v.reshape(-1, 2)
+        Q0[oracles.interior_nodes(mesh)] = v.T
         qt0 = default_velocity(mesh, P6, Q0, np.zeros(mesh.n_nodes))
         expect = -P6.L1 * lam * v
         assert np.max(np.abs(qt0 - expect)) < 1e-6 * lam * P6.L1
@@ -167,9 +185,9 @@ class TestStep:
         q = Q0[node]
         r0 = float(aux_r(q, p))
         pv = aux_P(q, p)
-        Kd = K.toarray()
-        Dd = D.toarray()
-        wv = w
+        Kd = np.kron(K.toarray(), np.eye(2))
+        Dd = np.kron(D.toarray(), np.eye(2))
+        wv = np.repeat(w, 2)
         cm = 1.0 / dt + p.sigma / dt ** 2
         A = cm * np.diag(wv) + p.L1 * Kd + 0.5 * (p.L2 + p.L3) * Dd \
             + wv[0] * np.outer(pv, pv)
@@ -204,14 +222,14 @@ class TestStep:
             e0 = rec.total
             prev_dtq = None
             if p.sigma > 0:
-                prev_dtq = (state.Q_field(mesh)[idx] - Q0[idx]).reshape(-1) / dt
+                prev_dtq = (state.Q_field(mesh)[idx] - Q0[idx]).T / dt
             for _ in range(50):
                 old = state
                 old_total = rec.total
                 state = step(state, p, dt, op, cg_tol=1e-12)
                 rec = discrete_energy(state, p, dt, mesh, w)
                 dtq = (state.Q_field(mesh)[idx]
-                       - old.Q_field(mesh)[idx]).reshape(-1) / dt
+                       - old.Q_field(mesh)[idx]).T / dt
                 resid = rec.total - old_total + dt * h_norm_sq(w, dtq)
                 if p.sigma > 0:
                     resid += 0.5 * p.sigma * h_norm_sq(w, dtq - prev_dtq)
@@ -294,10 +312,10 @@ class TestCarriedInterior:
             Q = s.Q_field(mesh)
             q = mesh.gather_interior(Q)
             dq = None if Qprev is None else q - mesh.gather_interior(Qprev)
-            Kq = K @ q
+            Kq = (K @ q.T).T
             Lq = params.L1 * Kq
             if params.L2 + params.L3 != 0:
-                Lq += 0.5 * (params.L2 + params.L3) * (D @ q)
+                Lq += 0.5 * (params.L2 + params.L3) * (D @ q.T).T
             r = mesh.gather_interior(s.r_field(mesh))
             return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq,
                             r0=s.r0, n=s.n, t=s.t), Q
@@ -343,15 +361,16 @@ class TestCarriedProducts:
         ck, cd = params.L1, 0.5 * (params.L2 + params.L3)
         state, op = default_start(mesh, params, dt)
         for _ in range(11):
-            assert np.array_equal(state.Kq, K @ state.q)
-            Lq = ck * state.Kq if cd == 0.0 else ck * state.Kq + cd * (D @ state.q)
+            assert np.array_equal(state.Kq, (K @ state.q.T).T)
+            Lq = ck * state.Kq if cd == 0.0 else ck * state.Kq + cd * (D @ state.q.T).T
             assert np.array_equal(state.Lq, Lq)
             state = step(state, params, dt, op)
 
     @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
     def test_products_per_step(self, params, monkeypatch):
-        """One op.base product per CG iteration, one K product for the
-        confirmation, and nothing else: D x is K x, so D is never applied."""
+        """One op.base product per component and CG iteration, one K
+        product per component for the confirmation, and nothing else: D x
+        is K x, so D is never applied."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         dt = 1e-3
         state, op = default_start(mesh, params, dt)
@@ -375,7 +394,7 @@ class TestCarriedProducts:
             counts = (op.base.calls, op.K.calls, d_calls())
             state = step(state, params, dt, op)
             assert (op.base.calls - counts[0], op.K.calls - counts[1],
-                    d_calls() - counts[2]) == (iters[-1], 1, 0)
+                    d_calls() - counts[2]) == (2 * iters[-1], 2, 0)
         assert sum(iters) > 0
 
 
@@ -398,7 +417,7 @@ class TestStatesOwnTheirArrays:
             state = step(state, params, dt, op)
         assert (op.D is not None) == (params.L2 + params.L3 != 0)
         for arrays, copies in kept:
-            assert set(arrays) >= {"q", "r", "Kq", "Lq", "r0"}
+            assert set(arrays) >= {"q", "r", "Kq", "Lq"}
             for name, array in arrays.items():
                 assert np.array_equal(array, copies[name]), name
 
@@ -430,7 +449,7 @@ class TestNodalField:
             assert np.array_equal(r[bnd], r0[bnd])
             state = step(state, P6, dt, op)
             Q = np.zeros_like(Q)
-            Q[idx] = state.q.reshape(-1, 2)
+            Q[idx] = state.q.T
             r = r.copy()
             r[idx] = state.r
 
