@@ -23,16 +23,14 @@ from .stepper import SimState
 
 @dataclass
 class EnergyRecord:
-    """The four summands of the discrete energy, the squared lumped norm
-    of the rate (q^n - q^{n-1})/dt (0 without a previous level) and the
-    per-step defect of the dissipation identity."""
+    """The four summands of the discrete energy and the dissipation
+    identity's defect over the step to the state (0 for a first state)."""
 
     kinetic: float
     elastic: float
     divpart: float
     rpart: float
     total: float
-    rate_sq: float
     dissipation_residual: float = 0.0
 
 
@@ -42,16 +40,18 @@ def h_norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
 
 
 def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
-                    weights, dtq: np.ndarray | None = None) -> EnergyRecord:
-    """Energy of a state, from the interior vectors and products it
-    carries; dtq is the rate state.dq / dt when the caller has formed it."""
-    dtq = state.dq / dt if dtq is None and state.dq is not None else dtq
-    rate_sq = 0.0 if dtq is None else h_norm_sq(weights, dtq)
-    kinetic = 0.0
-    if p.sigma > 0.0:
-        if state.dq is None:
-            raise ValueError("state has no previous level but sigma > 0")
-        kinetic = 0.5 * p.sigma * rate_sq
+                    weights, prev: tuple | None = None, work=None) -> EnergyRecord:
+    """Energy of a state from its interior vectors and K q (L q is c K q).
+    With prev = (dq of the previous state, its record), also the defect
+    E^n - E^{n-1} + dt |v^n|^2 + (sigma/2) |v^n - v^{n-1}|^2 of the
+    dissipation identity in lumped norms, v = dq / dt, formed in work: two
+    (2, m) vectors that may be overwritten (new ones when omitted)."""
+    if state.dq is None and p.sigma > 0.0:
+        raise ValueError("state has no previous level but sigma > 0")
+    v, dv = work or (None, None)
+    v = None if state.dq is None else np.divide(state.dq, dt, out=v)
+    rate_sq = 0.0 if v is None else h_norm_sq(weights, v)
+    kinetic = 0.5 * p.sigma * rate_sq
 
     # the divergence form is K (assembly.assemble_div_form): q.Kq is q.Dq
     qKq = float(np.vdot(state.q, state.Kq))
@@ -62,7 +62,13 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     rpart = 0.5 * (0.5 * float(weights @ (state.r * state.r))
                    + state.r0 * state.r0 * mesh.boundary_weight)
     total = kinetic + elastic + divpart + rpart
-    return EnergyRecord(kinetic, elastic, divpart, rpart, total, rate_sq)
+    rec = EnergyRecord(kinetic, elastic, divpart, rpart, total)
+    if prev is not None:
+        rec.dissipation_residual = total - prev[1].total + dt * rate_sq
+        if p.sigma > 0.0:
+            dv = np.subtract(v, np.divide(prev[0], dt, out=dv), out=dv)
+            rec.dissipation_residual += 0.5 * p.sigma * h_norm_sq(weights, dv)
+    return rec
 
 
 class NormForms(NamedTuple):

@@ -213,24 +213,16 @@ def _simulate(case: Case) -> RunResult:
     state = initialize(mesh, params, dt, Q0, r0, op, velocity)
     del Q0, r0  # the state holds the interior vectors
 
-    prev_dtq = state.dq / dt if params.sigma > 0.0 else None
-    trace = [analysis.discrete_energy(state, params, dt, mesh, w, prev_dtq)]
-
+    work = (op.z, op.dir)  # CG's vectors, free between solves
+    trace = [analysis.discrete_energy(state, params, dt, mesh, w, work=work)]
     for _ in range(N - state.n):
-        old_total = trace[-1].total
+        prev = state.dq, trace[-1]  # the old state's other vectors die with the step
         try:
             state = step(state, params, dt, op, cg_tol=case.cg_tol)
         except ConvergenceError as exc:
             raise ConvergenceError("%s: %s" % (case, exc), exc.residual,
                                    step=exc.step, t=exc.t, case=case) from exc
-        dtq = state.dq / dt if params.sigma > 0.0 else None
-        rec = analysis.discrete_energy(state, params, dt, mesh, w, dtq)
-        resid = rec.total - old_total + dt * rec.rate_sq
-        if params.sigma > 0.0:
-            resid += 0.5 * params.sigma * analysis.h_norm_sq(w, dtq - prev_dtq)
-            prev_dtq = dtq
-        rec.dissipation_residual = resid
-        trace.append(rec)
+        trace.append(analysis.discrete_energy(state, params, dt, mesh, w, prev, work))
 
     return RunResult(case=case, mesh=mesh, state=state, trace=trace)
 

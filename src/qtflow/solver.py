@@ -6,11 +6,12 @@ the step operator that is constant over a run (lumped mass, stiffness and
 divergence form) is one scalar m x m sparse matrix, applied to each row;
 the per-node rank-one term coming from the energy quadratization changes
 every step and is applied from its node vectors without assembling a
-matrix.  CG starts from the step's own start value and residual, and its
-one loop confirms every exit on the true residual, formed from K x, the
-one sparse product (the divergence form is K), and L x; both then serve
-the next step.  The operator owns the work vectors of a step; every vector
-that a solve returns or leaves on it for a caller to keep is new.
+matrix.  The divergence form is K, so the elastic part is c K.  CG starts
+from the step's own start value and residual, and its one loop confirms
+every exit on the true residual, formed from K x, which then serves the
+energy and the next step.  The operator owns the work vectors of a step;
+every vector that a solve returns or leaves on it for a caller to keep is
+new.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ class ConvergenceError(RuntimeError):
 
 
 class StepOperator:
-    """SPD operator  c_m diag(w) + c_k K + c_d D + rank-one per node.
+    """SPD operator  c_m diag(w) + c K + rank-one per node.
 
-    K and D are m x m, applied to each row of a (2, m) vector, and w (m,).
-    D is part of the operator exactly when given, and must equal K entry
-    for entry (ValueError otherwise).  The rank-one part applies x -> w_z
-    (p_z . x_z) p_z at every interior node z, p (2, m) holding the reduced
-    components of the quadratization gradient there; set_rank_one()
-    installs it before a step's first matvec or residual.
+    K is m x m, applied to each row of a (2, m) vector, and w (m,).
+    c = c_k + c_d when D is given, which must equal K entry for entry
+    (ValueError otherwise), and c = c_k without D.  The rank-one part
+    applies x -> w_z (p_z . x_z) p_z at every interior node z, p (2, m)
+    holding the reduced components of the quadratization gradient there;
+    set_rank_one() installs it before a step's first matvec or residual.
     """
 
     def __init__(self, weights, K, D, cm, ck, cd):
@@ -57,28 +58,28 @@ class StepOperator:
             raise ValueError("the divergence form D must equal the stiffness K")
         self.K = K
         self.D = None if D is None else K  # one matrix for both
+        self.c = self.ck + self.cd if D is not None else self.ck
 
-        # c_m w added into the diagonal of c_k K, then c_d D, as the sums of
-        # the sparse matrices round.  The copy shares the index arrays of K,
-        # which setdiag leaves alone when K is canonical (sorted, no
-        # duplicates) and holds its diagonal, as the stencil forms do.
-        base = sparse.csr_matrix((self.ck * K.data, K.indices, K.indptr),
+        # c_m w added into the diagonal of c K, as the sum of the sparse
+        # matrices rounds.  The copy shares the index arrays of K, which
+        # setdiag leaves alone when K is canonical (sorted, no duplicates)
+        # and holds its diagonal, as the stencil forms do.
+        base = sparse.csr_matrix((self.c * K.data, K.indices, K.indptr),
                                  shape=K.shape)
         base.setdiag(base.diagonal() + self.cm * weights)
-        if D is not None:
-            base.data += self.cd * K.data
         self.base = base
         self._base_diag = base.diagonal()  # diagonal() searches every row
         self.w = weights
         # work vectors: the diagonal, step()'s rhs, the residual (CG's start,
-        # residual()'s), CG's z and direction, a shared temporary, w p; p . x
-        self.diag, self.rhs, self.res, self.z, self.dir, self.tmp, self._wp = \
-            np.empty((7, 2, m))
+        # residual()'s), CG's z and direction, a shared temporary, p and w p
+        # (p is copied in, so a step frees its P); p . x
+        self.diag, self.rhs, self.res, self.z, self.dir, self.tmp, self.p, \
+            self._wp = np.empty((8, 2, m))
         self._s = np.empty(m)
 
     def set_rank_one(self, p_nodes) -> None:
-        """Install the rank-one vectors (2, m) of one step."""
-        self.p = p_nodes
+        """Install the rank-one vectors (2, m) of one step, copied into .p."""
+        np.copyto(self.p, p_nodes)
         np.multiply(self.w, p_nodes, out=self._wp)
         np.multiply(self._wp, p_nodes, out=self.diag)
         self.diag += self._base_diag
@@ -99,24 +100,21 @@ class StepOperator:
         y[1] += self.base @ x[1]
         return y
 
-    def products(self, x: np.ndarray):
-        """(K x, L x), L x = c_k K x + c_d D x from the one product D x = K x."""
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """K x, a new vector."""
         Kx = np.empty_like(x)
         Kx[0] = self.K @ x[0]
         Kx[1] = self.K @ x[1]
-        Lx = self.ck * Kx
-        if self.D is not None:
-            Lx += np.multiply(self.cd, Kx, out=self.tmp)
-        return Kx, Lx
+        return Kx
 
     def residual(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """rhs - A x from the separate products of x rather than the
-        assembled part, in the operator's vector .res; keeps the products
-        as .Kx and .Lx, the products of the solution that a step hands on."""
-        self.Kx, self.Lx = self.products(x)
+        """rhs - A x from K x rather than the assembled part, in the
+        operator's vector .res; keeps K x as .Kx, the product of the
+        solution that a step hands on."""
+        self.Kx = self.products(x)
         y = np.multiply(self.w, x, out=self.res)
         y *= self.cm
-        y += self.Lx
+        y += np.multiply(self.c, self.Kx, out=self.tmp)
         self.spread(self.project(x), y)
         return np.subtract(rhs, y, out=y)
 
@@ -131,7 +129,8 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
     from A.residual confirms it, which leaves the products of x on A; a
     rejected confirmation (a drifted recurrence or a wrong r0, NaN too)
     restarts CG from the true residual.  Raises ConvergenceError when
-    maxiter is exhausted, and at once when rhs is not finite.
+    maxiter is exhausted or p.Ap is not positive (it underflows far below
+    the rounding floor), and at once when rhs is not finite.
     """
     norm_b = math.sqrt(np.vdot(rhs, rhs))
     if norm_b == 0.0:
@@ -161,7 +160,10 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
             z, np.multiply(p, rz_new / rz, out=p), out=p)
         rz = rz_new
         Ap = A.matvec(p)
-        alpha = rz / float(np.vdot(p, Ap))
+        pAp = float(np.vdot(p, Ap))
+        if not pAp > 0.0:
+            break
+        alpha = rz / pAp
         if k == 0:
             x = x + np.multiply(p, alpha, out=tmp)  # x0 belongs to the caller
         else:
@@ -172,6 +174,6 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
     res = math.sqrt(np.vdot(true_r, true_r)) / norm_b
     raise ConvergenceError(
         "CG did not converge in %d iterations (relative residual %.3e)"
-        % (maxiter, res),
+        % (k, res),
         residual=res,
     )

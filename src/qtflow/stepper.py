@@ -9,17 +9,18 @@ exactly before the solve:
 holds nodewise, so substituting the midpoint value of r into the momentum
 equation turns the coupled (Q, r) update into
 
-    [ (1/dt + sigma/dt^2) diag(w) + L1 K + (L2+L3)/2 D + R ] q_new = rhs,
+    [ (1/dt + sigma/dt^2) diag(w) + c K + R ] q_new = rhs,
 
 where w are the lumped weights, K the scalar stiffness (applied to each
-component), D the divergence form and R the per-node rank-one operator
-x -> w_z (p_z . x_z) p_z built from P at the current state.  With sigma = 0
-the two-level terms drop and only one history level is kept.
+component), c = L1 + (L2+L3)/2, as the divergence form is K on Dirichlet
+data (its cross terms are a null Lagrangian), and R the per-node rank-one
+operator x -> w_z (p_z . x_z) p_z built from P at the current state.  With
+sigma = 0 the two-level terms drop and only one history level is kept.
 
-A state holds interior vectors only: Q component-major (2, m), rows q1 and
-q2 at the m interior nodes, and r (m,).  Boundary Q stays zero (the
-Dirichlet condition), so boundary r stays sqrt(2 A0), the r of Q = 0.
-SimState.Q_field() and r_field() build nodal fields on demand.
+A state holds Q (2, m) at the m interior nodes (rows q1, q2), its step dq,
+r (m,) and K q.  Boundary Q stays zero (the Dirichlet condition), so
+boundary r stays sqrt(2 A0), the r of Q = 0.  SimState.Q_field() and
+r_field() build nodal fields on demand.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from .solver import ConvergenceError, StepOperator, cg_solve
 
 @dataclass
 class SimState:
-    """State n of a run as interior vectors, with the sparse products of
-    its Q level carried into the energy and the next step."""
+    """State n of a run as interior vectors, with K q carried into the
+    energy and the next step."""
 
     q: np.ndarray              # Q^n at interior nodes, (2, m)
     dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
     r: np.ndarray              # r^n at interior nodes
-    Kq: np.ndarray             # K q
-    Lq: np.ndarray             # L1 K q + (L2 + L3)/2 D q
+    Kq: np.ndarray             # K q; L q is c K q
     r0: float                  # boundary r: aux_r of Q = 0 is sqrt(2 A0)
     n: int
     t: float
@@ -98,7 +98,7 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
                velocity=build_default_Qt0) -> SimState:
     """Build the starting state from the nodal fields Q0 and r0 = nodal_r(p, Q0),
     of which only the interior values are read; op is the run's operator
-    from step_operator(), which forms the products of the state.
+    from step_operator(), which forms the product K q of the state.
 
     For sigma > 0 the second level is the explicit start Q^1 = Q^0 + dt Qt0
     and r^1 follows from the lumped r update.  The interior vector Qt0 is
@@ -119,8 +119,7 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
         r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         del P0
         n = 1
-    Kq, Lq = op.products(q)
-    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=math.sqrt(2.0 * p.A0),
+    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), r0=math.sqrt(2.0 * p.A0),
                     n=n, t=n * dt)
 
 
@@ -154,13 +153,13 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     except ValueError as exc:
         raise _step_failure(n, t, str(exc)) from exc
 
-    # rhs = c_m w q + (sigma/dt^2) w dq - L q + w p (p.q - r) and the start
-    # residual rhs - A q = (sigma/dt^2) w dq - 2 L q - w r p, in the
+    # rhs = c_m w q + (sigma/dt^2) w dq - c K q + w p (p.q - r) and the
+    # start residual rhs - A q = (sigma/dt^2) w dq - 2 c K q - w r p, in the
     # operator's vectors and without the cancellation of rhs - A q.
     rhs = np.multiply(op.w, q, out=op.rhs)
     rhs *= op.cm
-    rhs -= state.Lq
-    res = np.multiply(state.Lq, -2.0, out=op.res)
+    rhs -= np.multiply(state.Kq, op.c, out=op.tmp)
+    res = np.multiply(op.tmp, -2.0, out=op.res)
     if p.sigma > 0.0:
         inertia = np.multiply(op.w, state.dq, out=op.tmp)
         inertia *= p.sigma / dt ** 2
@@ -179,8 +178,8 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
         raise _step_failure(n, t, "non-finite values in Q update")
 
     dq = x - q
-    r = state.r + 2.0 * op.project(dq)
+    r = state.r + op.project(np.multiply(dq, 2.0, out=op.tmp))  # 2 P.dq, no temporary
     if not np.isfinite(r).all():
         raise _step_failure(n, t, "non-finite values in r update")
-    # cg_solve confirmed x last, so op holds the products of x
-    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, Lq=op.Lx, r0=state.r0, n=n, t=t)
+    # cg_solve confirmed x last, so op holds K x
+    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, r0=state.r0, n=n, t=t)

@@ -554,6 +554,26 @@ def nodal_start(case, op):
         dq = q - q0
         r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         n = 1
-    Kq, Lq = op.products(q)
     # the boundary r, read at the first node, a corner
-    return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq, r0=float(r0[0]), n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), r0=float(r0[0]), n=n, t=n * dt)
+
+
+def simulate_dissipation_defects(states, records, p, dt, w):
+    """The defect of the dissipation identity over each step of a run, as
+    experiments._simulate formed it while it kept the rates itself: dq / dt
+    of each state held into the next step, and the squared lumped norm of
+    the rate, E^n - E^{n-1} + dt |v^n|^2 (+ (sigma/2) |v^n - v^{n-1}|^2 when
+    sigma > 0).  states[k] is the state of records[k]."""
+    def h_norm_sq(x):
+        return float(w @ (x[0] * x[0] + x[1] * x[1]))
+
+    prev_dtq = states[0].dq / dt if p.sigma > 0.0 else None
+    defects = []
+    for state, old, rec in zip(states[1:], records, records[1:]):
+        dtq = state.dq / dt
+        resid = rec.total - old.total + dt * h_norm_sq(dtq)
+        if p.sigma > 0.0:
+            resid += 0.5 * p.sigma * h_norm_sq(dtq - prev_dtq)
+            prev_dtq = dtq
+        defects.append(resid)
+    return defects

@@ -48,10 +48,8 @@ class TestDiscreteEnergy:
         pdiv = Params(L1=0.001, L2=0.0005, L3=0.0005, a=-0.2, b=1, c=1,
                       A0=500.0, sigma=0.025)
         q = mesh.gather_interior(Q)
-        Kq = (K @ q.T).T
         state = SimState(q=q, dq=q - mesh.gather_interior(Qp),
-                         r=mesh.gather_interior(r), Kq=Kq,
-                         Lq=pdiv.L1 * Kq + 0.5 * (pdiv.L2 + pdiv.L3) * (D @ q.T).T,
+                         r=mesh.gather_interior(r), Kq=(K @ q.T).T,
                          r0=float(np.sqrt(1000.0)), n=1, t=1e-3)
         rec = discrete_energy(state, pdiv, 1e-3, mesh, w)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):

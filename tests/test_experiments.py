@@ -9,6 +9,7 @@ import pytest
 from dataclasses import fields, replace
 
 from qtflow import experiments, stepper
+from qtflow.assembly import lumped_mass
 from qtflow.mesh import build_mesh
 from qtflow.experiments import (
     DEFAULT_PARAMS,
@@ -158,7 +159,7 @@ class TestRunSingle:
         assert len(res.trace) == 11  # states n = 0..N
 
 
-#: Counts the minor page faults of the last 30 of 40 steps of a 128^2 run,
+#: Counts the minor page faults of the last 30 of 40 steps of an NX^2 run,
 #: energy evaluations included, in a fresh process.
 WARM_STEP_FAULTS = """
 import resource
@@ -174,27 +175,44 @@ def counted(*args, **kwargs):
 
 experiments.step = counted
 dt = 1.25e-4  # sigma > 0 starts at n = 1, so T = 41 dt takes 40 steps
-run_single(ExperimentConfig(nx=128, ny=128, T=41 * dt, dt=dt,
+run_single(ExperimentConfig(nx=NX, ny=NX, T=41 * dt, dt=dt,
                             params=replace(DEFAULT_PARAMS, sigma=0.025)))
 assert len(before) == 40
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before[-30])
 """
 
 
-def test_warm_steps_fault_in_no_new_memory():
-    """The step loop reuses the operator's work vectors, so warm steps
-    fault in almost no pages under the C library's default allocator
-    settings.  Measured on Linux/glibc: 1-3 faults in most runs, about
-    315 in a few (one heap growth); about 3,700-5,600 when every step
-    allocated its vectors anew."""
-    pytest.importorskip("resource")
+def warm_step_faults(nx):
+    """WARM_STEP_FAULTS on an nx^2 mesh, under the C library's defaults."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", WARM_STEP_FAULTS], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert int(out) <= 1000
+    return int(subprocess.run([sys.executable, "-c", WARM_STEP_FAULTS.replace("NX", str(nx))],
+                              env=env, capture_output=True, text=True, check=True).stdout)
+
+
+def test_warm_steps_fault_in_no_new_memory():
+    """The step loop reuses the operator's work vectors, the energy forms
+    its rates in two of them, the operator keeps its own copy of p, and a
+    step's old state is dropped as soon as the step returns (its dq serves
+    the energy), so warm steps fault in almost no pages under the C
+    library's default allocator settings.  Measured on Linux/glibc: 1-4
+    faults on every mesh from 48^2 to 320^2 tried.  While the run loop
+    formed new rate vectors dq / dt every step and op.p was the step's P,
+    it was 943-946 here and 733 at 256^2; with the rates in work vectors
+    but the old state held across the energy, 1-3 here but 9,301 at
+    256^2, as the heap was trimmed and grown again every other step.
+    About 3,700-5,600 when every step allocated its vectors anew."""
+    pytest.importorskip("resource")
+    assert warm_step_faults(128) <= 1000
+
+
+def test_warm_steps_fault_in_no_new_memory_at_256():
+    """fine_run's mesh, where the heap trims of a loop that held the old
+    state across the energy cost about 9,300 faults in 30 steps."""
+    pytest.importorskip("resource")
+    assert warm_step_faults(256) <= 1000
 
 
 class _FirstStep(Exception):
@@ -257,7 +275,7 @@ class TestInteriorSetup:
         ref = oracles.nodal_start(case, op)
         assert (state.n, state.t) == (ref.n, ref.t)
         assert (state.dq is None) == (sigma == 0.0)
-        for name in ("q", "dq", "r", "Kq", "Lq", "r0"):
+        for name in ("q", "dq", "r", "Kq", "r0"):
             a, b = getattr(state, name), getattr(ref, name)
             assert (a is None and b is None) or np.array_equal(a, b), name
 
@@ -310,12 +328,16 @@ def warm_step_peak(case, monkeypatch, warm=3):
 
 
 @pytest.mark.parametrize("params, bound", [
-    (DEFAULT_PARAMS, 27.1),
-    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 26.1),
+    (DEFAULT_PARAMS, 23.7),
+    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 23.6),
 ], ids=["inertial", "anisotropic"])
 def test_warm_step_peak(params, bound, monkeypatch):
-    """The peak of a warm 128^2 step, all a run holds included: 27.01
-    n-vectors measured with sigma > 0 and 26.01 in the anisotropic run.
+    """The peak of a warm 128^2 step, all a run holds included: 23.64
+    n-vectors measured with sigma > 0 and 23.58 in the anisotropic run.
+    It was 27.08 and 26.01 while a state also carried L q, which each
+    confirmation formed as a new vector, the run loop held the rate
+    dq / dt between steps when sigma > 0, and the r update made two
+    temporaries (24.07 and 24.01 with only the r update left as it was).
     With interleaved vectors, K and op.base each storing the scalar
     stiffness twice, it was 35.49 and 34.49 (35.99 with sigma > 0 and a
     contiguous copy of the node weights, 42.44 in the anisotropic run while
@@ -323,6 +345,37 @@ def test_warm_step_peak(params, bound, monkeypatch):
     case = experiments.Case(0.0, 2.0, 0.0, 2.0, 128, 128, params,
                             1.25e-4, 6 * 1.25e-4, 1e-10)
     assert warm_step_peak(case, monkeypatch) <= bound
+
+
+@pytest.mark.parametrize("params", [
+    DEFAULT_PARAMS,
+    replace(DEFAULT_PARAMS, sigma=0.0),
+    replace(DEFAULT_PARAMS, L2=5e-4, L3=5e-4),
+    replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4),
+], ids=["inertial", "parabolic", "inertial_aniso", "parabolic_aniso"])
+def test_dissipation_defect_is_the_run_loop_formula(params, monkeypatch):
+    """The defect that discrete_energy forms from the previous state's dq
+    and record equals, bit for bit, the formula the run loop used while it
+    kept the rates dq / dt itself (tests/oracles.py), on the states of a
+    16^2 run."""
+    states, step = [], experiments.step
+
+    def kept_step(state, *args, **kwargs):
+        if not states:
+            states.append(state)  # the start
+        states.append(step(state, *args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(experiments, "step", kept_step)
+    dt = 1e-3
+    res = experiments._simulate(experiments.Case(0.0, 2.0, 0.0, 2.0, 16, 16, params,
+                                                 dt, 12 * dt, 1e-10))
+    assert len(states) == len(res.trace)
+    assert res.trace[0].dissipation_residual == 0.0
+    defects = [rec.dissipation_residual for rec in res.trace[1:]]
+    assert defects == oracles.simulate_dissipation_defects(
+        states, res.trace, params, dt, lumped_mass(res.mesh))
+    assert min(map(abs, defects)) > 0.0
 
 
 def test_initial_radicand_failure_is_a_config_error():

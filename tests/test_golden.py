@@ -2,10 +2,12 @@
 configs of each subcommand write.
 
 The configs cover the stiffness and divergence forms (run, space-refine),
-a non-dyadic mesh, whose set-up rounds differently (run-nondyadic), the
-norm forms on a 64^2 reference (space-refine), the time study and the
-sigma sweep with finite and infinite exponents.  Each is keyed by a name
-and names its subcommand.  The hashes were recorded
+a parabolic anisotropic run on 32^2, whose bits show the one elastic
+constant c = L1 + (L2+L3)/2 (run-aniso: c_k K q + c_d K q rounds
+differently there), a non-dyadic mesh, whose set-up rounds differently
+(run-nondyadic), the norm forms on a 64^2 reference (space-refine), the
+time study and the sigma sweep with finite and infinite exponents.  Each
+is keyed by a name and names its subcommand.  The hashes were recorded
 with numpy 2.4.6 and scipy 1.17.1, BLAS pinned to one thread; other
 versions or thread counts may round differently, so the test skips there.
 A change that keeps these hashes kept every output bit of these configs.
@@ -13,7 +15,7 @@ The run, run-nondyadic and space-refine hashes were re-recorded when the
 solver moved to component-major vectors and the energy to a boundary
 constant r0, which reorder the sums of every dot product and of E_r;
 CHANGES.md lists the old and new hashes with the largest relative change
-of each file.
+of each file, and the hash of run-aniso before the fold.
 """
 
 import hashlib
@@ -35,6 +37,17 @@ nx = 16
 [params]
 L2 = 5e-4
 L3 = 5e-4
+[experiment]
+T = 0.02
+dt = 1e-3
+"""),
+    "run-aniso": ("run", """
+[mesh]
+nx = 32
+[params]
+L2 = 5e-4
+L3 = 5e-4
+sigma = 0.0
 [experiment]
 T = 0.02
 dt = 1e-3
@@ -89,6 +102,10 @@ HASHES = {
     "run": {
         "energy_trace.csv":
             "110ebafe63a3e90f67e356bd859486211184846d81df9ffc0d93956ebfc40189",
+    },
+    "run-aniso": {
+        "energy_trace.csv":
+            "57dae0d2ab6719b6d9fb25cbe6dc2087c25e64a9437912982c3f810abad56973",
     },
     "run-nondyadic": {
         "energy_trace.csv":

@@ -124,9 +124,9 @@ class TestStepOperator:
 
 class TestConstantPart:
     """The constant part is bit-equal to the sum of the sparse matrices
-    diags(c_m w) + c_k K (+ c_d D), indices and values, with the same
-    diagonal, on any mesh: it makes the same additions.  The coefficients
-    are fine_run's and space_aniso's."""
+    diags(c_m w) + c K, c = c_k (+ c_d with D), indices and values, with
+    the same diagonal, on any mesh: it makes the same additions.  The
+    coefficients are fine_run's and space_aniso's."""
 
     @pytest.mark.parametrize("with_div", [False, True])
     @pytest.mark.parametrize("extent, nx, ny", [
@@ -138,9 +138,7 @@ class TestConstantPart:
         cm, ck, cd = 1.0 / 1.25e-4 + 0.025 / 1.25e-4 ** 2, 1e-3, 5e-4
         op = StepOperator(w, K, D if with_div else None, cm, ck, cd)
         op.set_rank_one(np.zeros((2, mesh.n_interior)))
-        ref = sparse.diags(cm * w, format="csr") + ck * K
-        if with_div:
-            ref = ref + cd * D
+        ref = sparse.diags(cm * w, format="csr") + (ck + cd if with_div else ck) * K
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op.base, name), getattr(ref, name)), name
         assert np.array_equal(op.diag, [ref.diagonal()] * 2)
@@ -155,8 +153,8 @@ class TestConstantPart:
         assert np.shares_memory(op.base.indptr, K.indptr)
 
     def test_shares_the_index_arrays_of_K_with_D(self):
-        """c_d D is added into the values of the copy of K, not as a sparse
-        sum, which would make new index arrays."""
+        """c_d D joins the constant c of the copy of K, not a sparse sum,
+        which would make new index arrays."""
         mesh = build_mesh(0, 2, 0, 2, 16, 16)
         K, D = assemble_stiffness(mesh), assemble_div_form(mesh)
         op = StepOperator(lumped_mass(mesh), K, D, 8e3, 1e-3, 5e-4)
@@ -303,7 +301,6 @@ class TestCgSolve:
             assert iters > 0
             assert np.array_equal(x0, kept)
             assert np.array_equal(A.Kx, (A.K @ x.T).T)
-            assert np.array_equal(A.Lx, A.ck * A.Kx + A.cd * (A.D @ x.T).T)
 
     def test_zero_rhs_keeps_products_of_returned_x(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
@@ -316,8 +313,7 @@ class TestCgSolve:
         x, iters = solve(A, np.zeros(n), x0=x0, r0=-A.matvec(x0))
         assert iters == 0 and np.all(x == 0.0)
         assert np.array_equal(x0, kept)
-        for product in (A.Kx, A.Lx):
-            assert np.all(product == 0.0)
+        assert np.all(A.Kx == 0.0)
 
     def test_residual_matches_matvec(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -329,9 +325,9 @@ class TestCgSolve:
             b = rng.standard_normal(x.shape)
             ref = b - A.matvec(x)
             assert np.max(np.abs(A.residual(b, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
-            # the D product is taken exactly when D is given
-            Lx = A.ck * A.Kx if A.D is None else A.ck * A.Kx + A.cd * (A.D @ x.T).T
-            assert np.array_equal(A.Lx, Lx)
+            assert np.array_equal(A.Kx, (A.K @ x.T).T)
+            # L = c K: c_d joins c exactly when D is given
+            assert A.c == (1.0 if A.D is None else 1.0 + div_coef)
             assert (A.D is None) == (div_coef == 0.0)
             assert A.D is None or A.D is A.K  # one matrix kept for both
 
@@ -382,6 +378,19 @@ class TestCgSolve:
             solve(A, b, tol=1e-20)  # below the rounding floor of the true residual
         assert len(calls) == 10 * b.size == 180
 
+    def test_underflowing_curvature_raises_a_convergence_error(self):
+        """A limit far below the rounding floor: the recurrence shrinks r
+        and the direction until p.Ap underflows to 0, where alpha divided
+        by zero.  It is the solver's error, raised before maxiter."""
+        mesh = build_mesh(0, 2, 0, 2, 4, 4)
+        A = make_operator(mesh, rng=np.random.RandomState(43), mass_coef=1.0,
+                          grad_coef=1.0, div_coef=0.0)
+        b = np.random.RandomState(47).standard_normal((2, mesh.n_interior))
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            solve(A, b, tol=1e-300)
+        assert info.value.residual < 1e-15
+        assert "in 180 iterations" not in str(info.value)  # 10 * b.size
+
 
 def test_no_interleaved_layout_in_the_solver():
     """Vectors are component-major (2, m) and the sparse forms m x m: no
@@ -401,5 +410,5 @@ def test_no_interleaved_layout_in_the_solver():
     state = step(state, params, 1e-3, op)
     assert op.K.shape == op.base.shape == (m, m) and op.D is op.K
     assert op.w.shape == (m,) and op.n == 2 * m
-    for x in (op.diag, op.rhs, op.res, state.q, state.dq, state.Kq, state.Lq):
+    for x in (op.diag, op.rhs, op.res, state.q, state.dq, state.Kq):
         assert x.shape == (2, m) and x.flags.c_contiguous

@@ -312,12 +312,8 @@ class TestCarriedInterior:
             Q = s.Q_field(mesh)
             q = mesh.gather_interior(Q)
             dq = None if Qprev is None else q - mesh.gather_interior(Qprev)
-            Kq = (K @ q.T).T
-            Lq = params.L1 * Kq
-            if params.L2 + params.L3 != 0:
-                Lq += 0.5 * (params.L2 + params.L3) * (D @ q.T).T
             r = mesh.gather_interior(s.r_field(mesh))
-            return SimState(q=q, dq=dq, r=r, Kq=Kq, Lq=Lq,
+            return SimState(q=q, dq=dq, r=r, Kq=(K @ q.T).T,
                             r0=s.r0, n=s.n, t=s.t), Q
 
         fresh, Qf = rebuilt(fresh, Q0 if params.sigma > 0 else None)
@@ -354,16 +350,15 @@ class Counted:
 class TestCarriedProducts:
     @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
     def test_products_equal_fresh_products(self, params):
-        """Every state of ten steps carries exactly K q and L q."""
+        """Every state of ten steps carries exactly K q, and the operator
+        takes L as c K, c = L1 + (L2 + L3)/2."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         dt = 1e-3
-        ck, cd = params.L1, 0.5 * (params.L2 + params.L3)
         state, op = default_start(mesh, params, dt)
+        assert op.c == params.L1 + 0.5 * (params.L2 + params.L3)
         for _ in range(11):
             assert np.array_equal(state.Kq, (K @ state.q.T).T)
-            Lq = ck * state.Kq if cd == 0.0 else ck * state.Kq + cd * (D @ state.q.T).T
-            assert np.array_equal(state.Lq, Lq)
             state = step(state, params, dt, op)
 
     @pytest.mark.parametrize("params", [P6, P6_DIV_PAR], ids=["inertial", "parabolic_div"])
@@ -417,7 +412,7 @@ class TestStatesOwnTheirArrays:
             state = step(state, params, dt, op)
         assert (op.D is not None) == (params.L2 + params.L3 != 0)
         for arrays, copies in kept:
-            assert set(arrays) >= {"q", "r", "Kq", "Lq"}
+            assert set(arrays) >= {"q", "r", "Kq"}
             for name, array in arrays.items():
                 assert np.array_equal(array, copies[name]), name
 
