@@ -34,13 +34,14 @@ class EnergyRecord:
     dissipation_residual: float = 0.0
 
 
-def h_norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
-    """Squared lumped norm of a component-major interior vector (2, m)."""
-    return float(weights @ (x[0] * x[0] + x[1] * x[1]))
+def h_norm_sq(w: float, x: np.ndarray) -> float:
+    """Squared lumped norm of a component-major interior vector (2, m),
+    with w the lumped weight of an interior node."""
+    return w * float(np.vdot(x, x))
 
 
 def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
-                    weights, prev: tuple | None = None, work=None) -> EnergyRecord:
+                    prev: tuple | None = None, work=None) -> EnergyRecord:
     """Energy of a state from its interior vectors and K q (L q is c K q).
     With prev = (dq of the previous state, its record), also the defect
     E^n - E^{n-1} + dt |v^n|^2 + (sigma/2) |v^n - v^{n-1}|^2 of the
@@ -48,18 +49,19 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     (2, m) vectors that may be overwritten (new ones when omitted)."""
     if state.dq is None and p.sigma > 0.0:
         raise ValueError("state has no previous level but sigma > 0")
+    w = assembly.lumped_mass(mesh)
     v, dv = work or (None, None)
     v = None if state.dq is None else np.divide(state.dq, dt, out=v)
-    rate_sq = 0.0 if v is None else h_norm_sq(weights, v)
+    rate_sq = 0.0 if v is None else h_norm_sq(w, v)
     kinetic = 0.5 * p.sigma * rate_sq
 
     # the divergence form is K (assembly.assemble_div_form): q.Kq is q.Dq
     qKq = float(np.vdot(state.q, state.Kq))
     elastic = p.L1 * qKq
     divpart = 0.5 * (p.L2 + p.L3) * qKq
-    # the interior sum (the weights are 2 gamma) and the boundary constant
-    # r0 times the boundary's summed weights
-    rpart = 0.5 * (0.5 * float(weights @ (state.r * state.r))
+    # the interior sum (w is 2 gamma) and the boundary constant r0 times
+    # the boundary's summed weights
+    rpart = 0.5 * (0.5 * w * float(np.vdot(state.r, state.r))
                    + state.r0 * state.r0 * mesh.boundary_weight)
     total = kinetic + elastic + divpart + rpart
     rec = EnergyRecord(kinetic, elastic, divpart, rpart, total)
@@ -67,7 +69,7 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
         rec.dissipation_residual = total - prev[1].total + dt * rate_sq
         if p.sigma > 0.0:
             dv = np.subtract(v, np.divide(prev[0], dt, out=dv), out=dv)
-            rec.dissipation_residual += 0.5 * p.sigma * h_norm_sq(weights, dv)
+            rec.dissipation_residual += 0.5 * p.sigma * h_norm_sq(w, dv)
     return rec
 
 

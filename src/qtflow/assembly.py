@@ -152,7 +152,7 @@ def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:
     return assemble_stiffness(mesh)
 
 
-def lumped_mass(mesh: StructuredMesh) -> np.ndarray:
-    """Lumped weights (m,) of the interior nodes, 2 gamma_z at node z: the
-    factor 2 of the Frobenius contraction of reduced tensors folded in."""
-    return 2.0 * mesh.gather_interior(mesh.gamma)
+def lumped_mass(mesh: StructuredMesh) -> float:
+    """The lumped weight w = 2 gamma of every interior node: the factor 2
+    of the Frobenius contraction of reduced tensors folded in."""
+    return 2.0 * mesh.gamma

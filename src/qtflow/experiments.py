@@ -189,14 +189,14 @@ def _simulate(case: Case) -> RunResult:
     K = assembly.assemble_stiffness(mesh)
     w = assembly.lumped_mass(mesh)
 
-    Q0 = (np.zeros((mesh.n_nodes, 2)) if case.initial == "zero"
+    q0 = (np.zeros((2, mesh.n_interior)) if case.initial == "zero"
           else interpolate_qfield(mesh, default_initial_q))
     if case.pert_q0 != 0.0:
-        mesh.interior_view(Q0)[..., 0] += case.pert_q0
+        q0[0] += case.pert_q0
 
     N = num_steps(case.T, dt)
     try:
-        r0 = nodal_r(params, Q0)
+        r0 = nodal_r(params, q0)
     except ValueError as exc:  # a later step's radicand is the solver's
         raise ConfigError("params.A0: %s for the initial state of %s"
                           % (exc, case)) from None
@@ -210,11 +210,11 @@ def _simulate(case: Case) -> RunResult:
 
     op = step_operator(params, dt, K, assembly.assemble_div_form(mesh)
                        if (params.L2 + params.L3) != 0.0 else None, w)
-    state = initialize(mesh, params, dt, Q0, r0, op, velocity)
-    del Q0, r0  # the state holds the interior vectors
+    state = initialize(mesh, params, dt, q0, r0, op, velocity)
+    del q0, r0  # the state holds what it needs
 
     work = (op.z, op.dir)  # CG's vectors, free between solves
-    trace = [analysis.discrete_energy(state, params, dt, mesh, w, work=work)]
+    trace = [analysis.discrete_energy(state, params, dt, mesh, work=work)]
     for _ in range(N - state.n):
         prev = state.dq, trace[-1]  # the old state's other vectors die with the step
         try:
@@ -222,7 +222,7 @@ def _simulate(case: Case) -> RunResult:
         except ConvergenceError as exc:
             raise ConvergenceError("%s: %s" % (case, exc), exc.residual,
                                    step=exc.step, t=exc.t, case=case) from exc
-        trace.append(analysis.discrete_energy(state, params, dt, mesh, w, prev, work))
+        trace.append(analysis.discrete_energy(state, params, dt, mesh, prev, work))
 
     return RunResult(case=case, mesh=mesh, state=state, trace=trace)
 

@@ -3,20 +3,22 @@
 Every lattice square is split along its lower-left to upper-right diagonal,
 so stencils are identical everywhere and runs are reproducible.  Nodes are
 ordered lexicographically: index = j * (nx + 1) + i for lattice coordinates
-(i, j).  Interior vectors are component-major: gather_interior() makes a
-nodal Q field (N, 2) the C-contiguous rows q1 and q2 (2, m), and
-scatter_interior() writes them back.
+(i, j).  Interior vectors are component-major C-contiguous arrays (..., m),
+rows q1 and q2 of a Q field; scatter_interior() writes them into a nodal
+field (N, ...).
 
-Nothing is stored per node or per triangle but the lumped weights: node
-coordinates, boundary flags and interior indices follow from the lattice
-(axes()), every cell is a translate of the first one (CELL), and the lumped
-weights come from the number of triangles at each node.
+Nothing is stored per node or per triangle: node coordinates, boundary
+flags and interior indices follow from the lattice (axes()), every cell is
+a translate of the first one (CELL), and a node's lumped weight follows
+from the number of triangles at it: six at every interior node, so one
+float, gamma, serves them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
@@ -31,9 +33,9 @@ CELL = np.array([[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 1), (1, 0)]])
 class StructuredMesh:
     """Uniform right-triangle mesh of [x0,x1] x [y0,y1].
 
-    gamma holds the lumped weights (integral of each hat function).  The
-    interior nodes are the inner block of the lattice, which
-    interior_view() reaches.  Instances are treated as immutable.
+    gamma is the lumped weight (the integral of the hat function) of every
+    interior node.  The interior nodes are the inner block of the lattice.
+    Instances are treated as immutable.
     """
 
     x0: float
@@ -43,7 +45,6 @@ class StructuredMesh:
     nx: int
     ny: int
     h: float
-    gamma: np.ndarray        # (N,) lumped weights
 
     @property
     def n_nodes(self) -> int:
@@ -54,10 +55,17 @@ class StructuredMesh:
         return (self.nx - 1) * (self.ny - 1)
 
     @cached_property
+    def gamma(self) -> float:
+        """The lumped weight of an interior node, which six triangles meet."""
+        return _lumped_weights(self.h)[6]
+
+    @cached_property
     def boundary_weight(self) -> float:
-        """The summed lumped weights of the boundary nodes."""
-        g = self.gamma.reshape(self.ny + 1, self.nx + 1)
-        return float(g[0].sum() + g[-1].sum() + g[1:-1, 0].sum() + g[1:-1, -1].sum())
+        """The summed lumped weights of the boundary nodes: two triangles
+        meet at the lower-left and upper-right corners, one at the other
+        two corners and three at every other boundary node."""
+        g = _lumped_weights(self.h)
+        return 2.0 * (g[2] + g[1]) + 2 * (self.nx + self.ny - 2) * g[3]
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         """The lattice axes x (nx+1,) and y (ny+1,): node (i, j) lies at
@@ -65,30 +73,22 @@ class StructuredMesh:
         return (self.x0 + np.arange(self.nx + 1) * self.h,
                 self.y0 + np.arange(self.ny + 1) * self.h)
 
-    def interior_view(self, field: np.ndarray) -> np.ndarray:
-        """The interior entries of a nodal field, shaped (ny-1, nx-1, ...).
-
-        Interior nodes form the inner block of the lexicographic lattice, so
-        a slice reaches them in interior order without an index array.  The
-        result is a view when field is C-contiguous.
-        """
-        lattice = field.reshape((self.ny + 1, self.nx + 1) + field.shape[1:])
-        return lattice[1:-1, 1:-1]
-
-    def gather_interior(self, field: np.ndarray) -> np.ndarray:
-        """Interior entries of a nodal field (N, ...) as a C-contiguous
-        component-major copy (..., m): rows q1 and q2 of a Q field."""
-        view = np.moveaxis(self.interior_view(field), (0, 1), (-2, -1))
-        return view.copy().reshape(field.shape[1:] + (-1,))
-
     def scatter_interior(self, field: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Write a component-major interior vector (..., m) into a nodal
-        field (N, ...), which is returned."""
+        field (N, ...), which is returned.  Interior nodes form the inner
+        block of the lexicographic lattice, so a slice of the field reaches
+        them in interior order without an index array."""
         if not field.flags.c_contiguous:
             raise ValueError("nodal field must be C-contiguous to be written in place")
-        view = self.interior_view(field)
-        view[...] = np.moveaxis(values, -1, 0).reshape(view.shape)
+        block = field.reshape((self.ny + 1, self.nx + 1) + field.shape[1:])[1:-1, 1:-1]
+        block[...] = np.moveaxis(values, -1, 0).reshape(block.shape)
         return field
+
+
+def _lumped_weights(h: float) -> list:
+    """Entry k is the lumped weight of a node that k = 0, ..., 6 triangles
+    meet: each adds the same area / 3, added one at a time."""
+    return list(accumulate([0.5 * h * h / 3.0] * 6, initial=0.0))
 
 
 def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
@@ -99,23 +99,9 @@ def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
     hy = (y1 - y0) / ny
     if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):
         raise ValueError("cells must be square: hx=%g differs from hy=%g" % (hx, hy))
-    h = hx
-
-    # Triangles per node: a cell's lower-left and upper-right corners lie
-    # on both of its triangles, the other two corners on one.  Every
-    # triangle adds the same area / 3 to each of its nodes, and k equal
-    # additions give the same sum in any order.
-    count = np.zeros((ny + 1, nx + 1), dtype=np.intp)
-    count[:-1, :-1] += 2
-    count[1:, 1:] += 2
-    count[:-1, 1:] += 1
-    count[1:, :-1] += 1
-    sums = np.zeros(7)
-    np.cumsum(np.full(6, 0.5 * h * h / 3.0), out=sums[1:])
-
     return StructuredMesh(
         x0=float(x0), x1=float(x1), y0=float(y0), y1=float(y1),
-        nx=int(nx), ny=int(ny), h=float(h), gamma=sums[count].ravel(),
+        nx=int(nx), ny=int(ny), h=float(hx),
     )
 
 

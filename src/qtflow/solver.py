@@ -39,19 +39,20 @@ class ConvergenceError(RuntimeError):
 
 
 class StepOperator:
-    """SPD operator  c_m diag(w) + c K + rank-one per node.
+    """SPD operator  c_m w I + c K + rank-one per node.
 
-    K is m x m, applied to each row of a (2, m) vector, and w (m,).
-    c = c_k + c_d when D is given, which must equal K entry for entry
-    (ValueError otherwise), and c = c_k without D.  The rank-one part
-    applies x -> w_z (p_z . x_z) p_z at every interior node z, p (2, m)
-    holding the reduced components of the quadratization gradient there;
-    set_rank_one() installs it before a step's first matvec or residual.
+    K is m x m, applied to each row of a (2, m) vector, and w the lumped
+    weight of every interior node, a float.  c = c_k + c_d when D is given,
+    which must equal K entry for entry (ValueError otherwise), and c = c_k
+    without D.  The rank-one part applies x -> w (p_z . x_z) p_z at every
+    interior node z, p (2, m) holding the reduced components of the
+    quadratization gradient there; set_rank_one() installs it before a
+    step's first matvec or residual.
     """
 
-    def __init__(self, weights, K, D, cm, ck, cd):
+    def __init__(self, w, K, D, cm, ck, cd):
         self.cm, self.ck, self.cd = float(cm), float(ck), float(cd)
-        m = weights.shape[0]
+        m = K.shape[0]
         self.n = 2 * m  # unknowns
         if D is not None and not all(map(np.array_equal, (D.indptr, D.indices, D.data),
                                          (K.indptr, K.indices, K.data))):
@@ -59,17 +60,18 @@ class StepOperator:
         self.K = K
         self.D = None if D is None else K  # one matrix for both
         self.c = self.ck + self.cd if D is not None else self.ck
+        self.w = float(w)
 
         # c_m w added into the diagonal of c K, as the sum of the sparse
-        # matrices rounds.  The copy shares the index arrays of K, which
-        # setdiag leaves alone when K is canonical (sorted, no duplicates)
-        # and holds its diagonal, as the stencil forms do.
+        # matrices rounds.  Every interior node has the same stencil, so the
+        # diagonal is one number.  The copy shares the index arrays of K,
+        # which setdiag leaves alone when K is canonical (sorted, no
+        # duplicates) and holds its diagonal, as the stencil forms do.
+        self._base_diag = self.c * float(K[0, 0]) + self.cm * self.w
         base = sparse.csr_matrix((self.c * K.data, K.indices, K.indptr),
                                  shape=K.shape)
-        base.setdiag(base.diagonal() + self.cm * weights)
+        base.setdiag(self._base_diag)
         self.base = base
-        self._base_diag = base.diagonal()  # diagonal() searches every row
-        self.w = weights
         # work vectors: the diagonal, step()'s rhs, the residual (CG's start,
         # residual()'s), CG's z and direction, a shared temporary, p and w p
         # (p is copied in, so a step frees its P); p . x
@@ -91,7 +93,7 @@ class StepOperator:
         return np.add(t[0], t[1], out=self._s)
 
     def spread(self, s: np.ndarray, y: np.ndarray) -> None:
-        """y += w_z s_z p_z at every interior node, in place."""
+        """y += w s_z p_z at every interior node z, in place."""
         y += np.multiply(self._wp, s, out=self.tmp)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

@@ -9,12 +9,13 @@ exactly before the solve:
 holds nodewise, so substituting the midpoint value of r into the momentum
 equation turns the coupled (Q, r) update into
 
-    [ (1/dt + sigma/dt^2) diag(w) + c K + R ] q_new = rhs,
+    [ (1/dt + sigma/dt^2) w I + c K + R ] q_new = rhs,
 
-where w are the lumped weights, K the scalar stiffness (applied to each
-component), c = L1 + (L2+L3)/2, as the divergence form is K on Dirichlet
-data (its cross terms are a null Lagrangian), and R the per-node rank-one
-operator x -> w_z (p_z . x_z) p_z built from P at the current state.  With
+where w is the lumped weight of every interior node, K the scalar
+stiffness (applied to each component), c = L1 + (L2+L3)/2, as the
+divergence form is K on Dirichlet data (its cross terms are a null
+Lagrangian), and R the per-node rank-one operator x -> w (p_z . x_z) p_z
+built from P at the current state.  With
 sigma = 0 the two-level terms drop and only one history level is kept.
 
 A state holds Q (2, m) at the m interior nodes (rows q1, q2), its step dq,
@@ -59,19 +60,24 @@ class SimState:
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
-    """Nodal interpolation of a callable (x, y) -> (q1, q2), zero on the
-    boundary (the homogeneous Dirichlet value).  The callable is called once,
-    on the interior lattice axes x of shape (nx-1,) and y of shape (ny-1, 1),
-    so it must broadcast; q1 and q2 broadcast to the interior block."""
+    """Nodal interpolation of a callable (x, y) -> (q1, q2) as an interior
+    vector (2, m); the boundary value is zero (homogeneous Dirichlet).  The
+    callable is called once, on the interior lattice axes x of shape (nx-1,)
+    and y of shape (ny-1, 1), so it must broadcast to the interior block."""
     x, y = mesh.axes()
-    field = np.zeros((mesh.n_nodes, 2))
-    block = mesh.interior_view(field)
-    block[..., 0], block[..., 1] = data(x[1:-1], y[1:-1, None])
-    return field
+    q = np.empty((2, mesh.ny - 1, mesh.nx - 1))
+    q[0], q[1] = data(x[1:-1], y[1:-1, None])
+    return q.reshape(2, -1)
 
 
-def nodal_r(p: Params, Qfield: np.ndarray) -> np.ndarray:
-    return np.asarray(aux_r(Qfield.T, p))
+def nodal_r(p: Params, q: np.ndarray) -> np.ndarray:
+    """r at the interior nodes of q (2, m); ValueError when a radicand there
+    or on the boundary (2 A0, as Q = 0) is nonpositive or overflows."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        r = np.asarray(aux_r(q, p))
+    if not (np.isfinite(r).all() and math.isfinite(2.0 * p.A0)):
+        raise ValueError("non-finite radicand in auxiliary variable: A0=%g is too large" % p.A0)
+    return r
 
 
 def build_default_Qt0(mesh: StructuredMesh, p: Params, q0: np.ndarray,
@@ -81,9 +87,9 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params, q0: np.ndarray,
     vector (2, m), from the interior vectors q0 (2, m), r0 (m,) and
     P0 = P(q0) (2, m).
 
-    The Laplacian acts through the stiffness and the lumped weights w of the
+    The Laplacian acts through the stiffness and the lumped weight w of the
     run's operator op (assembled here when omitted), keeping the
-    initialization consistent with the mesh; w/2 is gamma exactly."""
+    initialization consistent with the mesh; w/2 is mesh.gamma exactly."""
     K, w = ((op.K, op.w) if op is not None else
             (assembly.assemble_stiffness(mesh), assembly.lumped_mass(mesh)))
     qt = np.stack((K @ q0[0], K @ q0[1]))
@@ -93,41 +99,39 @@ def build_default_Qt0(mesh: StructuredMesh, p: Params, q0: np.ndarray,
     return qt
 
 
-def initialize(mesh: StructuredMesh, p: Params, dt: float, Q0: np.ndarray,
+def initialize(mesh: StructuredMesh, p: Params, dt: float, q0: np.ndarray,
                r0: np.ndarray, op: StepOperator,
                velocity=build_default_Qt0) -> SimState:
-    """Build the starting state from the nodal fields Q0 and r0 = nodal_r(p, Q0),
-    of which only the interior values are read; op is the run's operator
-    from step_operator(), which forms the product K q of the state.
+    """Build the starting state from the interior vectors q0 (2, m) and
+    r0 = nodal_r(p, q0) (m,), which are not written; for sigma = 0 the
+    state holds them.  op is the run's operator from step_operator(),
+    which forms the product K q of the state.
 
     For sigma > 0 the second level is the explicit start Q^1 = Q^0 + dt Qt0
     and r^1 follows from the lumped r update.  The interior vector Qt0 is
-    velocity(mesh, p, q0, r0, P0, op), with the interior q0 and r0 and
-    P0 = P(q0), which the r update uses too.  For sigma = 0 a single level
-    suffices and velocity is not called."""
+    velocity(mesh, p, q0, r0, P0, op), with P0 = P(q0), which the r update
+    uses too.  For sigma = 0 a single level suffices and velocity is not
+    called."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    q = mesh.gather_interior(Q0)
-    r = mesh.gather_interior(r0)
-    dq, n = None, 0
+    q, r, dq, n = q0, r0, None, 0
     if p.sigma > 0.0:
-        P0 = aux_P(q, p)
-        # fresh vectors only for what the state keeps: a lower set-up peak
-        q0, q = q, dt * velocity(mesh, p, q, r, P0, op)
+        P0 = aux_P(q0, p)
+        q = dt * velocity(mesh, p, q0, r0, P0, op)
         q += q0
-        dq = np.subtract(q, q0, out=q0)
-        r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
+        dq = q - q0
+        r = r0 + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         del P0
         n = 1
     return SimState(q=q, dq=dq, r=r, Kq=op.products(q), r0=math.sqrt(2.0 * p.A0),
                     n=n, t=n * dt)
 
 
-def step_operator(p: Params, dt: float, K, D, weights) -> StepOperator:
-    """The step operator of a run; its constant part is built once here
-    and step() installs the rank-one part of each step.  D is part of it
-    exactly when given: pass None when L2 + L3 = 0."""
-    return StepOperator(weights, K, D, 1.0 / dt + p.sigma / dt ** 2,
+def step_operator(p: Params, dt: float, K, D, w: float) -> StepOperator:
+    """The step operator of a run with the lumped weight w; its constant
+    part is built once here and step() installs the rank-one part of each
+    step.  D is part of it exactly when given: pass None when L2 + L3 = 0."""
+    return StepOperator(w, K, D, 1.0 / dt + p.sigma / dt ** 2,
                         p.L1, 0.5 * (p.L2 + p.L3))
 
 

@@ -114,6 +114,13 @@ def triangles(mesh):
     return tri
 
 
+def gather_interior(mesh, field):
+    """The interior entries of a nodal field (N, ...) as a C-contiguous
+    component-major copy (..., m), gathered by node index: rows q1 and q2
+    of a Q field."""
+    return np.ascontiguousarray(np.moveaxis(field[interior_nodes(mesh)], 0, -1))
+
+
 def interior_index(mesh):
     """Position of every node in the interior unknown ordering, -1 on the
     boundary."""
@@ -417,7 +424,7 @@ class FullMatrixStepper:
         self.p = params
         self.dt = dt
         self.idx = interior_nodes(mesh)
-        self.gamma = mesh.gamma[self.idx]
+        self.gamma = lumped_weights_by_bincount(mesh)[self.idx]
         n = len(self.idx)
         self.n = n
 
@@ -523,9 +530,9 @@ def nodal_interpolate_qfield(mesh, data):
 def nodal_default_Qt0(mesh, p, Q0, r0, K):
     """The default initial velocity L1*Lap(Q0) - r0 P(Q0) as a nodal field,
     from the nodal Q0 and r0."""
-    x0 = mesh.gather_interior(Q0)
-    qt = -(p.L1) * (K @ x0.T).T / mesh.gamma[interior_nodes(mesh)]
-    qt -= mesh.gather_interior(r0) * aux_P(x0, p)
+    x0 = gather_interior(mesh, Q0)
+    qt = -(p.L1) * (K @ x0.T).T / lumped_weights_by_bincount(mesh)[interior_nodes(mesh)]
+    qt -= gather_interior(mesh, r0) * aux_P(x0, p)
     return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), qt)
 
 
@@ -542,14 +549,14 @@ def nodal_start(case, op):
     if case.pert_q0 != 0.0:
         Q0[idx, 0] += case.pert_q0
     r0 = np.asarray(aux_r(Q0.T, p))
-    q = mesh.gather_interior(Q0)
-    r = mesh.gather_interior(r0)
+    q = gather_interior(mesh, Q0)
+    r = gather_interior(mesh, r0)
     dq, n = None, 0
     if p.sigma > 0.0:
         Qt0 = nodal_default_Qt0(mesh, p, Q0, r0, op.K)
         if case.pert_qt0 != 0.0:
             Qt0[idx, 0] += case.pert_qt0
-        q0, q = q, q + dt * mesh.gather_interior(Qt0)
+        q0, q = q, q + dt * gather_interior(mesh, Qt0)
         P0 = aux_P(q0, p)
         dq = q - q0
         r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
@@ -562,10 +569,11 @@ def simulate_dissipation_defects(states, records, p, dt, w):
     """The defect of the dissipation identity over each step of a run, as
     experiments._simulate formed it while it kept the rates itself: dq / dt
     of each state held into the next step, and the squared lumped norm of
-    the rate, E^n - E^{n-1} + dt |v^n|^2 (+ (sigma/2) |v^n - v^{n-1}|^2 when
-    sigma > 0).  states[k] is the state of records[k]."""
+    the rate with the lumped weight w, E^n - E^{n-1} + dt |v^n|^2
+    (+ (sigma/2) |v^n - v^{n-1}|^2 when sigma > 0).  states[k] is the state
+    of records[k]."""
     def h_norm_sq(x):
-        return float(w @ (x[0] * x[0] + x[1] * x[1]))
+        return w * float(np.vdot(x, x))
 
     prev_dtq = states[0].dq / dt if p.sigma > 0.0 else None
     defects = []

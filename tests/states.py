@@ -14,23 +14,23 @@ def run_operator(mesh, params, dt):
                          lumped_mass(mesh))
 
 
-def start(mesh, params, dt, Q0, Qt0=None):
-    """The starting state and the operator of a run from Q0 and Qt0, each a
-    callable or a nodal array; Qt0=None starts at rest."""
-    if callable(Q0):
-        Q0 = interpolate_qfield(mesh, Q0)
-    if callable(Qt0):
-        Qt0 = interpolate_qfield(mesh, Qt0)
-    qt0 = (np.zeros((2, mesh.n_interior)) if Qt0 is None
-           else mesh.gather_interior(Qt0))
+def start(mesh, params, dt, q0, qt0=None):
+    """The starting state and the operator of a run from q0 and qt0, each a
+    callable or an interior vector (2, m); qt0=None starts at rest."""
+    if callable(q0):
+        q0 = interpolate_qfield(mesh, q0)
+    if callable(qt0):
+        qt0 = interpolate_qfield(mesh, qt0)
+    if qt0 is None:
+        qt0 = np.zeros((2, mesh.n_interior))
     op = run_operator(mesh, params, dt)
-    return initialize(mesh, params, dt, Q0, nodal_r(params, Q0), op,
+    return initialize(mesh, params, dt, q0, nodal_r(params, q0), op,
                       lambda *_: qt0), op
 
 
 def default_start(mesh, params, dt):
     """The default starting state and operator of a run, with the default
     Qt0 for sigma > 0, as experiments builds them."""
-    Q0 = interpolate_qfield(mesh, default_initial_q)
+    q0 = interpolate_qfield(mesh, default_initial_q)
     op = run_operator(mesh, params, dt)
-    return initialize(mesh, params, dt, Q0, nodal_r(params, Q0), op), op
+    return initialize(mesh, params, dt, q0, nodal_r(params, q0), op), op

@@ -104,14 +104,13 @@ def test_criterion_3_structure_preservation():
     params = replace(DEFAULT_PARAMS, L2=0.0005, L3=0.0005)
     dt = 1e-3
     mesh = build_mesh(0, 2, 0, 2, 4, 4)  # 5x5 nodes
-    idx = oracles.interior_nodes(mesh)
 
-    Q0 = interpolate_qfield(mesh, default_initial_q)
+    q0 = interpolate_qfield(mesh, default_initial_q)
     state, op = default_start(mesh, params, dt)
 
     ref = oracles.FullMatrixStepper(mesh, params, dt)
-    to_full = lambda W: np.array([oracles.to_full(a, b) for a, b in W[idx]])
-    Qf, Qp, rf = to_full(state.Q_field(mesh)), to_full(Q0), state.r.copy()
+    to_full = lambda q: np.array([oracles.to_full(a, b) for a, b in q.T])
+    Qf, Qp, rf = to_full(state.q), to_full(q0), state.r.copy()
 
     sym = trace = match = 0.0
     for _ in range(10):
@@ -120,7 +119,7 @@ def test_criterion_3_structure_preservation():
         Qp, Qf = Qf, Qf_new
         sym = max(sym, float(np.max(np.abs(Qf[:, 0, 1] - Qf[:, 1, 0]))))
         trace = max(trace, float(np.max(np.abs(Qf[:, 0, 0] + Qf[:, 1, 1]))))
-        Q = to_full(state.Q_field(mesh))
+        Q = to_full(state.q)
         match = max(match, float(np.max(np.abs(Q - Qf))))
     ok = sym < 1e-12 and trace < 1e-12 and match < 1e-10
     report(3, "full-matrix reference: symmetric, trace-free, matches reduced",

@@ -12,7 +12,7 @@ from qtflow.analysis import (
     norm_forms,
     transfer_to_fine,
 )
-from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
+from qtflow.assembly import assemble_stiffness
 from qtflow.mesh import build_mesh, nested_injection
 from qtflow.model import Params
 from qtflow.stepper import SimState, step
@@ -23,22 +23,17 @@ from states import default_start, start
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 
 
-def forms(mesh):
-    return assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
-
-
 class TestDiscreteEnergy:
     def test_zero_state_value(self):
         mesh = build_mesh(0, 2, 0, 2, 16, 16)
-        K, D, w = forms(mesh)
         state, _ = start(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
-        rec = discrete_energy(state, P6, 1e-3, mesh, w)
+        rec = discrete_energy(state, P6, 1e-3, mesh)
         assert rec.total == pytest.approx(2000.0, rel=1e-12)
         assert rec.kinetic == 0.0 and rec.elastic == 0.0 and rec.divpart == 0.0
 
     def test_parts_nonnegative_and_sum(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        K, D, w = forms(mesh)
+        K = assemble_stiffness(mesh)
         rng = np.random.RandomState(3)
         Q = rng.uniform(-0.5, 0.5, size=(mesh.n_nodes, 2))
         Q[oracles.is_boundary(mesh)] = 0.0
@@ -47,11 +42,11 @@ class TestDiscreteEnergy:
         r = np.sqrt(1000.0) + rng.uniform(-0.1, 0.1, size=mesh.n_nodes)
         pdiv = Params(L1=0.001, L2=0.0005, L3=0.0005, a=-0.2, b=1, c=1,
                       A0=500.0, sigma=0.025)
-        q = mesh.gather_interior(Q)
-        state = SimState(q=q, dq=q - mesh.gather_interior(Qp),
-                         r=mesh.gather_interior(r), Kq=(K @ q.T).T,
+        q = oracles.gather_interior(mesh, Q)
+        state = SimState(q=q, dq=q - oracles.gather_interior(mesh, Qp),
+                         r=oracles.gather_interior(mesh, r), Kq=(K @ q.T).T,
                          r0=float(np.sqrt(1000.0)), n=1, t=1e-3)
-        rec = discrete_energy(state, pdiv, 1e-3, mesh, w)
+        rec = discrete_energy(state, pdiv, 1e-3, mesh)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):
             assert part >= 0.0
         assert rec.total == pytest.approx(
@@ -67,8 +62,8 @@ class TestDiscreteEnergy:
         for _ in range(5):
             state = step(state, P6, 1e-3, op)
         r = state.r_field(mesh)
-        ref = 0.5 * float(mesh.gamma @ (r * r))
-        rpart = discrete_energy(state, P6, 1e-3, mesh, op.w).rpart
+        ref = 0.5 * float(oracles.lumped_weights_by_bincount(mesh) @ (r * r))
+        rpart = discrete_energy(state, P6, 1e-3, mesh).rpart
         assert rpart == pytest.approx(ref, rel=4 * np.finfo(float).eps)
 
     def test_divpart_is_the_divergence_energy(self):
@@ -84,15 +79,14 @@ class TestDiscreteEnergy:
         Q = state.Q_field(mesh)
         ref = 0.5 * (p.L2 + p.L3) * oracles.div_form_quadrature(mesh, Q, Q)
         assert ref > 0.0
-        assert discrete_energy(state, p, dt, mesh, op.w).divpart == pytest.approx(
+        assert discrete_energy(state, p, dt, mesh).divpart == pytest.approx(
             ref, rel=1e-12)
 
     def test_sigma_zero_drops_kinetic(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
-        K, D, w = forms(mesh)
         p0 = Params(L1=0.001, L2=0, L3=0, a=-0.2, b=1, c=1, A0=500.0, sigma=0.0)
         state, _ = start(mesh, p0, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
-        rec = discrete_energy(state, p0, 1e-3, mesh, w)
+        rec = discrete_energy(state, p0, 1e-3, mesh)
         assert rec.kinetic == 0.0 and rec.divpart == 0.0
 
 

@@ -228,6 +228,12 @@ initial = zero
         # a nonpositive radicand at the initial state
         ("run", "[params]\nA0 = 0.001\n", "params.A0"),
     ]] + [
+        # a radicand 2 (F + A0) that overflows at the initial state, and the
+        # boundary's 2 A0 with it: once a step 1 or 2 solver error (exit 2)
+        pytest.param("run", "[params]\nA0 = 1e308\n" + extra, "params.A0",
+                     id="params.A0=1e308" + suffix)
+        for extra, suffix in (("", ""), ("sigma = 0.0\n", ",sigma=0"))
+    ] + [
         # meshes whose stiffness would outgrow int32 indices: the reference
         # size 2^-level underflows to 0 at 1075 and makes the refinement
         # ratio inf at 1074

@@ -15,7 +15,11 @@ The run, run-nondyadic and space-refine hashes were re-recorded when the
 solver moved to component-major vectors and the energy to a boundary
 constant r0, which reorder the sums of every dot product and of E_r;
 CHANGES.md lists the old and new hashes with the largest relative change
-of each file, and the hash of run-aniso before the fold.
+of each file, and the hash of run-aniso before the fold.  The three
+energy_trace.csv hashes were re-recorded once more when the lumped weight
+became one float: every state kept its bits, but the energy's two lumped
+sums (the kinetic norm and the interior part of E_r) and the boundary
+weight are now summed in another order; CHANGES.md lists those hashes too.
 """
 
 import hashlib
@@ -101,15 +105,15 @@ p2_list = 1, inf
 HASHES = {
     "run": {
         "energy_trace.csv":
-            "110ebafe63a3e90f67e356bd859486211184846d81df9ffc0d93956ebfc40189",
+            "4da46d0b1fe8b1d25f97687291ff776f46c9240fc16ee324f18f466be10c19eb",
     },
     "run-aniso": {
         "energy_trace.csv":
-            "57dae0d2ab6719b6d9fb25cbe6dc2087c25e64a9437912982c3f810abad56973",
+            "17020715ab0fa800ff51082401b7f78b8e69045171529aac6559c5cd807c817c",
     },
     "run-nondyadic": {
         "energy_trace.csv":
-            "f3718d0e621ec97cde43473b90f4110393def4d4392dd00cd1fd778e5c0d58c0",
+            "8f08545d8c72f181ff23c583c9c1b2465dac8900048d4a675e30174c258a01c9",
     },
     "space-refine": {
         "space_refinement.csv":

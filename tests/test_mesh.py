@@ -12,7 +12,7 @@ class TestBuildMesh:
         assert mesh.h == 0.125
         assert mesh.n_nodes == 289
         assert oracles.triangles(mesh).shape == (512, 3)
-        assert abs(mesh.gamma.sum() - 4.0) < 1e-13 * 4.0
+        assert abs(mesh.n_interior * mesh.gamma + mesh.boundary_weight - 4.0) < 1e-13 * 4.0
 
     def test_positive_uniform_areas(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -56,16 +56,18 @@ class TestBuildMesh:
                               np.flatnonzero(~oracles.is_boundary(mesh)))
 
     def test_interior_gather_and_scatter_follow_interior_order(self):
+        """scatter_interior writes component-major interior vectors where
+        the index gather of tests/oracles.py reads them."""
         mesh = build_mesh(0, 3, 0, 2, 6, 4)
         idx = oracles.interior_nodes(mesh)
         rng = np.random.RandomState(1)
         Q = rng.standard_normal((mesh.n_nodes, 2))
-        r = rng.standard_normal(mesh.n_nodes)
         # component-major: row c holds component c at the interior nodes
-        q = mesh.gather_interior(Q)
+        q = oracles.gather_interior(mesh, Q)
         assert q.shape == (2, mesh.n_interior) and q.flags.c_contiguous
         assert np.array_equal(q, Q[idx].T)
-        assert np.array_equal(mesh.gather_interior(r), r[idx])
+        out = mesh.scatter_interior(np.zeros_like(Q), q)
+        assert np.array_equal(oracles.gather_interior(mesh, out), q)
 
         x = rng.standard_normal((2, mesh.n_interior))
         out = np.zeros_like(Q)
@@ -74,15 +76,14 @@ class TestBuildMesh:
         expect[idx] = x.T
         assert np.array_equal(out, expect)
         s = rng.standard_normal(mesh.n_interior)
-        assert np.array_equal(mesh.scatter_interior(np.zeros_like(r), s)[idx], s)
+        assert np.array_equal(mesh.scatter_interior(np.zeros(mesh.n_nodes), s)[idx], s)
         with pytest.raises(ValueError):
             mesh.scatter_interior(np.asfortranarray(out), x)
 
-        # a single interior row is contiguous; the gather still copies
+        # a single interior row
         thin = build_mesh(0, 4, 0, 2, 4, 2)
-        field = np.ones((thin.n_nodes, 2))
-        thin.gather_interior(field)[:] = 5.0
-        assert np.all(field == 1.0)
+        field = thin.scatter_interior(np.ones((thin.n_nodes, 2)), np.full((2, 3), 5.0))
+        assert np.array_equal(np.flatnonzero(field[:, 0] == 5.0), [6, 7, 8])
 
     # every triangle adds the same area / 3, whatever the coordinates, so
     # the weights are bit-equal off dyadic meshes too (measured deviation 0)
@@ -90,25 +91,31 @@ class TestBuildMesh:
         ((0.0, 2.0, 0.0, 2.0), n, n) for n in oracles.DYADIC_SIZES
     ] + list(oracles.NON_DYADIC_MESHES))
     def test_gamma_bitwise_against_bincount(self, extent, nx, ny):
+        """gamma, a float, is every interior weight of the triangle-by-
+        triangle accumulation bit for bit, and boundary_weight the sum of
+        its boundary weights within a few ulp (the order of the sum
+        differs)."""
         mesh = build_mesh(*extent, nx, ny)
-        assert np.array_equal(mesh.gamma, oracles.lumped_weights_by_bincount(mesh))
+        weights = oracles.lumped_weights_by_bincount(mesh)
+        assert type(mesh.gamma) is float
+        assert np.all(weights[oracles.interior_nodes(mesh)] == mesh.gamma)
+        boundary = weights[oracles.is_boundary(mesh)].sum()
+        assert abs(mesh.boundary_weight - boundary) <= 4 * np.spacing(boundary)
 
     def test_gamma_against_quadrature_oracle(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         gamma = oracles.hat_integrals(mesh)
-        assert np.allclose(mesh.gamma, gamma, rtol=1e-13)
+        interior = ~oracles.is_boundary(mesh)
+        assert np.allclose(gamma[interior], mesh.gamma, rtol=1e-13)
+        assert mesh.boundary_weight == pytest.approx(gamma[~interior].sum(), rel=1e-13)
 
     def test_interior_and_corner_weights(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         h2 = mesh.h ** 2
-        interior = ~oracles.is_boundary(mesh)
-        assert np.allclose(mesh.gamma[interior], h2, rtol=1e-13)
-        # corners: two triangles meet the diagonal corners, one the others
-        corner_vals = sorted(
-            mesh.gamma[i] for i, (x, y) in enumerate(oracles.nodes(mesh))
-            if (x in (0.0, 2.0)) and (y in (0.0, 2.0))
-        )
-        assert np.allclose(corner_vals, [h2 / 6, h2 / 6, h2 / 3, h2 / 3], rtol=1e-13)
+        assert mesh.gamma == pytest.approx(h2, rel=1e-13)
+        # two triangles meet the diagonal corners, one the other two, and
+        # three every other boundary node: 2 (h^2/3 + h^2/6) + 28 h^2/2
+        assert mesh.boundary_weight == pytest.approx(15.0 * h2, rel=1e-13)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -49,9 +49,10 @@ def dense_matrix(A, n):
 
 
 def dense_step_operator(w, K, D, p, cm, ck, cd):
-    """c_m diag(w) + c_k K + c_d D + w_z p_z p_z^T, assembled densely on the
+    """c_m w I + c_k K + c_d D + w p_z p_z^T, assembled densely on the
     flattened (2, m) vectors: the scalar part on both diagonal blocks, the
     rank-one part as four diagonal blocks."""
+    w = np.full(K.shape[0], w)
     A = cm * np.diag(w) + ck * K.toarray()
     if D is not None:
         A += cd * D.toarray()
@@ -138,7 +139,8 @@ class TestConstantPart:
         cm, ck, cd = 1.0 / 1.25e-4 + 0.025 / 1.25e-4 ** 2, 1e-3, 5e-4
         op = StepOperator(w, K, D if with_div else None, cm, ck, cd)
         op.set_rank_one(np.zeros((2, mesh.n_interior)))
-        ref = sparse.diags(cm * w, format="csr") + (ck + cd if with_div else ck) * K
+        ref = (sparse.diags(np.full(mesh.n_interior, cm * w), format="csr")
+               + (ck + cd if with_div else ck) * K)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op.base, name), getattr(ref, name)), name
         assert np.array_equal(op.diag, [ref.diagonal()] * 2)
@@ -395,8 +397,8 @@ class TestCgSolve:
 def test_no_interleaved_layout_in_the_solver():
     """Vectors are component-major (2, m) and the sparse forms m x m: no
     stride-2 slice of an interleaved vector is left in the package, and the
-    operator of an anisotropic run holds m x m matrices and (2, m) work
-    vectors."""
+    operator of an anisotropic run holds m x m matrices, (2, m) work
+    vectors and the lumped weight as one float; the mesh holds no array."""
     package = os.path.dirname(qtflow.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
@@ -409,6 +411,8 @@ def test_no_interleaved_layout_in_the_solver():
     state, op = default_start(mesh, params, 1e-3)
     state = step(state, params, 1e-3, op)
     assert op.K.shape == op.base.shape == (m, m) and op.D is op.K
-    assert op.w.shape == (m,) and op.n == 2 * m
+    assert type(op.w) is float and op.n == 2 * m
+    assert mesh.gamma > 0.0 and mesh.boundary_weight > 0.0  # cached on the mesh
+    assert not any(isinstance(v, np.ndarray) for v in vars(mesh).values())
     for x in (op.diag, op.rhs, op.res, state.q, state.dq, state.Kq):
         assert x.shape == (2, m) and x.flags.c_contiguous

@@ -22,7 +22,7 @@ from qtflow.stepper import (
 )
 
 import oracles
-from states import default_start, start
+from states import default_start, run_operator, start
 
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 P6_DIV = replace(P6, L2=0.0005, L3=0.0005)
@@ -33,10 +33,9 @@ def forms(mesh):
     return assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
 
 
-def default_velocity(mesh, p, Q0, r0, op=None):
-    """build_default_Qt0 from the nodal fields Q0 and r0."""
-    q0 = mesh.gather_interior(Q0)
-    return build_default_Qt0(mesh, p, q0, mesh.gather_interior(r0), aux_P(q0, p), op)
+def default_velocity(mesh, p, q0, r0, op=None):
+    """build_default_Qt0 from the interior vectors q0 and r0."""
+    return build_default_Qt0(mesh, p, q0, r0, aux_P(q0, p), op)
 
 
 def advance(state, p, dt, op, nsteps, cg_tol=1e-12):
@@ -55,7 +54,8 @@ class TestInitialize:
 
     def test_default_profile_vanishes_on_boundary(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        Q0 = interpolate_qfield(mesh, default_initial_q)
+        Q0 = mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)),
+                                   interpolate_qfield(mesh, default_initial_q))
         # the director data vanishes on the boundary before any clamping
         x, y = oracles.nodes(mesh).T
         n1 = x * (2 - x) * y * (2 - y)
@@ -71,23 +71,33 @@ class TestInitialize:
         assert state.dq is None
         assert state.n == 0 and state.t == 0.0
 
+    @pytest.mark.parametrize("params", [P6, P6_PAR], ids=["inertial", "parabolic"])
+    def test_start_vectors_are_not_written(self, params):
+        mesh = build_mesh(0, 2, 0, 2, 6, 6)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(params, q0)
+        copies = q0.copy(), r0.copy()
+        op = run_operator(mesh, params, 1e-3)
+        step(initialize(mesh, params, 1e-3, q0, r0, op), params, 1e-3, op)
+        assert np.array_equal(q0, copies[0]) and np.array_equal(r0, copies[1])
+
     def test_r_unchanged_when_qt0_zero(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
-        state, _ = start(mesh, P6, 1e-3, default_initial_q, Qt0=None)
-        Q0 = interpolate_qfield(mesh, default_initial_q)
-        assert np.array_equal(state.r_field(mesh), nodal_r(P6, Q0))
+        state, _ = start(mesh, P6, 1e-3, default_initial_q, qt0=None)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        assert np.array_equal(state.r, nodal_r(P6, q0))
 
     def test_r_first_level_update(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         dt = 1e-3
         qt0 = lambda x, y: (np.full_like(x, 0.3), np.full_like(x, -0.1))
-        state, _ = start(mesh, P6, dt, default_initial_q, Qt0=qt0)
-        Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(P6, Q0)
-        P0 = aux_P(Q0.T, P6)
-        dq = state.Q_field(mesh) - Q0
-        expect = r0 + 2.0 * (P0[0] * dq[:, 0] + P0[1] * dq[:, 1])
-        assert np.allclose(state.r_field(mesh), expect, rtol=1e-14)
+        state, _ = start(mesh, P6, dt, default_initial_q, qt0=qt0)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(P6, q0)
+        P0 = aux_P(q0, P6)
+        dq = state.q - q0
+        expect = r0 + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
+        assert np.allclose(state.r, expect, rtol=1e-14)
 
 
 @pytest.mark.parametrize("A0", [500.0, 0.013, 3.3])
@@ -97,10 +107,11 @@ def test_boundary_r_is_the_constant_sqrt_2_A0(A0):
     every boundary node, and in the nodal r field of every later state."""
     p = replace(P6, A0=A0)
     mesh = build_mesh(0, 2, 0, 2, 8, 8)
-    Q0 = interpolate_qfield(mesh, default_initial_q)
+    Q0 = mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)),
+                               interpolate_qfield(mesh, default_initial_q))
     bnd = oracles.is_boundary(mesh)
     r0 = math.sqrt(2.0 * A0)
-    assert np.all(nodal_r(p, Q0)[bnd] == r0)
+    assert np.all(aux_r(Q0.T, p)[bnd] == r0)
     state, op = default_start(mesh, p, 1e-3)
     state = step(state, p, 1e-3, op)
     assert type(state.r0) is float and state.r0 == r0
@@ -110,16 +121,16 @@ def test_boundary_r_is_the_constant_sqrt_2_A0(A0):
 class TestDefaultQt0:
     def test_zero_data_gives_zero(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
-        Q0 = np.zeros((mesh.n_nodes, 2))
-        r0 = nodal_r(P6, Q0)
-        assert np.all(default_velocity(mesh, P6, Q0, r0) == 0.0)
+        q0 = np.zeros((2, mesh.n_interior))
+        r0 = nodal_r(P6, q0)
+        assert np.all(default_velocity(mesh, P6, q0, r0) == 0.0)
 
     def test_discrete_eigenvector(self):
         # with the bulk part disabled, Qt0 = -L1 * lambda * Q0 for an
         # eigenvector of the lumped-inverse stiffness
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         K = assemble_stiffness(mesh)
-        gamma = mesh.gamma[oracles.interior_nodes(mesh)]
+        gamma = mesh.gamma
 
         rng = np.random.RandomState(5)
         v = rng.standard_normal((2, mesh.n_interior))
@@ -129,32 +140,30 @@ class TestDefaultQt0:
             lam = np.linalg.norm(v)
             v /= lam
 
-        Q0 = np.zeros((mesh.n_nodes, 2))
-        Q0[oracles.interior_nodes(mesh)] = v.T
-        qt0 = default_velocity(mesh, P6, Q0, np.zeros(mesh.n_nodes))
+        qt0 = default_velocity(mesh, P6, v, np.zeros(mesh.n_interior))
         expect = -P6.L1 * lam * v
         assert np.max(np.abs(qt0 - expect)) < 1e-6 * lam * P6.L1
 
     def test_caller_stiffness_gives_same_result(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(P6, Q0)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(P6, q0)
         op = step_operator(P6, 1e-3, assemble_stiffness(mesh), None,
                            lumped_mass(mesh))
-        assert np.array_equal(default_velocity(mesh, P6, Q0, r0, op),
-                              default_velocity(mesh, P6, Q0, r0))
+        assert np.array_equal(default_velocity(mesh, P6, q0, r0, op),
+                              default_velocity(mesh, P6, q0, r0))
 
     def test_energy_drop_after_one_step(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
-        Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(P6, Q0)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(P6, q0)
         dt = 1e-3
         op = step_operator(P6, dt, K, D, w)
-        state = initialize(mesh, P6, dt, Q0, r0, op)
-        e1 = discrete_energy(state, P6, dt, mesh, w).total
+        state = initialize(mesh, P6, dt, q0, r0, op)
+        e1 = discrete_energy(state, P6, dt, mesh).total
         state = step(state, P6, dt, op, cg_tol=1e-12)
-        e2 = discrete_energy(state, P6, dt, mesh, w).total
+        e2 = discrete_energy(state, P6, dt, mesh).total
         assert e2 <= e1
 
 
@@ -174,20 +183,17 @@ class TestStep:
         K, D, w = forms(mesh)
         dt = 1e-3
 
-        Q0 = np.zeros((mesh.n_nodes, 2))
-        node = oracles.interior_nodes(mesh)[0]
-        Q0[node] = [0.4, -0.3]
-        state, op = start(mesh, P6_DIV, dt, Q0)
+        q = np.array([0.4, -0.3])
+        state, op = start(mesh, P6_DIV, dt, q[:, None].copy())
         new = step(state, P6_DIV, dt, op, cg_tol=1e-14)
 
         # dense rebuild of the same 2x2 system
         p = P6_DIV
-        q = Q0[node]
         r0 = float(aux_r(q, p))
         pv = aux_P(q, p)
         Kd = np.kron(K.toarray(), np.eye(2))
         Dd = np.kron(D.toarray(), np.eye(2))
-        wv = np.repeat(w, 2)
+        wv = np.full(2, w)
         cm = 1.0 / dt + p.sigma / dt ** 2
         A = cm * np.diag(wv) + p.L1 * Kd + 0.5 * (p.L2 + p.L3) * Dd \
             + wv[0] * np.outer(pv, pv)
@@ -196,12 +202,12 @@ class TestStep:
             - p.L1 * (Kd @ q) - 0.5 * (p.L2 + p.L3) * (Dd @ q) \
             - wv * r0 * pv + wv[0] * float(pv @ q) * pv
         expect = np.linalg.solve(A, rhs)
-        assert np.max(np.abs(new.Q_field(mesh)[node] - expect)) < 1e-12
+        assert np.max(np.abs(new.q[:, 0] - expect)) < 1e-12
 
     def test_boundary_values_pinned(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         state, op = start(mesh, P6, 1e-3, default_initial_q,
-                          Qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
+                          qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
         r_bnd = state.r_field(mesh)[oracles.is_boundary(mesh)]
         for _ in range(10):
             state = step(state, P6, 1e-3, op)
@@ -213,21 +219,21 @@ class TestStep:
         K, D, w = forms(mesh)
         dt = 1e-3
         for p in (P6, P6_DIV, P6_PAR):
-            Q0 = interpolate_qfield(mesh, default_initial_q)
-            r0 = nodal_r(p, Q0)
+            q0 = interpolate_qfield(mesh, default_initial_q)
+            r0 = nodal_r(p, q0)
             op = step_operator(p, dt, K, D, w)
-            state = initialize(mesh, p, dt, Q0, r0, op)
+            state = initialize(mesh, p, dt, q0, r0, op)
             idx = oracles.interior_nodes(mesh)
-            rec = discrete_energy(state, p, dt, mesh, w)
+            rec = discrete_energy(state, p, dt, mesh)
             e0 = rec.total
             prev_dtq = None
             if p.sigma > 0:
-                prev_dtq = (state.Q_field(mesh)[idx] - Q0[idx]).T / dt
+                prev_dtq = (state.Q_field(mesh)[idx].T - q0) / dt
             for _ in range(50):
                 old = state
                 old_total = rec.total
                 state = step(state, p, dt, op, cg_tol=1e-12)
-                rec = discrete_energy(state, p, dt, mesh, w)
+                rec = discrete_energy(state, p, dt, mesh)
                 dtq = (state.Q_field(mesh)[idx]
                        - old.Q_field(mesh)[idx]).T / dt
                 resid = rec.total - old_total + dt * h_norm_sq(w, dtq)
@@ -241,16 +247,16 @@ class TestStep:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         dt = 1e-4
-        Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(P6, Q0)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(P6, q0)
 
         tiny = replace(P6, sigma=1e-12)
         op = step_operator(tiny, dt, K, D, w)
-        hyper = initialize(mesh, tiny, dt, Q0, r0, op)
+        hyper = initialize(mesh, tiny, dt, q0, r0, op)
         hyper = advance(hyper, tiny, dt, op, 10)
 
         op = step_operator(P6_PAR, dt, K, D, w)
-        par = initialize(mesh, P6_PAR, dt, Q0, r0, op)
+        par = initialize(mesh, P6_PAR, dt, q0, r0, op)
         par = advance(par, P6_PAR, dt, op, 11)
 
         assert hyper.t == pytest.approx(par.t, rel=1e-12)
@@ -300,33 +306,33 @@ class TestCarriedInterior:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
         dt = 1e-3
-        Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(params, Q0)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        r0 = nodal_r(params, q0)
         op = step_operator(params, dt, K, D, w)
-        carried = initialize(mesh, params, dt, Q0, r0, op)
+        carried = initialize(mesh, params, dt, q0, r0, op)
         fresh = carried
 
-        def rebuilt(s, Qprev):
-            """s rebuilt from nodal fields alone (its Q and r and the
-            previous Q level), every product formed anew; and its Q."""
-            Q = s.Q_field(mesh)
-            q = mesh.gather_interior(Q)
-            dq = None if Qprev is None else q - mesh.gather_interior(Qprev)
-            r = mesh.gather_interior(s.r_field(mesh))
+        def rebuilt(s, qprev):
+            """s rebuilt from nodal fields alone (its Q and r, and the
+            previous level's interior q), every product formed anew; and
+            its interior q."""
+            q = oracles.gather_interior(mesh, s.Q_field(mesh))
+            dq = None if qprev is None else q - qprev
+            r = oracles.gather_interior(mesh, s.r_field(mesh))
             return SimState(q=q, dq=dq, r=r, Kq=(K @ q.T).T,
-                            r0=s.r0, n=s.n, t=s.t), Q
+                            r0=s.r0, n=s.n, t=s.t), q
 
-        fresh, Qf = rebuilt(fresh, Q0 if params.sigma > 0 else None)
+        fresh, qf = rebuilt(fresh, q0 if params.sigma > 0 else None)
         for _ in range(10):
             carried = step(carried, params, dt, op, cg_tol=1e-12)
             fresh_op = step_operator(params, dt, K, D, w)
-            fresh, Qf = rebuilt(step(fresh, params, dt, fresh_op, cg_tol=1e-12),
-                                Qf if params.sigma > 0 else None)
+            fresh, qf = rebuilt(step(fresh, params, dt, fresh_op, cg_tol=1e-12),
+                                qf if params.sigma > 0 else None)
             for a, b in ((carried.Q_field(mesh), fresh.Q_field(mesh)),
                          (carried.r_field(mesh), fresh.r_field(mesh))):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-            e_c = discrete_energy(carried, params, dt, mesh, w)
-            e_f = discrete_energy(fresh, params, dt, mesh, w)
+            e_c = discrete_energy(carried, params, dt, mesh)
+            e_f = discrete_energy(fresh, params, dt, mesh)
             for part in ("kinetic", "elastic", "divpart", "rpart", "total"):
                 assert getattr(e_c, part) == pytest.approx(getattr(e_f, part), rel=1e-13)
         assert (e_c.divpart > 0) == (params.L2 > 0)  # the divergence term was exercised
@@ -427,11 +433,12 @@ class TestNodalField:
         K, D, w = forms(mesh)
         dt = 1e-3
         idx, bnd = oracles.interior_nodes(mesh), oracles.is_boundary(mesh)
-        Q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(P6, Q0)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        Q0 = mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), q0)
+        r0 = np.asarray(aux_r(Q0.T, P6))
         qt0 = oracles.nodal_default_Qt0(mesh, P6, Q0, r0, K)
         op = step_operator(P6, dt, K, D, w)
-        state = initialize(mesh, P6, dt, Q0, r0, op)
+        state = initialize(mesh, P6, dt, q0, nodal_r(P6, q0), op)
 
         Q = Q0 + dt * qt0
         P0 = aux_P(Q0.T.copy(), P6)
@@ -452,15 +459,13 @@ class TestNodalField:
 class TestFullMatrixReference:
     def _run_comparison(self, params, nsteps=10, dt=1e-3):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)  # 5x5 nodes
-        idx = oracles.interior_nodes(mesh)
-
-        Q0 = interpolate_qfield(mesh, default_initial_q)
+        q0 = interpolate_qfield(mesh, default_initial_q)
         state, op = default_start(mesh, params, dt)
 
         ref = oracles.FullMatrixStepper(mesh, params, dt)
-        to_full = lambda W: np.array([oracles.to_full(a, b) for a, b in W[idx]])
-        Qf = to_full(state.Q_field(mesh))
-        Qp = to_full(Q0)
+        to_full = lambda q: np.array([oracles.to_full(a, b) for a, b in q.T])
+        Qf = to_full(state.q)
+        Qp = to_full(q0)
         rf = state.r.copy()
 
         for _ in range(nsteps):
@@ -472,7 +477,7 @@ class TestFullMatrixReference:
             assert np.max(np.abs(Qf[:, 0, 1] - Qf[:, 1, 0])) < 1e-12
             assert np.max(np.abs(Qf[:, 0, 0] + Qf[:, 1, 1])) < 1e-12
             # and matches the reduced production stepper
-            red = to_full(state.Q_field(mesh))
+            red = to_full(state.q)
             assert np.max(np.abs(red - Qf)) < 1e-10
         assert np.max(np.abs(state.r - rf)) < 1e-10
 
