@@ -4,11 +4,14 @@ The scheme itself uses lumped inner products, but reported errors are
 standard Sobolev norms evaluated with exact P1 quadrature (consistent mass
 and stiffness); mixing the two would shift the error magnitudes.  The norms
 take those forms from norm_forms(), so a study builds them once for its
-reference mesh however many errors it evaluates there.
+reference mesh however many errors it evaluates there.  They compare nodal
+fields from StructuredMesh.nodal(): component-major (..., N), so a Q field
+is (2, N) and component c its row c.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,10 +62,11 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     qKq = float(np.vdot(state.q, state.Kq))
     elastic = p.L1 * qKq
     divpart = 0.5 * (p.L2 + p.L3) * qKq
-    # the interior sum (w is 2 gamma) and the boundary constant r0 times
-    # the boundary's summed weights
+    # the interior sum (w is 2 gamma) and the boundary's summed weights
+    # times its constant r0 = sqrt(2 A0), the r of Q = 0
+    r0 = math.sqrt(2.0 * p.A0)
     rpart = 0.5 * (0.5 * w * float(np.vdot(state.r, state.r))
-                   + state.r0 * state.r0 * mesh.boundary_weight)
+                   + r0 * r0 * mesh.boundary_weight)
     total = kinetic + elastic + divpart + rpart
     rec = EnergyRecord(kinetic, elastic, divpart, rpart, total)
     if prev is not None:
@@ -86,8 +90,8 @@ def norm_forms(mesh: StructuredMesh) -> NormForms:
 
 
 def _check_nodal(forms: NormForms, shape: tuple, *fields) -> None:
-    """Every field must be nodal on the forms' mesh, with trailing shape."""
-    if any(f.shape != (forms.mass.shape[0],) + shape for f in fields):
+    """Every field must be nodal (shape + (N,)) on the forms' mesh."""
+    if any(f.shape != shape + (forms.mass.shape[0],) for f in fields):
         raise ValueError("fields do not match the mesh")
 
 
@@ -98,19 +102,22 @@ def _h1_sq(e: np.ndarray, forms: NormForms):
 
 def h1_error_component(A: np.ndarray, B: np.ndarray, forms: NormForms,
                        component: int) -> float:
-    """H1 norm of one scalar component of the difference of two Q fields."""
+    """H1 norm of one scalar component (a row) of the difference of two
+    nodal Q fields (2, N)."""
     _check_nodal(forms, (2,), A, B)
-    return float(np.sqrt(_h1_sq(A[:, component] - B[:, component], forms)))
+    return float(np.sqrt(_h1_sq(A[component] - B[component], forms)))
 
 
 def l2_error_scalar(rA: np.ndarray, rB: np.ndarray, forms: NormForms) -> float:
+    """L2 norm of the difference of two scalar nodal fields (N,)."""
     _check_nodal(forms, (), rA, rB)
     e = rA - rB
     return float(np.sqrt(e @ (forms.mass @ e)))
 
 
 def h1_error_field(QA: np.ndarray, QB: np.ndarray, forms: NormForms) -> float:
-    """Frobenius-aggregated H1 norm of the full tensor difference.
+    """Frobenius-aggregated H1 norm of the full tensor difference of two
+    nodal Q fields (2, N).
 
     Both diagonal and both off-diagonal entries contribute, giving a
     factor 2 on the squared reduced component norms.
@@ -118,18 +125,20 @@ def h1_error_field(QA: np.ndarray, QB: np.ndarray, forms: NormForms) -> float:
     _check_nodal(forms, (2,), QA, QB)
     total = 0.0
     for comp in range(2):
-        total += float(_h1_sq(QA[:, comp] - QB[:, comp], forms))
+        total += float(_h1_sq(QA[comp] - QB[comp], forms))
     return float(np.sqrt(2.0 * total))
 
 
 def transfer_to_fine(field: np.ndarray, injection: sparse.csr_matrix,
                      fine_mesh: StructuredMesh) -> np.ndarray:
-    """P1-exact interpolation of a coarse nodal field onto the fine mesh,
-    with the injection from mesh.nested_injection()."""
-    out = injection @ field
-    if out.shape[0] != fine_mesh.n_nodes:
+    """P1-exact interpolation of a coarse nodal field (..., Nc) onto the
+    fine mesh as a C-contiguous (..., Nf), with the injection from
+    mesh.nested_injection(): one sparse product per row."""
+    if injection.shape[0] != fine_mesh.n_nodes:
         raise ValueError("injection does not target the given fine mesh")
-    return out
+    rows = field.reshape(-1, field.shape[-1])
+    out = np.stack([injection @ row for row in rows])
+    return out.reshape(field.shape[:-1] + (fine_mesh.n_nodes,))
 
 
 def convergence_orders(errors, ratio: float):

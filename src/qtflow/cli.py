@@ -131,9 +131,10 @@ def _write_run(result, out_dir, created) -> None:
     _write(os.path.join(out_dir, "energy_trace.csv"), _csv(
         "step,time,E_total,E_kinetic,E_elastic,E_div,E_r,dissipation_residual",
         rows), created)
+    defects = [abs(r.dissipation_residual) for r in result.trace]
     print("run finished: %d steps, E = %.6g, max residual %.3g"
           % (result.state.n, result.trace[-1].total,
-             max(abs(r.dissipation_residual) for r in result.trace)))
+             max(defects, key=lambda d: (math.isnan(d), d))))  # NaN outranks all
 
 
 def _write_refinement(filename, level_name, result, out_dir, created) -> None:

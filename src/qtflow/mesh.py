@@ -3,9 +3,9 @@
 Every lattice square is split along its lower-left to upper-right diagonal,
 so stencils are identical everywhere and runs are reproducible.  Nodes are
 ordered lexicographically: index = j * (nx + 1) + i for lattice coordinates
-(i, j).  Interior vectors are component-major C-contiguous arrays (..., m),
-rows q1 and q2 of a Q field; scatter_interior() writes them into a nodal
-field (N, ...).
+(i, j).  Interior vectors (..., m) and nodal fields (..., N) are both
+component-major and C-contiguous, rows q1 and q2 of a Q field; nodal()
+builds the nodal field of an interior vector, zero on the boundary.
 
 Nothing is stored per node or per triangle: node coordinates, boundary
 flags and interior indices follow from the lattice (axes()), every cell is
@@ -73,16 +73,15 @@ class StructuredMesh:
         return (self.x0 + np.arange(self.nx + 1) * self.h,
                 self.y0 + np.arange(self.ny + 1) * self.h)
 
-    def scatter_interior(self, field: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Write a component-major interior vector (..., m) into a nodal
-        field (N, ...), which is returned.  Interior nodes form the inner
-        block of the lexicographic lattice, so a slice of the field reaches
-        them in interior order without an index array."""
-        if not field.flags.c_contiguous:
-            raise ValueError("nodal field must be C-contiguous to be written in place")
-        block = field.reshape((self.ny + 1, self.nx + 1) + field.shape[1:])[1:-1, 1:-1]
-        block[...] = np.moveaxis(values, -1, 0).reshape(block.shape)
-        return field
+    def nodal(self, values: np.ndarray) -> np.ndarray:
+        """A new C-contiguous nodal field (..., N) that holds the interior
+        vector values (..., m) at the interior nodes and zero on the
+        boundary.  Interior nodes form the inner block of the lexicographic
+        lattice, so a slice reaches them in interior order."""
+        lead = values.shape[:-1]
+        field = np.zeros(lead + (self.ny + 1, self.nx + 1))
+        field[..., 1:-1, 1:-1] = values.reshape(lead + (self.ny - 1, self.nx - 1))
+        return field.reshape(lead + (self.n_nodes,))
 
 
 def _lumped_weights(h: float) -> list:

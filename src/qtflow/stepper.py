@@ -20,8 +20,9 @@ sigma = 0 the two-level terms drop and only one history level is kept.
 
 A state holds Q (2, m) at the m interior nodes (rows q1, q2), its step dq,
 r (m,) and K q.  Boundary Q stays zero (the Dirichlet condition), so
-boundary r stays sqrt(2 A0), the r of Q = 0.  SimState.Q_field() and
-r_field() build nodal fields on demand.
+boundary r stays sqrt(2 A0), the r of Q = 0, and no state stores it;
+StructuredMesh.nodal() builds the nodal field (..., N) of an interior
+vector.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly
+from . import assembly  # unused here; perfbench/spans.py rebinds stepper.assembly
 from .mesh import StructuredMesh
 from .model import Params, aux_P, aux_r
 from .solver import ConvergenceError, StepOperator, cg_solve
@@ -46,17 +47,8 @@ class SimState:
     dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
     r: np.ndarray              # r^n at interior nodes
     Kq: np.ndarray             # K q; L q is c K q
-    r0: float                  # boundary r: aux_r of Q = 0 is sqrt(2 A0)
     n: int
     t: float
-
-    def Q_field(self, mesh: StructuredMesh) -> np.ndarray:
-        """Q^n as a nodal (N, 2) field, zero on the boundary."""
-        return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), self.q)
-
-    def r_field(self, mesh: StructuredMesh) -> np.ndarray:
-        """r^n as a nodal (N,) field, with the run's boundary values."""
-        return mesh.scatter_interior(np.full(mesh.n_nodes, self.r0), self.r)
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
@@ -80,28 +72,24 @@ def nodal_r(p: Params, q: np.ndarray) -> np.ndarray:
     return r
 
 
-def build_default_Qt0(mesh: StructuredMesh, p: Params, q0: np.ndarray,
-                      r0: np.ndarray, P0: np.ndarray,
-                      op: StepOperator | None = None) -> np.ndarray:
+def build_default_Qt0(p: Params, q0: np.ndarray, r0: np.ndarray,
+                      P0: np.ndarray, op: StepOperator) -> np.ndarray:
     """Discrete initial time derivative L1*Lap(Q0) - r0 P(Q0) as an interior
     vector (2, m), from the interior vectors q0 (2, m), r0 (m,) and
     P0 = P(q0) (2, m).
 
     The Laplacian acts through the stiffness and the lumped weight w of the
-    run's operator op (assembled here when omitted), keeping the
-    initialization consistent with the mesh; w/2 is mesh.gamma exactly."""
-    K, w = ((op.K, op.w) if op is not None else
-            (assembly.assemble_stiffness(mesh), assembly.lumped_mass(mesh)))
-    qt = np.stack((K @ q0[0], K @ q0[1]))
+    run's operator op, keeping the initialization consistent with the mesh;
+    w/2 is mesh.gamma exactly."""
+    qt = op.products(q0)
     qt *= -(p.L1)
-    qt /= w * 0.5
+    qt /= op.w * 0.5
     qt -= r0 * P0
     return qt
 
 
-def initialize(mesh: StructuredMesh, p: Params, dt: float, q0: np.ndarray,
-               r0: np.ndarray, op: StepOperator,
-               velocity=build_default_Qt0) -> SimState:
+def initialize(p: Params, dt: float, q0: np.ndarray, r0: np.ndarray,
+               op: StepOperator, velocity=build_default_Qt0) -> SimState:
     """Build the starting state from the interior vectors q0 (2, m) and
     r0 = nodal_r(p, q0) (m,), which are not written; for sigma = 0 the
     state holds them.  op is the run's operator from step_operator(),
@@ -109,7 +97,7 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, q0: np.ndarray,
 
     For sigma > 0 the second level is the explicit start Q^1 = Q^0 + dt Qt0
     and r^1 follows from the lumped r update.  The interior vector Qt0 is
-    velocity(mesh, p, q0, r0, P0, op), with P0 = P(q0), which the r update
+    velocity(p, q0, r0, P0, op), with P0 = P(q0), which the r update
     uses too.  For sigma = 0 a single level suffices and velocity is not
     called."""
     if dt <= 0.0:
@@ -117,14 +105,13 @@ def initialize(mesh: StructuredMesh, p: Params, dt: float, q0: np.ndarray,
     q, r, dq, n = q0, r0, None, 0
     if p.sigma > 0.0:
         P0 = aux_P(q0, p)
-        q = dt * velocity(mesh, p, q0, r0, P0, op)
+        q = dt * velocity(p, q0, r0, P0, op)
         q += q0
         dq = q - q0
         r = r0 + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         del P0
         n = 1
-    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), r0=math.sqrt(2.0 * p.A0),
-                    n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), n=n, t=n * dt)
 
 
 def step_operator(p: Params, dt: float, K, D, w: float) -> StepOperator:
@@ -186,4 +173,4 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     if not np.isfinite(r).all():
         raise _step_failure(n, t, "non-finite values in r update")
     # cg_solve confirmed x last, so op holds K x
-    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, r0=state.r0, n=n, t=t)
+    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, n=n, t=t)

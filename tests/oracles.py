@@ -121,6 +121,14 @@ def gather_interior(mesh, field):
     return np.ascontiguousarray(np.moveaxis(field[interior_nodes(mesh)], 0, -1))
 
 
+def scatter_interior(mesh, values):
+    """The interleaved nodal field (N, ...) of a component-major interior
+    vector (..., m), zero on the boundary, written by node index."""
+    field = np.zeros((mesh.n_nodes,) + values.shape[:-1])
+    field[interior_nodes(mesh)] = np.moveaxis(values, -1, 0)
+    return field
+
+
 def interior_index(mesh):
     """Position of every node in the interior unknown ordering, -1 on the
     boundary."""
@@ -153,6 +161,13 @@ def nested_injection_by_coo(coarse, fine):
     rows = np.repeat(np.arange(ii.size), 3)
     return sparse.csr_matrix((bary.ravel(), (rows, cols.ravel())),
                              shape=(fine.n_nodes, coarse.n_nodes))
+
+
+def interleaved_transfer(field, injection):
+    """A component-major coarse nodal field (..., Nc) moved onto the fine
+    mesh as the interleaved (Nf, ...) of one multi-vector product,
+    injection @ F, the way the studies moved their (N, 2) fields."""
+    return injection @ np.moveaxis(field, -1, 0)
 
 
 def lumped_weights_by_bincount(mesh):
@@ -533,7 +548,7 @@ def nodal_default_Qt0(mesh, p, Q0, r0, K):
     x0 = gather_interior(mesh, Q0)
     qt = -(p.L1) * (K @ x0.T).T / lumped_weights_by_bincount(mesh)[interior_nodes(mesh)]
     qt -= gather_interior(mesh, r0) * aux_P(x0, p)
-    return mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), qt)
+    return scatter_interior(mesh, qt)
 
 
 def nodal_start(case, op):
@@ -561,8 +576,24 @@ def nodal_start(case, op):
         dq = q - q0
         r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         n = 1
-    # the boundary r, read at the first node, a corner
-    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), r0=float(r0[0]), n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), n=n, t=n * dt)
+
+
+def nodal_r_fields(mesh, p, Q0, states):
+    """The nodal r of each state of a run, advanced at every node, boundary
+    nodes included: r = aux_r(Q0) of the nodal start field Q0 (N, 2), then
+    for each state in turn the lumped update r + 2 P(Q) : (Q_s - Q) from
+    the previous nodal field Q (Q0 first) to the state's own, Q_s."""
+    r = np.asarray(aux_r(np.ascontiguousarray(Q0.T), p))
+    Q = Q0
+    fields = []
+    for state in states:
+        Qnew = scatter_interior(mesh, state.q)
+        P, dQ = aux_P(np.ascontiguousarray(Q.T), p), (Qnew - Q).T
+        r = r + 2.0 * (P[0] * dQ[0] + P[1] * dQ[1])
+        fields.append(r)
+        Q = Qnew
+    return fields
 
 
 def simulate_dissipation_defects(states, records, p, dt, w):

@@ -24,7 +24,7 @@ def start(mesh, params, dt, q0, qt0=None):
     if qt0 is None:
         qt0 = np.zeros((2, mesh.n_interior))
     op = run_operator(mesh, params, dt)
-    return initialize(mesh, params, dt, q0, nodal_r(params, q0), op,
+    return initialize(params, dt, q0, nodal_r(params, q0), op,
                       lambda *_: qt0), op
 
 
@@ -33,4 +33,4 @@ def default_start(mesh, params, dt):
     Qt0 for sigma > 0, as experiments builds them."""
     q0 = interpolate_qfield(mesh, default_initial_q)
     op = run_operator(mesh, params, dt)
-    return initialize(mesh, params, dt, q0, nodal_r(params, q0), op), op
+    return initialize(params, dt, q0, nodal_r(params, q0), op), op

@@ -252,7 +252,7 @@ def test_criterion_8_equilibrium(equilibrium_run):
         len(totals) == 1000
         and len(set(totals)) == 1
         and abs(totals[0] - 2000.0) <= 1e-9 * 2000.0
-        and np.all(res.state.Q_field(res.mesh) == 0.0)
+        and np.all(res.state.q == 0.0)
     )
     report(8, "zero data stays zero with constant energy 2000 for 1000 steps",
            ok, "E = %.12g" % totals[0])

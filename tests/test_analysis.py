@@ -13,6 +13,7 @@ from qtflow.analysis import (
     transfer_to_fine,
 )
 from qtflow.assembly import assemble_stiffness
+from qtflow.experiments import default_initial_q
 from qtflow.mesh import build_mesh, nested_injection
 from qtflow.model import Params
 from qtflow.stepper import SimState, step
@@ -45,7 +46,7 @@ class TestDiscreteEnergy:
         q = oracles.gather_interior(mesh, Q)
         state = SimState(q=q, dq=q - oracles.gather_interior(mesh, Qp),
                          r=oracles.gather_interior(mesh, r), Kq=(K @ q.T).T,
-                         r0=float(np.sqrt(1000.0)), n=1, t=1e-3)
+                         n=1, t=1e-3)
         rec = discrete_energy(state, pdiv, 1e-3, mesh)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):
             assert part >= 0.0
@@ -55,13 +56,17 @@ class TestDiscreteEnergy:
     @pytest.mark.parametrize("extent, n", [((0.0, 2.0, 0.0, 2.0), 16),
                                            ((0.1, 1.4, 0.1, 1.4), 13)])
     def test_rpart_is_the_lumped_integral_of_the_nodal_r(self, extent, n):
-        """E_r from the interior r and the boundary constant r0 against the
-        lumped sum over the whole nodal r field, five steps into a run."""
+        """E_r from the interior r and the boundary constant sqrt(2 A0)
+        against the lumped sum over the whole nodal r field, advanced at
+        every node, five steps into a run."""
         mesh = build_mesh(*extent, n, n)
         state, op = default_start(mesh, P6, 1e-3)
+        states = [state]
         for _ in range(5):
-            state = step(state, P6, 1e-3, op)
-        r = state.r_field(mesh)
+            states.append(step(states[-1], P6, 1e-3, op))
+        Q0 = oracles.nodal_interpolate_qfield(mesh, default_initial_q)
+        r = oracles.nodal_r_fields(mesh, P6, Q0, states)[-1]
+        state = states[-1]
         ref = 0.5 * float(oracles.lumped_weights_by_bincount(mesh) @ (r * r))
         rpart = discrete_energy(state, P6, 1e-3, mesh).rpart
         assert rpart == pytest.approx(ref, rel=4 * np.finfo(float).eps)
@@ -76,7 +81,7 @@ class TestDiscreteEnergy:
         state, op = default_start(mesh, p, dt)
         for _ in range(3):
             state = step(state, p, dt, op)
-        Q = state.Q_field(mesh)
+        Q = oracles.scatter_interior(mesh, state.q)
         ref = 0.5 * (p.L2 + p.L3) * oracles.div_form_quadrature(mesh, Q, Q)
         assert ref > 0.0
         assert discrete_energy(state, p, dt, mesh).divpart == pytest.approx(
@@ -95,7 +100,7 @@ class TestErrorNorms:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         nf = norm_forms(mesh)
         rng = np.random.RandomState(5)
-        Q = rng.standard_normal((mesh.n_nodes, 2))
+        Q = rng.standard_normal((2, mesh.n_nodes))
         assert h1_error_component(Q, Q, nf, 0) == 0.0
         assert h1_error_field(Q, Q, nf) == 0.0
         r = rng.standard_normal(mesh.n_nodes)
@@ -104,9 +109,9 @@ class TestErrorNorms:
     def test_constant_difference(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         nf = norm_forms(mesh)
-        A = np.zeros((mesh.n_nodes, 2))
-        B = np.zeros((mesh.n_nodes, 2))
-        B[:, 0] = 1.0  # gradient-free difference over area 4
+        A = np.zeros((2, mesh.n_nodes))
+        B = np.zeros((2, mesh.n_nodes))
+        B[0] = 1.0  # gradient-free difference over area 4
         assert h1_error_component(A, B, nf, 0) == pytest.approx(2.0, rel=1e-13)
         assert h1_error_component(A, B, nf, 1) == 0.0
         c = 0.7
@@ -118,9 +123,9 @@ class TestErrorNorms:
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
         nf = norm_forms(mesh)
         rng = np.random.RandomState(7)
-        A = rng.standard_normal((mesh.n_nodes, 2))
-        B = rng.standard_normal((mesh.n_nodes, 2))
-        e = A[:, 0] - B[:, 0]
+        A = rng.standard_normal((2, mesh.n_nodes))
+        B = rng.standard_normal((2, mesh.n_nodes))
+        e = A[0] - B[0]
         l2sq = oracles.midpoint_quad_sq(mesh, e)
         gradsq = 0.0
         xy = oracles.nodes(mesh)
@@ -135,9 +140,9 @@ class TestErrorNorms:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         nf = norm_forms(mesh)
         rng = np.random.RandomState(9)
-        A = np.zeros((mesh.n_nodes, 2))
-        B = np.zeros((mesh.n_nodes, 2))
-        B[:, 1] = rng.standard_normal(mesh.n_nodes)
+        A = np.zeros((2, mesh.n_nodes))
+        B = np.zeros((2, mesh.n_nodes))
+        B[1] = rng.standard_normal(mesh.n_nodes)
         assert h1_error_field(A, B, nf) == pytest.approx(
             np.sqrt(2.0) * h1_error_component(A, B, nf, 1), rel=1e-13)
 
@@ -145,7 +150,7 @@ class TestErrorNorms:
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         nf = norm_forms(mesh)
         rng = np.random.RandomState(11)
-        A = rng.standard_normal((mesh.n_nodes, 2))
+        A = rng.standard_normal((2, mesh.n_nodes))
         Z = np.zeros_like(A)
         assert h1_error_field(2.0 * A, Z, nf) == pytest.approx(
             2.0 * h1_error_field(A, Z, nf), rel=1e-13)
@@ -154,7 +159,7 @@ class TestErrorNorms:
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
         nf = norm_forms(mesh)
         rng = np.random.RandomState(13)
-        A, B, C = (rng.standard_normal((mesh.n_nodes, 2)) for _ in range(3))
+        A, B, C = (rng.standard_normal((2, mesh.n_nodes)) for _ in range(3))
         dAB = h1_error_field(A, B, nf)
         dBA = h1_error_field(B, A, nf)
         assert dAB == pytest.approx(dBA, rel=1e-14)
@@ -165,9 +170,12 @@ class TestErrorNorms:
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
         nf = norm_forms(mesh)
         other = build_mesh(0, 2, 0, 2, 6, 6)
-        Q = np.zeros((other.n_nodes, 2))
+        Q = np.zeros((2, other.n_nodes))
         with pytest.raises(ValueError):
             h1_error_component(Q, Q, nf, 0)
+        interleaved = np.zeros((mesh.n_nodes, 2))  # components on the trailing axis
+        with pytest.raises(ValueError):
+            h1_error_field(interleaved, interleaved, nf)
         with pytest.raises(ValueError):
             l2_error_scalar(np.zeros(other.n_nodes), np.zeros(other.n_nodes), nf)
 
@@ -204,9 +212,13 @@ class TestTransfer:
         fine = build_mesh(0, 2, 0, 2, 8, 8)
         inj = nested_injection(coarse, fine)
         rng = np.random.RandomState(17)
-        Q = rng.standard_normal((coarse.n_nodes, 2))
+        Q = rng.standard_normal((2, coarse.n_nodes))
         out = transfer_to_fine(Q, inj, fine)
-        assert out.shape == (fine.n_nodes, 2)
+        assert out.shape == (2, fine.n_nodes) and out.flags.c_contiguous
+        for c in range(2):
+            assert np.array_equal(out[c], transfer_to_fine(Q[c], inj, fine))
+        with pytest.raises(ValueError):
+            transfer_to_fine(Q, inj, coarse)
 
 
 class TestConvergenceOrders:

@@ -166,6 +166,23 @@ class TestDispatchStudies:
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert "sigma_case_p1_inf_p2_inf.dat" in manifest["files"]
 
+    def test_summary_shows_a_nan_defect(self, tmp_path, capsys, monkeypatch):
+        """A NaN defect in a later record is the summary's maximum, not
+        skipped by the comparisons."""
+        import qtflow.cli as cli_mod
+
+        run_single = cli_mod.run_single
+
+        def nan_defect(config):
+            result = run_single(config)
+            result.trace[3].dissipation_residual = math.nan
+            return result
+
+        monkeypatch.setattr(cli_mod, "run_single", nan_defect)
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3, initial="zero")
+        assert dispatch("run", cfg, str(tmp_path / "out")) == 0
+        assert "max residual nan" in capsys.readouterr().out
+
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         out = str(tmp_path / "fail")
         cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3, initial="zero")
@@ -232,6 +249,12 @@ initial = zero
         # boundary's 2 A0 with it: once a step 1 or 2 solver error (exit 2)
         pytest.param("run", "[params]\nA0 = 1e308\n" + extra, "params.A0",
                      id="params.A0=1e308" + suffix)
+        for extra, suffix in (("", ""), ("sigma = 0.0\n", ",sigma=0"))
+    ] + [
+        # a radicand that fits but an energy r . r that overflows: once exit
+        # 0 with E = inf at every step
+        pytest.param("run", "[params]\nA0 = 8e307\n" + extra, "params.A0",
+                     id="params.A0=8e307" + suffix)
         for extra, suffix in (("", ""), ("sigma = 0.0\n", ",sigma=0"))
     ] + [
         # meshes whose stiffness would outgrow int32 indices: the reference

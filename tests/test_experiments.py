@@ -132,7 +132,7 @@ class TestRunSingle:
         assert len(set(totals)) == 1
         assert totals[0] == pytest.approx(2000.0, rel=1e-12)
         assert all(abs(rec.dissipation_residual) <= 1e-12 for rec in res.trace)
-        assert np.all(res.state.Q_field(res.mesh) == 0.0)
+        assert np.all(res.state.q == 0.0)
 
     def test_energy_strictly_nonincreasing(self):
         cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3)
@@ -146,9 +146,8 @@ class TestRunSingle:
         cfg = ExperimentConfig(nx=6, ny=6, T=0.01, dt=1e-3)
         r1 = run_single(cfg)
         r2 = run_single(cfg)
-        for name in ("Q_field", "r_field"):
-            assert np.array_equal(getattr(r1.state, name)(r1.mesh),
-                                  getattr(r2.state, name)(r2.mesh))
+        for name in ("q", "r"):
+            assert np.array_equal(getattr(r1.state, name), getattr(r2.state, name))
         assert [rec.total for rec in r1.trace] == [rec.total for rec in r2.trace]
 
     def test_parabolic_run_counts_steps(self):
@@ -276,7 +275,7 @@ class TestInteriorSetup:
         ref = oracles.nodal_start(case, op)
         assert (state.n, state.t) == (ref.n, ref.t)
         assert (state.dq is None) == (sigma == 0.0)
-        for name in ("q", "dq", "r", "Kq", "r0"):
+        for name in ("q", "dq", "r", "Kq"):
             a, b = getattr(state, name), getattr(ref, name)
             assert (a is None and b is None) or np.array_equal(a, b), name
 

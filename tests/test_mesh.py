@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qtflow.analysis import transfer_to_fine
 from qtflow.mesh import CELL, build_mesh, nested_injection
 
 import oracles
@@ -56,8 +57,9 @@ class TestBuildMesh:
                               np.flatnonzero(~oracles.is_boundary(mesh)))
 
     def test_interior_gather_and_scatter_follow_interior_order(self):
-        """scatter_interior writes component-major interior vectors where
-        the index gather of tests/oracles.py reads them."""
+        """nodal() writes component-major interior vectors where the index
+        gather of tests/oracles.py reads them, into a new C-contiguous
+        field (..., N) that is zero on the boundary."""
         mesh = build_mesh(0, 3, 0, 2, 6, 4)
         idx = oracles.interior_nodes(mesh)
         rng = np.random.RandomState(1)
@@ -66,24 +68,22 @@ class TestBuildMesh:
         q = oracles.gather_interior(mesh, Q)
         assert q.shape == (2, mesh.n_interior) and q.flags.c_contiguous
         assert np.array_equal(q, Q[idx].T)
-        out = mesh.scatter_interior(np.zeros_like(Q), q)
-        assert np.array_equal(oracles.gather_interior(mesh, out), q)
+        field = mesh.nodal(q)
+        assert np.array_equal(oracles.gather_interior(mesh, field.T), q)
 
-        x = rng.standard_normal((2, mesh.n_interior))
-        out = np.zeros_like(Q)
-        mesh.scatter_interior(out, x)
-        expect = np.zeros_like(Q)
-        expect[idx] = x.T
-        assert np.array_equal(out, expect)
-        s = rng.standard_normal(mesh.n_interior)
-        assert np.array_equal(mesh.scatter_interior(np.zeros(mesh.n_nodes), s)[idx], s)
-        with pytest.raises(ValueError):
-            mesh.scatter_interior(np.asfortranarray(out), x)
+        for shape in ((2,), (), (3, 2)):
+            x = rng.standard_normal(shape + (mesh.n_interior,))
+            field = mesh.nodal(x)
+            assert field.shape == shape + (mesh.n_nodes,) and field.flags.c_contiguous
+            assert np.array_equal(field, np.moveaxis(oracles.scatter_interior(mesh, x), 0, -1))
+            assert np.all(field[..., oracles.is_boundary(mesh)] == 0.0)
+        assert not np.shares_memory(mesh.nodal(x), x)
 
         # a single interior row
         thin = build_mesh(0, 4, 0, 2, 4, 2)
-        field = thin.scatter_interior(np.ones((thin.n_nodes, 2)), np.full((2, 3), 5.0))
-        assert np.array_equal(np.flatnonzero(field[:, 0] == 5.0), [6, 7, 8])
+        field = thin.nodal(np.full((2, 3), 5.0))
+        assert np.array_equal(np.flatnonzero(field[0] == 5.0), [6, 7, 8])
+        assert np.array_equal(np.flatnonzero(field[1]), [6, 7, 8])
 
     # every triangle adds the same area / 3, whatever the coordinates, so
     # the weights are bit-equal off dyadic meshes too (measured deviation 0)
@@ -122,6 +122,15 @@ class TestBuildMesh:
             build_mesh(0, 2, 0, 2, 1, 4)
         with pytest.raises(ValueError):
             build_mesh(0, 2, 0, 1, 4, 4)  # non-square cells
+
+
+NESTED_PAIRS = [
+    ((0.0, 2.0, 0.0, 2.0), nc, nf) for nc in (4, 8, 16)
+    for nf in oracles.DYADIC_SIZES if nf > nc
+] + [
+    (extent, nc, nf) for extent in ((0.0, 1.0, 0.0, 1.0), (0.1, 0.7, 0.1, 0.7))
+    for nc, nf in ((4, 8), (4, 32), (8, 64))
+]
 
 
 class TestNestedInjection:
@@ -168,13 +177,7 @@ class TestNestedInjection:
         transferred = inj @ lin(oracles.nodes(coarse))
         assert np.max(np.abs(transferred - lin(oracles.nodes(fine)))) < 1e-13
 
-    @pytest.mark.parametrize("extent, nc, nf", [
-        ((0.0, 2.0, 0.0, 2.0), nc, nf) for nc in (4, 8, 16)
-        for nf in oracles.DYADIC_SIZES if nf > nc
-    ] + [
-        (extent, nc, nf) for extent in ((0.0, 1.0, 0.0, 1.0), (0.1, 0.7, 0.1, 0.7))
-        for nc, nf in ((4, 8), (4, 32), (8, 64))
-    ])
+    @pytest.mark.parametrize("extent, nc, nf", NESTED_PAIRS)
     def test_bitwise_against_coo_build(self, extent, nc, nf):
         coarse, fine = build_mesh(*extent, nc, nc), build_mesh(*extent, nf, nf)
         inj = nested_injection(coarse, fine)
@@ -182,6 +185,20 @@ class TestNestedInjection:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(inj, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("extent, nc, nf", NESTED_PAIRS)
+    def test_transfer_bitwise_against_interleaved_product(self, extent, nc, nf):
+        """transfer_to_fine's one product per row of a (..., Nc) field
+        gives the bits of one multi-vector product with the interleaved
+        (Nc, ...) field, as the studies formed it."""
+        coarse, fine = build_mesh(*extent, nc, nc), build_mesh(*extent, nf, nf)
+        inj = nested_injection(coarse, fine)
+        rng = np.random.RandomState(nc * nf)
+        for shape in ((2,), ()):
+            F = rng.standard_normal(shape + (coarse.n_nodes,))
+            out = transfer_to_fine(F, inj, fine)
+            assert out.shape == shape + (fine.n_nodes,) and out.flags.c_contiguous
+            assert np.array_equal(out, np.moveaxis(oracles.interleaved_transfer(F, inj), 0, -1))
 
     def test_rejects_non_nested(self):
         coarse = build_mesh(0, 2, 0, 2, 4, 4)

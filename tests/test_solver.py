@@ -1,5 +1,5 @@
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -398,7 +398,9 @@ def test_no_interleaved_layout_in_the_solver():
     """Vectors are component-major (2, m) and the sparse forms m x m: no
     stride-2 slice of an interleaved vector is left in the package, and the
     operator of an anisotropic run holds m x m matrices, (2, m) work
-    vectors and the lumped weight as one float; the mesh holds no array."""
+    vectors and the lumped weight as one float; the mesh holds no array.
+    Nodal fields are component-major too, (2, N) and (N,), and a state
+    holds no boundary value."""
     package = os.path.dirname(qtflow.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
@@ -416,3 +418,7 @@ def test_no_interleaved_layout_in_the_solver():
     assert not any(isinstance(v, np.ndarray) for v in vars(mesh).values())
     for x in (op.diag, op.rhs, op.res, state.q, state.dq, state.Kq):
         assert x.shape == (2, m) and x.flags.c_contiguous
+    for x, shape in ((state.q, (2, mesh.n_nodes)), (state.r, (mesh.n_nodes,))):
+        field = mesh.nodal(x)
+        assert field.shape == shape and field.flags.c_contiguous
+    assert {f.name for f in fields(state)} == {"q", "dq", "r", "Kq", "n", "t"}

@@ -33,9 +33,10 @@ def forms(mesh):
     return assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
 
 
-def default_velocity(mesh, p, q0, r0, op=None):
-    """build_default_Qt0 from the interior vectors q0 and r0."""
-    return build_default_Qt0(mesh, p, q0, r0, aux_P(q0, p), op)
+def default_velocity(mesh, p, q0, r0):
+    """build_default_Qt0 from the interior vectors q0 and r0, with a run's
+    operator on mesh."""
+    return build_default_Qt0(p, q0, r0, aux_P(q0, p), run_operator(mesh, p, 1e-3))
 
 
 def advance(state, p, dt, op, nsteps, cg_tol=1e-12):
@@ -48,22 +49,21 @@ class TestInitialize:
     def test_zero_data(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         state, _ = start(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * y))
-        assert np.all(state.Q_field(mesh) == 0.0) and np.all(state.dq == 0.0)
-        assert np.allclose(state.r_field(mesh), np.sqrt(1000.0), rtol=1e-15)
+        assert np.all(state.q == 0.0) and np.all(state.dq == 0.0)
+        assert np.allclose(state.r, np.sqrt(1000.0), rtol=1e-15)
         assert state.n == 1 and state.t == 1e-3
 
     def test_default_profile_vanishes_on_boundary(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        Q0 = mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)),
-                                   interpolate_qfield(mesh, default_initial_q))
+        Q0 = mesh.nodal(interpolate_qfield(mesh, default_initial_q))
         # the director data vanishes on the boundary before any clamping
         x, y = oracles.nodes(mesh).T
         n1 = x * (2 - x) * y * (2 - y)
         n2 = np.sin(np.pi * x) * np.sin(0.5 * np.pi * y)
         assert np.max(np.abs(n1[oracles.is_boundary(mesh)])) < 1e-13
         assert np.max(np.abs(n2[oracles.is_boundary(mesh)])) < 1e-12
-        assert np.allclose(Q0[:, 0], 0.5 * (n1 ** 2 - n2 ** 2), atol=1e-12)
-        assert np.allclose(Q0[:, 1], n1 * n2, atol=1e-12)
+        assert np.allclose(Q0[0], 0.5 * (n1 ** 2 - n2 ** 2), atol=1e-12)
+        assert np.allclose(Q0[1], n1 * n2, atol=1e-12)
 
     def test_parabolic_one_level_start(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
@@ -78,7 +78,7 @@ class TestInitialize:
         r0 = nodal_r(params, q0)
         copies = q0.copy(), r0.copy()
         op = run_operator(mesh, params, 1e-3)
-        step(initialize(mesh, params, 1e-3, q0, r0, op), params, 1e-3, op)
+        step(initialize(params, 1e-3, q0, r0, op), params, 1e-3, op)
         assert np.array_equal(q0, copies[0]) and np.array_equal(r0, copies[1])
 
     def test_r_unchanged_when_qt0_zero(self):
@@ -102,20 +102,23 @@ class TestInitialize:
 
 @pytest.mark.parametrize("A0", [500.0, 0.013, 3.3])
 def test_boundary_r_is_the_constant_sqrt_2_A0(A0):
-    """Q vanishes on the boundary, so nodal_r there is the r of Q = 0,
-    which a state keeps as the scalar r0: the same bits as sqrt(2 A0), at
-    every boundary node, and in the nodal r field of every later state."""
+    """Q vanishes on the boundary, so the r of a run advanced at every node
+    is the r of Q = 0 there, the same bits as sqrt(2 A0) that the energy
+    takes for it, at every boundary node of every state; in the interior
+    it is the state's r."""
     p = replace(P6, A0=A0)
     mesh = build_mesh(0, 2, 0, 2, 8, 8)
-    Q0 = mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)),
-                               interpolate_qfield(mesh, default_initial_q))
+    Q0 = oracles.nodal_interpolate_qfield(mesh, default_initial_q)
     bnd = oracles.is_boundary(mesh)
     r0 = math.sqrt(2.0 * A0)
     assert np.all(aux_r(Q0.T, p)[bnd] == r0)
     state, op = default_start(mesh, p, 1e-3)
-    state = step(state, p, 1e-3, op)
-    assert type(state.r0) is float and state.r0 == r0
-    assert np.all(state.r_field(mesh)[bnd] == r0)
+    states = [state]
+    for _ in range(3):
+        states.append(step(states[-1], p, 1e-3, op))
+    for state, r in zip(states, oracles.nodal_r_fields(mesh, p, Q0, states)):
+        assert np.all(r[bnd] == r0)
+        assert np.array_equal(r[~bnd], state.r)
 
 
 class TestDefaultQt0:
@@ -144,15 +147,6 @@ class TestDefaultQt0:
         expect = -P6.L1 * lam * v
         assert np.max(np.abs(qt0 - expect)) < 1e-6 * lam * P6.L1
 
-    def test_caller_stiffness_gives_same_result(self):
-        mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        q0 = interpolate_qfield(mesh, default_initial_q)
-        r0 = nodal_r(P6, q0)
-        op = step_operator(P6, 1e-3, assemble_stiffness(mesh), None,
-                           lumped_mass(mesh))
-        assert np.array_equal(default_velocity(mesh, P6, q0, r0, op),
-                              default_velocity(mesh, P6, q0, r0))
-
     def test_energy_drop_after_one_step(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         K, D, w = forms(mesh)
@@ -160,7 +154,7 @@ class TestDefaultQt0:
         r0 = nodal_r(P6, q0)
         dt = 1e-3
         op = step_operator(P6, dt, K, D, w)
-        state = initialize(mesh, P6, dt, q0, r0, op)
+        state = initialize(P6, dt, q0, r0, op)
         e1 = discrete_energy(state, P6, dt, mesh).total
         state = step(state, P6, dt, op, cg_tol=1e-12)
         e2 = discrete_energy(state, P6, dt, mesh).total
@@ -173,9 +167,8 @@ class TestStep:
         state, op = start(mesh, P6, 1e-3, lambda x, y: (0.0 * x, 0.0 * x))
         for _ in range(5):
             state = step(state, P6, 1e-3, op)
-        assert np.all(state.Q_field(mesh) == 0.0)
-        assert np.array_equal(state.r_field(mesh),
-                              np.full(mesh.n_nodes, np.sqrt(1000.0)))
+        assert np.all(state.q == 0.0)
+        assert np.array_equal(state.r, np.full(mesh.n_interior, np.sqrt(1000.0)))
 
     def test_single_interior_node_matches_dense_solve(self):
         mesh = build_mesh(0, 2, 0, 2, 2, 2)
@@ -205,14 +198,19 @@ class TestStep:
         assert np.max(np.abs(new.q[:, 0] - expect)) < 1e-12
 
     def test_boundary_values_pinned(self):
+        """A moving start: the nodal Q of every state is zero on the
+        boundary, and r advanced at every node keeps sqrt(2 A0) there."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         state, op = start(mesh, P6, 1e-3, default_initial_q,
                           qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
-        r_bnd = state.r_field(mesh)[oracles.is_boundary(mesh)]
+        states = [state]
         for _ in range(10):
-            state = step(state, P6, 1e-3, op)
-        assert np.all(state.Q_field(mesh)[oracles.is_boundary(mesh)] == 0.0)
-        assert np.array_equal(state.r_field(mesh)[oracles.is_boundary(mesh)], r_bnd)
+            states.append(step(states[-1], P6, 1e-3, op))
+        bnd = oracles.is_boundary(mesh)
+        Q0 = oracles.nodal_interpolate_qfield(mesh, default_initial_q)
+        for state, r in zip(states, oracles.nodal_r_fields(mesh, P6, Q0, states)):
+            assert np.all(mesh.nodal(state.q)[:, bnd] == 0.0)
+            assert np.all(r[bnd] == math.sqrt(2.0 * P6.A0))
 
     def test_energy_identity_and_monotonicity(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -222,20 +220,18 @@ class TestStep:
             q0 = interpolate_qfield(mesh, default_initial_q)
             r0 = nodal_r(p, q0)
             op = step_operator(p, dt, K, D, w)
-            state = initialize(mesh, p, dt, q0, r0, op)
-            idx = oracles.interior_nodes(mesh)
+            state = initialize(p, dt, q0, r0, op)
             rec = discrete_energy(state, p, dt, mesh)
             e0 = rec.total
             prev_dtq = None
             if p.sigma > 0:
-                prev_dtq = (state.Q_field(mesh)[idx].T - q0) / dt
+                prev_dtq = (state.q - q0) / dt
             for _ in range(50):
                 old = state
                 old_total = rec.total
                 state = step(state, p, dt, op, cg_tol=1e-12)
                 rec = discrete_energy(state, p, dt, mesh)
-                dtq = (state.Q_field(mesh)[idx]
-                       - old.Q_field(mesh)[idx]).T / dt
+                dtq = (state.q - old.q) / dt
                 resid = rec.total - old_total + dt * h_norm_sq(w, dtq)
                 if p.sigma > 0:
                     resid += 0.5 * p.sigma * h_norm_sq(w, dtq - prev_dtq)
@@ -252,15 +248,15 @@ class TestStep:
 
         tiny = replace(P6, sigma=1e-12)
         op = step_operator(tiny, dt, K, D, w)
-        hyper = initialize(mesh, tiny, dt, q0, r0, op)
+        hyper = initialize(tiny, dt, q0, r0, op)
         hyper = advance(hyper, tiny, dt, op, 10)
 
         op = step_operator(P6_PAR, dt, K, D, w)
-        par = initialize(mesh, P6_PAR, dt, q0, r0, op)
+        par = initialize(P6_PAR, dt, q0, r0, op)
         par = advance(par, P6_PAR, dt, op, 11)
 
         assert hyper.t == pytest.approx(par.t, rel=1e-12)
-        assert h1_error_field(hyper.Q_field(mesh), par.Q_field(mesh),
+        assert h1_error_field(mesh.nodal(hyper.q), mesh.nodal(par.q),
                               norm_forms(mesh)) < 1e-6
 
     def test_fields_stay_finite_flag(self):
@@ -309,18 +305,17 @@ class TestCarriedInterior:
         q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(params, q0)
         op = step_operator(params, dt, K, D, w)
-        carried = initialize(mesh, params, dt, q0, r0, op)
+        carried = initialize(params, dt, q0, r0, op)
         fresh = carried
 
         def rebuilt(s, qprev):
             """s rebuilt from nodal fields alone (its Q and r, and the
             previous level's interior q), every product formed anew; and
             its interior q."""
-            q = oracles.gather_interior(mesh, s.Q_field(mesh))
+            q = oracles.gather_interior(mesh, mesh.nodal(s.q).T)
             dq = None if qprev is None else q - qprev
-            r = oracles.gather_interior(mesh, s.r_field(mesh))
-            return SimState(q=q, dq=dq, r=r, Kq=(K @ q.T).T,
-                            r0=s.r0, n=s.n, t=s.t), q
+            r = oracles.gather_interior(mesh, mesh.nodal(s.r))
+            return SimState(q=q, dq=dq, r=r, Kq=(K @ q.T).T, n=s.n, t=s.t), q
 
         fresh, qf = rebuilt(fresh, q0 if params.sigma > 0 else None)
         for _ in range(10):
@@ -328,8 +323,8 @@ class TestCarriedInterior:
             fresh_op = step_operator(params, dt, K, D, w)
             fresh, qf = rebuilt(step(fresh, params, dt, fresh_op, cg_tol=1e-12),
                                 qf if params.sigma > 0 else None)
-            for a, b in ((carried.Q_field(mesh), fresh.Q_field(mesh)),
-                         (carried.r_field(mesh), fresh.r_field(mesh))):
+            for a, b in ((mesh.nodal(carried.q), mesh.nodal(fresh.q)),
+                         (mesh.nodal(carried.r), mesh.nodal(fresh.r))):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
             e_c = discrete_energy(carried, params, dt, mesh)
             e_f = discrete_energy(fresh, params, dt, mesh)
@@ -434,19 +429,19 @@ class TestNodalField:
         dt = 1e-3
         idx, bnd = oracles.interior_nodes(mesh), oracles.is_boundary(mesh)
         q0 = interpolate_qfield(mesh, default_initial_q)
-        Q0 = mesh.scatter_interior(np.zeros((mesh.n_nodes, 2)), q0)
+        Q0 = oracles.scatter_interior(mesh, q0)
         r0 = np.asarray(aux_r(Q0.T, P6))
         qt0 = oracles.nodal_default_Qt0(mesh, P6, Q0, r0, K)
         op = step_operator(P6, dt, K, D, w)
-        state = initialize(mesh, P6, dt, q0, nodal_r(P6, q0), op)
+        state = initialize(P6, dt, q0, nodal_r(P6, q0), op)
 
         Q = Q0 + dt * qt0
         P0 = aux_P(Q0.T.copy(), P6)
         dQ = Q - Q0
         r = r0 + 2.0 * (P0[0] * dQ[:, 0] + P0[1] * dQ[:, 1])
         for _ in range(11):
-            assert np.array_equal(state.Q_field(mesh), Q)
-            assert np.array_equal(state.r_field(mesh), r)
+            assert np.array_equal(mesh.nodal(state.q), Q.T)
+            assert np.array_equal(r[idx], state.r)
             assert np.all(Q[bnd] == 0.0)
             assert np.array_equal(r[bnd], r0[bnd])
             state = step(state, P6, dt, op)
