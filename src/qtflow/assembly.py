@@ -5,6 +5,8 @@ per triangle), so no quadrature error enters the assembled forms.
 
 The interior forms are scalar m x m matrices over the m interior nodes: the
 solver applies them to each row (q1, q2) of its component-major vectors.
+The stiffness is CSR; the step operator's constant part, a shift of a
+multiple of it, is stored by diagonals, one per stencil offset.
 
 Every form is built on the node lattice, not element by element.  Each
 cell is a translate of the first one, so the first cell's two triangles
@@ -33,6 +35,8 @@ and so do the two assemblies.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import sparse
 
@@ -56,16 +60,26 @@ def element_geometry(pts: np.ndarray):
 def cell_geometry(mesh: StructuredMesh):
     """element_geometry() of the first cell's two triangles (CELL), at the
     mesh's lattice coordinates."""
-    x, y = mesh.axes()
+    return _cell_geometry(mesh.x0, mesh.y0, mesh.h)
+
+
+def _cell_geometry(x0: float, y0: float, h: float):
+    """cell_geometry() of a mesh whose first cell has its lower-left corner
+    at (x0, y0) and size h; its coordinates are formed as axes() forms
+    them."""
+    x, y = (c + np.arange(2) * h for c in (x0, y0))
     return element_geometry(np.stack((x[CELL[..., 1]], y[CELL[..., 0]]), axis=-1))
 
 
-def _cell_contributions(mesh: StructuredMesh, entry):
-    """The contributions of the first cell, in triangle and then local
-    order: (offset, corner, entry(area, grads, i, j)) for basis pair (i, j)
-    of each triangle, where offset is the lattice offset (dj, di) from node
-    i to node j and corner the position (cj, ci) of node i in the cell."""
-    area, grads = cell_geometry(mesh)
+def _cell_contributions(geometry, entry):
+    """The contributions of the first cell of the given cell_geometry(), in
+    triangle and then local order: (offset, corner, entry(area, grads, i,
+    j)) for basis pair (i, j) of each triangle, where offset is the lattice
+    offset (dj, di) from node i to node j and corner the position (cj, ci)
+    of node i in the cell.  area and grads come as Python floats, whose
+    arithmetic rounds as numpy's does, at a fraction of the cost per
+    operation."""
+    area, grads = (a.tolist() for a in geometry)
     for t, tri in enumerate(CELL.tolist()):
         for i, (cj, ci) in enumerate(tri):
             for j, (oj, oi) in enumerate(tri):
@@ -84,7 +98,7 @@ def _node_form(mesh: StructuredMesh, entry) -> sparse.csr_matrix:
     """A scalar form over all nodes, from the entries entry(area, grads, i,
     j) of the first cell's basis pairs."""
     nx, ny = mesh.nx, mesh.ny
-    contributions = list(_cell_contributions(mesh, entry))
+    contributions = list(_cell_contributions(cell_geometry(mesh), entry))
     offsets = sorted({offset for offset, _, _ in contributions})
     sums = np.zeros((ny + 1, nx + 1, len(offsets)))
     for offset, (cj, ci), value in contributions:
@@ -98,7 +112,7 @@ def _node_form(mesh: StructuredMesh, entry) -> sparse.csr_matrix:
 
 def _grad_dot(area, grads, i, j):
     """Scalar stiffness contribution of basis pair (i, j) of a triangle."""
-    return area * (grads[i, 0] * grads[j, 0] + grads[i, 1] * grads[j, 1])
+    return area * (grads[i][0] * grads[j][0] + grads[i][1] * grads[j][1])
 
 
 def scalar_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
@@ -116,33 +130,79 @@ def consistent_mass(mesh: StructuredMesh) -> sparse.csr_matrix:
                       area / 12.0 * (2.0 if i == j else 1.0))
 
 
-def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
-    """Interior Dirichlet stiffness, m x m over the interior nodes: the
-    scalar stencil at every interior node, equal to the interior block of
-    scalar_stiffness().  Offsets that land on the boundary and offsets whose
-    sum is exactly zero are not stored."""
+@functools.lru_cache(maxsize=8)
+def _stiffness_templates(x0: float, y0: float, h: float) -> tuple:
+    """The interior stiffness stencil of a mesh whose first cell is at
+    (x0, y0) with size h: (dj, di, value) per offset whose sum is not
+    exactly zero, sorted by (dj, di), which is column order.  A run asks for
+    it three times (K, D and the step operator's constant block), so it is
+    kept for the last few cells."""
     sums = {}
-    for offset, _, value in _cell_contributions(mesh, _grad_dot):
+    for offset, _, value in _cell_contributions(_cell_geometry(x0, y0, h), _grad_dot):
         sums[offset] = sums.get(offset, 0.0) + value
-    # one template (dj, di, value) per stored offset, in column order:
-    # offsets sorted by (dj, di)
-    table = np.array([(*off, value) for off, value in sorted(sums.items())
-                      if value != 0.0])
-    dj, di = table[:, :2].astype(np.int32).T
+    return tuple((*off, value) for off, value in sorted(sums.items()) if value != 0.0)
 
-    # lattice coordinates of each template's column node, per interior
-    # column i and row j; an entry is stored where both are interior, so a
-    # row counts in_j * in_i summed over the offsets
+
+def _interior_stencil(mesh: StructuredMesh, sign: int):
+    """The interior stiffness as a stencil on the (nj, ni) lattice of
+    interior nodes: one template per stored offset (dj, di), in column
+    order (_stiffness_templates()).  Returns ni, the flat offsets
+    dj ni + di, the values, and per template the lattice coordinates (j, i)
+    of the node at sign times the offset from each node and whether they
+    are interior, in_j (nj, templates) and in_i (ni, templates)."""
+    table = np.array(_stiffness_templates(mesh.x0, mesh.y0, mesh.h))
+    dj, di = table[:, :2].astype(np.int32).T
     ni, nj = mesh.nx - 1, mesh.ny - 1
-    i = np.arange(ni, dtype=np.int32)[:, None] + di
-    j = np.arange(nj, dtype=np.int32)[:, None] + dj
-    in_i = (i >= 0) & (i < ni)
-    in_j = (j >= 0) & (j < nj)
+    i = np.arange(ni, dtype=np.int32)[:, None] + sign * di
+    j = np.arange(nj, dtype=np.int32)[:, None] + sign * dj
+    return (ni, dj * ni + di, table[:, 2],
+            (j, (j >= 0) & (j < nj)), (i, (i >= 0) & (i < ni)))
+
+
+def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
+    """Interior Dirichlet stiffness, m x m over the interior nodes, in CSR:
+    the scalar stencil at every interior node, equal to the interior block
+    of scalar_stiffness().  Offsets that land on the boundary and offsets
+    whose sum is exactly zero are not stored.  stiffness_block() builds the
+    step operator's constant part from the same stencil, by diagonals."""
+    # an entry is stored where the column node of row (j, i) is interior,
+    # so a row counts in_j * in_i summed over the templates
+    ni, _, values, (j, in_j), (i, in_i) = _interior_stencil(mesh, 1)
     inside = in_j[:, None] & in_i                   # (nj, ni, templates)
     cols = (ni * j)[:, None] + i
     counts = in_j.astype(np.int32) @ in_i.T.astype(np.int32)
-    data = np.broadcast_to(table[:, 2], inside.shape)[inside]
+    data = np.broadcast_to(values, inside.shape)[inside]
     return _csr(counts.ravel(), data, cols[inside])
+
+
+def stiffness_block(mesh: StructuredMesh, scale: float,
+                    shift: float) -> sparse.dia_matrix:
+    """shift I + scale K as a DIA matrix, m x m over the interior nodes: one
+    diagonal of scale * value per template of assemble_stiffness(), at its
+    flat offset, and shift + scale * value on the main diagonal.
+
+    The offsets ascend, as the columns of a row of K do, and scipy's DIA
+    product adds one diagonal at a time into a zeroed vector, so each row
+    sums in the order of the CSR product of shift I + scale K, from +0.0:
+    the two give the same bits.  The zeros that a diagonal holds where the
+    stencil leaves the lattice add +-0 to a sum that is never -0, which
+    changes nothing for finite vectors.  A diagonal with no entry on the
+    lattice is not stored: on a lattice one node wide the +-1 and +-ni
+    offsets coincide, and only the nonzero one is kept."""
+    # DIA stores the entry of row z - o in column z, so the masks are of
+    # the row node, at minus the offset o from each column node
+    _, offsets, values, (_, in_j), (_, in_i) = _interior_stencil(mesh, -1)
+    kept = in_j.any(axis=0) & in_i.any(axis=0)
+    offsets = offsets[kept]
+    # each lattice row of a diagonal is its value where the row node's i is
+    # interior and zero elsewhere, or zero where the row node's j is not
+    row = np.where(in_i.T[kept], (scale * values[kept])[:, None], 0.0)
+    row[offsets == 0] += shift
+    data = np.empty((offsets.size, in_j.shape[0], in_i.shape[0]))
+    data[...] = row[:, None, :]
+    data[~in_j.T[kept]] = 0.0
+    return sparse.dia_matrix((data.reshape(offsets.size, -1), offsets),
+                             shape=(data[0].size,) * 2)
 
 
 def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:

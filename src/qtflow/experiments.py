@@ -208,7 +208,7 @@ def _simulate(case: Case) -> RunResult:
             qt[0] += case.pert_qt0
         return qt
 
-    op = step_operator(params, dt, K, assembly.assemble_div_form(mesh)
+    op = step_operator(params, dt, mesh, K, assembly.assemble_div_form(mesh)
                        if (params.L2 + params.L3) != 0.0 else None, w)
     state = initialize(params, dt, q0, r0, op, velocity)
     del q0, r0  # the state holds what it needs

@@ -79,9 +79,9 @@ def bulk_derivative_f(Q: np.ndarray, p: Params) -> np.ndarray:
     return _f(Q, trace_q2(Q), p)
 
 
-def _f(Q: np.ndarray, t2, p: Params) -> np.ndarray:
-    """f at Q, given t2 = tr(Q^2)."""
-    return (p.a + p.c * t2) * np.asarray(Q)
+def _f(Q: np.ndarray, t2, p: Params, out: np.ndarray | None = None) -> np.ndarray:
+    """f at Q, given t2 = tr(Q^2), into out when given."""
+    return np.multiply(p.a + p.c * t2, Q, out=out)
 
 
 def aux_r(Q: np.ndarray, p: Params):
@@ -103,11 +103,13 @@ def _aux_r(t2, p: Params):
     return np.sqrt(rad)
 
 
-def aux_P(Q: np.ndarray, p: Params) -> np.ndarray:
+def aux_P(Q: np.ndarray, p: Params, out: np.ndarray | None = None) -> np.ndarray:
     """Variational derivative of r, i.e. P = f(Q) / r(Q), with tr(Q^2)
-    formed once for both.  The result follows the memory order of Q; pass
-    a C-contiguous field to get a C-contiguous P."""
+    formed once for both, written into out when given (its shape is Q's)
+    and into a new array otherwise.  A new result follows the memory order
+    of Q; pass a C-contiguous field to get a C-contiguous P.  On a
+    nonpositive radicand out holds f(Q)."""
     t2 = trace_q2(Q)
-    P = _f(Q, t2, p)
+    P = _f(Q, t2, p, out)
     P /= _aux_r(t2, p)
     return P

@@ -3,15 +3,15 @@
 Vectors are component-major C-contiguous (2, m) arrays, rows q1 and q2 at
 the m interior nodes; dot products run over all 2m entries.  The part of
 the step operator that is constant over a run (lumped mass, stiffness and
-divergence form) is one scalar m x m sparse matrix, applied to each row;
-the per-node rank-one term coming from the energy quadratization changes
-every step and is applied from its node vectors without assembling a
-matrix.  The divergence form is K, so the elastic part is c K.  CG starts
-from the step's own start value and residual, and its one loop confirms
-every exit on the true residual, formed from K x, which then serves the
-energy and the next step.  The operator owns the work vectors of a step;
-every vector that a solve returns or leaves on it for a caller to keep is
-new.
+divergence form) is one scalar m x m stencil matrix, stored by diagonals
+and applied to each row; the per-node rank-one term coming from the
+energy quadratization changes every step and is applied from its node
+vectors without assembling a matrix.  The divergence form is K, so the
+elastic part is c K.  CG starts from the step's own start value and
+residual, and its one loop confirms every exit on the true residual,
+formed from K x, which then serves the energy and the next step.  The
+operator owns the work vectors of a step; every vector that a solve
+returns or leaves on it for a caller to keep is new.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
+
+from .assembly import stiffness_block
 
 
 class ConvergenceError(RuntimeError):
@@ -41,16 +42,18 @@ class ConvergenceError(RuntimeError):
 class StepOperator:
     """SPD operator  c_m w I + c K + rank-one per node.
 
-    K is m x m, applied to each row of a (2, m) vector, and w the lumped
-    weight of every interior node, a float.  c = c_k + c_d when D is given,
-    which must equal K entry for entry (ValueError otherwise), and c = c_k
-    without D.  The rank-one part applies x -> w (p_z . x_z) p_z at every
-    interior node z, p (2, m) holding the reduced components of the
-    quadratization gradient there; set_rank_one() installs it before a
-    step's first matvec or residual.
+    K is the interior stiffness of mesh, m x m, applied to each row of a
+    (2, m) vector, and w the lumped weight of every interior node, a float.
+    c = c_k + c_d when D is given, which must equal K entry for entry
+    (ValueError otherwise), and c = c_k without D.  The constant part
+    c_m w I + c K is .base, built on the mesh's lattice as a DIA matrix
+    with the bits of the CSR sum (assembly.stiffness_block).  The rank-one
+    part applies x -> w (p_z . x_z) p_z at every interior node z, p (2, m)
+    holding the reduced components of the quadratization gradient there;
+    set_rank_one() installs it before a step's first matvec or residual.
     """
 
-    def __init__(self, w, K, D, cm, ck, cd):
+    def __init__(self, mesh, w, K, D, cm, ck, cd):
         self.cm, self.ck, self.cd = float(cm), float(ck), float(cd)
         m = K.shape[0]
         self.n = 2 * m  # unknowns
@@ -61,29 +64,24 @@ class StepOperator:
         self.D = None if D is None else K  # one matrix for both
         self.c = self.ck + self.cd if D is not None else self.ck
         self.w = float(w)
-
-        # c_m w added into the diagonal of c K, as the sum of the sparse
-        # matrices rounds.  Every interior node has the same stencil, so the
-        # diagonal is one number.  The copy shares the index arrays of K,
-        # which setdiag leaves alone when K is canonical (sorted, no
-        # duplicates) and holds its diagonal, as the stencil forms do.
-        self._base_diag = self.c * float(K[0, 0]) + self.cm * self.w
-        base = sparse.csr_matrix((self.c * K.data, K.indices, K.indptr),
-                                 shape=K.shape)
-        base.setdiag(self._base_diag)
-        self.base = base
+        self.base = stiffness_block(mesh, self.c, self.cm * self.w)
+        # every interior node has the same stencil, so the diagonal is one
+        # number
+        self._base_diag = float(self.base.data[self.base.offsets == 0][0, 0])
         # work vectors: the diagonal, step()'s rhs, the residual (CG's start,
-        # residual()'s), CG's z and direction, a shared temporary, p and w p
-        # (p is copied in, so a step frees its P); p . x
+        # residual()'s), CG's z and direction, a shared temporary, p (step()
+        # forms P there) and w p; p . x
         self.diag, self.rhs, self.res, self.z, self.dir, self.tmp, self.p, \
-            self._wp = np.empty((8, 2, m))
+            self.wp = np.empty((8, 2, m))
         self._s = np.empty(m)
 
     def set_rank_one(self, p_nodes) -> None:
-        """Install the rank-one vectors (2, m) of one step, copied into .p."""
-        np.copyto(self.p, p_nodes)
-        np.multiply(self.w, p_nodes, out=self._wp)
-        np.multiply(self._wp, p_nodes, out=self.diag)
+        """Install the rank-one vectors (2, m) of one step in .p: step()
+        forms them there, and any other array is copied in."""
+        if p_nodes is not self.p:
+            np.copyto(self.p, p_nodes)
+        np.multiply(self.w, self.p, out=self.wp)
+        np.multiply(self.wp, self.p, out=self.diag)
         self.diag += self._base_diag
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -94,10 +92,10 @@ class StepOperator:
 
     def spread(self, s: np.ndarray, y: np.ndarray) -> None:
         """y += w s_z p_z at every interior node z, in place."""
-        y += np.multiply(self._wp, s, out=self.tmp)
+        y += np.multiply(self.wp, s, out=self.tmp)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.multiply(self._wp, self.project(x))
+        y = np.multiply(self.wp, self.project(x))
         y[0] += self.base @ x[0]
         y[1] += self.base @ x[1]
         return y

@@ -114,11 +114,13 @@ def initialize(p: Params, dt: float, q0: np.ndarray, r0: np.ndarray,
     return SimState(q=q, dq=dq, r=r, Kq=op.products(q), n=n, t=n * dt)
 
 
-def step_operator(p: Params, dt: float, K, D, w: float) -> StepOperator:
-    """The step operator of a run with the lumped weight w; its constant
-    part is built once here and step() installs the rank-one part of each
-    step.  D is part of it exactly when given: pass None when L2 + L3 = 0."""
-    return StepOperator(w, K, D, 1.0 / dt + p.sigma / dt ** 2,
+def step_operator(p: Params, dt: float, mesh: StructuredMesh, K, D,
+                  w: float) -> StepOperator:
+    """The step operator of a run on mesh, with its interior stiffness K and
+    lumped weight w; its constant part is built once here and step()
+    installs the rank-one part of each step.  D is part of it exactly when
+    given: pass None when L2 + L3 = 0."""
+    return StepOperator(mesh, w, K, D, 1.0 / dt + p.sigma / dt ** 2,
                         p.L1, 0.5 * (p.L2 + p.L3))
 
 
@@ -140,7 +142,7 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     q = state.q
     n, t = state.n + 1, state.t + dt
     try:
-        op.set_rank_one(aux_P(q, p))
+        op.set_rank_one(aux_P(q, p, out=op.p))
     except ValueError as exc:
         raise _step_failure(n, t, str(exc)) from exc
 
@@ -159,17 +161,18 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     s = op.project(q)
     s -= state.r
     op.spread(s, rhs)
-    op.spread(np.negative(state.r, out=s), res)
+    res -= np.multiply(op.wp, state.r, out=op.tmp)
 
+    # cg_solve returns x only on a finite true residual, so x is finite
     try:
         x, _ = cg_solve(op, rhs, q, res, tol=cg_tol, maxiter=maxiter)
     except ConvergenceError as exc:
         raise _step_failure(n, t, str(exc), exc.residual) from exc
-    if not np.isfinite(x).all():
-        raise _step_failure(n, t, "non-finite values in Q update")
 
     dq = x - q
-    r = state.r + op.project(np.multiply(dq, 2.0, out=op.tmp))  # 2 P.dq, no temporary
+    s = op.project(dq)
+    s *= 2.0
+    r = state.r + s
     if not np.isfinite(r).all():
         raise _step_failure(n, t, "non-finite values in r update")
     # cg_solve confirmed x last, so op holds K x

@@ -10,7 +10,7 @@ from qtflow.stepper import initialize, interpolate_qfield, nodal_r, step_operato
 def run_operator(mesh, params, dt):
     """The step operator of a run on mesh, with D when L2 + L3 != 0."""
     D = assemble_div_form(mesh) if params.L2 + params.L3 != 0.0 else None
-    return step_operator(params, dt, assemble_stiffness(mesh), D,
+    return step_operator(params, dt, mesh, assemble_stiffness(mesh), D,
                          lumped_mass(mesh))
 
 

@@ -5,8 +5,11 @@ The configs cover the stiffness and divergence forms (run, space-refine),
 a parabolic anisotropic run on 32^2, whose bits show the one elastic
 constant c = L1 + (L2+L3)/2 (run-aniso: c_k K q + c_d K q rounds
 differently there), a non-dyadic mesh, whose set-up rounds differently
-(run-nondyadic), the norm forms on a 64^2 reference (space-refine), the
-time study and the sigma sweep with finite and infinite exponents.  Each
+(run-nondyadic), interior lattices one node wide and one node tall
+(run-thin, run-thin-tall), where the stencil's +-1 and +-width offsets
+coincide or leave the matrix, the norm forms on a 64^2 reference
+(space-refine), the time study and the sigma sweep with finite and
+infinite exponents.  Each
 is keyed by a name and names its subcommand.  The hashes were recorded
 with numpy 2.4.6 and scipy 1.17.1, BLAS pinned to one thread; other
 versions or thread counts may round differently, so the test skips there.
@@ -20,6 +23,8 @@ energy_trace.csv hashes were re-recorded once more when the lumped weight
 became one float: every state kept its bits, but the energy's two lumped
 sums (the kinetic norm and the interior part of E_r) and the boundary
 weight are now summed in another order; CHANGES.md lists those hashes too.
+The two thin-lattice hashes were recorded while the constant block was a
+CSR matrix and hold with it stored by diagonals.
 """
 
 import hashlib
@@ -71,6 +76,29 @@ L3 = 5e-4
 T = 0.02
 dt = 1e-3
 """),
+    "run-thin": ("run", """
+[mesh]
+x1 = 0.5
+nx = 2
+ny = 8
+[params]
+L2 = 5e-4
+L3 = 5e-4
+[experiment]
+T = 0.02
+dt = 1e-3
+"""),
+    "run-thin-tall": ("run", """
+[mesh]
+y1 = 0.5
+nx = 8
+ny = 2
+[params]
+sigma = 0.0
+[experiment]
+T = 0.02
+dt = 1e-3
+"""),
     "space-refine": ("space-refine", """
 [params]
 L2 = 5e-4
@@ -114,6 +142,14 @@ HASHES = {
     "run-nondyadic": {
         "energy_trace.csv":
             "8f08545d8c72f181ff23c583c9c1b2465dac8900048d4a675e30174c258a01c9",
+    },
+    "run-thin": {
+        "energy_trace.csv":
+            "fba9ef04c674a52c32649a92d57d2b22725de0e15c2c87ba0e65401dfe2ace66",
+    },
+    "run-thin-tall": {
+        "energy_trace.csv":
+            "0fcb8696c609bd7759f4639e8aa40b74f900dc599ba3b4756ab6d2e2b9be85bd",
     },
     "space-refine": {
         "space_refinement.csv":

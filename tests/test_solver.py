@@ -22,7 +22,7 @@ def make_operator(mesh, rng=None, mass_coef=100.0, grad_coef=0.01, div_coef=0.00
     K = assemble_stiffness(mesh)
     D = assemble_div_form(mesh) if div_coef != 0.0 else None
     w = lumped_mass(mesh)
-    A = StepOperator(w, K, D, mass_coef, grad_coef, div_coef)
+    A = StepOperator(mesh, w, K, D, mass_coef, grad_coef, div_coef)
     p = np.zeros((2, mesh.n_interior))
     if rng is not None:
         p = rng.uniform(-0.2, 0.2, size=(2, mesh.n_interior))
@@ -81,7 +81,7 @@ class TestStepOperator:
         params = replace(DEFAULT_PARAMS, L2=ell, L3=ell, sigma=sigma)
         dt = 1e-3
         rng = np.random.RandomState(21)
-        op = step_operator(params, dt, K, D if with_div else None, w)
+        op = step_operator(params, dt, mesh, K, D if with_div else None, w)
         # a previous step's rank-one part must be replaced, not accumulated
         op.set_rank_one(rng.uniform(-1.0, 1.0, size=(2, mesh.n_interior)))
         p = np.zeros((2, mesh.n_interior))
@@ -108,7 +108,7 @@ class TestStepOperator:
         m = mesh.n_interior
         rng = np.random.RandomState(41)
         op = step_operator(replace(DEFAULT_PARAMS, L2=5e-4 * with_div, L3=5e-4 * with_div),
-                           1.25e-4, assemble_stiffness(mesh),
+                           1.25e-4, mesh, assemble_stiffness(mesh),
                            assemble_div_form(mesh) if with_div else None, lumped_mass(mesh))
         op.set_rank_one(rng.uniform(-0.2, 0.2, size=(2, m)))
         assert op.n == 2 * m
@@ -123,45 +123,65 @@ class TestStepOperator:
         assert np.array_equal(op.matvec(x).ravel(), sparse_step_operator(op) @ x.ravel())
 
 
+#: (extent, nx, ny) of lattices one interior node wide or tall, where the
+#: +-1 and +-width offsets of the stencil coincide or leave the matrix.
+THIN_MESHES = (
+    ((0.0, 2.0, 0.0, 2.0), 2, 2),
+    ((0.0, 2.0, 0.0, 9.0), 2, 9),
+    ((0.0, 9.0, 0.0, 2.0), 9, 2),
+    ((0.0, 6.0, 0.0, 2.0), 6, 2),
+)
+
+
 class TestConstantPart:
-    """The constant part is bit-equal to the sum of the sparse matrices
-    diags(c_m w) + c K, c = c_k (+ c_d with D), indices and values, with
-    the same diagonal, on any mesh: it makes the same additions.  The
-    coefficients are fine_run's and space_aniso's."""
+    """The constant part is a DIA matrix whose product is bit-equal to that
+    of the CSR sum diags(c_m w) + c K, c = c_k (+ c_d with D), on any
+    mesh: it makes the same additions in the same order.  The coefficients
+    are fine_run's and space_aniso's."""
 
     @pytest.mark.parametrize("with_div", [False, True])
     @pytest.mark.parametrize("extent, nx, ny", [
         ((0.0, 2.0, 0.0, 2.0), n, n) for n in oracles.DYADIC_SIZES
-    ] + list(oracles.NON_DYADIC_MESHES))
+    ] + list(oracles.NON_DYADIC_MESHES) + list(THIN_MESHES))
     def test_bitwise_against_sparse_sum(self, extent, nx, ny, with_div):
+        """Products of random vectors with +-0 entries, compared as bits,
+        and the operator's diagonal; the offsets ascend, so that each row
+        sums in K's column order, and no stored diagonal is all zeros."""
         mesh = build_mesh(*extent, nx, ny)
+        m = mesh.n_interior
         K, D, w = assemble_stiffness(mesh), assemble_div_form(mesh), lumped_mass(mesh)
         cm, ck, cd = 1.0 / 1.25e-4 + 0.025 / 1.25e-4 ** 2, 1e-3, 5e-4
-        op = StepOperator(w, K, D if with_div else None, cm, ck, cd)
-        op.set_rank_one(np.zeros((2, mesh.n_interior)))
-        ref = (sparse.diags(np.full(mesh.n_interior, cm * w), format="csr")
+        op = StepOperator(mesh, w, K, D if with_div else None, cm, ck, cd)
+        op.set_rank_one(np.zeros((2, m)))
+        ref = (sparse.diags(np.full(m, cm * w), format="csr")
                + (ck + cd if with_div else ck) * K)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(op.base, name), getattr(ref, name)), name
+        assert isinstance(op.base, sparse.dia_matrix) and op.base.shape == (m, m)
+        assert np.all(np.diff(op.base.offsets) > 0)
+        assert np.all(np.any(op.base.data != 0.0, axis=1))
+        rng = np.random.RandomState(53)
+        for _ in range(3):
+            x = rng.standard_normal(m)
+            x[rng.uniform(size=m) < 0.2] = 0.0
+            x[rng.uniform(size=m) < 0.2] = -0.0
+            assert np.array_equal((op.base @ x).view(np.int64),
+                                  (ref @ x).view(np.int64))
         assert np.array_equal(op.diag, [ref.diagonal()] * 2)
 
-    def test_shares_the_index_arrays_of_K_without_D(self):
-        """The constant part stores no index arrays of its own when D is
-        None: about 3 MB at 256^2."""
-        mesh = build_mesh(0, 2, 0, 2, 16, 16)
-        K = assemble_stiffness(mesh)
-        op = StepOperator(lumped_mass(mesh), K, None, 8e3, 1e-3, 0.0)
-        assert np.shares_memory(op.base.indices, K.indices)
-        assert np.shares_memory(op.base.indptr, K.indptr)
-
-    def test_shares_the_index_arrays_of_K_with_D(self):
-        """c_d D joins the constant c of the copy of K, not a sparse sum,
-        which would make new index arrays."""
-        mesh = build_mesh(0, 2, 0, 2, 16, 16)
+    @pytest.mark.parametrize("extent, nx, ny", [
+        ((0.0, 2.0, 0.0, 2.0), 16, 16), ((0.0, 3.0, 0.0, 1.0), 30, 10)] + list(THIN_MESHES))
+    def test_stores_no_index_array_and_at_most_5m_doubles(self, extent, nx, ny):
+        """The constant part holds its diagonals and their offsets only,
+        with or without D: at most five values per interior node, about
+        as many as the CSR copy of K stored, and no column indices or row
+        pointers, which took about 1.6 MB at 256^2."""
+        mesh = build_mesh(*extent, nx, ny)
         K, D = assemble_stiffness(mesh), assemble_div_form(mesh)
-        op = StepOperator(lumped_mass(mesh), K, D, 8e3, 1e-3, 5e-4)
-        assert np.shares_memory(op.base.indices, K.indices)
-        assert np.shares_memory(op.base.indptr, K.indptr)
+        for with_div in (False, True):
+            op = StepOperator(mesh, lumped_mass(mesh), K, D if with_div else None,
+                              8e3, 1e-3, 5e-4)
+            assert not any(hasattr(op.base, name) for name in ("indices", "indptr"))
+            assert op.base.data.shape[0] == op.base.offsets.size <= 5
+            assert op.base.data.size <= 5 * mesh.n_interior
 
 
 class TestDivFormCheck:
@@ -170,7 +190,7 @@ class TestDivFormCheck:
 
     def build(self, D):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
-        return StepOperator(lumped_mass(mesh), assemble_stiffness(mesh), D,
+        return StepOperator(mesh, lumped_mass(mesh), assemble_stiffness(mesh), D,
                             8e3, 1e-3, 5e-4)
 
     def test_one_perturbed_entry_raises(self):
@@ -198,7 +218,7 @@ class TestCgSolve:
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
         K = assemble_stiffness(mesh)
         w = lumped_mass(mesh)
-        A = StepOperator(w, K, None, 50.0, 0.0, 0.0)
+        A = StepOperator(mesh, w, K, None, 50.0, 0.0, 0.0)
         A.set_rank_one(np.zeros((2, mesh.n_interior)))
         rng = np.random.RandomState(3)
         b = rng.standard_normal((2, mesh.n_interior))

@@ -153,7 +153,7 @@ class TestDefaultQt0:
         q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(P6, q0)
         dt = 1e-3
-        op = step_operator(P6, dt, K, D, w)
+        op = step_operator(P6, dt, mesh, K, D, w)
         state = initialize(P6, dt, q0, r0, op)
         e1 = discrete_energy(state, P6, dt, mesh).total
         state = step(state, P6, dt, op, cg_tol=1e-12)
@@ -219,7 +219,7 @@ class TestStep:
         for p in (P6, P6_DIV, P6_PAR):
             q0 = interpolate_qfield(mesh, default_initial_q)
             r0 = nodal_r(p, q0)
-            op = step_operator(p, dt, K, D, w)
+            op = step_operator(p, dt, mesh, K, D, w)
             state = initialize(p, dt, q0, r0, op)
             rec = discrete_energy(state, p, dt, mesh)
             e0 = rec.total
@@ -247,11 +247,11 @@ class TestStep:
         r0 = nodal_r(P6, q0)
 
         tiny = replace(P6, sigma=1e-12)
-        op = step_operator(tiny, dt, K, D, w)
+        op = step_operator(tiny, dt, mesh, K, D, w)
         hyper = initialize(tiny, dt, q0, r0, op)
         hyper = advance(hyper, tiny, dt, op, 10)
 
-        op = step_operator(P6_PAR, dt, K, D, w)
+        op = step_operator(P6_PAR, dt, mesh, K, D, w)
         par = initialize(P6_PAR, dt, q0, r0, op)
         par = advance(par, P6_PAR, dt, op, 11)
 
@@ -294,19 +294,37 @@ class TestStep:
         assert isinstance(err.__cause__, ValueError)
 
 
+#: meshes whose interior lattice is one node wide or one node tall
+THIN_STEP_MESHES = [(0, 0.5, 0, 2, 2, 8), (0, 2, 0, 0.5, 8, 2)]
+THIN_STEP_IDS = ["2x8", "8x2"]
+
+
 class TestCarriedInterior:
     @pytest.mark.parametrize("params", [P6_DIV, P6_PAR], ids=["inertial_div", "parabolic"])
     def test_shared_products_match_fresh_states(self, params):
         """Ten steps carrying interior vectors, products and one operator
         against the same steps each started from nodal fields alone."""
-        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        self._compare(build_mesh(0, 2, 0, 2, 8, 8), params)
+
+    @pytest.mark.parametrize("params", [P6_DIV, P6_PAR], ids=["inertial_div", "parabolic"])
+    @pytest.mark.parametrize("extent", THIN_STEP_MESHES, ids=THIN_STEP_IDS)
+    def test_thin_lattices_match_fresh_states(self, extent, params):
+        self._compare(build_mesh(*extent), params)
+
+    def _compare(self, mesh, params):
+        """Also: every step's first confirmation is kept.  CG iterates with
+        op.base and confirms on K, so a constant block that is not
+        c_m w I + c K (a wrong lattice width) shows as rejected
+        confirmations, even where the restarts still reach the solution."""
         K, D, w = forms(mesh)
         dt = 1e-3
         q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(params, q0)
-        op = step_operator(params, dt, K, D, w)
+        op = step_operator(params, dt, mesh, K, D, w)
         carried = initialize(params, dt, q0, r0, op)
         fresh = carried
+        confirmations, residual = [], op.residual
+        op.residual = lambda *args: confirmations.append(None) or residual(*args)
 
         def rebuilt(s, qprev):
             """s rebuilt from nodal fields alone (its Q and r, and the
@@ -320,7 +338,7 @@ class TestCarriedInterior:
         fresh, qf = rebuilt(fresh, q0 if params.sigma > 0 else None)
         for _ in range(10):
             carried = step(carried, params, dt, op, cg_tol=1e-12)
-            fresh_op = step_operator(params, dt, K, D, w)
+            fresh_op = step_operator(params, dt, mesh, K, D, w)
             fresh, qf = rebuilt(step(fresh, params, dt, fresh_op, cg_tol=1e-12),
                                 qf if params.sigma > 0 else None)
             for a, b in ((mesh.nodal(carried.q), mesh.nodal(fresh.q)),
@@ -331,6 +349,7 @@ class TestCarriedInterior:
             for part in ("kinetic", "elastic", "divpart", "rpart", "total"):
                 assert getattr(e_c, part) == pytest.approx(getattr(e_f, part), rel=1e-13)
         assert (e_c.divpart > 0) == (params.L2 > 0)  # the divergence term was exercised
+        assert len(confirmations) == 10
 
 
 P6_DIV_PAR = replace(P6_DIV, sigma=0.0)
@@ -432,7 +451,7 @@ class TestNodalField:
         Q0 = oracles.scatter_interior(mesh, q0)
         r0 = np.asarray(aux_r(Q0.T, P6))
         qt0 = oracles.nodal_default_Qt0(mesh, P6, Q0, r0, K)
-        op = step_operator(P6, dt, K, D, w)
+        op = step_operator(P6, dt, mesh, K, D, w)
         state = initialize(P6, dt, q0, nodal_r(P6, q0), op)
 
         Q = Q0 + dt * qt0
@@ -452,10 +471,12 @@ class TestNodalField:
 
 
 class TestFullMatrixReference:
-    def _run_comparison(self, params, nsteps=10, dt=1e-3):
-        mesh = build_mesh(0, 2, 0, 2, 4, 4)  # 5x5 nodes
+    def _run_comparison(self, params, nsteps=10, dt=1e-3, extent=(0, 2, 0, 2, 4, 4)):
+        mesh = build_mesh(*extent)  # 5x5 nodes by default
         q0 = interpolate_qfield(mesh, default_initial_q)
         state, op = default_start(mesh, params, dt)
+        confirmations, residual = [], op.residual  # see TestCarriedInterior
+        op.residual = lambda *args: confirmations.append(None) or residual(*args)
 
         ref = oracles.FullMatrixStepper(mesh, params, dt)
         to_full = lambda q: np.array([oracles.to_full(a, b) for a, b in q.T])
@@ -475,9 +496,18 @@ class TestFullMatrixReference:
             red = to_full(state.q)
             assert np.max(np.abs(red - Qf)) < 1e-10
         assert np.max(np.abs(state.r - rf)) < 1e-10
+        assert len(confirmations) == nsteps
 
     def test_matches_reduced_stepper_with_div_terms(self):
         self._run_comparison(P6_DIV)
 
     def test_matches_reduced_stepper_plain(self):
         self._run_comparison(P6)
+
+    @pytest.mark.parametrize("params", [P6, P6_DIV], ids=["plain", "with_div_terms"])
+    @pytest.mark.parametrize("extent", THIN_STEP_MESHES, ids=THIN_STEP_IDS)
+    def test_thin_lattices_match_reduced_stepper(self, extent, params):
+        """A lattice one node wide or tall: the stencil's +-1 and +-width
+        offsets coincide or leave the matrix, so a wrong lattice width in
+        the step operator shows here."""
+        self._run_comparison(params, extent=extent)
