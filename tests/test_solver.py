@@ -167,21 +167,28 @@ class TestConstantPart:
                                   (ref @ x).view(np.int64))
         assert np.array_equal(op.diag, [ref.diagonal()] * 2)
 
-    @pytest.mark.parametrize("extent, nx, ny", [
-        ((0.0, 2.0, 0.0, 2.0), 16, 16), ((0.0, 3.0, 0.0, 1.0), 30, 10)] + list(THIN_MESHES))
-    def test_stores_no_index_array_and_at_most_5m_doubles(self, extent, nx, ny):
-        """The constant part holds its diagonals and their offsets only,
-        with or without D: at most five values per interior node, about
-        as many as the CSR copy of K stored, and no column indices or row
-        pointers, which took about 1.6 MB at 256^2."""
-        mesh = build_mesh(*extent, nx, ny)
-        K, D = assemble_stiffness(mesh), assemble_div_form(mesh)
-        for with_div in (False, True):
+    STORAGE_MESHES = [((0.0, 2.0, 0.0, 2.0), 16, 16),
+                      ((0.0, 3.0, 0.0, 1.0), 30, 10)] + list(THIN_MESHES)
+
+    def check_storage(self, with_div):
+        """The constant part holds its diagonals and their offsets only: at
+        most five values per interior node, about as many as the CSR copy
+        of K stored, and no column indices or row pointers, which took
+        about 1.6 MB at 256^2."""
+        for extent, nx, ny in self.STORAGE_MESHES:
+            mesh = build_mesh(*extent, nx, ny)
+            K, D = assemble_stiffness(mesh), assemble_div_form(mesh)
             op = StepOperator(mesh, lumped_mass(mesh), K, D if with_div else None,
                               8e3, 1e-3, 5e-4)
             assert not any(hasattr(op.base, name) for name in ("indices", "indptr"))
             assert op.base.data.shape[0] == op.base.offsets.size <= 5
             assert op.base.data.size <= 5 * mesh.n_interior
+
+    def test_stores_no_index_array_without_D(self):
+        self.check_storage(with_div=False)
+
+    def test_stores_no_index_array_with_D(self):
+        self.check_storage(with_div=True)
 
 
 class TestDivFormCheck:
