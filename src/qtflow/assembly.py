@@ -5,18 +5,22 @@ per triangle), so no quadrature error enters the assembled forms.
 
 The interior forms are scalar m x m matrices over the m interior nodes: the
 solver applies them to each row (q1, q2) of its component-major vectors.
-The stiffness is CSR; the step operator's constant part, a shift of a
-multiple of it, is stored by diagonals, one per stencil offset.
 
-Every form is built on the node lattice, not element by element.  Each
-cell is a translate of the first one, so the first cell's two triangles
-give every entry: the entry of node z at lattice offset o (one of (0, 0),
-(+-1, 0), (0, +-1), +-(1, 1)) sums, in triangle and then local order, the
-contributions of the triangles that hold z and z + o.  At an interior node
-all of them are present, so the interior stiffness applies one scalar
-value per offset, dropping offsets that land on the boundary; the all-node
-forms of the error norms add each contribution over the lattice slice of
-nodes whose cell holds it.  Zero sums are not stored.
+Every form is built one way: as diagonals on the node lattice, one per
+lattice offset (0, 0), (+-1, 0), (0, +-1) or +-(1, 1), converted to CSR by
+scipy's tocsr() where a CSR form is wanted; the step operator's constant
+part, a shift of a multiple of the interior stiffness, keeps its
+diagonals (stiffness_block()).  Each cell is a translate of
+the first one, so the first cell's two triangles give every entry: the
+entry of node z at offset o sums, in triangle and then local order, the
+contributions of the triangles that hold z and z + o.  DIA stores that
+entry at the column node z + o.  At an interior node all contributions
+are present, so the interior stiffness holds one scalar value per offset
+on the lattice slice of column nodes whose row node is interior too; the
+all-node forms of the error norms add each contribution over the lattice
+slice of column nodes at its corner of a cell.  A diagonal that holds
+only zeros is not stored, and tocsr() drops the zeros that remain and
+writes each row's columns in ascending order.
 
 The divergence form is the interior stiffness.  For a reduced field the
 tensor divergence is (dx q1 + dy q2, dx q2 - dy q1), so |div Q|^2 is
@@ -76,22 +80,14 @@ def _cell_contributions(geometry, entry):
     triangle and then local order: (offset, corner, entry(area, grads, i,
     j)) for basis pair (i, j) of each triangle, where offset is the lattice
     offset (dj, di) from node i to node j and corner the position (cj, ci)
-    of node i in the cell.  area and grads come as Python floats, whose
+    of node j in the cell.  area and grads come as Python floats, whose
     arithmetic rounds as numpy's does, at a fraction of the cost per
     operation."""
     area, grads = (a.tolist() for a in geometry)
     for t, tri in enumerate(CELL.tolist()):
-        for i, (cj, ci) in enumerate(tri):
-            for j, (oj, oi) in enumerate(tri):
-                yield (oj - cj, oi - ci), (cj, ci), entry(area[t], grads[t], i, j)
-
-
-def _csr(counts: np.ndarray, data: np.ndarray, cols: np.ndarray) -> sparse.csr_matrix:
-    """Square matrix whose row k holds the next counts[k] entries of data
-    at the columns cols."""
-    indptr = np.zeros(counts.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    return sparse.csr_matrix((data, cols, indptr), shape=(counts.size, counts.size))
+        for i, (rj, ri) in enumerate(tri):
+            for j, (cj, ci) in enumerate(tri):
+                yield (cj - rj, ci - ri), (cj, ci), entry(area[t], grads[t], i, j)
 
 
 def _node_form(mesh: StructuredMesh, entry) -> sparse.csr_matrix:
@@ -100,14 +96,15 @@ def _node_form(mesh: StructuredMesh, entry) -> sparse.csr_matrix:
     nx, ny = mesh.nx, mesh.ny
     contributions = list(_cell_contributions(cell_geometry(mesh), entry))
     offsets = sorted({offset for offset, _, _ in contributions})
-    sums = np.zeros((ny + 1, nx + 1, len(offsets)))
+    data = np.zeros((len(offsets), ny + 1, nx + 1))
     for offset, (cj, ci), value in contributions:
-        # the nodes at this corner of a cell of the mesh
-        sums[cj:cj + ny, ci:ci + nx, offsets.index(offset)] += value
-    stored = sums != 0.0
-    shift = np.array([dj * (nx + 1) + di for dj, di in offsets], dtype=np.int32)
-    cols = np.arange(mesh.n_nodes, dtype=np.int32).reshape(ny + 1, nx + 1, 1) + shift
-    return _csr(stored.sum(axis=2).ravel(), sums[stored], cols[stored])
+        # DIA stores the entry of row z at column z + offset, so the
+        # contribution goes to the column nodes at this corner of a cell
+        data[offsets.index(offset), cj:cj + ny, ci:ci + nx] += value
+    kept = data.any(axis=(1, 2))
+    flat = np.array(offsets) @ (nx + 1, 1)
+    return sparse.dia_matrix((data[kept].reshape(-1, mesh.n_nodes), flat[kept]),
+                             shape=(mesh.n_nodes,) * 2).tocsr()
 
 
 def _grad_dot(area, grads, i, j):
@@ -143,43 +140,12 @@ def _stiffness_templates(x0: float, y0: float, h: float) -> tuple:
     return tuple((*off, value) for off, value in sorted(sums.items()) if value != 0.0)
 
 
-def _interior_stencil(mesh: StructuredMesh, sign: int):
-    """The interior stiffness as a stencil on the (nj, ni) lattice of
-    interior nodes: one template per stored offset (dj, di), in column
-    order (_stiffness_templates()).  Returns ni, the flat offsets
-    dj ni + di, the values, and per template the lattice coordinates (j, i)
-    of the node at sign times the offset from each node and whether they
-    are interior, in_j (nj, templates) and in_i (ni, templates)."""
-    table = np.array(_stiffness_templates(mesh.x0, mesh.y0, mesh.h))
-    dj, di = table[:, :2].astype(np.int32).T
-    ni, nj = mesh.nx - 1, mesh.ny - 1
-    i = np.arange(ni, dtype=np.int32)[:, None] + sign * di
-    j = np.arange(nj, dtype=np.int32)[:, None] + sign * dj
-    return (ni, dj * ni + di, table[:, 2],
-            (j, (j >= 0) & (j < nj)), (i, (i >= 0) & (i < ni)))
-
-
-def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
-    """Interior Dirichlet stiffness, m x m over the interior nodes, in CSR:
-    the scalar stencil at every interior node, equal to the interior block
-    of scalar_stiffness().  Offsets that land on the boundary and offsets
-    whose sum is exactly zero are not stored.  stiffness_block() builds the
-    step operator's constant part from the same stencil, by diagonals."""
-    # an entry is stored where the column node of row (j, i) is interior,
-    # so a row counts in_j * in_i summed over the templates
-    ni, _, values, (j, in_j), (i, in_i) = _interior_stencil(mesh, 1)
-    inside = in_j[:, None] & in_i                   # (nj, ni, templates)
-    cols = (ni * j)[:, None] + i
-    counts = in_j.astype(np.int32) @ in_i.T.astype(np.int32)
-    data = np.broadcast_to(values, inside.shape)[inside]
-    return _csr(counts.ravel(), data, cols[inside])
-
-
 def stiffness_block(mesh: StructuredMesh, scale: float,
                     shift: float) -> sparse.dia_matrix:
-    """shift I + scale K as a DIA matrix, m x m over the interior nodes: one
-    diagonal of scale * value per template of assemble_stiffness(), at its
-    flat offset, and shift + scale * value on the main diagonal.
+    """shift I + scale K as a DIA matrix, m x m over the interior nodes, K
+    the interior stiffness: one diagonal of scale * value per stencil
+    template (_stiffness_templates()), at its flat offset dj ni + di, and
+    shift + scale * value on the main diagonal.
 
     The offsets ascend, as the columns of a row of K do, and scipy's DIA
     product adds one diagonal at a time into a zeroed vector, so each row
@@ -189,20 +155,28 @@ def stiffness_block(mesh: StructuredMesh, scale: float,
     changes nothing for finite vectors.  A diagonal with no entry on the
     lattice is not stored: on a lattice one node wide the +-1 and +-ni
     offsets coincide, and only the nonzero one is kept."""
-    # DIA stores the entry of row z - o in column z, so the masks are of
-    # the row node, at minus the offset o from each column node
-    _, offsets, values, (_, in_j), (_, in_i) = _interior_stencil(mesh, -1)
-    kept = in_j.any(axis=0) & in_i.any(axis=0)
-    offsets = offsets[kept]
-    # each lattice row of a diagonal is its value where the row node's i is
-    # interior and zero elsewhere, or zero where the row node's j is not
-    row = np.where(in_i.T[kept], (scale * values[kept])[:, None], 0.0)
-    row[offsets == 0] += shift
-    data = np.empty((offsets.size, in_j.shape[0], in_i.shape[0]))
-    data[...] = row[:, None, :]
-    data[~in_j.T[kept]] = 0.0
-    return sparse.dia_matrix((data.reshape(offsets.size, -1), offsets),
-                             shape=(data[0].size,) * 2)
+    ni, nj = mesh.nx - 1, mesh.ny - 1
+    templates = [(dj, di, value) for dj, di, value
+                 in _stiffness_templates(mesh.x0, mesh.y0, mesh.h)
+                 if abs(dj) < nj and abs(di) < ni]
+    data = np.zeros((len(templates), nj, ni))
+    for diagonal, (dj, di, value) in zip(data, templates):
+        # DIA stores the entry of row z - o at column z: the value stands
+        # at the column nodes whose row node is interior too
+        diagonal[max(dj, 0):nj + min(dj, 0), max(di, 0):ni + min(di, 0)] = scale * value
+        if dj == di == 0:
+            diagonal += shift
+    return sparse.dia_matrix((data.reshape(-1, ni * nj),
+                              [dj * ni + di for dj, di, _ in templates]),
+                             shape=(ni * nj,) * 2)
+
+
+def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
+    """Interior Dirichlet stiffness, m x m over the interior nodes, in CSR:
+    the scalar stencil at every interior node, equal to the interior block
+    of scalar_stiffness().  Offsets that land on the boundary and offsets
+    whose sum is exactly zero are not stored."""
+    return stiffness_block(mesh, 1.0, 0.0).tocsr()
 
 
 def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:

@@ -292,7 +292,10 @@ def _check_halving_chain(values, key):
 def _whole_cells(nx, ny, key: str) -> tuple:
     """The integer counts of the nx x ny cells (inf too) that key sizes, if
     twice the interior stiffness fits int32 indices: five entries per
-    interior node (the diagonal offsets cancel), less those past the boundary."""
+    interior node (the diagonal offsets cancel), less those past the
+    boundary.  The int32 arrays it keeps in range are the indices and indptr
+    that mesh.nested_injection() builds itself, and those that scipy's
+    tocsr() gives the sparse forms, int32 while they fit."""
     ni, nj = nx - 1, ny - 1
     if not 2 * (5 * ni * nj - 2 * ni - 2 * nj) < 2 ** 31:  # nan from inf too
         raise ConfigError("%s: %g x %g cells outgrow int32 indices" % (key, nx, ny))

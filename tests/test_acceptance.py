@@ -161,6 +161,31 @@ def test_criterion_5_space_refinement_q_orders(space_study):
            ok, "averages q11 %.3f, q12 %.3f" % (avg_q11, avg_q12))
 
 
+def test_criterion_5_space_q_orders_sit_at_the_h1_rate(space_study):
+    """Criterion 5's Q windows are checked on averages that include the
+    pre-asymptotic first order, from h = 0.5 to 0.25.  The orders after it,
+    at h = 0.125 and 0.0625, sit at the H1 rate 1 of P1 elements: measured
+    0.959 and 0.998 (Q11), 0.967 and 1.006 (Q12).  They must stay in a
+    window pinned from those values, which a scheme that lost its H1 rate
+    would leave.  Prints the table level by level."""
+    print("\n%-8s %-10s %-6s %-10s %-6s %-10s %-6s"
+          % ("h", "err_Q11", "ord", "err_Q12", "ord", "err_r", "ord"))
+    for row in space_study.rows:
+        print("%-8g %-10.4g %-6s %-10.4g %-6s %-10.4g %-6s" % (
+            row.level, row.err_q11, _order(row.ord_q11), row.err_q12,
+            _order(row.ord_q12), row.err_r, _order(row.ord_r)))
+    orders = {row.level: (row.ord_q11, row.ord_q12) for row in space_study.rows}
+    later = [orders[h] for h in (0.125, 0.0625)]
+    ok = all(o is not None and 0.95 <= o <= 1.01 for pair in later for o in pair)
+    report(5, "space-refinement Q orders at h = 0.125 and 0.0625 in [0.95, 1.01]",
+           ok, "; ".join("h=%g: q11 %s, q12 %s" % (h, *map(_order, pair))
+                         for h, pair in zip((0.125, 0.0625), later)))
+
+
+def _order(value):
+    return "-" if value is None else "%.3f" % value
+
+
 def test_criterion_6_sigma_slopes(sigma_sweep):
     slopes = sigma_sweep.slopes
     checks = []

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qtflow.assembly import (
     assemble_div_form,
@@ -78,10 +79,28 @@ class TestStiffness:
             assert x @ (K @ x) >= -1e-12 * (x @ x)
 
 
+#: (extent, nx, ny) of lattices one interior node wide or tall: 2 x 8 and
+#: 8 x 2 cells.
+THIN_LATTICES = (((0.0, 0.5, 0.0, 2.0), 2, 8), ((0.0, 2.0, 0.0, 0.5), 8, 2))
+
+
 def test_assembled_forms_store_no_zeros():
-    mesh = build_mesh(0, 2, 0, 2, 8, 8)
-    for A in (scalar_stiffness(mesh), assemble_stiffness(mesh), assemble_div_form(mesh)):
-        assert A.nnz == A.count_nonzero()
+    """Every CSR form comes from scipy's tocsr(): no explicit zero, each
+    row's columns ascending without repeats (checked afresh, not read from
+    the flag tocsr() sets), and int32 index arrays, whose dtype
+    assert_same_csr does not compare."""
+    meshes = (((0.0, 2.0, 0.0, 2.0), 8, 8),) + oracles.NON_DYADIC_MESHES + THIN_LATTICES
+    for extent, nx, ny in meshes:
+        mesh = build_mesh(*extent, nx, ny)
+        for build in (scalar_stiffness, consistent_mass, assemble_stiffness,
+                      assemble_div_form):
+            A = build(mesh)
+            where = "%s on %d x %d cells" % (build.__name__, nx, ny)
+            assert A.nnz == A.count_nonzero(), where
+            assert A.has_canonical_format, where
+            assert sparse.csr_matrix((A.data, A.indices, A.indptr),
+                                     shape=A.shape).has_canonical_format, where
+            assert A.indices.dtype == A.indptr.dtype == np.int32, where
 
 
 @pytest.mark.parametrize("extent, nx, ny", oracles.NON_DYADIC_MESHES + (
@@ -209,10 +228,11 @@ def csr_bytes(*matrices):
 def test_setup_transients_stay_below_the_result_size(build):
     """At 128^2 the traced peak of a build, its result included, stays
     within twice the bytes of the matrices it returns: the lattice builds
-    hold no more than one result's worth of temporaries.  Measured 1.71x
-    (norm forms) and 1.65x (stiffness); the element COO assembly of the
-    norm forms peaked at 6.12x, the (n, 14) int64 stencil temporaries at
-    2.77x."""
+    hold no more than one result's worth of temporaries.  Measured 1.64x
+    (norm forms) and 1.63x (stiffness), the diagonals held while tocsr()
+    fills the result; the hand-indexed CSR builds before them peaked at
+    1.71x and 1.46x, the element COO assembly of the norm forms at 6.12x,
+    the (n, 14) int64 stencil temporaries at 2.77x."""
     mesh = build_mesh(0.0, 2.0, 0.0, 2.0, 128, 128)
     build(mesh)  # first-call allocations are not set-up transients
     tracemalloc.start()
