@@ -10,8 +10,10 @@ vectors without assembling a matrix.  The divergence form is K, so the
 elastic part is c K.  CG starts from the step's own start value and
 residual, and its one loop confirms every exit on the true residual,
 formed from K x, which then serves the energy and the next step.  The
-operator owns the work vectors of a step; every vector that a solve
-returns or leaves on it for a caller to keep is new.
+operator owns the work vectors of a step; a solve owns its Jacobi
+diagonal, formed once per solve, and each product A p.  Every vector
+that a solve returns or leaves on the operator for a caller to keep is
+new.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class StepOperator:
     part applies x -> w (p_z . x_z) p_z at every interior node z, p (2, m)
     holding the reduced components of the quadratization gradient there;
     set_rank_one() installs it before a step's first matvec or residual.
+    The operator owns six (2, m) work vectors: .rhs, .res, .dir, .tmp, .p
+    and .wp; the diagonal is a solve's own (diagonal()).
     """
 
     def __init__(self, mesh, w, K, D, cm, ck, cd):
@@ -68,21 +72,26 @@ class StepOperator:
         # every interior node has the same stencil, so the diagonal is one
         # number
         self._base_diag = float(self.base.data[self.base.offsets == 0][0, 0])
-        # work vectors: the diagonal, step()'s rhs, the residual (CG's start,
-        # residual()'s), CG's z and direction, a shared temporary, p (step()
-        # forms P there) and w p; p . x
-        self.diag, self.rhs, self.res, self.z, self.dir, self.tmp, self.p, \
-            self.wp = np.empty((8, 2, m))
+        # work vectors: step()'s rhs, the residual (CG's start,
+        # residual()'s), CG's direction, a shared temporary (CG's z too), p
+        # (step() forms P there) and w p; p . x
+        self.rhs, self.res, self.dir, self.tmp, self.p, self.wp = np.empty((6, 2, m))
         self._s = np.empty(m)
 
     def set_rank_one(self, p_nodes) -> None:
-        """Install the rank-one vectors (2, m) of one step in .p: step()
-        forms them there, and any other array is copied in."""
+        """Install the rank-one vectors (2, m) of one step in .p, and w p in
+        .wp: step() forms them there, and any other array is copied in."""
         if p_nodes is not self.p:
             np.copyto(self.p, p_nodes)
         np.multiply(self.w, self.p, out=self.wp)
-        np.multiply(self.wp, self.p, out=self.diag)
-        self.diag += self._base_diag
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of the installed operator, w p * p plus the
+        constant part's entry c_m w + c K_zz (one number), as a new (2, m)
+        vector; cg_solve forms it once per solve."""
+        d = np.multiply(self.wp, self.p)
+        d += self._base_diag
+        return d
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """p_z . x_z at every interior node, in the operator's vector that
@@ -143,7 +152,7 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
         maxiter = 10 * rhs.size
     limit = tol * norm_b
 
-    x, r, p, tmp = x0, r0, None, A.tmp
+    x, r, p, tmp, diag = x0, r0, None, A.tmp, A.diagonal()
     for k in range(maxiter + 1):
         if not math.sqrt(np.vdot(r, r)) > limit:
             true_r = A.residual(rhs, x)
@@ -153,8 +162,9 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
             r, p = true_r, None
         if k == maxiter:
             break
-        # a first direction is z itself, so it is formed in its own vector
-        z = np.divide(r, A.diag, out=A.dir if p is None else A.z)
+        # a first direction is z itself, so it is formed in its own vector;
+        # any other z is dead before matvec writes tmp
+        z = np.divide(r, diag, out=A.dir if p is None else tmp)
         rz_new = float(np.vdot(r, z))
         p = z if p is None else np.add(
             z, np.multiply(p, rz_new / rz, out=p), out=p)
@@ -169,6 +179,7 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
         else:
             x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(Ap, alpha, out=tmp)
+        del Ap  # freed before a confirmation forms its K x
 
     true_r = A.residual(rhs, x)
     res = math.sqrt(np.vdot(true_r, true_r)) / norm_b

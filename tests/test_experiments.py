@@ -196,8 +196,9 @@ def test_warm_steps_fault_in_no_new_memory():
     its rates in two of them, the operator keeps its own copy of p, and a
     step's old state is dropped as soon as the step returns (its dq serves
     the energy), so warm steps fault in almost no pages under the C
-    library's default allocator settings.  Measured on Linux/glibc: 1-4
-    faults on every mesh from 48^2 to 320^2 tried.  While the run loop
+    library's default allocator settings.  Measured on Linux/glibc: 2-5
+    faults on every mesh from 48^2 to 320^2 tried with a Jacobi diagonal
+    formed per solve, 1-4 while the operator kept one.  While the run loop
     formed new rate vectors dq / dt every step and op.p was the step's P,
     it was 943-946 here and 733 at 256^2; with the rates in work vectors
     but the old state held across the energy, 1-3 here but 9,301 at
@@ -205,6 +206,13 @@ def test_warm_steps_fault_in_no_new_memory():
     About 3,700-5,600 when every step allocated its vectors anew."""
     pytest.importorskip("resource")
     assert warm_step_faults(128) <= 1000
+
+
+def test_warm_steps_fault_in_no_new_memory_at_160():
+    """A mesh between the two above, where a loop that allocated the rates
+    anew but kept them in work vectors faulted in thousands of pages."""
+    pytest.importorskip("resource")
+    assert warm_step_faults(160) <= 1000
 
 
 def test_warm_steps_fault_in_no_new_memory_at_256():
@@ -280,10 +288,11 @@ class TestInteriorSetup:
             assert (a is None and b is None) or np.array_equal(a, b), name
 
 
-def test_setup_keeps_at_most_18_6_vectors(monkeypatch):
+def test_setup_keeps_at_most_16_7_vectors(monkeypatch):
     """What a 128^2 sigma > 0 run holds at its first step, counted by
     tracemalloc from the mesh build on, in n-vectors (8 n bytes, n interior
-    DOFs): 18.48 measured; 20.00 while the mesh stored a lumped weight per
+    DOFs): 16.58 measured; 18.48-18.58 while the operator also kept the
+    Jacobi diagonal and a vector for CG's z; 20.00 while the mesh stored a lumped weight per
     node and the operator a weight and a base diagonal entry per interior
     node (the set-up then built nodal Q0 and r0 fields and gathered their
     interior entries); 29.5 with interleaved vectors, whose stiffness
@@ -300,7 +309,7 @@ def test_setup_keeps_at_most_18_6_vectors(monkeypatch):
             at_first_step=lambda: tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    assert held / (8 * state.q.size) <= 18.6
+    assert held / (8 * state.q.size) <= 16.7
 
 
 def warm_step_peak(case, monkeypatch, warm=3):
@@ -330,16 +339,22 @@ def warm_step_peak(case, monkeypatch, warm=3):
     return info.value.args[0]
 
 
-@pytest.mark.parametrize("params, bound", [
-    (DEFAULT_PARAMS, 22.2),
-    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 22.1),
-], ids=["inertial", "anisotropic"])
-def test_warm_step_peak(params, bound, monkeypatch):
-    """The peak of a warm 128^2 step, all a run holds included: 22.05-22.12
-    n-vectors measured with sigma > 0 and 22.05-22.06 in the anisotropic
-    run.  It was 23.57-23.64 and 23.58 while the mesh kept a lumped weight
-    per node and the operator a weight and a base diagonal entry per
-    interior node, 27.08 and 26.01 while a state also carried L q, which each
+@pytest.mark.parametrize("params, nx, bound", [
+    (DEFAULT_PARAMS, 128, 20.2),
+    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 128, 20.1),
+    (DEFAULT_PARAMS, 256, 20.1),
+], ids=["inertial", "anisotropic", "inertial_256"])
+def test_warm_step_peak(params, nx, bound, monkeypatch):
+    """The peak of a warm step, all a run holds included: 20.08-20.15
+    n-vectors measured at 128^2 with sigma > 0, 20.08 in the anisotropic
+    128^2 run and 20.06 at 256^2, fine_run's mesh.  It sits where step()
+    builds the new state: the CSR K (4.0), the constant block (2.5), the
+    operator's six work vectors and p . x (6.5), and the old and new states
+    (3.5 each).  It was 22.05-22.15, 22.05-22.08 and 22.07 while the
+    operator kept the Jacobi diagonal and a vector for CG's z, and a
+    confirmation ran with the last A p alive; at 128^2, 23.57-23.64 and
+    23.58 while the mesh kept a lumped weight per node and the operator a
+    weight and a base diagonal entry per interior node, 27.08 and 26.01 while a state also carried L q, which each
     confirmation formed as a new vector, the run loop held the rate
     dq / dt between steps when sigma > 0, and the r update made two
     temporaries (24.07 and 24.01 with only the r update left as it was).
@@ -347,7 +362,7 @@ def test_warm_step_peak(params, bound, monkeypatch):
     stiffness twice, it was 35.49 and 34.49 (35.99 with sigma > 0 and a
     contiguous copy of the node weights, 42.44 in the anisotropic run while
     it kept D apart from K).  Deterministic for given numpy and scipy."""
-    case = experiments.Case(0.0, 2.0, 0.0, 2.0, 128, 128, params,
+    case = experiments.Case(0.0, 2.0, 0.0, 2.0, nx, nx, params,
                             1.25e-4, 6 * 1.25e-4, 1e-10)
     assert warm_step_peak(case, monkeypatch) <= bound
 

@@ -94,7 +94,7 @@ class TestStepOperator:
                                     1.0 / dt + sigma / dt ** 2, params.L1, ell)
         scale = np.abs(dense).max()
         np.testing.assert_allclose(dense_matrix(op, n), dense, rtol=0, atol=1e-14 * scale)
-        np.testing.assert_allclose(op.diag.ravel(), np.diag(dense), rtol=1e-14)
+        np.testing.assert_allclose(op.diagonal().ravel(), np.diag(dense), rtol=1e-14)
 
     @pytest.mark.parametrize("extent, n", [((0.0, 2.0, 0.0, 2.0), 16),
                                            ((0.1, 1.4, 0.1, 1.4), 13)])
@@ -165,7 +165,7 @@ class TestConstantPart:
             x[rng.uniform(size=m) < 0.2] = -0.0
             assert np.array_equal((op.base @ x).view(np.int64),
                                   (ref @ x).view(np.int64))
-        assert np.array_equal(op.diag, [ref.diagonal()] * 2)
+        assert np.array_equal(op.diagonal(), [ref.diagonal()] * 2)
 
     STORAGE_MESHES = [((0.0, 2.0, 0.0, 2.0), 16, 16),
                       ((0.0, 3.0, 0.0, 1.0), 30, 10)] + list(THIN_MESHES)
@@ -443,7 +443,7 @@ def test_no_interleaved_layout_in_the_solver():
     assert type(op.w) is float and op.n == 2 * m
     assert mesh.gamma > 0.0 and mesh.boundary_weight > 0.0  # cached on the mesh
     assert not any(isinstance(v, np.ndarray) for v in vars(mesh).values())
-    for x in (op.diag, op.rhs, op.res, state.q, state.dq, state.Kq):
+    for x in (op.diagonal(), op.rhs, op.res, state.q, state.dq, state.Kq):
         assert x.shape == (2, m) and x.flags.c_contiguous
     for x, shape in ((state.q, (2, mesh.n_nodes)), (state.r, (mesh.n_nodes,))):
         field = mesh.nodal(x)
