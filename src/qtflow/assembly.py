@@ -132,8 +132,8 @@ def _stiffness_templates(x0: float, y0: float, h: float) -> tuple:
     """The interior stiffness stencil of a mesh whose first cell is at
     (x0, y0) with size h: (dj, di, value) per offset whose sum is not
     exactly zero, sorted by (dj, di), which is column order.  A run asks for
-    it three times (K, D and the step operator's constant block), so it is
-    kept for the last few cells."""
+    it twice (K and the step operator's constant block), so it is kept for
+    the last few cells."""
     sums = {}
     for offset, _, value in _cell_contributions(_cell_geometry(x0, y0, h), _grad_dot):
         sums[offset] = sums.get(offset, 0.0) + value
@@ -171,18 +171,36 @@ def stiffness_block(mesh: StructuredMesh, scale: float,
                              shape=(ni * nj,) * 2)
 
 
+_stiffness = {}  # the interior stiffness of the most recent lattice
+
+
 def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
     """Interior Dirichlet stiffness, m x m over the interior nodes, in CSR:
     the scalar stencil at every interior node, equal to the interior block
     of scalar_stiffness().  Offsets that land on the boundary and offsets
-    whose sum is exactly zero are not stored."""
-    return stiffness_block(mesh, 1.0, 0.0).tocsr()
+    whose sum is exactly zero are not stored.
+
+    K depends only on the lattice (x0, y0, h, nx, ny), so the K of the most
+    recent lattice is kept and every mesh on that lattice gets the same
+    object: a run's K and D, and the cases of a time or sigma study.  Its
+    data, indices and indptr are read-only; a caller that modifies K must
+    copy it (K.copy())."""
+    lattice = (mesh.x0, mesh.y0, mesh.h, mesh.nx, mesh.ny)
+    K = _stiffness.get(lattice)
+    if K is None:
+        _stiffness.clear()  # the last lattice's K, freed before this one is built
+        K = stiffness_block(mesh, 1.0, 0.0).tocsr()
+        for a in (K.data, K.indices, K.indptr):
+            a.flags.writeable = False
+        _stiffness[lattice] = K
+    return K
 
 
 def assemble_div_form(mesh: StructuredMesh) -> sparse.csr_matrix:
     """Divergence form over the interior nodes, summed over the component
     rows the integral of div X . div Y.  Its cross terms cancel on the
-    interior (see the module docstring): it is the interior stiffness."""
+    interior (see the module docstring): it is the interior stiffness, the
+    same object that assemble_stiffness() returns."""
     return assemble_stiffness(mesh)
 
 

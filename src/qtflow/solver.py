@@ -46,8 +46,9 @@ class StepOperator:
 
     K is the interior stiffness of mesh, m x m, applied to each row of a
     (2, m) vector, and w the lumped weight of every interior node, a float.
-    c = c_k + c_d when D is given, which must equal K entry for entry
-    (ValueError otherwise), and c = c_k without D.  The constant part
+    c = c_k + c_d when D is given, and c = c_k without D.  D is K itself,
+    as assembly.assemble_div_form() returns it, or another matrix that
+    equals K entry for entry (ValueError otherwise).  The constant part
     c_m w I + c K is .base, built on the mesh's lattice as a DIA matrix
     with the bits of the CSR sum (assembly.stiffness_block).  The rank-one
     part applies x -> w (p_z . x_z) p_z at every interior node z, p (2, m)
@@ -61,8 +62,9 @@ class StepOperator:
         self.cm, self.ck, self.cd = float(cm), float(ck), float(cd)
         m = K.shape[0]
         self.n = 2 * m  # unknowns
-        if D is not None and not all(map(np.array_equal, (D.indptr, D.indices, D.data),
-                                         (K.indptr, K.indices, K.data))):
+        if D is not None and D is not K and not all(map(
+                np.array_equal, (D.indptr, D.indices, D.data),
+                (K.indptr, K.indices, K.data))):
             raise ValueError("the divergence form D must equal the stiffness K")
         self.K = K
         self.D = None if D is None else K  # one matrix for both

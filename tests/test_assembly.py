@@ -13,6 +13,7 @@ from qtflow.assembly import (
     lumped_mass,
     scalar_stiffness,
 )
+from qtflow import assembly
 from qtflow.analysis import h_norm_sq, norm_forms
 from qtflow.mesh import build_mesh
 
@@ -225,7 +226,7 @@ def csr_bytes(*matrices):
     lambda mesh: tuple(norm_forms(mesh)),
     lambda mesh: (assemble_stiffness(mesh),),
 ], ids=["norm_forms", "assemble_stiffness"])
-def test_setup_transients_stay_below_the_result_size(build):
+def test_setup_transients_stay_below_the_result_size(build, monkeypatch):
     """At 128^2 the traced peak of a build, its result included, stays
     within twice the bytes of the matrices it returns: the lattice builds
     hold no more than one result's worth of temporaries.  Measured 1.64x
@@ -235,6 +236,7 @@ def test_setup_transients_stay_below_the_result_size(build):
     the (n, 14) int64 stencil temporaries at 2.77x."""
     mesh = build_mesh(0.0, 2.0, 0.0, 2.0, 128, 128)
     build(mesh)  # first-call allocations are not set-up transients
+    monkeypatch.setattr(assembly, "_stiffness", {})  # so K is built again
     tracemalloc.start()
     try:
         result = build(mesh)
@@ -242,6 +244,36 @@ def test_setup_transients_stay_below_the_result_size(build):
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * csr_bytes(*result)
+
+
+class TestStiffnessCache:
+    """The K of the most recent lattice is kept: every mesh on it gets one
+    read-only object, from assemble_stiffness() and assemble_div_form()."""
+
+    @pytest.mark.parametrize("extent, nx, ny", [
+        ((0.0, 2.0, 0.0, 2.0), 16, 16),
+        ((0.1, 1.4, -0.3, 1.0), 13, 13),
+    ] + list(THIN_LATTICES), ids=["dyadic", "non_dyadic", "thin_2x8", "thin_8x2"])
+    def test_one_lattice_one_object(self, extent, nx, ny):
+        K = assemble_stiffness(build_mesh(*extent, nx, ny))
+        mesh = build_mesh(*extent, nx, ny)  # another mesh on the same lattice
+        assert assemble_stiffness(mesh) is K
+        assert assemble_div_form(mesh) is K
+
+    def test_other_lattices_other_objects(self):
+        lattices = [((0.0, 2.0, 0.0, 2.0), 8, 8), ((0.0, 1.0, 0.0, 1.0), 8, 8),
+                    ((0.5, 2.5, 0.0, 2.0), 8, 8), ((0.0, 2.0, 0.0, 1.0), 8, 4)]
+        forms = [assemble_stiffness(build_mesh(*extent, nx, ny))
+                 for extent, nx, ny in lattices]
+        assert len({id(K) for K in forms}) == len(forms)
+        assert assemble_div_form(build_mesh(*lattices[0][0], 8, 8)) is not forms[0]
+
+    def test_writes_raise(self):
+        K = assemble_stiffness(build_mesh(0.0, 2.0, 0.0, 2.0, 8, 8))
+        for array in (K.data, K.indices, K.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        K.copy().data[0] = 0.0  # a copy is the caller's own
 
 
 class TestDivFormEqualsStiffness:

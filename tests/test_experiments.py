@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from dataclasses import fields, replace
 
-from qtflow import experiments, stepper
+from qtflow import assembly, experiments, stepper
 from qtflow.assembly import lumped_mass
 from qtflow.mesh import build_mesh
 from qtflow.experiments import (
@@ -303,6 +303,7 @@ def test_setup_keeps_at_most_16_7_vectors(monkeypatch):
     step.  Deterministic for given numpy and scipy."""
     case = experiments.Case(0.0, 2.0, 0.0, 2.0, 128, 128, DEFAULT_PARAMS,
                             1.25e-4, 3 * 1.25e-4, 1e-10)
+    monkeypatch.setattr(assembly, "_stiffness", {})  # the run builds its K
     try:
         state, _, held = first_step_of(
             case, monkeypatch, at_build_mesh=tracemalloc.start,
@@ -331,6 +332,7 @@ def warm_step_peak(case, monkeypatch, warm=3):
 
     monkeypatch.setattr(experiments, "build_mesh", traced_build_mesh)
     monkeypatch.setattr(experiments, "step", traced_step)
+    monkeypatch.setattr(assembly, "_stiffness", {})  # the run builds its K
     try:
         with pytest.raises(_FirstStep) as info:
             experiments._simulate(case)
@@ -431,6 +433,48 @@ def norm_form_calls(monkeypatch):
 def test_study_builds_norm_forms_once(study, cfg, norm_form_calls):
     study(cfg)
     assert norm_form_calls == {"consistent_mass": 1, "scalar_stiffness": 1}
+
+
+@pytest.fixture
+def stiffness_builds(monkeypatch):
+    """Counts the builds of the interior stiffness K, stiffness_block(mesh,
+    1.0, 0.0), from a cleared cache; the step operator's constant block,
+    another scale and shift, is not counted."""
+    builds, original = [], assembly.stiffness_block
+
+    def counted(mesh, scale, shift):
+        if (scale, shift) == (1.0, 0.0):
+            builds.append((mesh.nx, mesh.ny))
+        return original(mesh, scale, shift)
+
+    monkeypatch.setattr(assembly, "stiffness_block", counted)
+    # an empty cache; without one, K is built at every call and counted
+    monkeypatch.setattr(assembly, "_stiffness", {}, raising=False)
+    return builds
+
+
+def test_anisotropic_run_builds_one_stiffness(stiffness_builds):
+    """K and the divergence form D of an anisotropic run are one object,
+    built once: assemble_div_form() returns the K that assemble_stiffness()
+    built for the run's lattice."""
+    params = replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4)
+    experiments._simulate(experiments.Case(0.0, 2.0, 0.0, 2.0, 8, 8, params,
+                                           1e-3, 2e-3, 1e-10))
+    assert stiffness_builds == [(8, 8)]
+
+
+@pytest.mark.parametrize("study, cfg", [
+    (time_refinement_study, ExperimentConfig(
+        nx=8, ny=8, T=0.02, dt_list=(4e-3, 2e-3), reference_dt=5e-4,
+        params=replace(DEFAULT_PARAMS, L2=5e-4, L3=5e-4))),
+    (sigma_study, ExperimentConfig(
+        nx=6, ny=6, T=0.01, dt=1e-3, sigma_list=(1e-3, 1e-1))),
+], ids=["time", "sigma"])
+def test_study_on_one_lattice_builds_one_stiffness(study, cfg, stiffness_builds):
+    """Every case of a time or sigma study runs on one lattice, so they
+    share one K."""
+    study(cfg)
+    assert stiffness_builds == [(cfg.nx, cfg.ny)]
 
 
 class TestSpaceStudy:

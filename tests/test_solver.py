@@ -201,10 +201,18 @@ class TestDivFormCheck:
                             8e3, 1e-3, 5e-4)
 
     def test_one_perturbed_entry_raises(self):
-        D = assemble_div_form(build_mesh(0, 2, 0, 2, 6, 6))
+        D = assemble_div_form(build_mesh(0, 2, 0, 2, 6, 6)).copy()  # K is read-only
         D.data[7] *= 1.0 + 2.0 ** -52
         with pytest.raises(ValueError, match="must equal the stiffness"):
             self.build(D)
+
+    def test_distinct_copy_is_accepted(self):
+        """A D that is not K itself is compared entry for entry, and an
+        equal copy passes."""
+        D = assemble_div_form(build_mesh(0, 2, 0, 2, 6, 6)).copy()
+        op = self.build(D)
+        assert op.D is op.K is not D
+        assert op.c == 1e-3 + 5e-4
 
     def test_other_structure_raises(self):
         D = assemble_div_form(build_mesh(0, 2, 0, 2, 6, 6)).tolil()
