@@ -4,9 +4,10 @@ The scheme itself uses lumped inner products, but reported errors are
 standard Sobolev norms evaluated with exact P1 quadrature (consistent mass
 and stiffness); mixing the two would shift the error magnitudes.  The norms
 take those forms from norm_forms(), so a study builds them once for its
-reference mesh however many errors it evaluates there.  They compare nodal
-fields from StructuredMesh.nodal(): component-major (..., N), so a Q field
-is (2, N) and component c its row c.
+reference mesh however many errors it evaluates there.  Every difference
+they measure vanishes on the boundary (Q by the Dirichlet condition, r as
+it is compared with zero trace), so they take interior vectors (..., m)
+and interior forms: a Q field is (2, m) and component c its row c.
 """
 
 from __future__ import annotations
@@ -78,67 +79,68 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
 
 
 class NormForms(NamedTuple):
-    """Consistent mass and scalar stiffness over all nodes of one mesh: the
-    forms of the error norms, built once per mesh by norm_forms()."""
+    """Interior consistent mass and stiffness of one mesh: the forms of the
+    error norms, built once per mesh by norm_forms()."""
 
     mass: sparse.csr_matrix
     stiffness: sparse.csr_matrix
 
 
 def norm_forms(mesh: StructuredMesh) -> NormForms:
-    return NormForms(assembly.consistent_mass(mesh), assembly.scalar_stiffness(mesh))
+    """The K is assemble_stiffness()'s: a time or sigma study reuses its runs'."""
+    return NormForms(assembly.consistent_mass(mesh), assembly.assemble_stiffness(mesh))
 
 
-def _check_nodal(forms: NormForms, shape: tuple, *fields) -> None:
-    """Every field must be nodal (shape + (N,)) on the forms' mesh."""
+def _check_interior(forms: NormForms, shape: tuple, *fields) -> None:
+    """Every field must be interior (shape + (m,)) on the forms' mesh."""
     if any(f.shape != shape + (forms.mass.shape[0],) for f in fields):
         raise ValueError("fields do not match the mesh")
 
 
 def _h1_sq(e: np.ndarray, forms: NormForms):
-    """Squared H1 norm of the scalar nodal field e."""
+    """Squared H1 norm of the scalar interior vector e."""
     return e @ (forms.mass @ e) + e @ (forms.stiffness @ e)
 
 
 def h1_error_component(A: np.ndarray, B: np.ndarray, forms: NormForms,
                        component: int) -> float:
     """H1 norm of one scalar component (a row) of the difference of two
-    nodal Q fields (2, N)."""
-    _check_nodal(forms, (2,), A, B)
+    Q fields (2, m)."""
+    _check_interior(forms, (2,), A, B)
     return float(np.sqrt(_h1_sq(A[component] - B[component], forms)))
 
 
 def l2_error_scalar(rA: np.ndarray, rB: np.ndarray, forms: NormForms) -> float:
-    """L2 norm of the difference of two scalar nodal fields (N,)."""
-    _check_nodal(forms, (), rA, rB)
+    """L2 norm of the difference of two scalar fields (m,)."""
+    _check_interior(forms, (), rA, rB)
     e = rA - rB
     return float(np.sqrt(e @ (forms.mass @ e)))
 
 
 def h1_error_field(QA: np.ndarray, QB: np.ndarray, forms: NormForms) -> float:
     """Frobenius-aggregated H1 norm of the full tensor difference of two
-    nodal Q fields (2, N).
+    Q fields (2, m).
 
     Both diagonal and both off-diagonal entries contribute, giving a
     factor 2 on the squared reduced component norms.
     """
-    _check_nodal(forms, (2,), QA, QB)
+    _check_interior(forms, (2,), QA, QB)
     total = 0.0
     for comp in range(2):
         total += float(_h1_sq(QA[comp] - QB[comp], forms))
     return float(np.sqrt(2.0 * total))
 
 
-def transfer_to_fine(field: np.ndarray, injection: sparse.csr_matrix,
+def transfer_to_fine(field: np.ndarray, injection: sparse.csc_matrix,
                      fine_mesh: StructuredMesh) -> np.ndarray:
-    """P1-exact interpolation of a coarse nodal field (..., Nc) onto the
-    fine mesh as a C-contiguous (..., Nf), with the injection from
-    mesh.nested_injection(): one sparse product per row."""
-    if injection.shape[0] != fine_mesh.n_nodes:
+    """P1-exact interpolation of a coarse field (..., mc), zero on the
+    boundary, onto the fine mesh as a C-contiguous (..., mf), with the
+    injection from mesh.nested_injection(): one sparse product per row."""
+    if injection.shape[0] != fine_mesh.n_interior:
         raise ValueError("injection does not target the given fine mesh")
     rows = field.reshape(-1, field.shape[-1])
     out = np.stack([injection @ row for row in rows])
-    return out.reshape(field.shape[:-1] + (fine_mesh.n_nodes,))
+    return out.reshape(field.shape[:-1] + (fine_mesh.n_interior,))
 
 
 def convergence_orders(errors, ratio: float):

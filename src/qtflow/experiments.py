@@ -291,11 +291,13 @@ def _check_halving_chain(values, key):
 
 def _whole_cells(nx, ny, key: str) -> tuple:
     """The integer counts of the nx x ny cells (inf too) that key sizes, if
-    twice the interior stiffness fits int32 indices: five entries per
-    interior node (the diagonal offsets cancel), less those past the
-    boundary.  The int32 arrays it keeps in range are the indices and indptr
-    that mesh.nested_injection() builds itself, and those that scipy's
-    tocsr() gives the sparse forms, int32 while they fit."""
+    every int32 index array of a run and a study stays in range.  The bound
+    is twice the entries of the interior stiffness (five per interior node,
+    less those past the boundary): it covers the interior consistent
+    mass's 7m - 4(ni + nj) + 2 entries, the largest CSR form, whose index
+    arrays scipy's tocsr() gives as int32 while they fit, and the at most
+    3m weights of a fine mesh in mesh.nested_injection(), which builds its
+    int32 indices and indptr itself."""
     ni, nj = nx - 1, ny - 1
     if not 2 * (5 * ni * nj - 2 * ni - 2 * nj) < 2 ** 31:  # nan from inf too
         raise ConfigError("%s: %g x %g cells outgrow int32 indices" % (key, nx, ny))
@@ -337,8 +339,9 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     Each coarse solution is interpolated onto the reference mesh and the
     errors are evaluated there with exact quadrature.  The auxiliary
     variable is compared as a zero-boundary-trace finite element function
-    (its natural discrete space), so the coarse boundary ramp is part of
-    the measured error.
+    (its natural discrete space): the coarse boundary's zeros enter the
+    interpolation beside the boundary, so the coarse boundary ramp is part
+    of the measured error.
     """
     cfg = _resolved(config, dt=1.25e-4, h_list=DEFAULT_H_LIST)
     h_list = tuple(cfg.h_list)
@@ -361,12 +364,11 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
 
     def compare(res, ref, forms):
         inj = nested_injection(res.mesh, ref.mesh)
-        Qt = analysis.transfer_to_fine(res.mesh.nodal(res.state.q), inj, ref.mesh)
-        rt = analysis.transfer_to_fine(res.mesh.nodal(res.state.r), inj, ref.mesh)
-        Qref = ref.mesh.nodal(ref.state.q)
-        return (analysis.h1_error_component(Qt, Qref, forms, 0),
-                analysis.h1_error_component(Qt, Qref, forms, 1),
-                analysis.l2_error_scalar(rt, ref.mesh.nodal(ref.state.r), forms))
+        qt = analysis.transfer_to_fine(res.state.q, inj, ref.mesh)
+        rt = analysis.transfer_to_fine(res.state.r, inj, ref.mesh)
+        return (analysis.h1_error_component(qt, ref.state.q, forms, 0),
+                analysis.h1_error_component(qt, ref.state.q, forms, 1),
+                analysis.l2_error_scalar(rt, ref.state.r, forms))
 
     return _refinement(h_list, cases, cfg.threads, compare)
 
@@ -386,11 +388,9 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
     cases = [replace(case, dt=dt) for dt in (cfg.reference_dt,) + dt_list]
 
     def compare(res, ref, forms):
-        Q, Qref = res.mesh.nodal(res.state.q), ref.mesh.nodal(ref.state.q)
-        return (analysis.h1_error_component(Q, Qref, forms, 0),
-                analysis.h1_error_component(Q, Qref, forms, 1),
-                analysis.l2_error_scalar(res.mesh.nodal(res.state.r),
-                                         ref.mesh.nodal(ref.state.r), forms))
+        return (analysis.h1_error_component(res.state.q, ref.state.q, forms, 0),
+                analysis.h1_error_component(res.state.q, ref.state.q, forms, 1),
+                analysis.l2_error_scalar(res.state.r, ref.state.r, forms))
 
     return _refinement(dt_list, cases, cfg.threads, compare)
 
@@ -434,9 +434,8 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
     par = results[0]
     forms = analysis.norm_forms(par.mesh)
 
-    Qpar = par.mesh.nodal(par.state.q)
     rows = [SigmaRow(sigma=s, p1=p1, p2=p2, h1_error=analysis.h1_error_field(
-                Qpar, res.mesh.nodal(res.state.q), forms))
+                par.state.q, res.state.q, forms))
             for (p1, p2, s), res in zip(keys, results[1:])]
 
     xs = np.log(np.array(sigma_list))

@@ -3,9 +3,9 @@
 Every lattice square is split along its lower-left to upper-right diagonal,
 so stencils are identical everywhere and runs are reproducible.  Nodes are
 ordered lexicographically: index = j * (nx + 1) + i for lattice coordinates
-(i, j).  Interior vectors (..., m) and nodal fields (..., N) are both
-component-major and C-contiguous, rows q1 and q2 of a Q field; nodal()
-builds the nodal field of an interior vector, zero on the boundary.
+(i, j).  Fields are interior vectors (..., m), component-major and
+C-contiguous, rows q1 and q2 of a Q field: Q vanishes on the boundary and
+r takes one constant value there, so no boundary value is stored.
 
 Nothing is stored per node or per triangle: node coordinates, boundary
 flags and interior indices follow from the lattice (axes()), every cell is
@@ -73,16 +73,6 @@ class StructuredMesh:
         return (self.x0 + np.arange(self.nx + 1) * self.h,
                 self.y0 + np.arange(self.ny + 1) * self.h)
 
-    def nodal(self, values: np.ndarray) -> np.ndarray:
-        """A new C-contiguous nodal field (..., N) that holds the interior
-        vector values (..., m) at the interior nodes and zero on the
-        boundary.  Interior nodes form the inner block of the lexicographic
-        lattice, so a slice reaches them in interior order."""
-        lead = values.shape[:-1]
-        field = np.zeros(lead + (self.ny + 1, self.nx + 1))
-        field[..., 1:-1, 1:-1] = values.reshape(lead + (self.ny - 1, self.nx - 1))
-        return field.reshape(lead + (self.n_nodes,))
-
 
 def _lumped_weights(h: float) -> list:
     """Entry k is the lumped weight of a node that k = 0, ..., 6 triangles
@@ -104,16 +94,20 @@ def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
     )
 
 
-def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> sparse.csr_matrix:
+def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> sparse.csc_matrix:
     """P1 interpolation from a coarse mesh onto a nested fine mesh: the
-    (Nf, Nc) sparse operator that evaluates a coarse nodal field at the
-    fine nodes.
+    (mf, mc) sparse operator that evaluates a coarse interior vector, zero
+    on the boundary, at the fine interior nodes.
 
-    Requires identical extents and fine cell counts that are an integer
-    multiple of the coarse ones.  Every fine node lies in one triangle of
-    its coarse cell, so each row holds three barycentric weights, in
-    column order: (ll, lr, ur) in the lower triangle, (ll, ul, ur) in the
-    upper one.
+    Requires identical extents and fine cell counts that are one integer
+    multiple of the coarse ones.  Column k holds the positive values of
+    the hat function of coarse interior node k at the fine nodes: the
+    barycentric weights of the coarse triangles that hold them, zero
+    weights left out.  They lie inside the hat's support, so every column
+    holds the same stencil, shifted, and the columns of the coarse
+    boundary nodes, whose values are zero, are left out.  It is stored by
+    columns (CSC, int32 index arrays built directly); its product sums
+    each row in ascending column order from +0, as a CSR product does.
     """
     if (coarse.x0, coarse.x1, coarse.y0, coarse.y1) != (fine.x0, fine.x1, fine.y0, fine.y1):
         raise ValueError("meshes cover different rectangles")
@@ -123,21 +117,23 @@ def nested_injection(coarse: StructuredMesh, fine: StructuredMesh) -> sparse.csr
     if fine.ny // coarse.ny != m:
         raise ValueError("refinement ratio differs between axes")
 
-    # the containing coarse cell and local lattice offsets, per axis
-    ii, jj = np.arange(fine.nx + 1), np.arange(fine.ny + 1)
-    ic = np.minimum(ii // m, coarse.nx - 1)
-    jc = np.minimum(jj // m, coarse.ny - 1)
-    iloc, jloc = ii - ic * m, (jj - jc * m)[:, None]
-    xi, eta = iloc / m, jloc / m
-    lower = iloc >= jloc
-
-    s = coarse.nx + 1
-    ll = (jc[:, None] * s + ic).astype(np.int32)
-    indices = np.stack([ll, ll + np.where(lower, 1, s).astype(np.int32),
-                        ll + np.int32(s + 1)], axis=-1)
-    data = np.stack([1.0 - np.where(lower, xi, eta),
-                     np.where(lower, xi - eta, eta - xi),
-                     np.where(lower, eta, xi)], axis=-1)
-    indptr = np.arange(0, 3 * fine.n_nodes + 1, 3, dtype=np.int32)
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                             shape=(fine.n_nodes, coarse.n_nodes))
+    # the fine lattice offsets (a, b) from a coarse node, and the weight of
+    # that node in the triangle that holds each fine node, whose local
+    # coordinates are (a mod m, b mod m) / m: the node is ll of the cell up
+    # and right, lr of the cell up and left, ul of the cell down and right
+    # and ur of the cell down and left
+    a = np.arange(1 - m, m, dtype=np.int32)
+    b = a[:, None]
+    xi, eta = (a % m) / m, (b % m) / m
+    w = np.where(a >= 0, np.where(b >= 0, 1.0 - np.maximum(xi, eta), eta - xi),
+                 np.where(b >= 0, xi - eta, np.minimum(xi, eta)))
+    inside = w > 0.0  # flat offsets ascend, b then a, as rows must
+    w, offsets = w[inside], (b * np.int32(fine.nx - 1) + a)[inside]
+    # each coarse interior node's own fine interior index, plus the offsets
+    ii = np.arange(1, coarse.nx, dtype=np.int32) * np.int32(m) - 1
+    jj = np.arange(1, coarse.ny, dtype=np.int32)[:, None] * np.int32(m) - 1
+    indices = (jj * np.int32(fine.nx - 1) + ii).reshape(-1, 1) + offsets
+    return sparse.csc_matrix(
+        (np.tile(w, coarse.n_interior), indices.ravel(),
+         np.arange(0, indices.size + 1, w.size, dtype=np.int32)),
+        shape=(fine.n_interior, coarse.n_interior))

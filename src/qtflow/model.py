@@ -37,16 +37,15 @@ class Params:
     sigma: float
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("bulk coefficient c must be positive")
-        if self.L1 <= 0.0:
-            raise ValueError("elastic constant L1 must be positive")
+        for key in ("c", "L1", "A0"):
+            if getattr(self, key) <= 0.0:
+                raise ValueError("params.%s must be positive, got %r"
+                                 % (key, getattr(self, key)))
         if self.L2 + self.L3 < 0.0:
-            raise ValueError("L2 + L3 must be nonnegative")
-        if self.A0 <= 0.0:
-            raise ValueError("energy shift A0 must be positive")
+            raise ValueError("params.L2 + params.L3 must be nonnegative, got %r"
+                             % (self.L2 + self.L3))
         if self.sigma < 0.0:
-            raise ValueError("inertial constant sigma must be nonnegative")
+            raise ValueError("params.sigma must be nonnegative, got %r" % self.sigma)
 
 
 def trace_q2(Q: np.ndarray):

@@ -20,9 +20,7 @@ sigma = 0 the two-level terms drop and only one history level is kept.
 
 A state holds Q (2, m) at the m interior nodes (rows q1, q2), its step dq,
 r (m,) and K q.  Boundary Q stays zero (the Dirichlet condition), so
-boundary r stays sqrt(2 A0), the r of Q = 0, and no state stores it;
-StructuredMesh.nodal() builds the nodal field (..., N) of an interior
-vector.
+boundary r stays sqrt(2 A0), the r of Q = 0, and no state stores it.
 """
 
 from __future__ import annotations

@@ -129,6 +129,23 @@ def scatter_interior(mesh, values):
     return field
 
 
+def nodal(mesh, values):
+    """A new C-contiguous nodal field (..., N) that holds the interior
+    vector values (..., m) at the interior nodes and zero on the boundary,
+    written through a slice: interior nodes form the inner block of the
+    lexicographic lattice, so a slice reaches them in interior order."""
+    lead = values.shape[:-1]
+    field = np.zeros(lead + (mesh.ny + 1, mesh.nx + 1))
+    field[..., 1:-1, 1:-1] = values.reshape(lead + (mesh.ny - 1, mesh.nx - 1))
+    return field.reshape(lead + (mesh.n_nodes,))
+
+
+def interior_block(A, rows, cols=None):
+    """The block of an all-node matrix A at the interior nodes of the mesh
+    rows (its rows) and of the mesh cols (its columns; rows's if None)."""
+    return A[interior_nodes(rows)][:, interior_nodes(rows if cols is None else cols)]
+
+
 def interior_index(mesh):
     """Position of every node in the interior unknown ordering, -1 on the
     boundary."""
@@ -161,6 +178,24 @@ def nested_injection_by_coo(coarse, fine):
     rows = np.repeat(np.arange(ii.size), 3)
     return sparse.csr_matrix((bary.ravel(), (rows, cols.ravel())),
                              shape=(fine.n_nodes, coarse.n_nodes))
+
+
+def interior_injection_by_coo(coarse, fine):
+    """The interior block of nested_injection_by_coo(), fine interior rows
+    by coarse interior columns, stored by columns (scipy's tocsc()), with
+    its zero weights dropped: those of the coarse boundary vertices (the
+    columns the block leaves out hold them) and those of fine nodes on a
+    coarse edge or node."""
+    A = interior_block(nested_injection_by_coo(coarse, fine), fine, coarse)
+    A.eliminate_zeros()
+    return A.tocsc()
+
+
+def all_node_h1_sq(mesh, e):
+    """Squared H1 norm of the scalar P1 function with nodal values e (N,),
+    from the all-node element forms."""
+    return (e @ (consistent_mass_by_elements(mesh) @ e)
+            + e @ (scalar_stiffness_by_elements(mesh) @ e))
 
 
 def interleaved_transfer(field, injection):
@@ -307,8 +342,13 @@ def consistent_mass_by_elements(mesh):
 def interior_stiffness_by_elements(mesh):
     """Interior stiffness: the all-node element assembly restricted to the
     interior nodes."""
-    idx = interior_nodes(mesh)
-    return scalar_stiffness_by_elements(mesh)[idx][:, idx]
+    return interior_block(scalar_stiffness_by_elements(mesh), mesh)
+
+
+def interior_mass_by_elements(mesh):
+    """Interior consistent mass: the all-node element assembly restricted
+    to the interior nodes."""
+    return interior_block(consistent_mass_by_elements(mesh), mesh)
 
 
 def component_block(A, c, d):
@@ -324,7 +364,7 @@ def interleaved_stiffness(mesh):
     Its two diagonal blocks must equal the scalar interior stiffness bit for
     bit."""
     sums = {}
-    area, grads = cell_geometry(mesh)
+    area, grads = cell_geometry(mesh.x0, mesh.y0, mesh.h)
     for t, tri in enumerate(CELL.tolist()):
         for i, (cj, ci) in enumerate(tri):
             for j, (oj, oi) in enumerate(tri):

@@ -49,14 +49,15 @@ class TestStiffness:
     def test_element_assembly_oracle(self):
         mesh = build_mesh(0, 1, 0, 1, 4, 4)
         K = scalar_stiffness(mesh).toarray()
-        ref = np.zeros_like(K)
+        ref = np.zeros((mesh.n_nodes,) * 2)
         xy = oracles.nodes(mesh)
         for tri in oracles.triangles(mesh):
             ke = oracles.element_stiffness(xy[tri])
             for a in range(3):
                 for b in range(3):
                     ref[tri[a], tri[b]] += ke[a, b]
-        assert np.max(np.abs(K - ref)) < 1e-13
+        idx = oracles.interior_nodes(mesh)
+        assert np.max(np.abs(K - ref[idx][:, idx])) < 1e-13
 
     def test_constant_vector_in_kernel_away_from_boundary(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -140,14 +141,15 @@ def interleaved_dense(K):
     ((0.1, 1.4, 0.1, 1.4), 13, 13),
 ])
 def test_stiffness_is_the_scalar_interior_block(extent, nx, ny):
-    """The m x m interior stiffness is the interior block of the all-node
-    scalar stiffness and both diagonal blocks of the interleaved lattice
+    """The m x m interior stiffness of the lattice cache is scalar_stiffness()
+    built afresh and both diagonal blocks of the interleaved lattice
     stiffness, bit for bit, off dyadic meshes too."""
     mesh = build_mesh(*extent, nx, ny)
     K = assemble_stiffness(mesh)
     assert K.shape == (mesh.n_interior, mesh.n_interior)
-    idx = oracles.interior_nodes(mesh)
-    assert_same_csr(K, scalar_stiffness(mesh)[idx][:, idx])
+    fresh = scalar_stiffness(mesh)
+    assert fresh is not K
+    assert_same_csr(K, fresh)
     assert_component_blocks(oracles.interleaved_stiffness(mesh), K)
 
 
@@ -183,22 +185,22 @@ class TestStencilMatchesElementAssembly:
 class TestNormFormsMatchElementAssembly:
     @pytest.mark.parametrize("n", oracles.DYADIC_SIZES)
     def test_bitwise_on_dyadic_meshes(self, n):
+        """The interior blocks of the all-node element forms."""
         mesh = build_mesh(0.0, 2.0, 0.0, 2.0, n, n)
-        assert_same_csr(consistent_mass(mesh), oracles.consistent_mass_by_elements(mesh))
-        assert_same_csr(scalar_stiffness(mesh), oracles.scalar_stiffness_by_elements(mesh))
+        assert_same_csr(consistent_mass(mesh), oracles.interior_mass_by_elements(mesh))
+        assert_same_csr(scalar_stiffness(mesh), oracles.interior_stiffness_by_elements(mesh))
 
 
 # Largest |lattice - element| over max |element|, in units of the machine
 # epsilon, as measured on the meshes in order: stiffness and divergence form
-# 1.5, 4.6, 2.5; consistent mass 3.8, 9.0, 5.5; all-node stiffness 1.5, 4.6,
-# 2.5.
+# 1.5, 4.6, 2.5; interior consistent mass 3.8, 7.8, 5.5.
 @pytest.mark.parametrize("extent, nx, ny", oracles.NON_DYADIC_MESHES)
 def test_lattice_roundoff_on_non_dyadic_meshes(extent, nx, ny):
     mesh = build_mesh(*extent, nx, ny)
     for build, oracle in ((assemble_stiffness, oracles.interior_stiffness_by_elements),
                           (assemble_div_form, oracles.div_form_by_elements),
-                          (consistent_mass, oracles.consistent_mass_by_elements),
-                          (scalar_stiffness, oracles.scalar_stiffness_by_elements)):
+                          (consistent_mass, oracles.interior_mass_by_elements),
+                          (scalar_stiffness, oracles.interior_stiffness_by_elements)):
         ref = oracle(mesh).toarray()
         A = build(mesh)
         A = interleaved_dense(A) if build is assemble_div_form else A.toarray()
@@ -211,7 +213,7 @@ def test_lattice_roundoff_on_non_dyadic_meshes(extent, nx, ny):
 @pytest.mark.parametrize("extent, nx, ny", oracles.SETUP_MESHES)
 def test_first_cell_geometry_is_the_element_geometry_at_the_nodes(extent, nx, ny):
     mesh = build_mesh(*extent, nx, ny)
-    area, grads = cell_geometry(mesh)
+    area, grads = cell_geometry(mesh.x0, mesh.y0, mesh.h)
     first_cell = oracles.triangles(mesh)[:2]
     ref_area, ref_grads = element_geometry(oracles.nodes(mesh)[first_cell])
     assert np.array_equal(area, ref_area)
@@ -229,11 +231,12 @@ def csr_bytes(*matrices):
 def test_setup_transients_stay_below_the_result_size(build, monkeypatch):
     """At 128^2 the traced peak of a build, its result included, stays
     within twice the bytes of the matrices it returns: the lattice builds
-    hold no more than one result's worth of temporaries.  Measured 1.64x
-    (norm forms) and 1.63x (stiffness), the diagonals held while tocsr()
-    fills the result; the hand-indexed CSR builds before them peaked at
-    1.71x and 1.46x, the element COO assembly of the norm forms at 6.12x,
-    the (n, 14) int64 stencil temporaries at 2.77x."""
+    hold no more than one result's worth of temporaries.  Measured 1.27x
+    (the interior norm forms: the mass, then K while the mass is held) and
+    1.63x (stiffness), the diagonals held while tocsr() fills the result;
+    the all-node norm forms peaked at 1.64x, the hand-indexed CSR builds
+    before them at 1.71x and 1.46x, the element COO assembly of the norm
+    forms at 6.12x, the (n, 14) int64 stencil temporaries at 2.77x."""
     mesh = build_mesh(0.0, 2.0, 0.0, 2.0, 128, 128)
     build(mesh)  # first-call allocations are not set-up transients
     monkeypatch.setattr(assembly, "_stiffness", {})  # so K is built again
@@ -395,16 +398,21 @@ class TestLumpedMass:
 
 class TestConsistentMass:
     def test_integrates_constants_exactly(self):
+        """Each row of the interior mass integrates its hat function
+        against the sum of the hat functions in its row; away from the
+        boundary that sum is the constant 1, so the row sums to the hat
+        integral gamma = h^2."""
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         Mc = consistent_mass(mesh)
-        ones = np.ones(mesh.n_nodes)
-        assert ones @ (Mc @ ones) == pytest.approx(4.0, rel=1e-13)
+        sums = (Mc @ np.ones(mesh.n_interior)).reshape(mesh.ny - 1, mesh.nx - 1)
+        assert np.allclose(sums[1:-1, 1:-1], mesh.gamma, rtol=1e-13, atol=0.0)
+        assert np.all(sums[0] < 0.99 * mesh.gamma)  # the boundary's hats are left out
 
     def test_matches_midpoint_quadrature(self):
         mesh = build_mesh(0, 2, 0, 2, 5, 5)
         Mc = consistent_mass(mesh)
         rng = np.random.RandomState(21)
         for _ in range(10):
-            f = rng.standard_normal(mesh.n_nodes)
+            f = rng.standard_normal(mesh.n_interior)
             assert f @ (Mc @ f) == pytest.approx(
-                oracles.midpoint_quad_sq(mesh, f), rel=1e-12)
+                oracles.midpoint_quad_sq(mesh, oracles.nodal(mesh, f)), rel=1e-12)

@@ -228,9 +228,9 @@ initial = zero
         assert os.path.exists(os.path.join(out, "energy_trace.csv"))
 
     #: Malformed configs that once ended in exit 2, in exit 0 with an empty
-    #: CSV or with one file overwriting another, or in a misleading message,
-    #: and the key each must name.  Ids are keys, or key=value where a key
-    #: repeats.
+    #: CSV or with one file overwriting another, in a misleading message or
+    #: in a message without its key, and the key (or the message naming it)
+    #: each must print.  Ids are keys, or key=value where a key repeats.
     SHORT_SWEEP = "[mesh]\nnx = 4\n[experiment]\nT = 1e-4\ndt = 1e-5\n"
     MALFORMED = [pytest.param(*case, id=case[2]) for case in [
         ("time-refine", "[experiment]\ndt_list = 0.0\n", "experiment.dt_list"),
@@ -273,6 +273,26 @@ initial = zero
                      "experiment.p1_list", id="p1_list=0.5,0.5"),
         pytest.param("sigma-study", SHORT_SWEEP + "p2_list = inf, inf\n",
                      "experiment.p2_list", id="p2_list=inf,inf"),
+    ] + [
+        # every rule of Params names its key, as every other value check does
+        pytest.param("run", "[params]\n%s\n" % text, message, id=key)
+        for key, text, message in (
+            ("params.c=0", "c = 0", "params.c must be positive, got 0.0"),
+            ("params.L1=-1e-3", "L1 = -1e-3", "params.L1 must be positive, got -0.001"),
+            ("params.L2+L3=-1e-3", "L2 = -2e-3\nL3 = 1e-3",
+             "params.L2 + params.L3 must be nonnegative, got -0.001"),
+            ("params.A0=0", "A0 = 0", "params.A0 must be positive, got 0.0"),
+            ("params.sigma=-0.5", "sigma = -0.5", "params.sigma must be nonnegative, got -0.5"))
+    ] + [
+        # a value that does not parse as its type, a refinement chain of one
+        # mesh, and mesh sizes that cut the extent into fractional cells
+        pytest.param("space-refine", "[experiment]\nT = abc\n",
+                     "bad value for experiment.T", id="experiment.T=abc"),
+        pytest.param("space-refine", "[experiment]\nh_list = 0.5\n",
+                     "experiment.h_list needs at least two entries", id="h_list=0.5"),
+        pytest.param("space-refine", "[experiment]\nh_list = 0.6, 0.3\nreference_level = 4\n",
+                     "experiment.h_list: 3.3333333333333335 x 3.3333333333333335 cells "
+                     "are not at least 2 whole cells per axis", id="h_list=0.6,0.3"),
     ]
 
     @pytest.mark.parametrize("subcommand,text,key", MALFORMED)
@@ -405,7 +425,7 @@ initial = zero
     def test_invalid_param_exit_one(self, tmp_path, capsys):
         cfgpath = write(tmp_path, "[params]\nc = -1\n")
         assert main(["run", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
-        assert "coefficient c" in capsys.readouterr().err
+        assert "params.c must be positive, got -1.0" in capsys.readouterr().err
 
     def test_unknown_subcommand_usage(self, capsys):
         code = main(["frobnicate"])

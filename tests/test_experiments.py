@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from dataclasses import fields, replace
 
-from qtflow import assembly, experiments, stepper
+from qtflow import analysis, assembly, experiments, stepper
 from qtflow.assembly import lumped_mass
 from qtflow.mesh import build_mesh
 from qtflow.experiments import (
@@ -408,17 +408,21 @@ def test_initial_radicand_failure_is_a_config_error():
 
 @pytest.fixture
 def norm_form_calls(monkeypatch):
-    """Counts the consistent mass and scalar stiffness assemblies."""
-    from qtflow import assembly
-    calls = {"consistent_mass": 0, "scalar_stiffness": 0}
-    for name in calls:
-        original = getattr(assembly, name)
+    """Counts the interior consistent mass builds and keeps the mesh and the
+    forms of every norm_forms() call."""
+    calls = {"consistent_mass": 0, "norm_forms": []}
+    consistent_mass, norm_forms = assembly.consistent_mass, analysis.norm_forms
 
-        def counted(mesh, name=name, original=original):
-            calls[name] += 1
-            return original(mesh)
+    def counted(mesh):
+        calls["consistent_mass"] += 1
+        return consistent_mass(mesh)
 
-        monkeypatch.setattr(assembly, name, counted)
+    def kept(mesh):
+        calls["norm_forms"].append((mesh, norm_forms(mesh)))
+        return calls["norm_forms"][-1][1]
+
+    monkeypatch.setattr(assembly, "consistent_mass", counted)
+    monkeypatch.setattr(analysis, "norm_forms", kept)
     return calls
 
 
@@ -431,8 +435,14 @@ def norm_form_calls(monkeypatch):
         nx=6, ny=6, T=0.01, dt=1e-3, sigma_list=(1e-3, 1e-1))),
 ], ids=["space", "time", "sigma"])
 def test_study_builds_norm_forms_once(study, cfg, norm_form_calls):
+    """One mass per study, and the K of assemble_stiffness(): the one a time
+    or sigma study's runs stepped with, which the lattice cache still
+    holds."""
     study(cfg)
-    assert norm_form_calls == {"consistent_mass": 1, "scalar_stiffness": 1}
+    assert norm_form_calls["consistent_mass"] == 1
+    [(mesh, forms)] = norm_form_calls["norm_forms"]
+    assert forms.mass.shape == (mesh.n_interior, mesh.n_interior)
+    assert forms.stiffness is assembly.assemble_stiffness(mesh)
 
 
 @pytest.fixture

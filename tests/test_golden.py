@@ -24,11 +24,18 @@ became one float: every state kept its bits, but the energy's two lumped
 sums (the kinetic norm and the interior part of E_r) and the boundary
 weight are now summed in another order; CHANGES.md lists those hashes too.
 The two thin-lattice hashes were recorded while the constant block was a
-CSR matrix and hold with it stored by diagonals.
+CSR matrix and hold with it stored by diagonals.  The space-refine,
+time-refine and sigma-study hashes were re-recorded when the error norms
+moved to interior vectors: every difference they measure is the same, but
+its dot products run over the m interior entries instead of all N nodes,
+which sums them in another order (CHANGES.md lists the old and new hashes).
+README.md quotes the space-refine hash, and test_readme_quotes_the_pinned_hash
+holds the quote to the pin.
 """
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -153,21 +160,21 @@ HASHES = {
     },
     "space-refine": {
         "space_refinement.csv":
-            "dc4eb2155c50c133de9495bbb3529e897a310efb9cb72557ba9f7d218460c53b",
+            "6bb1570411a93d9f217f08d792abd28d92dd89eda69558bb3c4d1e98187f4250",
     },
     "time-refine": {
         "time_refinement.csv":
-            "75bd3f63d203dabb5daa1454bbe9c7e3eb6b3f873b80aa527f6c5757dd633908",
+            "f6618a53c3ae7acdeec23beb971539aac9d09d7951c187c3b02a83a90913d0c4",
     },
     "sigma-study": {
         "sigma_study.csv":
-            "3853998bbb61a5b52cb52f2cddfeeecfad822a78fe16d931326e24f6e17d2466",
+            "8ddb4c2fa2f9e5153388347fec85bcd9896b765776288b14e5fc007956b2c603",
         "sigma_case_p1_1_p2_1.dat":
             "b5170cbea31a828daa50a19f74cc9806b571d4d13f1af65157f026872e54daa8",
         "sigma_case_p1_1_p2_inf.dat":
-            "6f607a494343905bd10aa4a89abb500c10ac725bf601ab1883b054712e8dafef",
+            "a6e4621bcbcf65d9d69bb9a90c5dd90c521c3e8d08ae16f27bb46b78c9ac52ce",
         "sigma_case_p1_inf_p2_1.dat":
-            "e1614dab7a435badd7e3b538c6457adfec88f3576d3142bf30691a3f77dd8569",
+            "afbd91d1306e0892c9389866a04f7b7b8b66727144a036eaf18e9c1b0ae56e1e",
         "sigma_case_p1_inf_p2_inf.dat":
             "9e49778fce20643faa08f9814e1ca04d4b75a27ad3a1a3e1e53552197e1eb1d5",
     },
@@ -199,3 +206,15 @@ def test_output_hashes(name, tmp_path, capsys):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir() if path.suffix in (".csv", ".dat")}
     assert written == HASHES[name]
+
+
+def test_readme_quotes_the_pinned_hash():
+    """The one-thread hash README.md quotes for the space-refine config is a
+    prefix of the pinned one."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        readme = f.read()
+    quoted = re.search(r"`space-refine` config of `tests/test_golden.py` writes a\s+"
+                       r"`space_refinement.csv` with SHA-256 `([0-9a-f]{8,})\.\.\.` under\s+"
+                       r"`OPENBLAS_NUM_THREADS=1`", readme)
+    assert quoted is not None
+    assert HASHES["space-refine"]["space_refinement.csv"].startswith(quoted.group(1))

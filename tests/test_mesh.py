@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtflow.analysis import transfer_to_fine
-from qtflow.mesh import CELL, build_mesh, nested_injection
+from qtflow.mesh import CELL, StructuredMesh, build_mesh, nested_injection
 
 import oracles
 
@@ -57,9 +57,9 @@ class TestBuildMesh:
                               np.flatnonzero(~oracles.is_boundary(mesh)))
 
     def test_interior_gather_and_scatter_follow_interior_order(self):
-        """nodal() writes component-major interior vectors where the index
-        gather of tests/oracles.py reads them, into a new C-contiguous
-        field (..., N) that is zero on the boundary."""
+        """oracles.nodal() writes component-major interior vectors where
+        the index gather reads them, into a new C-contiguous field (..., N)
+        that is zero on the boundary."""
         mesh = build_mesh(0, 3, 0, 2, 6, 4)
         idx = oracles.interior_nodes(mesh)
         rng = np.random.RandomState(1)
@@ -68,20 +68,20 @@ class TestBuildMesh:
         q = oracles.gather_interior(mesh, Q)
         assert q.shape == (2, mesh.n_interior) and q.flags.c_contiguous
         assert np.array_equal(q, Q[idx].T)
-        field = mesh.nodal(q)
+        field = oracles.nodal(mesh, q)
         assert np.array_equal(oracles.gather_interior(mesh, field.T), q)
 
         for shape in ((2,), (), (3, 2)):
             x = rng.standard_normal(shape + (mesh.n_interior,))
-            field = mesh.nodal(x)
+            field = oracles.nodal(mesh, x)
             assert field.shape == shape + (mesh.n_nodes,) and field.flags.c_contiguous
             assert np.array_equal(field, np.moveaxis(oracles.scatter_interior(mesh, x), 0, -1))
             assert np.all(field[..., oracles.is_boundary(mesh)] == 0.0)
-        assert not np.shares_memory(mesh.nodal(x), x)
+        assert not np.shares_memory(oracles.nodal(mesh, x), x)
 
         # a single interior row
         thin = build_mesh(0, 4, 0, 2, 4, 2)
-        field = thin.nodal(np.full((2, 3), 5.0))
+        field = oracles.nodal(thin, np.full((2, 3), 5.0))
         assert np.array_equal(np.flatnonzero(field[0] == 5.0), [6, 7, 8])
         assert np.array_equal(np.flatnonzero(field[1]), [6, 7, 8])
 
@@ -133,76 +133,111 @@ NESTED_PAIRS = [
 ]
 
 
+def fine_index(fine, x, y):
+    """The interior index of the fine node at (x, y)."""
+    return oracles.interior_index(fine)[
+        int(round(y / fine.h)) * (fine.nx + 1) + int(round(x / fine.h))]
+
+
 class TestNestedInjection:
+    """The injection maps coarse interior vectors to fine interior ones:
+    the coarse field is the vector inside and zero on the boundary."""
+
     def test_coincident_nodes(self):
         coarse = build_mesh(0, 2, 0, 2, 8, 8)
         fine = build_mesh(0, 2, 0, 2, 16, 16)
         inj = nested_injection(coarse, fine)
-        for ci, (x, y) in enumerate(oracles.nodes(coarse)):
-            fi = int(round((y / fine.h))) * (fine.nx + 1) + int(round(x / fine.h))
-            row = inj.getrow(fi).toarray().ravel()
-            assert row[ci] == pytest.approx(1.0, abs=1e-15)
-            assert abs(row.sum() - 1.0) < 1e-14
+        assert inj.shape == (fine.n_interior, coarse.n_interior)
+        xy = oracles.nodes(coarse)[oracles.interior_nodes(coarse)]
+        for ci, (x, y) in enumerate(xy):
+            row = inj.getrow(fine_index(fine, x, y))
+            assert row.indices.tolist() == [ci] and row.data.tolist() == [1.0]
 
     def test_edge_midpoint_weights(self):
         coarse = build_mesh(0, 2, 0, 2, 4, 4)
         fine = build_mesh(0, 2, 0, 2, 8, 8)
         inj = nested_injection(coarse, fine)
-        # fine node at the midpoint of a horizontal coarse edge
-        fi = 0 * (fine.nx + 1) + 1  # (0.25, 0)
-        row = inj.getrow(fi).toarray().ravel()
-        assert row[0] == 0.5 and row[1] == 0.5  # coarse nodes (0, 0), (0.5, 0)
-        assert row.sum() == 1.0
+        # fine node (0.75, 0.5), midway between the interior coarse nodes
+        # (0.5, 0.5) and (1.0, 0.5), interior indices 0 and 1
+        row = inj.getrow(fine_index(fine, 0.75, 0.5))
+        assert row.indices.tolist() == [0, 1] and row.data.tolist() == [0.5, 0.5]
+        # fine node (0.25, 0.5), midway between a boundary node and (0.5, 0.5)
+        row = inj.getrow(fine_index(fine, 0.25, 0.5))
+        assert row.indices.tolist() == [0] and row.data.tolist() == [0.5]
 
     def test_barycentric_solve_oracle(self):
+        """Every row holds the barycentric weights of the coarse triangle
+        at its interior vertices; beside the boundary they sum to less
+        than one."""
         coarse = build_mesh(0, 2, 0, 2, 4, 4)
         fine = build_mesh(0, 2, 0, 2, 12, 12)
         inj = nested_injection(coarse, fine)
-        rng = np.random.RandomState(1)
-        xy = oracles.nodes(fine)
-        for fi in rng.choice(fine.n_nodes, size=40, replace=False):
+        index = oracles.interior_index(coarse)
+        xy = oracles.nodes(fine)[oracles.interior_nodes(fine)]
+        short = 0
+        for fi in np.random.RandomState(1).choice(fine.n_interior, size=40, replace=False):
             tri, bary = oracles.containing_triangle(coarse, xy[fi])
-            expect = np.zeros(coarse.n_nodes)
-            expect[tri] = bary
+            expect = np.zeros(coarse.n_interior)
+            inside = index[tri] >= 0
+            expect[index[tri][inside]] = bary[inside]
             row = inj.getrow(fi).toarray().ravel()
             assert np.allclose(row, expect, atol=1e-12)
-            assert np.all(row > -1e-12)
-            assert abs(row.sum() - 1.0) < 1e-13
+            assert np.all(inj.getrow(fi).data > 0.0)
+            assert abs(row.sum() - bary[inside].sum()) < 1e-13
+            short += bary[inside].sum() < 1.0 - 1e-13
+        assert short > 0  # rows beside the boundary were drawn
 
     def test_reproduces_linears_exactly(self):
+        """A linear function's interior values come out exactly at every
+        fine node whose coarse triangle has three interior vertices."""
         coarse = build_mesh(0, 2, 0, 2, 4, 4)
         fine = build_mesh(0, 2, 0, 2, 16, 16)
         inj = nested_injection(coarse, fine)
         lin = lambda pts: 0.75 * pts[:, 0] - 1.25 * pts[:, 1] + 0.5
-        transferred = inj @ lin(oracles.nodes(coarse))
-        assert np.max(np.abs(transferred - lin(oracles.nodes(fine)))) < 1e-13
+        transferred = inj @ lin(oracles.nodes(coarse)[oracles.interior_nodes(coarse)])
+        exact = lin(oracles.nodes(fine)[oracles.interior_nodes(fine)])
+        away = np.array([np.isclose(inj.getrow(k).sum(), 1.0, rtol=0.0, atol=1e-14)
+                         for k in range(fine.n_interior)])
+        assert away.sum() == 9 * 9  # [0.5, 1.5]^2, the central coarse cells
+        assert np.max(np.abs(transferred - exact)[away]) < 1e-13
 
     @pytest.mark.parametrize("extent, nc, nf", NESTED_PAIRS)
     def test_bitwise_against_coo_build(self, extent, nc, nf):
+        """The interior block of the all-node COO build, zero weights
+        dropped, bit for bit, index dtypes included."""
         coarse, fine = build_mesh(*extent, nc, nc), build_mesh(*extent, nf, nf)
         inj = nested_injection(coarse, fine)
-        ref = oracles.nested_injection_by_coo(coarse, fine)
+        ref = oracles.interior_injection_by_coo(coarse, fine)
         for name in ("indptr", "indices", "data"):
             a, b = getattr(inj, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     @pytest.mark.parametrize("extent, nc, nf", NESTED_PAIRS)
     def test_transfer_bitwise_against_interleaved_product(self, extent, nc, nf):
-        """transfer_to_fine's one product per row of a (..., Nc) field
-        gives the bits of one multi-vector product with the interleaved
-        (Nc, ...) field, as the studies formed it."""
+        """transfer_to_fine's one product per row of an interior (..., mc)
+        field gives the bits of one multi-vector product with the
+        interleaved (Nc, ...) nodal field and the all-node injection, as
+        the studies formed it, at the fine interior nodes."""
         coarse, fine = build_mesh(*extent, nc, nc), build_mesh(*extent, nf, nf)
         inj = nested_injection(coarse, fine)
+        full = oracles.nested_injection_by_coo(coarse, fine)
+        idx = oracles.interior_nodes(fine)
         rng = np.random.RandomState(nc * nf)
         for shape in ((2,), ()):
-            F = rng.standard_normal(shape + (coarse.n_nodes,))
+            F = rng.standard_normal(shape + (coarse.n_interior,))
             out = transfer_to_fine(F, inj, fine)
-            assert out.shape == shape + (fine.n_nodes,) and out.flags.c_contiguous
-            assert np.array_equal(out, np.moveaxis(oracles.interleaved_transfer(F, inj), 0, -1))
+            assert out.shape == shape + (fine.n_interior,) and out.flags.c_contiguous
+            ref = oracles.interleaved_transfer(oracles.nodal(coarse, F), full)
+            assert np.array_equal(out, np.moveaxis(ref[idx], 0, -1))
 
     def test_rejects_non_nested(self):
         coarse = build_mesh(0, 2, 0, 2, 4, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a refinement"):
             nested_injection(coarse, build_mesh(0, 2, 0, 2, 6, 6))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different rectangles"):
             nested_injection(coarse, build_mesh(0, 1, 0, 1, 8, 8))
+        # build_mesh makes square cells, so only meshes made without it can
+        # refine the axes by different ratios
+        with pytest.raises(ValueError, match="ratio differs between axes"):
+            nested_injection(StructuredMesh(0.0, 4.0, 0.0, 2.0, 4, 2, 1.0),
+                             StructuredMesh(0.0, 4.0, 0.0, 2.0, 8, 8, 0.5))

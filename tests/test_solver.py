@@ -454,6 +454,6 @@ def test_no_interleaved_layout_in_the_solver():
     for x in (op.diagonal(), op.rhs, op.res, state.q, state.dq, state.Kq):
         assert x.shape == (2, m) and x.flags.c_contiguous
     for x, shape in ((state.q, (2, mesh.n_nodes)), (state.r, (mesh.n_nodes,))):
-        field = mesh.nodal(x)
+        field = oracles.nodal(mesh, x)
         assert field.shape == shape and field.flags.c_contiguous
     assert {f.name for f in fields(state)} == {"q", "dq", "r", "Kq", "n", "t"}

@@ -55,7 +55,7 @@ class TestInitialize:
 
     def test_default_profile_vanishes_on_boundary(self):
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
-        Q0 = mesh.nodal(interpolate_qfield(mesh, default_initial_q))
+        Q0 = oracles.nodal(mesh, interpolate_qfield(mesh, default_initial_q))
         # the director data vanishes on the boundary before any clamping
         x, y = oracles.nodes(mesh).T
         n1 = x * (2 - x) * y * (2 - y)
@@ -80,6 +80,14 @@ class TestInitialize:
         op = run_operator(mesh, params, 1e-3)
         step(initialize(params, 1e-3, q0, r0, op), params, 1e-3, op)
         assert np.array_equal(q0, copies[0]) and np.array_equal(r0, copies[1])
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_rejects_a_nonpositive_step(self, dt):
+        mesh = build_mesh(0, 2, 0, 2, 4, 4)
+        q0 = interpolate_qfield(mesh, default_initial_q)
+        op = run_operator(mesh, P6, 1e-3)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            initialize(P6, dt, q0, nodal_r(P6, q0), op)
 
     def test_r_unchanged_when_qt0_zero(self):
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
@@ -209,7 +217,7 @@ class TestStep:
         bnd = oracles.is_boundary(mesh)
         Q0 = oracles.nodal_interpolate_qfield(mesh, default_initial_q)
         for state, r in zip(states, oracles.nodal_r_fields(mesh, P6, Q0, states)):
-            assert np.all(mesh.nodal(state.q)[:, bnd] == 0.0)
+            assert np.all(oracles.nodal(mesh, state.q)[:, bnd] == 0.0)
             assert np.all(r[bnd] == math.sqrt(2.0 * P6.A0))
 
     def test_energy_identity_and_monotonicity(self):
@@ -256,8 +264,7 @@ class TestStep:
         par = advance(par, P6_PAR, dt, op, 11)
 
         assert hyper.t == pytest.approx(par.t, rel=1e-12)
-        assert h1_error_field(mesh.nodal(hyper.q), mesh.nodal(par.q),
-                              norm_forms(mesh)) < 1e-6
+        assert h1_error_field(hyper.q, par.q, norm_forms(mesh)) < 1e-6
 
     def test_fields_stay_finite_flag(self):
         mesh = build_mesh(0, 2, 0, 2, 4, 4)
@@ -330,9 +337,9 @@ class TestCarriedInterior:
             """s rebuilt from nodal fields alone (its Q and r, and the
             previous level's interior q), every product formed anew; and
             its interior q."""
-            q = oracles.gather_interior(mesh, mesh.nodal(s.q).T)
+            q = oracles.gather_interior(mesh, oracles.nodal(mesh, s.q).T)
             dq = None if qprev is None else q - qprev
-            r = oracles.gather_interior(mesh, mesh.nodal(s.r))
+            r = oracles.gather_interior(mesh, oracles.nodal(mesh, s.r))
             return SimState(q=q, dq=dq, r=r, Kq=(K @ q.T).T, n=s.n, t=s.t), q
 
         fresh, qf = rebuilt(fresh, q0 if params.sigma > 0 else None)
@@ -341,8 +348,8 @@ class TestCarriedInterior:
             fresh_op = step_operator(params, dt, mesh, K, D, w)
             fresh, qf = rebuilt(step(fresh, params, dt, fresh_op, cg_tol=1e-12),
                                 qf if params.sigma > 0 else None)
-            for a, b in ((mesh.nodal(carried.q), mesh.nodal(fresh.q)),
-                         (mesh.nodal(carried.r), mesh.nodal(fresh.r))):
+            for a, b in ((oracles.nodal(mesh, carried.q), oracles.nodal(mesh, fresh.q)),
+                         (oracles.nodal(mesh, carried.r), oracles.nodal(mesh, fresh.r))):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
             e_c = discrete_energy(carried, params, dt, mesh)
             e_f = discrete_energy(fresh, params, dt, mesh)
@@ -459,7 +466,7 @@ class TestNodalField:
         dQ = Q - Q0
         r = r0 + 2.0 * (P0[0] * dQ[:, 0] + P0[1] * dQ[:, 1])
         for _ in range(11):
-            assert np.array_equal(mesh.nodal(state.q), Q.T)
+            assert np.array_equal(oracles.nodal(mesh, state.q), Q.T)
             assert np.array_equal(r[idx], state.r)
             assert np.all(Q[bnd] == 0.0)
             assert np.array_equal(r[bnd], r0[bnd])
