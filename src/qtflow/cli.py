@@ -18,21 +18,20 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, astuple, replace
 from functools import partial
 
 from . import __version__
 from .experiments import (
-    MESH_FIELDS,
     ConfigError,
     ExperimentConfig,
+    config_keys,
     run_single,
     sigma_study,
     space_refinement_study,
     time_refinement_study,
     validate_config,
 )
-from .model import Params
 
 
 def _float_list(text):
@@ -41,26 +40,13 @@ def _float_list(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-#: Converter of a config value by the type of its dataclass field; an
-#: optional field (``T | None``) converts like T.
+#: Converter of a config value by the type name of its key.
 _CONVERTERS = {"float": float, "int": int, "str": str, "tuple": _float_list}
 
-
-def _keys(cls, keep) -> dict:
-    """The config keys of the fields of cls that keep accepts, with their
-    converters."""
-    return {f.name: _CONVERTERS[f.type.split(" | ")[0]]
-            for f in fields(cls) if keep(f.name)}
-
-
-#: Accepted keys of each config section: [mesh] is the geometry of
-#: ExperimentConfig, [params] every Params field, [experiment] the rest.
-_SECTIONS = {
-    "mesh": _keys(ExperimentConfig, lambda name: name in MESH_FIELDS),
-    "params": _keys(Params, lambda name: True),
-    "experiment": _keys(ExperimentConfig,
-                        lambda name: name not in MESH_FIELDS and name != "params"),
-}
+#: Accepted keys of each config section, with their converters.
+_SECTIONS: dict = {}
+for _section, _name, _type, _ in config_keys(ExperimentConfig()):
+    _SECTIONS.setdefault(_section, {})[_name] = _CONVERTERS[_type]
 
 
 def parse_config(path: str | None) -> ExperimentConfig:
@@ -124,7 +110,7 @@ def _write(path: str, text: str, created: list) -> None:
 
 
 def _write_run(result, out_dir, created) -> None:
-    dt = result.case.dt
+    dt = result.case.cfg.dt
     rows = [(n, n * dt, rec.total, rec.kinetic, rec.elastic, rec.divpart,
              rec.rpart, rec.dissipation_residual)
             for n, rec in enumerate(result.trace, result.state.n - len(result.trace) + 1)]

@@ -55,6 +55,13 @@ def default_initial_q(x, y):
 
 @dataclass
 class ExperimentConfig:
+    """The settings of a run or a study, as a config file gives them.
+
+    A study resolves one per case: a Case's cfg carries that case's own nx,
+    ny and dt (none of them None) and params, and _simulate reads them with
+    the extents, T, cg_tol and initial; the lists and reference fields are
+    the study's."""
+
     x0: float = 0.0
     x1: float = 2.0
     y0: float = 0.0
@@ -90,17 +97,25 @@ def num_steps(T: float, dt: float) -> int:
     return k
 
 
+def config_keys(cfg: ExperimentConfig):
+    """(section, name, type name, value) of every config key of cfg in field
+    order: [mesh] the geometry, [experiment] the rest, then [params] every
+    Params field.  An optional field (``T | None``) has the type name T."""
+    for f in fields(cfg):
+        if f.name != "params":
+            yield ("mesh" if f.name in MESH_FIELDS else "experiment", f.name,
+                   f.type.split(" | ")[0], getattr(cfg, f.name))
+    for f in fields(cfg.params):
+        yield "params", f.name, f.type, getattr(cfg.params, f.name)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check every given value by the type of its field, naming the first bad
     one as section.key: numbers finite (the exponents may also be +inf, no
     perturbation), POSITIVE_FIELDS positive, integers at least their
     INT_MINIMA, lists not empty, extents ordered, time steps dividing T."""
-    typed = [(("mesh." if f.name in MESH_FIELDS else "experiment.") + f.name,
-              f.type.split(" | ")[0], getattr(cfg, f.name)) for f in fields(cfg)]
-    typed += [("params." + f.name, f.type, getattr(cfg.params, f.name))
-              for f in fields(cfg.params)]
-    for key, type_name, value in typed:  # T comes before the time steps
-        name = key.split(".")[1]
+    for section, name, type_name, value in config_keys(cfg):  # T before the steps
+        key = "%s.%s" % (section, name)
         if type_name == "int" and value is not None and value < INT_MINIMA[name]:
             raise ConfigError("%s must be at least %d, got %r"
                               % (key, INT_MINIMA[name], value))
@@ -143,36 +158,20 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Case:
-    """One simulation: domain, cells, parameters, time grid and initial data.
+    """One simulation: its resolved config and the sweep's two offsets.
 
     pert_q0 / pert_qt0 are constant offsets added to the q1 component of
     the initial data and its time derivative at interior nodes (the
     reduced form of a diag(1,-1)/2-shaped perturbation).
     """
 
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    nx: int
-    ny: int
-    params: Params
-    dt: float
-    T: float
-    cg_tol: float
-    initial: str = "default"
+    cfg: ExperimentConfig
     pert_q0: float = 0.0
     pert_qt0: float = 0.0
 
-    @classmethod
-    def of(cls, cfg: ExperimentConfig, nx: int, ny: int) -> Case:
-        """The unperturbed case of cfg on an nx x ny mesh, with step cfg.dt."""
-        return cls(cfg.x0, cfg.x1, cfg.y0, cfg.y1, nx, ny, cfg.params, cfg.dt,
-                   cfg.T, cfg.cg_tol, cfg.initial)
-
     def __str__(self) -> str:
         text = "case nx=%d, ny=%d, dt=%g, sigma=%g" % (
-            self.nx, self.ny, self.dt, self.params.sigma)
+            self.cfg.nx, self.cfg.ny, self.cfg.dt, self.cfg.params.sigma)
         if self.pert_q0 != 0.0 or self.pert_qt0 != 0.0:
             text += ", pert_q0=%g, pert_qt0=%g" % (self.pert_q0, self.pert_qt0)
         return text
@@ -184,17 +183,18 @@ def _simulate(case: Case) -> RunResult:
     A ConvergenceError from a step is raised again naming the case, which
     it carries as .case next to .step, .t and .residual.
     """
-    params, dt = case.params, case.dt
-    mesh = build_mesh(case.x0, case.x1, case.y0, case.y1, case.nx, case.ny)
+    cfg = case.cfg
+    params, dt = cfg.params, cfg.dt
+    mesh = build_mesh(cfg.x0, cfg.x1, cfg.y0, cfg.y1, cfg.nx, cfg.ny)
     K = assembly.assemble_stiffness(mesh)
     w = assembly.lumped_mass(mesh)
 
-    q0 = (np.zeros((2, mesh.n_interior)) if case.initial == "zero"
+    q0 = (np.zeros((2, mesh.n_interior)) if cfg.initial == "zero"
           else interpolate_qfield(mesh, default_initial_q))
     if case.pert_q0 != 0.0:
         q0[0] += case.pert_q0
 
-    N = num_steps(case.T, dt)
+    N = num_steps(cfg.T, dt)
     try:
         r0 = nodal_r(params, q0)
     except ValueError as exc:  # a later step's radicand is the solver's
@@ -222,7 +222,7 @@ def _simulate(case: Case) -> RunResult:
     for _ in range(N - state.n):
         prev = state.dq, trace[-1]  # the old state's other vectors die with the step
         try:
-            state = step(state, params, dt, op, cg_tol=case.cg_tol)
+            state = step(state, params, dt, op, cg_tol=cfg.cg_tol)
         except ConvergenceError as exc:
             raise ConvergenceError("%s: %s" % (case, exc), exc.residual,
                                    step=exc.step, t=exc.t, case=case) from exc
@@ -246,21 +246,18 @@ def _resolved(config: ExperimentConfig, **defaults) -> ExperimentConfig:
     return cfg
 
 
-def _cells(cfg: ExperimentConfig, nx: int) -> tuple:
-    """The (nx, ny) of cfg's square cells; nx defaults to the given count,
-    ny to nx."""
+def _cells(cfg: ExperimentConfig, nx: int) -> ExperimentConfig:
+    """cfg on its square cells; nx defaults to the given count, ny to nx."""
     nx = nx if cfg.nx is None else cfg.nx
-    ny = nx if cfg.ny is None else cfg.ny
-    nx, ny = _whole_cells(nx, ny, "mesh.nx, mesh.ny")
-    hx, hy = (cfg.x1 - cfg.x0) / nx, (cfg.y1 - cfg.y0) / ny
+    cfg = _whole_cells(cfg, nx, nx if cfg.ny is None else cfg.ny, "mesh.nx, mesh.ny")
+    hx, hy = (cfg.x1 - cfg.x0) / cfg.nx, (cfg.y1 - cfg.y0) / cfg.ny
     if abs(hx - hy) > 1e-12 * max(hx, hy):
         raise ConfigError("mesh.ny: cells must be square, got %g x %g" % (hx, hy))
-    return nx, ny
+    return cfg
 
 
 def run_single(config: ExperimentConfig) -> RunResult:
-    cfg = _resolved(config, dt=1e-3)
-    return _simulate(Case.of(cfg, *_cells(cfg, 16)))
+    return _simulate(Case(_cells(_resolved(config, dt=1e-3), 16)))
 
 
 @dataclass
@@ -289,15 +286,15 @@ def _check_halving_chain(values, key):
             raise ConfigError("%s is not a halving chain: %r" % (key, values))
 
 
-def _whole_cells(nx, ny, key: str) -> tuple:
-    """The integer counts of the nx x ny cells (inf too) that key sizes, if
-    every int32 index array of a run and a study stays in range.  The bound
-    is twice the entries of the interior stiffness (five per interior node,
-    less those past the boundary): it covers the interior consistent
-    mass's 7m - 4(ni + nj) + 2 entries, the largest CSR form, whose index
-    arrays scipy's tocsr() gives as int32 while they fit, and the at most
-    3m weights of a fine mesh in mesh.nested_injection(), which builds its
-    int32 indices and indptr itself."""
+def _whole_cells(cfg: ExperimentConfig, nx, ny, key: str) -> ExperimentConfig:
+    """cfg on the integer counts of the nx x ny cells (inf too) that key
+    sizes, if every int32 index array of a run and a study stays in range.
+    The bound is twice the entries of the interior stiffness (five per
+    interior node, less those past the boundary): it covers the interior
+    consistent mass's 7m - 4(ni + nj) + 2 entries, the largest CSR form,
+    whose index arrays scipy's tocsr() gives as int32 while they fit, and
+    the at most 3m weights of a fine mesh in mesh.nested_injection(), which
+    builds its int32 indices and indptr itself."""
     ni, nj = nx - 1, ny - 1
     if not 2 * (5 * ni * nj - 2 * ni - 2 * nj) < 2 ** 31:  # nan from inf too
         raise ConfigError("%s: %g x %g cells outgrow int32 indices" % (key, nx, ny))
@@ -305,7 +302,7 @@ def _whole_cells(nx, ny, key: str) -> tuple:
     if min(cells) < 2 or max(abs(nx - cells[0]), abs(ny - cells[1])) > 1e-9:
         raise ConfigError("%s: %r x %r cells are not at least 2 whole cells "
                           "per axis" % (key, nx, ny))
-    return cells
+    return replace(cfg, nx=cells[0], ny=cells[1])
 
 
 def _orders(errors):
@@ -348,7 +345,7 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
     _check_halving_chain(h_list, "experiment.h_list")
 
     width, height, level = cfg.x1 - cfg.x0, cfg.y1 - cfg.y0, cfg.reference_level
-    cases = [Case.of(cfg, *_whole_cells(width / h, height / h, "experiment.h_list"))
+    cases = [Case(_whole_cells(cfg, width / h, height / h, "experiment.h_list"))
              for h in h_list]
     # the reference mesh, first, has extent 2^level cells per axis, formed
     # without 2^-level, which is 0 from level 1075 up
@@ -356,7 +353,7 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
         n_ref = math.ldexp(width, level), math.ldexp(height, level)
     except OverflowError:
         n_ref = math.inf, math.inf
-    cases.insert(0, Case.of(cfg, *_whole_cells(*n_ref, "experiment.reference_level")))
+    cases.insert(0, Case(_whole_cells(cfg, *n_ref, "experiment.reference_level")))
     m = math.ldexp(h_list[-1], level)  # the reference mesh refines the finest m times
     if m < 1.5 or abs(m - round(m)) > 1e-9 * m:
         raise ConfigError("experiment.h_list must end at an integer multiple >= 2 "
@@ -384,8 +381,8 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
     _check_halving_chain(dt_list, "experiment.dt_list")
     if min(dt_list) <= cfg.reference_dt:
         raise ConfigError("experiment.dt_list must end above experiment.reference_dt")
-    case = Case.of(cfg, *_cells(cfg, 32))
-    cases = [replace(case, dt=dt) for dt in (cfg.reference_dt,) + dt_list]
+    on_mesh = _cells(cfg, 32)
+    cases = [Case(replace(on_mesh, dt=dt)) for dt in (cfg.reference_dt,) + dt_list]
 
     def compare(res, ref, forms):
         return (analysis.h1_error_component(res.state.q, ref.state.q, forms, 0),
@@ -424,12 +421,11 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
             raise ConfigError("experiment.%s: %r prints two alike" % (key, values))
     pairs = list(product(cfg.p1_list, cfg.p2_list))
     keys = [(p1, p2, s) for p1, p2 in pairs for s in sigma_list]
-    parabolic = replace(Case.of(cfg, *_cells(cfg, 16)),
-                        params=replace(cfg.params, sigma=0.0))
-    cases = [parabolic] + [replace(parabolic, params=replace(cfg.params, sigma=s),
-                                   pert_q0=0.0 if math.isinf(p1) else 0.5 * s ** p1,
-                                   pert_qt0=0.0 if math.isinf(p2) else 0.5 * s ** p2)
-                           for p1, p2, s in keys]
+    on_mesh = _cells(cfg, 16)  # the parabolic run first: sigma 0, no perturbation
+    cases = [Case(replace(on_mesh, params=replace(cfg.params, sigma=s)),
+                  pert_q0=0.0 if math.isinf(p1) else 0.5 * s ** p1,
+                  pert_qt0=0.0 if math.isinf(p2) else 0.5 * s ** p2)
+             for p1, p2, s in [(math.inf, math.inf, 0.0)] + keys]
     results = _run_cases(cases, cfg.threads)
     par = results[0]
     forms = analysis.norm_forms(par.mesh)

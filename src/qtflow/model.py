@@ -24,7 +24,9 @@ class Params:
 
     L1, L2, L3 are the elastic constants, (a, b, c) the bulk coefficients,
     A0 the positive shift that keeps the quadratized energy density
-    positive, and sigma the inertial constant.
+    positive, and sigma the inertial constant.  b is accepted and checked
+    like the others but has no effect in 2D: tr(Q^3) = 0, and b cancels
+    from f.
     """
 
     L1: float

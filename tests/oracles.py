@@ -596,10 +596,11 @@ def nodal_start(case, op):
     operator: the nodal Q0, r0 and (for sigma > 0) Qt0, each perturbation
     added at the interior nodes, then the explicit first level in two
     passes."""
-    p, dt = case.params, case.dt
-    mesh = build_mesh(case.x0, case.x1, case.y0, case.y1, case.nx, case.ny)
+    cfg = case.cfg
+    p, dt = cfg.params, cfg.dt
+    mesh = build_mesh(cfg.x0, cfg.x1, cfg.y0, cfg.y1, cfg.nx, cfg.ny)
     idx = interior_nodes(mesh)
-    Q0 = (np.zeros((mesh.n_nodes, 2)) if case.initial == "zero"
+    Q0 = (np.zeros((mesh.n_nodes, 2)) if cfg.initial == "zero"
           else nodal_interpolate_qfield(mesh, default_initial_q))
     if case.pert_q0 != 0.0:
         Q0[idx, 0] += case.pert_q0

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qtflow import cli
 from qtflow.cli import dispatch, main, parse_config
-from qtflow.experiments import ConfigError, ExperimentConfig
+from qtflow.experiments import INT_MINIMA, ConfigError, ExperimentConfig, config_keys
 from qtflow.model import Params
 
 
@@ -101,6 +102,20 @@ def test_readme_config_example_parses_and_names_every_key(tmp_path):
         "experiment": {f.name for f in fields(ExperimentConfig)} - mesh - {"params"},
     }
     assert {section: set(cp.options(section)) for section in cp.sections()} == expected
+
+
+def test_every_config_key_converts_and_every_int_key_has_a_minimum():
+    """The parser's keys are the ones config_keys() walks, each with a
+    converter for its type name, and every int key has an INT_MINIMA entry:
+    without one, validate_config() would raise a KeyError, which main()
+    reports as an exit-2 error instead of an exit-1 config error."""
+    keys = list(config_keys(ExperimentConfig()))
+    assert ({(section, name) for section, name, _, _ in keys}
+            == {(section, name) for section, names in cli._SECTIONS.items()
+                for name in names})
+    for section, name, type_name, _ in keys:
+        assert type_name in cli._CONVERTERS, "%s.%s" % (section, name)
+        assert type_name != "int" or name in INT_MINIMA, "%s.%s" % (section, name)
 
 
 class TestDispatchRun:

@@ -277,8 +277,11 @@ class TestInteriorSetup:
     def test_start_state(self, extent, nx, ny, sigma, pert_q0, pert_qt0, initial,
                          monkeypatch):
         dt = 1e-3
-        case = experiments.Case(*extent, nx, ny, replace(DEFAULT_PARAMS, sigma=sigma),
-                                dt, 3 * dt, 1e-10, initial, pert_q0, pert_qt0)
+        x0, x1, y0, y1 = extent
+        case = experiments.Case(ExperimentConfig(
+            x0=x0, x1=x1, y0=y0, y1=y1, nx=nx, ny=ny,
+            params=replace(DEFAULT_PARAMS, sigma=sigma), dt=dt, T=3 * dt,
+            initial=initial), pert_q0, pert_qt0)
         state, op, _ = first_step_of(case, monkeypatch)
         ref = oracles.nodal_start(case, op)
         assert (state.n, state.t) == (ref.n, ref.t)
@@ -301,8 +304,8 @@ def test_setup_keeps_at_most_16_7_vectors(monkeypatch):
     its node coordinates, boundary flags and interior indices, and 33.2
     when the set-up also keeps its nodal Q0 and Qt0 fields to the first
     step.  Deterministic for given numpy and scipy."""
-    case = experiments.Case(0.0, 2.0, 0.0, 2.0, 128, 128, DEFAULT_PARAMS,
-                            1.25e-4, 3 * 1.25e-4, 1e-10)
+    case = experiments.Case(ExperimentConfig(nx=128, ny=128, dt=1.25e-4,
+                                             T=3 * 1.25e-4))
     monkeypatch.setattr(assembly, "_stiffness", {})  # the run builds its K
     try:
         state, _, held = first_step_of(
@@ -364,8 +367,8 @@ def test_warm_step_peak(params, nx, bound, monkeypatch):
     stiffness twice, it was 35.49 and 34.49 (35.99 with sigma > 0 and a
     contiguous copy of the node weights, 42.44 in the anisotropic run while
     it kept D apart from K).  Deterministic for given numpy and scipy."""
-    case = experiments.Case(0.0, 2.0, 0.0, 2.0, nx, nx, params,
-                            1.25e-4, 6 * 1.25e-4, 1e-10)
+    case = experiments.Case(ExperimentConfig(nx=nx, ny=nx, params=params,
+                                             dt=1.25e-4, T=6 * 1.25e-4))
     assert warm_step_peak(case, monkeypatch) <= bound
 
 
@@ -390,8 +393,8 @@ def test_dissipation_defect_is_the_run_loop_formula(params, monkeypatch):
 
     monkeypatch.setattr(experiments, "step", kept_step)
     dt = 1e-3
-    res = experiments._simulate(experiments.Case(0.0, 2.0, 0.0, 2.0, 16, 16, params,
-                                                 dt, 12 * dt, 1e-10))
+    res = experiments._simulate(experiments.Case(ExperimentConfig(
+        nx=16, ny=16, params=params, dt=dt, T=12 * dt)))
     assert len(states) == len(res.trace)
     assert res.trace[0].dissipation_residual == 0.0
     defects = [rec.dissipation_residual for rec in res.trace[1:]]
@@ -468,8 +471,8 @@ def test_anisotropic_run_builds_one_stiffness(stiffness_builds):
     built once: assemble_div_form() returns the K that assemble_stiffness()
     built for the run's lattice."""
     params = replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4)
-    experiments._simulate(experiments.Case(0.0, 2.0, 0.0, 2.0, 8, 8, params,
-                                           1e-3, 2e-3, 1e-10))
+    experiments._simulate(experiments.Case(ExperimentConfig(
+        nx=8, ny=8, params=params, dt=1e-3, T=2e-3)))
     assert stiffness_builds == [(8, 8)]
 
 
@@ -524,7 +527,7 @@ class TestSpaceStudy:
             pass
 
         def run_cases(cases, threads):
-            raise Reached((cases[0].nx, cases[0].ny))
+            raise Reached((cases[0].cfg.nx, cases[0].cfg.ny))
 
         monkeypatch.setattr(experiments, "_run_cases", run_cases)
         cfg = ExperimentConfig(T=0.01, dt=1e-3, h_list=(0.5, 0.25), reference_level=12)
@@ -646,10 +649,10 @@ class TestSigmaStudy:
         assert str(err) == ("case nx=6, ny=6, dt=0.001, sigma=0.1, "
                             "pert_q0=0.158114, pert_qt0=0: "
                             "step 2 (t = 0.002): CG did not converge")
-        assert err.case.params.sigma == failing_sigma
+        assert err.case.cfg.params.sigma == failing_sigma
         assert err.case.pert_q0 == 0.5 * failing_sigma ** 0.5
         assert err.case.pert_qt0 == 0.0
-        assert (err.case.nx, err.case.ny, err.case.dt) == (6, 6, dt)
+        assert (err.case.cfg.nx, err.case.cfg.ny, err.case.cfg.dt) == (6, 6, dt)
         assert (err.step, err.t, err.residual) == (2, 2 * dt, 0.5)
 
     def test_perturbation_applied_interior_only(self):

@@ -215,8 +215,8 @@ def test_energy_never_rises(sigma, dt, ell, A0, n, steps):
     0.01, the depth of the bulk potential's minimum (a = -0.2, c = 1), so
     every radicand is positive."""
     params = replace(DEFAULT_PARAMS, sigma=sigma, L2=0.5 * ell, L3=0.5 * ell, A0=A0)
-    run = experiments._simulate(Case(0.0, 2.0, 0.0, 2.0, n, n, params, dt,
-                                     steps * dt, 1e-10))
+    run = experiments._simulate(Case(ExperimentConfig(nx=n, ny=n, params=params,
+                                                      dt=dt, T=steps * dt)))
     totals = [rec.total for rec in run.trace]
     assert len(totals) == steps + (sigma == 0.0)  # sigma > 0 starts at step 1
     slack = ENERGY_RISE_SLACK * totals[0]
