@@ -103,55 +103,46 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: str, text: str, created: list) -> None:
-    with open(path, "w") as handle:
-        handle.write(text)
-    created.append(path)
-
-
-def _write_run(result, out_dir, created) -> None:
+def _write_run(result) -> dict:
     dt = result.case.cfg.dt
     rows = [(n, n * dt, rec.total, rec.kinetic, rec.elastic, rec.divpart,
              rec.rpart, rec.dissipation_residual)
             for n, rec in enumerate(result.trace, result.state.n - len(result.trace) + 1)]
-    _write(os.path.join(out_dir, "energy_trace.csv"), _csv(
-        "step,time,E_total,E_kinetic,E_elastic,E_div,E_r,dissipation_residual",
-        rows), created)
     defects = [abs(r.dissipation_residual) for r in result.trace]
     print("run finished: %d steps, E = %.6g, max residual %.3g"
           % (result.state.n, result.trace[-1].total,
              max(defects, key=lambda d: (math.isnan(d), d))))  # NaN outranks all
+    return {"energy_trace.csv": _csv(
+        "step,time,E_total,E_kinetic,E_elastic,E_div,E_r,dissipation_residual", rows)}
 
 
-def _write_refinement(filename, level_name, result, out_dir, created) -> None:
-    _write(os.path.join(out_dir, filename), _csv(
-        "level,error_Q11,order_Q11,error_Q12,order_Q12,error_r,order_r",
-        [astuple(row) for row in result.rows]), created)
+def _write_refinement(filename, level_name, result) -> dict:
     print("%-10s %-9s %-6s %-9s %-6s %-9s %-6s"
           % (level_name, "err_Q11", "ord", "err_Q12", "ord", "err_r", "ord"))
     for row in result.rows:
         print("%-10.4g %-9.3g %-6s %-9.3g %-6s %-9.3g %-6s" % (
             row.level, row.err_q11, _rounded(row.ord_q11), row.err_q12,
             _rounded(row.ord_q12), row.err_r, _rounded(row.ord_r)))
+    return {filename: _csv(
+        "level,error_Q11,order_Q11,error_Q12,order_Q12,error_r,order_r",
+        [astuple(row) for row in result.rows])}
 
 
-def _write_sigma(result, out_dir, created) -> None:
+def _write_sigma(result) -> dict:
     slopes = [("slope", p1, p2, slope) for (p1, p2), slope in result.slopes.items()]
-    _write(os.path.join(out_dir, "sigma_study.csv"), _csv(
-        "sigma,p1,p2,h1_error", [astuple(row) for row in result.rows] + slopes),
-        created)
+    texts = {"sigma_study.csv": _csv(
+        "sigma,p1,p2,h1_error", [astuple(row) for row in result.rows] + slopes)}
     for (p1, p2), slope in result.slopes.items():
-        name = "sigma_case_p1_%g_p2_%g.dat" % (p1, p2)
         rows = [r for r in result.rows if r.p1 == p1 and r.p2 == p2]
-        text = "".join("%s %s\n" % (_fmt(r.sigma), _fmt(r.h1_error))
-                       for r in rows)
-        _write(os.path.join(out_dir, name), text, created)
+        texts["sigma_case_p1_%g_p2_%g.dat" % (p1, p2)] = "".join(
+            "%s %s\n" % (_fmt(r.sigma), _fmt(r.h1_error)) for r in rows)
         print("case p1=%g p2=%g: fitted slope %s" % (p1, p2, _rounded(slope, "%.3f")))
+    return texts
 
 
 #: Subcommand name: (help text, name of the study function in this module,
-#: looked up per call so that it can be rebound, and the writer of its
-#: outputs and console summary).
+#: looked up per call so that it can be rebound, and the writer that prints
+#: its console summary and returns its outputs as {file name: text}).
 _SUBCOMMANDS = {
     "run": ("single simulation with an energy trace", "run_single", _write_run),
     "space-refine": ("spatial refinement error study", "space_refinement_study",
@@ -172,25 +163,24 @@ def _sanitize(obj):
     return obj
 
 
-def _manifest(out_dir, subcommand, config, timings, created) -> str:
-    inventory = {}
-    for path in created:
-        with open(path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-        inventory[os.path.relpath(path, out_dir)] = digest
+def _manifest(subcommand, config, timings, files) -> str:
     payload = {
         "version": __version__,
         "subcommand": subcommand,
         "config": _sanitize(asdict(config)),
         "wall_clock_seconds": timings,
-        "files": inventory,
+        "files": files,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def dispatch(subcommand: str, config: ExperimentConfig, out_dir: str) -> int:
     """Run one experiment and write its artifacts below out_dir, which is
-    created only once the experiment has succeeded."""
+    created only once the experiment has succeeded.
+
+    Every output is written as the bytes that manifest.json lists the
+    SHA-256 of; a failure removes every file this call opened.
+    """
     if subcommand not in _SUBCOMMANDS:
         raise ConfigError("unknown subcommand %r" % subcommand)
     _, study, write = _SUBCOMMANDS[subcommand]
@@ -198,19 +188,22 @@ def dispatch(subcommand: str, config: ExperimentConfig, out_dir: str) -> int:
     result = globals()[study](config)
     timings = {"compute": time.perf_counter() - t0}
 
-    os.makedirs(out_dir, exist_ok=True)
-    created: list = []
-    try:
-        t1 = time.perf_counter()
-        write(result, out_dir, created)
-        timings["write"] = time.perf_counter() - t1
+    t1 = time.perf_counter()
+    outputs = {name: text.encode() for name, text in write(result).items()}
+    files = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    timings["write"] = time.perf_counter() - t1
+    outputs["manifest.json"] = _manifest(subcommand, config, timings, files).encode()
 
-        _write(os.path.join(out_dir, "manifest.json"),
-               _manifest(out_dir, subcommand, config, timings, created[:]), created)
+    os.makedirs(out_dir, exist_ok=True)
+    opened: list = []
+    try:
+        for name, data in outputs.items():
+            with open(os.path.join(out_dir, name), "wb") as handle:
+                opened.append(handle.name)
+                handle.write(data)
     except Exception:
-        for path in created:
-            if os.path.exists(path):
-                os.remove(path)
+        for path in opened:
+            os.remove(path)
         raise
     return 0
 
@@ -249,10 +242,8 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config)
-        if args.threads is not None:
-            config = replace(config, threads=args.threads)
-        if args.reference_level is not None:
-            config = replace(config, reference_level=args.reference_level)
+        flags = {"threads": args.threads, "reference_level": args.reference_level}
+        config = replace(config, **{k: v for k, v in flags.items() if v is not None})
         out_dir = args.out or config.out_dir or "out"
         _check_out(out_dir, "--out" if args.out else "experiment.out_dir")
         return dispatch(args.subcommand, config, out_dir)

@@ -247,13 +247,9 @@ def _resolved(config: ExperimentConfig, **defaults) -> ExperimentConfig:
 
 
 def _cells(cfg: ExperimentConfig, nx: int) -> ExperimentConfig:
-    """cfg on its square cells; nx defaults to the given count, ny to nx."""
+    """cfg on its own cells; nx defaults to the given count, ny to nx."""
     nx = nx if cfg.nx is None else cfg.nx
-    cfg = _whole_cells(cfg, nx, nx if cfg.ny is None else cfg.ny, "mesh.nx, mesh.ny")
-    hx, hy = (cfg.x1 - cfg.x0) / cfg.nx, (cfg.y1 - cfg.y0) / cfg.ny
-    if abs(hx - hy) > 1e-12 * max(hx, hy):
-        raise ConfigError("mesh.ny: cells must be square, got %g x %g" % (hx, hy))
-    return cfg
+    return _whole_cells(cfg, nx, nx if cfg.ny is None else cfg.ny, "mesh.nx, mesh.ny")
 
 
 def run_single(config: ExperimentConfig) -> RunResult:
@@ -288,7 +284,10 @@ def _check_halving_chain(values, key):
 
 def _whole_cells(cfg: ExperimentConfig, nx, ny, key: str) -> ExperimentConfig:
     """cfg on the integer counts of the nx x ny cells (inf too) that key
-    sizes, if every int32 index array of a run and a study stays in range.
+    sizes, if every int32 index array of a run and a study stays in range
+    and the cells are square by build_mesh's rule (a cell that is not names
+    the last key, the one that sizes ny).  This is the one place where cell
+    counts become a case's lattice.
     The bound is twice the entries of the interior stiffness (five per
     interior node, less those past the boundary): it covers the interior
     consistent mass's 7m - 4(ni + nj) + 2 entries, the largest CSR form,
@@ -302,6 +301,10 @@ def _whole_cells(cfg: ExperimentConfig, nx, ny, key: str) -> ExperimentConfig:
     if min(cells) < 2 or max(abs(nx - cells[0]), abs(ny - cells[1])) > 1e-9:
         raise ConfigError("%s: %r x %r cells are not at least 2 whole cells "
                           "per axis" % (key, nx, ny))
+    hx, hy = (cfg.x1 - cfg.x0) / cells[0], (cfg.y1 - cfg.y0) / cells[1]
+    if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):
+        raise ConfigError("%s: cells must be square, got %r x %r"
+                          % (key.split(", ")[-1], hx, hy))
     return replace(cfg, nx=cells[0], ny=cells[1])
 
 
@@ -312,22 +315,39 @@ def _orders(errors):
                      else None for pair in zip(errors, errors[1:])]
 
 
-def _refinement(levels, cases, threads, compare) -> StudyResult:
-    """Run the reference cases[0] and one case per level, and tabulate the
-    errors of each case against the reference with their observed orders.
+def _against_first(cases, threads, measure):
+    """Run the cases and measure each later one against the first, with
+    the norm forms of the first's mesh: measure(res, first, forms).
 
-    compare(res, ref, forms) returns the (Q11, Q12, r) errors of one case,
-    measured with the norm forms of the reference mesh.
-    """
+    Returns the measures in case order and the largest energy rise of any
+    case, the first included."""
     results = _run_cases(cases, threads)
-    ref = results[0]
-    forms = analysis.norm_forms(ref.mesh)
-    errs = [compare(res, ref, forms) for res in results[1:]]
+    first = results[0]
+    forms = analysis.norm_forms(first.mesh)
+    return ([measure(res, first, forms) for res in results[1:]],
+            max(res.max_energy_increase for res in results))
+
+
+def _refinement(levels, cases, threads,
+                on_ref=lambda res, ref: (res.state.q, res.state.r)) -> StudyResult:
+    """Run the reference cases[0] and one case per level, and tabulate the
+    (Q11, Q12, r) errors of each case against the reference with their
+    observed orders.
+
+    on_ref(res, ref) gives a case's q and r as interior vectors of the
+    reference mesh; the errors are measured with its norm forms.
+    """
+    def errors(res, ref, forms):
+        q, r = on_ref(res, ref)
+        return (analysis.h1_error_component(q, ref.state.q, forms, 0),
+                analysis.h1_error_component(q, ref.state.q, forms, 1),
+                analysis.l2_error_scalar(r, ref.state.r, forms))
+
+    errs, rise = _against_first(cases, threads, errors)
     o11, o12, o_r = (_orders(col) for col in zip(*errs))
     rows = [RefinementRow(level, e[0], o11[k], e[1], o12[k], e[2], o_r[k])
             for k, (level, e) in enumerate(zip(levels, errs))]
-    return StudyResult(rows=rows,
-                       max_energy_increase=max(r.max_energy_increase for r in results))
+    return StudyResult(rows=rows, max_energy_increase=rise)
 
 
 def space_refinement_study(config: ExperimentConfig) -> StudyResult:
@@ -359,15 +379,12 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
         raise ConfigError("experiment.h_list must end at an integer multiple >= 2 "
                           "of the reference mesh size 2^-reference_level, got %r" % m)
 
-    def compare(res, ref, forms):
+    def on_ref(res, ref):
         inj = nested_injection(res.mesh, ref.mesh)
-        qt = analysis.transfer_to_fine(res.state.q, inj, ref.mesh)
-        rt = analysis.transfer_to_fine(res.state.r, inj, ref.mesh)
-        return (analysis.h1_error_component(qt, ref.state.q, forms, 0),
-                analysis.h1_error_component(qt, ref.state.q, forms, 1),
-                analysis.l2_error_scalar(rt, ref.state.r, forms))
+        return (analysis.transfer_to_fine(res.state.q, inj, ref.mesh),
+                analysis.transfer_to_fine(res.state.r, inj, ref.mesh))
 
-    return _refinement(h_list, cases, cfg.threads, compare)
+    return _refinement(h_list, cases, cfg.threads, on_ref)
 
 
 def time_refinement_study(config: ExperimentConfig) -> StudyResult:
@@ -383,13 +400,7 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
         raise ConfigError("experiment.dt_list must end above experiment.reference_dt")
     on_mesh = _cells(cfg, 32)
     cases = [Case(replace(on_mesh, dt=dt)) for dt in (cfg.reference_dt,) + dt_list]
-
-    def compare(res, ref, forms):
-        return (analysis.h1_error_component(res.state.q, ref.state.q, forms, 0),
-                analysis.h1_error_component(res.state.q, ref.state.q, forms, 1),
-                analysis.l2_error_scalar(res.state.r, ref.state.r, forms))
-
-    return _refinement(dt_list, cases, cfg.threads, compare)
+    return _refinement(dt_list, cases, cfg.threads)
 
 
 @dataclass
@@ -426,13 +437,9 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
                   pert_q0=0.0 if math.isinf(p1) else 0.5 * s ** p1,
                   pert_qt0=0.0 if math.isinf(p2) else 0.5 * s ** p2)
              for p1, p2, s in [(math.inf, math.inf, 0.0)] + keys]
-    results = _run_cases(cases, cfg.threads)
-    par = results[0]
-    forms = analysis.norm_forms(par.mesh)
-
-    rows = [SigmaRow(sigma=s, p1=p1, p2=p2, h1_error=analysis.h1_error_field(
-                par.state.q, res.state.q, forms))
-            for (p1, p2, s), res in zip(keys, results[1:])]
+    distances, rise = _against_first(cases, cfg.threads, lambda res, par, forms:
+                                     analysis.h1_error_field(par.state.q, res.state.q, forms))
+    rows = [SigmaRow(s, p1, p2, d) for (p1, p2, s), d in zip(keys, distances)]
 
     xs = np.log(np.array(sigma_list))
     slopes = {}  # None where an error is zero, which has no logarithm
@@ -441,6 +448,4 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
         slopes[(p1, p2)] = (float(np.polyfit(xs, np.log(errors), 1)[0])
                             if errors.min() > 0.0 else None)
 
-    return StudyResult(rows=rows,
-                       max_energy_increase=max(r.max_energy_increase for r in results),
-                       slopes=slopes)
+    return StudyResult(rows=rows, max_energy_increase=rise, slopes=slopes)

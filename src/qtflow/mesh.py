@@ -87,7 +87,7 @@ def build_mesh(x0, x1, y0, y1, nx, ny) -> StructuredMesh:
     hx = (x1 - x0) / nx
     hy = (y1 - y0) / ny
     if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):
-        raise ValueError("cells must be square: hx=%g differs from hy=%g" % (hx, hy))
+        raise ValueError("cells must be square: hx=%r differs from hy=%r" % (hx, hy))
     return StructuredMesh(
         x0=float(x0), x1=float(x1), y0=float(y0), y1=float(y1),
         nx=int(nx), ny=int(ny), h=float(hx),

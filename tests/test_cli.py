@@ -212,6 +212,16 @@ class TestDispatchStudies:
             dispatch("run", cfg, out)
         assert not os.path.exists(os.path.join(out, "energy_trace.csv"))
 
+    def test_outputs_removed_when_a_file_cannot_be_written(self, tmp_path):
+        """manifest.json, written last, is a directory here: the trace
+        written before it is removed, and the directory is left alone."""
+        out = tmp_path / "fail"
+        (out / "manifest.json").mkdir(parents=True)
+        cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3, initial="zero")
+        with pytest.raises(IsADirectoryError):
+            dispatch("run", cfg, str(out))
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
     def test_failed_study_creates_no_directory(self, tmp_path, monkeypatch):
         out = str(tmp_path / "fail")
         cfg = ExperimentConfig(nx=8, ny=8, T=0.01, dt=1e-3, initial="zero")
@@ -308,6 +318,12 @@ initial = zero
         pytest.param("space-refine", "[experiment]\nh_list = 0.6, 0.3\nreference_level = 4\n",
                      "experiment.h_list: 3.3333333333333335 x 3.3333333333333335 cells "
                      "are not at least 2 whole cells per axis", id="h_list=0.6,0.3"),
+        # 6.0000000002 cells pass as whole, but not as square: once exit 2
+        # from build_mesh, whose message printed hx and hy alike
+        pytest.param("space-refine", "[mesh]\nx1 = 1.0\ny1 = 3.0000000001\n"
+                     "[experiment]\nT = 2.5e-4\nh_list = 0.5, 0.25\nreference_level = 3\n",
+                     "experiment.h_list: cells must be square, got 0.5 x 0.5000000000166667",
+                     id="y1=3.0000000001"),
     ]
 
     @pytest.mark.parametrize("subcommand,text,key", MALFORMED)

@@ -30,10 +30,12 @@ moved to interior vectors: every difference they measure is the same, but
 its dot products run over the m interior entries instead of all N nodes,
 which sums them in another order (CHANGES.md lists the old and new hashes).
 README.md quotes the space-refine hash, and test_readme_quotes_the_pinned_hash
-holds the quote to the pin.
+holds the quote to the pin.  Each run's manifest.json must list the SHA-256
+of every other file it wrote, as read back from the disk.
 """
 
 import hashlib
+import json
 import os
 import re
 
@@ -203,8 +205,11 @@ def test_output_hashes(name, tmp_path, capsys):
     config.write_text(text)
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
-    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in out.iterdir() if path.suffix in (".csv", ".dat")}
+    on_disk = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir() if path.name != "manifest.json"}
+    assert json.loads((out / "manifest.json").read_text())["files"] == on_disk
+    written = {name: digest for name, digest in on_disk.items()
+               if name.endswith((".csv", ".dat"))}
     assert written == HASHES[name]
 
 
