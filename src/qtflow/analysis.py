@@ -86,9 +86,11 @@ class NormForms(NamedTuple):
     stiffness: sparse.csr_matrix
 
 
-def norm_forms(mesh: StructuredMesh) -> NormForms:
-    """The K is assemble_stiffness()'s: a time or sigma study reuses its runs'."""
-    return NormForms(assembly.consistent_mass(mesh), assembly.assemble_stiffness(mesh))
+def norm_forms(mesh: StructuredMesh, K=None) -> NormForms:
+    """K is the mesh's interior stiffness when the caller holds it (a study
+    passes its first run's), assemble_stiffness()'s otherwise."""
+    return NormForms(assembly.consistent_mass(mesh),
+                     assembly.assemble_stiffness(mesh) if K is None else K)
 
 
 def _check_interior(forms: NormForms, shape: tuple, *fields) -> None:

@@ -149,6 +149,7 @@ class RunResult:
     mesh: object
     state: SimState
     trace: list  # of analysis.EnergyRecord
+    K: object  # the interior stiffness the run stepped with
 
     @property
     def max_energy_increase(self) -> float:
@@ -189,8 +190,12 @@ def _simulate(case: Case) -> RunResult:
     K = assembly.assemble_stiffness(mesh)
     w = assembly.lumped_mass(mesh)
 
-    q0 = (np.zeros((2, mesh.n_interior)) if cfg.initial == "zero"
-          else interpolate_qfield(mesh, default_initial_q))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        q0 = (np.zeros((2, mesh.n_interior)) if cfg.initial == "zero"
+              else interpolate_qfield(mesh, default_initial_q))
+    if not np.isfinite(q0).all():
+        raise ConfigError("experiment.initial: the %s profile is not finite for %s"
+                          % (cfg.initial, case))
     if case.pert_q0 != 0.0:
         q0[0] += case.pert_q0
 
@@ -211,7 +216,7 @@ def _simulate(case: Case) -> RunResult:
     op = step_operator(params, dt, mesh, K, assembly.assemble_div_form(mesh)
                        if (params.L2 + params.L3) != 0.0 else None, w)
     state = initialize(params, dt, q0, r0, op, velocity)
-    del q0, r0  # the state holds what it needs
+    del q0, r0  # the state took them over
 
     work = (op.tmp, op.dir)  # the operator's, free between solves
     trace = [analysis.discrete_energy(state, params, dt, mesh, work=work)]
@@ -228,7 +233,7 @@ def _simulate(case: Case) -> RunResult:
                                    step=exc.step, t=exc.t, case=case) from exc
         trace.append(analysis.discrete_energy(state, params, dt, mesh, prev, work))
 
-    return RunResult(case=case, mesh=mesh, state=state, trace=trace)
+    return RunResult(case=case, mesh=mesh, state=state, trace=trace, K=K)
 
 
 def _run_cases(cases, threads):
@@ -286,8 +291,9 @@ def _whole_cells(cfg: ExperimentConfig, nx, ny, key: str) -> ExperimentConfig:
     """cfg on the integer counts of the nx x ny cells (inf too) that key
     sizes, if every int32 index array of a run and a study stays in range
     and the cells are square by build_mesh's rule (a cell that is not names
-    the last key, the one that sizes ny).  This is the one place where cell
-    counts become a case's lattice.
+    the last key, the one that sizes ny) with an area h h, which scales
+    every form, that is finite and positive (mesh.x1 otherwise).  This is
+    the one place where cell counts become a case's lattice.
     The bound is twice the entries of the interior stiffness (five per
     interior node, less those past the boundary): it covers the interior
     consistent mass's 7m - 4(ni + nj) + 2 entries, the largest CSR form,
@@ -305,6 +311,9 @@ def _whole_cells(cfg: ExperimentConfig, nx, ny, key: str) -> ExperimentConfig:
     if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):
         raise ConfigError("%s: cells must be square, got %r x %r"
                           % (key.split(", ")[-1], hx, hy))
+    if not 0.0 < hx * hx < math.inf:
+        raise ConfigError("mesh.x1: cells of size %r have an area h h = %r that is "
+                          "not finite and positive" % (hx, hx * hx))
     return replace(cfg, nx=cells[0], ny=cells[1])
 
 
@@ -317,13 +326,14 @@ def _orders(errors):
 
 def _against_first(cases, threads, measure):
     """Run the cases and measure each later one against the first, with
-    the norm forms of the first's mesh: measure(res, first, forms).
+    the norm forms of the first's mesh and its run's K: measure(res, first,
+    forms).
 
     Returns the measures in case order and the largest energy rise of any
     case, the first included."""
     results = _run_cases(cases, threads)
     first = results[0]
-    forms = analysis.norm_forms(first.mesh)
+    forms = analysis.norm_forms(first.mesh, first.K)
     return ([measure(res, first, forms) for res in results[1:]],
             max(res.max_energy_increase for res in results))
 

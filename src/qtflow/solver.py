@@ -10,10 +10,10 @@ vectors without assembling a matrix.  The divergence form is K, so the
 elastic part is c K.  CG starts from the step's own start value and
 residual, and its one loop confirms every exit on the true residual,
 formed from K x, which then serves the energy and the next step.  The
-operator owns the work vectors of a step; a solve owns its Jacobi
-diagonal, formed once per solve, and each product A p.  Every vector
-that a solve returns or leaves on the operator for a caller to keep is
-new.
+operator owns the work vectors of a step, each product A p among them; a
+solve owns its Jacobi diagonal, which it frees before a confirmation and
+forms again only on a restart.  Every vector that a solve returns or
+leaves on the operator for a caller to keep is new.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class StepOperator:
     holding the reduced components of the quadratization gradient there;
     set_rank_one() installs it before a step's first matvec or residual.
     The operator owns six (2, m) work vectors: .rhs, .res, .dir, .tmp, .p
-    and .wp; the diagonal is a solve's own (diagonal()).
+    and .wp, and p . x (m,); the diagonal is a solve's own (diagonal()).
     """
 
     def __init__(self, mesh, w, K, D, cm, ck, cd):
@@ -105,8 +105,10 @@ class StepOperator:
         """y += w s_z p_z at every interior node z, in place."""
         y += np.multiply(self.wp, s, out=self.tmp)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.multiply(self.wp, self.project(x))
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A x, into out when given (a new vector otherwise); out may be
+        .tmp, which project() is done with before out is written."""
+        y = np.multiply(self.wp, self.project(x), out=out)
         y[0] += self.base @ x[0]
         y[1] += self.base @ x[1]
         return y
@@ -139,9 +141,13 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
     Whenever the recurrence residual meets the limit, the true residual
     from A.residual confirms it, which leaves the products of x on A; a
     rejected confirmation (a drifted recurrence or a wrong r0, NaN too)
-    restarts CG from the true residual.  Raises ConvergenceError when
-    maxiter is exhausted or p.Ap is not positive (it underflows far below
-    the rounding floor), and at once when rhs is not finite.
+    restarts CG from the true residual.  The new vectors of a solve are x
+    (x0 itself when the first confirmation holds, zeros when rhs is), the
+    Jacobi diagonal, freed before each confirmation, and a confirmation's
+    K x (A.Kx); A p goes to A.tmp, where r's update is its last use.
+    Raises ConvergenceError when maxiter is exhausted or p.Ap is not
+    positive (it underflows far below the rounding floor), and at once
+    when rhs is not finite.
     """
     norm_b = math.sqrt(np.vdot(rhs, rhs))
     if norm_b == 0.0:
@@ -154,9 +160,10 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
         maxiter = 10 * rhs.size
     limit = tol * norm_b
 
-    x, r, p, tmp, diag = x0, r0, None, A.tmp, A.diagonal()
+    x, r, p, tmp, diag = x0, r0, None, A.tmp, None
     for k in range(maxiter + 1):
         if not math.sqrt(np.vdot(r, r)) > limit:
+            diag = None  # freed before the confirmation forms its K x
             true_r = A.residual(rhs, x)
             if math.sqrt(np.vdot(true_r, true_r)) <= limit:
                 return x, k
@@ -164,24 +171,25 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
             r, p = true_r, None
         if k == maxiter:
             break
+        if diag is None:
+            diag = A.diagonal()
         # a first direction is z itself, so it is formed in its own vector;
-        # any other z is dead before matvec writes tmp
+        # any other z is dead before matvec writes A p into tmp
         z = np.divide(r, diag, out=A.dir if p is None else tmp)
         rz_new = float(np.vdot(r, z))
         p = z if p is None else np.add(
             z, np.multiply(p, rz_new / rz, out=p), out=p)
         rz = rz_new
-        Ap = A.matvec(p)
+        Ap = A.matvec(p, out=tmp)
         pAp = float(np.vdot(p, Ap))
         if not pAp > 0.0:
             break
         alpha = rz / pAp
+        r -= np.multiply(Ap, alpha, out=Ap)  # A p dies here, so x may use tmp
         if k == 0:
             x = x + np.multiply(p, alpha, out=tmp)  # x0 belongs to the caller
         else:
             x += np.multiply(p, alpha, out=tmp)
-        r -= np.multiply(Ap, alpha, out=tmp)
-        del Ap  # freed before a confirmation forms its K x
 
     true_r = A.residual(rhs, x)
     res = math.sqrt(np.vdot(true_r, true_r)) / norm_b

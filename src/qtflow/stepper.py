@@ -21,6 +21,14 @@ sigma = 0 the two-level terms drop and only one history level is kept.
 A state holds Q (2, m) at the m interior nodes (rows q1, q2), its step dq,
 r (m,) and K q.  Boundary Q stays zero (the Dirichlet condition), so
 boundary r stays sqrt(2 A0), the r of Q = 0, and no state stores it.
+
+A run's vectors belong to the step that advances them, so none outlives
+its use.  initialize() takes q0 and r0 over: a sigma > 0 start writes its
+second level into them.  step() advances the state it is given and
+returns that same object; its old q, r and K q are gone, and its old dq
+array is dropped but never written, so a caller that keeps it (the run
+loop does, for the energy) may read it.  A caller that keeps a whole state
+copies its arrays first.  No state array is ever an operator work vector.
 """
 
 from __future__ import annotations
@@ -39,12 +47,13 @@ from .solver import ConvergenceError, StepOperator, cg_solve
 @dataclass
 class SimState:
     """State n of a run as interior vectors, with K q carried into the
-    energy and the next step."""
+    energy and the next step.  step() advances it in place (see the module
+    docstring); Kq is None only inside a step, once it is used up."""
 
     q: np.ndarray              # Q^n at interior nodes, (2, m)
     dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
     r: np.ndarray              # r^n at interior nodes
-    Kq: np.ndarray             # K q; L q is c K q
+    Kq: np.ndarray | None      # K q; L q is c K q
     n: int
     t: float
 
@@ -78,36 +87,39 @@ def build_default_Qt0(p: Params, q0: np.ndarray, r0: np.ndarray,
 
     The Laplacian acts through the stiffness and the lumped weight w of the
     run's operator op, keeping the initialization consistent with the mesh;
-    w/2 is mesh.gamma exactly."""
+    w/2 is mesh.gamma exactly.  r0 P0 is formed in op.tmp."""
     qt = op.products(q0)
     qt *= -(p.L1)
     qt /= op.w * 0.5
-    qt -= r0 * P0
+    qt -= np.multiply(r0, P0, out=op.tmp)
     return qt
 
 
 def initialize(p: Params, dt: float, q0: np.ndarray, r0: np.ndarray,
                op: StepOperator, velocity=build_default_Qt0) -> SimState:
     """Build the starting state from the interior vectors q0 (2, m) and
-    r0 = nodal_r(p, q0) (m,), which are not written; for sigma = 0 the
-    state holds them.  op is the run's operator from step_operator(),
-    which forms the product K q of the state.
+    r0 = nodal_r(p, q0) (m,), which the state takes over: for sigma = 0 it
+    holds them, for sigma > 0 its dq and r are formed in them.  op is the
+    run's operator from step_operator(), which forms the product K q of
+    the state.
 
     For sigma > 0 the second level is the explicit start Q^1 = Q^0 + dt Qt0
     and r^1 follows from the lumped r update.  The interior vector Qt0 is
-    velocity(p, q0, r0, P0, op), with P0 = P(q0), which the r update
-    uses too.  For sigma = 0 a single level suffices and velocity is not
-    called."""
+    velocity(p, q0, r0, P0, op), with P0 = P(q0) in op.p, which the r
+    update uses too; velocity may use op's work vectors other than op.p,
+    and must neither write P0 nor keep it.  For sigma = 0 a single level
+    suffices and velocity is not called."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     q, r, dq, n = q0, r0, None, 0
     if p.sigma > 0.0:
-        P0 = aux_P(q0, p)
+        P0 = aux_P(q0, p, out=op.p)
         q = dt * velocity(p, q0, r0, P0, op)
         q += q0
-        dq = q - q0
-        r = r0 + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
-        del P0
+        dq = np.subtract(q, q0, out=q0)
+        s = op.project(dq)  # P0 . dq, as op.p holds P0
+        s *= 2.0
+        r += s
         n = 1
     return SimState(q=q, dq=dq, r=r, Kq=op.products(q), n=n, t=n * dt)
 
@@ -131,11 +143,11 @@ def _step_failure(n: int, t: float, message: str,
 
 def step(state: SimState, p: Params, dt: float, op: StepOperator,
          cg_tol: float = 1e-10, maxiter: int | None = None) -> SimState:
-    """Advance one time step with the run's operator op from
-    step_operator(); returns the new state.
+    """Advance state by one time step with the run's operator op from
+    step_operator(), in place, and return it (see the module docstring).
 
     A failed solve or a nonpositive radicand in P raises ConvergenceError
-    with .step = state.n + 1 and .t = state.t + dt.
+    with .step = state.n + 1 and .t = state.t + dt; the state is spent then.
     """
     q = state.q
     n, t = state.n + 1, state.t + dt
@@ -151,6 +163,7 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     rhs *= op.cm
     rhs -= np.multiply(state.Kq, op.c, out=op.tmp)
     res = np.multiply(op.tmp, -2.0, out=op.res)
+    state.Kq = op.Kx = None  # rhs and res hold c K q, so K q is dead
     if p.sigma > 0.0:
         inertia = np.multiply(op.w, state.dq, out=op.tmp)
         inertia *= p.sigma / dt ** 2
@@ -167,11 +180,13 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     except ConvergenceError as exc:
         raise _step_failure(n, t, str(exc), exc.residual) from exc
 
-    dq = x - q
+    # the old q's vector takes dq, unless CG returned q itself
+    dq = x - q if x is q else np.subtract(x, q, out=q)
     s = op.project(dq)
     s *= 2.0
-    r = state.r + s
-    if not np.isfinite(r).all():
+    state.r += s
+    if not np.isfinite(state.r).all():
         raise _step_failure(n, t, "non-finite values in r update")
     # cg_solve confirmed x last, so op holds K x
-    return SimState(q=x, dq=dq, r=r, Kq=op.Kx, n=n, t=t)
+    state.q, state.dq, state.Kq, state.n, state.t = x, dq, op.Kx, n, t
+    return state

@@ -12,6 +12,8 @@ fields, with the production pointwise algebra, as the bitwise reference of
 the interior set-up.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import sparse
 
@@ -657,3 +659,53 @@ def simulate_dissipation_defects(states, records, p, dt, w):
             prev_dtq = dtq
         defects.append(resid)
     return defects
+
+
+# ---------------------------------------------------------------------------
+# the sigma sweep in L-infinity(0, T; H1)
+
+
+def sigma_sweep_distances(config):
+    """experiments.sigma_study(config) and, per row, the H1 distance of its
+    case from the parabolic run at every state n = 1..N, t = n dt, as
+    [(n, distance), ...].
+
+    The study runs its cases serially with experiments.step hooked: the
+    parabolic run comes first and its q at every state is copied, since
+    step() advances a state in place and reuses its vectors; every later
+    case is measured against the copy of the same n in lockstep, with the
+    norm forms of the shared mesh, as the study measures its final states."""
+    from qtflow import analysis, experiments
+
+    parabolic, runs, forms = {}, [], []  # runs: {n: distance} per case
+    simulate, step = experiments._simulate, experiments.step
+
+    def record(state):
+        """Copy the parabolic run's q, or measure a later case against it."""
+        if len(runs) == 1:
+            parabolic[state.n] = state.q.copy()
+        else:
+            runs[-1][state.n] = analysis.h1_error_field(
+                parabolic[state.n], state.q, forms[0])
+
+    def hooked_simulate(case):
+        if not forms:
+            cfg = case.cfg
+            forms.append(analysis.norm_forms(
+                build_mesh(cfg.x0, cfg.x1, cfg.y0, cfg.y1, cfg.nx, cfg.ny)))
+        runs.append({})
+        return simulate(case)
+
+    def hooked_step(state, *args, **kwargs):
+        if state.n not in (runs[-1] if len(runs) > 1 else parabolic):
+            record(state)  # the state the run starts from
+        state = step(state, *args, **kwargs)
+        record(state)
+        return state
+
+    experiments._simulate, experiments.step = hooked_simulate, hooked_step
+    try:
+        result = experiments.sigma_study(replace(config, threads=1))
+    finally:
+        experiments._simulate, experiments.step = simulate, step
+    return result, [list(run.items()) for run in runs[1:]]

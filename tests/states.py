@@ -1,4 +1,7 @@
-"""Starting states for the tests, built the way a run builds them."""
+"""Starting states for the tests, built the way a run builds them, and
+copies of states to keep."""
+
+import copy
 
 import numpy as np
 
@@ -34,3 +37,10 @@ def default_start(mesh, params, dt):
     q0 = interpolate_qfield(mesh, default_initial_q)
     op = run_operator(mesh, params, dt)
     return initialize(params, dt, q0, nodal_r(params, q0), op), op
+
+
+def kept(state):
+    """A copy of state that later steps leave alone.  step() advances the
+    state it is given in place and forms the new dq in the old q's vector,
+    so a test that keeps a state across a step keeps this copy."""
+    return copy.deepcopy(state)

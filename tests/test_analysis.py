@@ -19,7 +19,7 @@ from qtflow.model import Params
 from qtflow.stepper import SimState, step
 
 import oracles
-from states import default_start, start
+from states import default_start, kept, start
 
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 
@@ -61,9 +61,10 @@ class TestDiscreteEnergy:
         every node, five steps into a run."""
         mesh = build_mesh(*extent, n, n)
         state, op = default_start(mesh, P6, 1e-3)
-        states = [state]
+        states = [kept(state)]
         for _ in range(5):
-            states.append(step(states[-1], P6, 1e-3, op))
+            state = step(state, P6, 1e-3, op)
+            states.append(kept(state))
         Q0 = oracles.nodal_interpolate_qfield(mesh, default_initial_q)
         r = oracles.nodal_r_fields(mesh, P6, Q0, states)[-1]
         state = states[-1]

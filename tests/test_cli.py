@@ -291,6 +291,19 @@ initial = zero
     ] + [
         pytest.param("run", "[mesh]\nnx = %d\nny = %d\n" % (2 ** 40, 2 ** 40),
                      "mesh.nx", id="mesh.nx=2**40"),
+    ] + [
+        # extents whose cell area h h overflows or underflows to 0 (once
+        # exit 1 blaming params.A0), and one whose default profile
+        # overflows on a finite cell
+        pytest.param("run", "[mesh]\nnx = 4\nny = 4\nx1 = %s\ny1 = %s\n"
+                     "[experiment]\nT = 1e-3\ndt = 1e-3\n%s" % (x1, x1, extra), key,
+                     id="x1=y1=%s%s" % (x1, suffix))
+        for x1, extra, suffix, key in (
+            ("1e160", "", "", "mesh.x1"),
+            ("1e160", "initial = zero\n", ",zero", "mesh.x1"),
+            ("1e-170", "", "", "mesh.x1"),
+            ("1e100", "", "", "experiment.initial"))
+    ] + [
         # exponents that %g prints alike share a .dat file name
         pytest.param("sigma-study", SHORT_SWEEP + "p1_list = 0.5, 0.5000001\n"
                      "p2_list = inf\n", "experiment.p1_list", id="p1_list=0.5,0.5000001"),

@@ -24,6 +24,7 @@ from qtflow.experiments import (
 )
 
 import oracles
+from states import kept
 
 
 def config_fields(kind):
@@ -158,8 +159,9 @@ class TestRunSingle:
         assert len(res.trace) == 11  # states n = 0..N
 
 
-#: Counts the minor page faults of the last 30 of 40 steps of an NX^2 run,
-#: energy evaluations included, in a fresh process.
+#: Counts the minor page faults of the last 30 of 40 steps of an NX^2 run
+#: with the default parameters changed by SETTINGS, energy evaluations
+#: included, in a fresh process.
 WARM_STEP_FAULTS = """
 import resource
 from dataclasses import replace
@@ -173,30 +175,34 @@ def counted(*args, **kwargs):
     return step(*args, **kwargs)
 
 experiments.step = counted
+params = replace(DEFAULT_PARAMS, SETTINGS)
 dt = 1.25e-4  # sigma > 0 starts at n = 1, so T = 41 dt takes 40 steps
-run_single(ExperimentConfig(nx=NX, ny=NX, T=41 * dt, dt=dt,
-                            params=replace(DEFAULT_PARAMS, sigma=0.025)))
+steps = 41 if params.sigma > 0.0 else 40
+run_single(ExperimentConfig(nx=NX, ny=NX, T=steps * dt, dt=dt, params=params))
 assert len(before) == 40
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before[-30])
 """
 
 
-def warm_step_faults(nx):
-    """WARM_STEP_FAULTS on an nx^2 mesh, under the C library's defaults."""
+def warm_step_faults(nx, settings="sigma=0.025"):
+    """WARM_STEP_FAULTS on an nx^2 mesh with the given parameter settings,
+    under the C library's defaults."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return int(subprocess.run([sys.executable, "-c", WARM_STEP_FAULTS.replace("NX", str(nx))],
+    script = WARM_STEP_FAULTS.replace("NX", str(nx)).replace("SETTINGS", settings)
+    return int(subprocess.run([sys.executable, "-c", script],
                               env=env, capture_output=True, text=True, check=True).stdout)
 
 
 def test_warm_steps_fault_in_no_new_memory():
     """The step loop reuses the operator's work vectors, the energy forms
     its rates in two of them, the operator keeps its own copy of p, and a
-    step's old state is dropped as soon as the step returns (its dq serves
-    the energy), so warm steps fault in almost no pages under the C
-    library's default allocator settings.  Measured on Linux/glibc: 2-5
+    step advances its state in place (the old dq serves the energy), so
+    warm steps fault in almost no pages under the C library's default
+    allocator settings.  Measured on Linux/glibc: 1-4 on every mesh from
+    48^2 to 320^2 while step() advanced its state in place; 2-5
     faults on every mesh from 48^2 to 320^2 tried with a Jacobi diagonal
     formed per solve, 1-4 while the operator kept one.  While the run loop
     formed new rate vectors dq / dt every step and op.p was the step's P,
@@ -220,6 +226,14 @@ def test_warm_steps_fault_in_no_new_memory_at_256():
     state across the energy cost about 9,300 faults in 30 steps."""
     pytest.importorskip("resource")
     assert warm_step_faults(256) <= 1000
+
+
+def test_warm_steps_fault_in_no_new_memory_anisotropic():
+    """space_aniso's path, sigma = 0 and L2 = L3 > 0, where CG takes about
+    two iterations per step and A p lives in the operator's .tmp: 1-4
+    faults measured on every mesh from 48^2 to 320^2."""
+    pytest.importorskip("resource")
+    assert warm_step_faults(128, "sigma=0.0, L2=5e-4, L3=5e-4") <= 1000
 
 
 class _FirstStep(Exception):
@@ -345,17 +359,21 @@ def warm_step_peak(case, monkeypatch, warm=3):
 
 
 @pytest.mark.parametrize("params, nx, bound", [
-    (DEFAULT_PARAMS, 128, 20.2),
-    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 128, 20.1),
-    (DEFAULT_PARAMS, 256, 20.1),
+    (DEFAULT_PARAMS, 128, 18.2),
+    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 128, 18.1),
+    (DEFAULT_PARAMS, 256, 18.1),
 ], ids=["inertial", "anisotropic", "inertial_256"])
 def test_warm_step_peak(params, nx, bound, monkeypatch):
-    """The peak of a warm step, all a run holds included: 20.08-20.15
-    n-vectors measured at 128^2 with sigma > 0, 20.08 in the anisotropic
-    128^2 run and 20.06 at 256^2, fine_run's mesh.  It sits where step()
-    builds the new state: the CSR K (4.0), the constant block (2.5), the
-    operator's six work vectors and p . x (6.5), and the old and new states
-    (3.5 each).  It was 22.05-22.15, 22.05-22.08 and 22.07 while the
+    """The peak of a warm step, all a run holds included: 18.08 n-vectors
+    measured at 128^2 with sigma > 0, 18.02 in the anisotropic 128^2 run
+    and 18.00 at 256^2, fine_run's mesh.  It sits where a confirmation
+    forms K x: the CSR K (4.0), the constant block (2.5), the operator's six
+    work vectors, A p in .tmp among them, and p . x (6.5), the state's q,
+    dq and r (2.5), and the new x and K x (2.0); the old K q and the Jacobi
+    diagonal are freed by then, and dq is formed in the old q's vector.
+    It was 20.08-20.15, 20.08 and 20.06 while step() built a new state
+    beside the old one, kept the old K q through the solve, and CG kept its
+    diagonal and A p through a confirmation; 22.05-22.15, 22.05-22.08 and 22.07 while the
     operator kept the Jacobi diagonal and a vector for CG's z, and a
     confirmation ran with the last A p alive; at 128^2, 23.57-23.64 and
     23.58 while the mesh kept a lumped weight per node and the operator a
@@ -387,9 +405,10 @@ def test_dissipation_defect_is_the_run_loop_formula(params, monkeypatch):
 
     def kept_step(state, *args, **kwargs):
         if not states:
-            states.append(state)  # the start
-        states.append(step(state, *args, **kwargs))
-        return states[-1]
+            states.append(kept(state))  # the start
+        state = step(state, *args, **kwargs)
+        states.append(kept(state))
+        return state
 
     monkeypatch.setattr(experiments, "step", kept_step)
     dt = 1e-3
@@ -411,21 +430,27 @@ def test_initial_radicand_failure_is_a_config_error():
 
 @pytest.fixture
 def norm_form_calls(monkeypatch):
-    """Counts the interior consistent mass builds and keeps the mesh and the
-    forms of every norm_forms() call."""
-    calls = {"consistent_mass": 0, "norm_forms": []}
+    """Counts the interior consistent mass builds, keeps the mesh and the
+    forms of every norm_forms() call, and the K of every step operator."""
+    calls = {"consistent_mass": 0, "norm_forms": [], "stepped": []}
     consistent_mass, norm_forms = assembly.consistent_mass, analysis.norm_forms
+    step_operator = experiments.step_operator
 
     def counted(mesh):
         calls["consistent_mass"] += 1
         return consistent_mass(mesh)
 
-    def kept(mesh):
-        calls["norm_forms"].append((mesh, norm_forms(mesh)))
+    def kept(mesh, K=None):
+        calls["norm_forms"].append((mesh, norm_forms(mesh, K)))
         return calls["norm_forms"][-1][1]
+
+    def recorded(p, dt, mesh, K, *args):
+        calls["stepped"].append(K)
+        return step_operator(p, dt, mesh, K, *args)
 
     monkeypatch.setattr(assembly, "consistent_mass", counted)
     monkeypatch.setattr(analysis, "norm_forms", kept)
+    monkeypatch.setattr(experiments, "step_operator", recorded)
     return calls
 
 
@@ -438,14 +463,13 @@ def norm_form_calls(monkeypatch):
         nx=6, ny=6, T=0.01, dt=1e-3, sigma_list=(1e-3, 1e-1))),
 ], ids=["space", "time", "sigma"])
 def test_study_builds_norm_forms_once(study, cfg, norm_form_calls):
-    """One mass per study, and the K of assemble_stiffness(): the one a time
-    or sigma study's runs stepped with, which the lattice cache still
-    holds."""
+    """One mass per study, and the K that its first run (the reference or
+    the parabolic run) stepped with."""
     study(cfg)
     assert norm_form_calls["consistent_mass"] == 1
     [(mesh, forms)] = norm_form_calls["norm_forms"]
     assert forms.mass.shape == (mesh.n_interior, mesh.n_interior)
-    assert forms.stiffness is assembly.assemble_stiffness(mesh)
+    assert forms.stiffness is norm_form_calls["stepped"][0]
 
 
 @pytest.fixture
@@ -488,6 +512,15 @@ def test_study_on_one_lattice_builds_one_stiffness(study, cfg, stiffness_builds)
     share one K."""
     study(cfg)
     assert stiffness_builds == [(cfg.nx, cfg.ny)]
+
+
+def test_space_study_builds_one_stiffness_per_lattice(stiffness_builds):
+    """The reference run's K serves the error norms too, so each lattice
+    builds its K once: the reference first, then the levels in order (a
+    second build of the reference's, last, was the norm forms')."""
+    space_refinement_study(ExperimentConfig(
+        T=1e-3, dt=1.25e-4, h_list=(1.0, 0.5, 0.25), reference_level=3))
+    assert stiffness_builds == [(16, 16), (2, 2), (4, 4), (8, 8)]
 
 
 class TestSpaceStudy:

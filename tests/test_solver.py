@@ -314,9 +314,9 @@ class TestCgSolve:
         def counted(name):
             method = getattr(A, name)
 
-            def call(*args):
+            def call(*args, **kwargs):
                 calls[name] += 1
-                return method(*args)
+                return method(*args, **kwargs)
             return call
 
         A.matvec, A.residual = counted("matvec"), counted("residual")
@@ -410,7 +410,7 @@ class TestCgSolve:
                           grad_coef=1.0, div_coef=0.0)
         b = np.random.RandomState(47).standard_normal((2, mesh.n_interior))
         matvec, calls = A.matvec, []
-        A.matvec = lambda x: calls.append(None) or matvec(x)
+        A.matvec = lambda x, out=None: calls.append(None) or matvec(x, out)
         with pytest.raises(ConvergenceError, match="in 180 iterations"):
             solve(A, b, tol=1e-20)  # below the rounding floor of the true residual
         assert len(calls) == 10 * b.size == 180

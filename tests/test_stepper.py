@@ -22,7 +22,7 @@ from qtflow.stepper import (
 )
 
 import oracles
-from states import default_start, run_operator, start
+from states import default_start, kept, run_operator, start
 
 P6 = Params(L1=0.001, L2=0.0, L3=0.0, a=-0.2, b=1.0, c=1.0, A0=500.0, sigma=0.025)
 P6_DIV = replace(P6, L2=0.0005, L3=0.0005)
@@ -72,14 +72,25 @@ class TestInitialize:
         assert state.n == 0 and state.t == 0.0
 
     @pytest.mark.parametrize("params", [P6, P6_PAR], ids=["inertial", "parabolic"])
-    def test_start_vectors_are_not_written(self, params):
+    def test_start_takes_over_q0_and_r0(self, params):
+        """The state holds q0 and r0 for sigma = 0; for sigma > 0 its dq and
+        r are formed in them, with the bits of the update on copies."""
         mesh = build_mesh(0, 2, 0, 2, 6, 6)
         q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(params, q0)
         copies = q0.copy(), r0.copy()
         op = run_operator(mesh, params, 1e-3)
-        step(initialize(params, 1e-3, q0, r0, op), params, 1e-3, op)
-        assert np.array_equal(q0, copies[0]) and np.array_equal(r0, copies[1])
+        state = initialize(params, 1e-3, q0, r0, op)
+        assert state.r is r0
+        if params.sigma == 0.0:
+            assert state.q is q0 and np.array_equal(q0, copies[0])
+            assert np.array_equal(r0, copies[1])
+            return
+        assert state.dq is q0
+        P0 = aux_P(copies[0], params)
+        dq = state.q - copies[0]
+        assert np.array_equal(state.dq, dq)
+        assert np.array_equal(state.r, copies[1] + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1]))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3])
     def test_rejects_a_nonpositive_step(self, dt):
@@ -121,9 +132,10 @@ def test_boundary_r_is_the_constant_sqrt_2_A0(A0):
     r0 = math.sqrt(2.0 * A0)
     assert np.all(aux_r(Q0.T, p)[bnd] == r0)
     state, op = default_start(mesh, p, 1e-3)
-    states = [state]
+    states = [kept(state)]
     for _ in range(3):
-        states.append(step(states[-1], p, 1e-3, op))
+        state = step(state, p, 1e-3, op)
+        states.append(kept(state))
     for state, r in zip(states, oracles.nodal_r_fields(mesh, p, Q0, states)):
         assert np.all(r[bnd] == r0)
         assert np.array_equal(r[~bnd], state.r)
@@ -211,9 +223,10 @@ class TestStep:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         state, op = start(mesh, P6, 1e-3, default_initial_q,
                           qt0=lambda x, y: (0.1 + 0 * x, 0 * x))
-        states = [state]
+        states = [kept(state)]
         for _ in range(10):
-            states.append(step(states[-1], P6, 1e-3, op))
+            state = step(state, P6, 1e-3, op)
+            states.append(kept(state))
         bnd = oracles.is_boundary(mesh)
         Q0 = oracles.nodal_interpolate_qfield(mesh, default_initial_q)
         for state, r in zip(states, oracles.nodal_r_fields(mesh, P6, Q0, states)):
@@ -228,14 +241,14 @@ class TestStep:
             q0 = interpolate_qfield(mesh, default_initial_q)
             r0 = nodal_r(p, q0)
             op = step_operator(p, dt, mesh, K, D, w)
-            state = initialize(p, dt, q0, r0, op)
+            state = initialize(p, dt, q0.copy(), r0, op)
             rec = discrete_energy(state, p, dt, mesh)
             e0 = rec.total
             prev_dtq = None
             if p.sigma > 0:
                 prev_dtq = (state.q - q0) / dt
             for _ in range(50):
-                old = state
+                old = kept(state)
                 old_total = rec.total
                 state = step(state, p, dt, op, cg_tol=1e-12)
                 rec = discrete_energy(state, p, dt, mesh)
@@ -256,7 +269,7 @@ class TestStep:
 
         tiny = replace(P6, sigma=1e-12)
         op = step_operator(tiny, dt, mesh, K, D, w)
-        hyper = initialize(tiny, dt, q0, r0, op)
+        hyper = initialize(tiny, dt, q0.copy(), r0.copy(), op)
         hyper = advance(hyper, tiny, dt, op, 10)
 
         op = step_operator(P6_PAR, dt, mesh, K, D, w)
@@ -328,7 +341,7 @@ class TestCarriedInterior:
         q0 = interpolate_qfield(mesh, default_initial_q)
         r0 = nodal_r(params, q0)
         op = step_operator(params, dt, mesh, K, D, w)
-        carried = initialize(params, dt, q0, r0, op)
+        carried = initialize(params, dt, q0.copy(), r0, op)
         fresh = carried
         confirmations, residual = [], op.residual
         op.residual = lambda *args: confirmations.append(None) or residual(*args)
@@ -336,11 +349,11 @@ class TestCarriedInterior:
         def rebuilt(s, qprev):
             """s rebuilt from nodal fields alone (its Q and r, and the
             previous level's interior q), every product formed anew; and
-            its interior q."""
+            a copy of its interior q, as a step from it takes that vector."""
             q = oracles.gather_interior(mesh, oracles.nodal(mesh, s.q).T)
             dq = None if qprev is None else q - qprev
             r = oracles.gather_interior(mesh, oracles.nodal(mesh, s.r))
-            return SimState(q=q, dq=dq, r=r, Kq=(K @ q.T).T, n=s.n, t=s.t), q
+            return SimState(q=q, dq=dq, r=r, Kq=(K @ q.T).T, n=s.n, t=s.t), q.copy()
 
         fresh, qf = rebuilt(fresh, q0 if params.sigma > 0 else None)
         for _ in range(10):
@@ -425,23 +438,40 @@ class TestStatesOwnTheirArrays:
                              ids=["inertial", "inertial_div", "parabolic",
                                   "parabolic_div"])
     def test_later_steps_leave_kept_states_alone(self, params):
-        """The operator reuses its work vectors every step; no array of a
-        state a caller keeps may be one of them."""
+        """step() advances the state it is given and reuses the operator's
+        work vectors every step.  No array of any state may be one of
+        those vectors or share memory with another array of the state, and
+        a copy that a caller keeps (states.kept) is left alone by six more
+        steps."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         dt = 1e-3
         state, op = default_start(mesh, params, dt)
-        kept = []
-        for n in range(6):
+        work = (op.rhs, op.res, op.dir, op.tmp, op.p, op.wp, op._s)
+        copies = []
+        for n in range(9):
+            arrays = [(f.name, getattr(state, f.name)) for f in fields(state)
+                      if isinstance(getattr(state, f.name), np.ndarray)]
+            assert {name for name, _ in arrays} >= {"q", "r", "Kq"}
+            for k, (name, array) in enumerate(arrays):
+                assert not any(np.shares_memory(array, v) for v in work), name
+                assert not any(np.shares_memory(array, b) for _, b in arrays[k + 1:]), name
             if n < 3:
-                arrays = {f.name: getattr(state, f.name) for f in fields(state)
-                          if isinstance(getattr(state, f.name), np.ndarray)}
-                kept.append((arrays, {k: v.copy() for k, v in arrays.items()}))
-            state = step(state, params, dt, op)
+                copies.append((kept(state), {name: a.copy() for name, a in arrays}))
+            assert step(state, params, dt, op) is state
         assert (op.D is not None) == (params.L2 + params.L3 != 0)
-        for arrays, copies in kept:
-            assert set(arrays) >= {"q", "r", "Kq"}
-            for name, array in arrays.items():
-                assert np.array_equal(array, copies[name]), name
+        for copy, values in copies:
+            for name, value in values.items():
+                assert np.array_equal(getattr(copy, name), value), name
+
+    def test_a_solve_that_keeps_its_start(self):
+        """A tolerance that the start already meets: CG returns q itself,
+        and the step forms dq = 0 in a vector of its own."""
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        state, op = default_start(mesh, P6, 1e-3)
+        q = state.q.copy()
+        state = step(state, P6, 1e-3, op, cg_tol=10.0)
+        assert np.array_equal(state.q, q) and np.all(state.dq == 0.0)
+        assert not np.shares_memory(state.q, state.dq)
 
 
 class TestNodalField:
