@@ -218,7 +218,7 @@ def _simulate(case: Case) -> RunResult:
     state = initialize(params, dt, q0, r0, op, velocity)
     del q0, r0  # the state took them over
 
-    work = (op.tmp, op.dir)  # the operator's, free between solves
+    work = (op.tmp, op.rhs)  # the operator's, free between steps
     trace = [analysis.discrete_energy(state, params, dt, mesh, work=work)]
     if not math.isfinite(trace[0].total):  # E_r sums r * r, about 2 A0 per node
         raise ConfigError("%s: the initial energy E = %g (E_r = %g) is not finite for %s"

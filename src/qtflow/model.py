@@ -51,8 +51,9 @@ class Params:
 
 
 def trace_q2(Q: np.ndarray):
-    """tr(Q^2), which equals |Q|_F^2 for symmetric trace-free 2x2."""
-    return 2.0 * (Q[0] * Q[0] + Q[1] * Q[1])
+    """tr(Q^2), which equals |Q|_F^2 for symmetric trace-free 2x2, as
+    2 (q1 q1 + q2 q2) in one pass (einsum, which sums from +0.0)."""
+    return 2.0 * np.einsum("i...,i...->...", Q, Q)
 
 
 def _potential(t2, p: Params):

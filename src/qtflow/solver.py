@@ -10,10 +10,12 @@ vectors without assembling a matrix.  The divergence form is K, so the
 elastic part is c K.  CG starts from the step's own start value and
 residual, and its one loop confirms every exit on the true residual,
 formed from K x, which then serves the energy and the next step.  The
-operator owns the work vectors of a step, each product A p among them; a
-solve owns its Jacobi diagonal, which it frees before a confirmation and
-forms again only on a restart.  Every vector that a solve returns or
-leaves on the operator for a caller to keep is new.
+operator owns the work vectors of a step: a confirmation forms K x in
+.dir, CG's direction vector, which is dead then (an accepted
+confirmation returns, a rejected one restarts), and every iteration forms
+the Jacobi diagonal in .tmp and A p over it.  So a solve owns no vector
+but the x it returns, and after a solve .dir holds K x; .rhs, .res and
+.tmp are free until the next step.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class StepOperator:
     holding the reduced components of the quadratization gradient there;
     set_rank_one() installs it before a step's first matvec or residual.
     The operator owns six (2, m) work vectors: .rhs, .res, .dir, .tmp, .p
-    and .wp, and p . x (m,); the diagonal is a solve's own (diagonal()).
+    and .wp, and p . x (m,).  .dir holds K x after residual(), and
+    cg_solve forms the diagonal in .tmp (diagonal()).
     """
 
     def __init__(self, mesh, w, K, D, cm, ck, cd):
@@ -75,8 +78,9 @@ class StepOperator:
         # number
         self._base_diag = float(self.base.data[self.base.offsets == 0][0, 0])
         # work vectors: step()'s rhs, the residual (CG's start,
-        # residual()'s), CG's direction, a shared temporary (CG's z too), p
-        # (step() forms P there) and w p; p . x
+        # residual()'s), CG's direction (residual()'s K x), a shared
+        # temporary (CG's diagonal, z and A p), p (step() forms P there) and
+        # w p; p . x
         self.rhs, self.res, self.dir, self.tmp, self.p, self.wp = np.empty((6, 2, m))
         self._s = np.empty(m)
 
@@ -87,47 +91,48 @@ class StepOperator:
             np.copyto(self.p, p_nodes)
         np.multiply(self.w, self.p, out=self.wp)
 
-    def diagonal(self) -> np.ndarray:
+    def diagonal(self, out: np.ndarray | None = None) -> np.ndarray:
         """The diagonal of the installed operator, w p * p plus the
-        constant part's entry c_m w + c K_zz (one number), as a new (2, m)
-        vector; cg_solve forms it once per solve."""
-        d = np.multiply(self.wp, self.p)
+        constant part's entry c_m w + c K_zz (one number), into out when
+        given (a new (2, m) vector otherwise); cg_solve forms it in .tmp
+        every iteration."""
+        d = np.multiply(self.wp, self.p, out=out)
         d += self._base_diag
         return d
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """p_z . x_z at every interior node, in the operator's vector that
-        the next call overwrites."""
-        t = np.multiply(self.p, x, out=self.tmp)
-        return np.add(t[0], t[1], out=self._s)
+        """p_z . x_z at every interior node, in one pass, into the
+        operator's vector that the next call overwrites.  einsum sums from
+        +0.0, so this has the bits of p[0] * x[0] + p[1] * x[1] except for
+        the sign of a (-0) + (-0) sum, which is +0 here."""
+        return np.einsum("ij,ij->j", self.p, x, out=self._s)
 
     def spread(self, s: np.ndarray, y: np.ndarray) -> None:
         """y += w s_z p_z at every interior node z, in place."""
         y += np.multiply(self.wp, s, out=self.tmp)
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A x, into out when given (a new vector otherwise); out may be
-        .tmp, which project() is done with before out is written."""
+        """A x, into out when given (a new vector otherwise)."""
         y = np.multiply(self.wp, self.project(x), out=out)
         y[0] += self.base @ x[0]
         y[1] += self.base @ x[1]
         return y
 
-    def products(self, x: np.ndarray) -> np.ndarray:
-        """K x, a new vector."""
-        Kx = np.empty_like(x)
+    def products(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """K x, into out when given (a new vector otherwise)."""
+        Kx = np.empty_like(x) if out is None else out
         Kx[0] = self.K @ x[0]
         Kx[1] = self.K @ x[1]
         return Kx
 
     def residual(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """rhs - A x from K x rather than the assembled part, in the
-        operator's vector .res; keeps K x as .Kx, the product of the
+        operator's vector .res; keeps K x in .dir, the product of the
         solution that a step hands on."""
-        self.Kx = self.products(x)
+        Kx = self.products(x, out=self.dir)
         y = np.multiply(self.w, x, out=self.res)
         y *= self.cm
-        y += np.multiply(self.c, self.Kx, out=self.tmp)
+        y += np.multiply(self.c, Kx, out=self.tmp)
         self.spread(self.project(x), y)
         return np.subtract(rhs, y, out=y)
 
@@ -139,12 +144,13 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
     r0 is the residual rhs - A x0 formed by the caller; it is consumed
     (overwritten), and x0 is never written.  Returns (x, iterations).
     Whenever the recurrence residual meets the limit, the true residual
-    from A.residual confirms it, which leaves the products of x on A; a
-    rejected confirmation (a drifted recurrence or a wrong r0, NaN too)
-    restarts CG from the true residual.  The new vectors of a solve are x
-    (x0 itself when the first confirmation holds, zeros when rhs is), the
-    Jacobi diagonal, freed before each confirmation, and a confirmation's
-    K x (A.Kx); A p goes to A.tmp, where r's update is its last use.
+    from A.residual confirms it, which leaves K x in A.dir, where the
+    direction p is dead by then; a rejected confirmation (a drifted
+    recurrence or a wrong r0, NaN too) restarts CG from the true residual.
+    The only new vector of a solve is x (x0 itself when the first
+    confirmation holds, zeros when rhs is).  Every iteration forms the
+    Jacobi diagonal in A.tmp, z over it, and A p there once z is dead; r's
+    update is the last use of A p.
     Raises ConvergenceError when maxiter is exhausted or p.Ap is not
     positive (it underflows far below the rounding floor), and at once
     when rhs is not finite.
@@ -160,22 +166,20 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
         maxiter = 10 * rhs.size
     limit = tol * norm_b
 
-    x, r, p, tmp, diag = x0, r0, None, A.tmp, None
+    x, r, p, tmp = x0, r0, None, A.tmp
     for k in range(maxiter + 1):
         if not math.sqrt(np.vdot(r, r)) > limit:
-            diag = None  # freed before the confirmation forms its K x
-            true_r = A.residual(rhs, x)
+            true_r = A.residual(rhs, x)  # K x goes to A.dir, over p
             if math.sqrt(np.vdot(true_r, true_r)) <= limit:
                 return x, k
             # the search directions built on the wrong residual are stale
             r, p = true_r, None
         if k == maxiter:
             break
-        if diag is None:
-            diag = A.diagonal()
         # a first direction is z itself, so it is formed in its own vector;
-        # any other z is dead before matvec writes A p into tmp
-        z = np.divide(r, diag, out=A.dir if p is None else tmp)
+        # any other z is formed over the diagonal and is dead before matvec
+        # writes A p into tmp
+        z = np.divide(r, A.diagonal(out=tmp), out=A.dir if p is None else tmp)
         rz_new = float(np.vdot(r, z))
         p = z if p is None else np.add(
             z, np.multiply(p, rz_new / rz, out=p), out=p)

@@ -28,7 +28,10 @@ second level into them.  step() advances the state it is given and
 returns that same object; its old q, r and K q are gone, and its old dq
 array is dropped but never written, so a caller that keeps it (the run
 loop does, for the energy) may read it.  A caller that keeps a whole state
-copies its arrays first.  No state array is ever an operator work vector.
+copies its arrays first.  Between steps a state's K q is the operator's
+.dir, where its last confirmation formed it, and no other state array is
+an operator work vector; a caller may use .rhs, .res and .tmp until the
+next step, but not .dir, .p or .wp.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ def build_default_Qt0(p: Params, q0: np.ndarray, r0: np.ndarray,
 
     The Laplacian acts through the stiffness and the lumped weight w of the
     run's operator op, keeping the initialization consistent with the mesh;
-    w/2 is mesh.gamma exactly.  r0 P0 is formed in op.tmp."""
-    qt = op.products(q0)
+    w/2 is mesh.gamma exactly.  The result is op.rhs, and r0 P0 is
+    formed in op.tmp."""
+    qt = op.products(q0, out=op.rhs)
     qt *= -(p.L1)
     qt /= op.w * 0.5
     qt -= np.multiply(r0, P0, out=op.tmp)
@@ -101,14 +105,14 @@ def initialize(p: Params, dt: float, q0: np.ndarray, r0: np.ndarray,
     r0 = nodal_r(p, q0) (m,), which the state takes over: for sigma = 0 it
     holds them, for sigma > 0 its dq and r are formed in them.  op is the
     run's operator from step_operator(), which forms the product K q of
-    the state.
+    the state in op.dir.
 
     For sigma > 0 the second level is the explicit start Q^1 = Q^0 + dt Qt0
     and r^1 follows from the lumped r update.  The interior vector Qt0 is
     velocity(p, q0, r0, P0, op), with P0 = P(q0) in op.p, which the r
-    update uses too; velocity may use op's work vectors other than op.p,
-    and must neither write P0 nor keep it.  For sigma = 0 a single level
-    suffices and velocity is not called."""
+    update uses too; velocity may use op's work vectors other than op.p
+    and may return one of them, and must neither write P0 nor keep it.
+    For sigma = 0 a single level suffices and velocity is not called."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     q, r, dq, n = q0, r0, None, 0
@@ -121,7 +125,7 @@ def initialize(p: Params, dt: float, q0: np.ndarray, r0: np.ndarray,
         s *= 2.0
         r += s
         n = 1
-    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=op.products(q, out=op.dir), n=n, t=n * dt)
 
 
 def step_operator(p: Params, dt: float, mesh: StructuredMesh, K, D,
@@ -163,7 +167,7 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     rhs *= op.cm
     rhs -= np.multiply(state.Kq, op.c, out=op.tmp)
     res = np.multiply(op.tmp, -2.0, out=op.res)
-    state.Kq = op.Kx = None  # rhs and res hold c K q, so K q is dead
+    state.Kq = None  # rhs and res hold c K q, so K q (op.dir) is dead
     if p.sigma > 0.0:
         inertia = np.multiply(op.w, state.dq, out=op.tmp)
         inertia *= p.sigma / dt ** 2
@@ -187,6 +191,6 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     state.r += s
     if not np.isfinite(state.r).all():
         raise _step_failure(n, t, "non-finite values in r update")
-    # cg_solve confirmed x last, so op holds K x
-    state.q, state.dq, state.Kq, state.n, state.t = x, dq, op.Kx, n, t
+    # cg_solve confirmed x last, so op.dir holds K x
+    state.q, state.dq, state.Kq, state.n, state.t = x, dq, op.dir, n, t
     return state

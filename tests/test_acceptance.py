@@ -221,6 +221,33 @@ def test_sigma_distance_in_linf_h1_is_the_final_distance():
           + ", ".join("%.3f" % slope for slope in slopes))
 
 
+def test_sigma_constant_is_uniform_in_h_and_dt():
+    """The unperturbed sweep (sigma = 1e-3 ... 1e-1 and the parabolic run,
+    T = 0.1) on 8^2, 16^2 and 32^2 at dt = 1e-4, and on 16^2 at dt = 5e-5:
+    the distance / sigma at sigma = 1e-3 settles under refinement and does
+    not move with dt, and the rate is sigma for sigma <= 1e-2 only.
+    Measured: 0.7262, 0.8507 and 0.8853 over the meshes (changes 0.1245,
+    then 0.0346, a contraction of 0.28, as for an O(h^2) limit), 0.85086 at
+    dt = 5e-5 (a relative change of 1.8e-4); local slopes 0.992-0.993,
+    0.969-0.972, 0.844-0.850 and 0.496-0.501 between neighbouring sigmas on
+    every mesh and step.  About 3 s."""
+    constants = []
+    for nx, dt in ((8, 1e-4), (16, 1e-4), (32, 1e-4), (16, 5e-5)):
+        rows = sigma_study(ExperimentConfig(
+            nx=nx, ny=nx, dt=dt, T=0.1, p1_list=(math.inf,),
+            p2_list=(math.inf,))).rows
+        assert rows[0].sigma == 1e-3 and len(rows) == 5
+        constants.append(rows[0].h1_error / rows[0].sigma)
+        slopes = [math.log(b.h1_error / a.h1_error) / math.log(b.sigma / a.sigma)
+                  for a, b in zip(rows, rows[1:])]
+        assert min(slopes[:2]) >= 0.96 and slopes[-1] <= 0.55, (nx, dt, slopes)
+    c8, c16, c32, c16_fine = constants
+    print("\ndistance / sigma at sigma = 1e-3: %.4f, %.4f, %.4f (8^2, 16^2, "
+          "32^2); %.5f at dt = 5e-5" % tuple(constants))
+    assert abs(c32 - c16) <= 0.045 and abs(c32 - c16) <= abs(c16 - c8) / 3.0
+    assert abs(c16_fine - c16) <= 1e-3 * c16
+
+
 def test_criterion_7_model_algebra_suite():
     p = DEFAULT_PARAMS
     rng = np.random.RandomState(42)

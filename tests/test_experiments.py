@@ -202,7 +202,9 @@ def test_warm_steps_fault_in_no_new_memory():
     step advances its state in place (the old dq serves the energy), so
     warm steps fault in almost no pages under the C library's default
     allocator settings.  Measured on Linux/glibc: 1-4 on every mesh from
-    48^2 to 320^2 while step() advanced its state in place; 2-5
+    48^2 to 320^2 with K x in CG's direction vector and the Jacobi
+    diagonal in the temporary, and 1-4 before, while step() advanced its
+    state in place but a confirmation formed K x anew; 2-5
     faults on every mesh from 48^2 to 320^2 tried with a Jacobi diagonal
     formed per solve, 1-4 while the operator kept one.  While the run loop
     formed new rate vectors dq / dt every step and op.p was the step's P,
@@ -305,11 +307,13 @@ class TestInteriorSetup:
             assert (a is None and b is None) or np.array_equal(a, b), name
 
 
-def test_setup_keeps_at_most_16_7_vectors(monkeypatch):
+def test_setup_keeps_at_most_15_7_vectors(monkeypatch):
     """What a 128^2 sigma > 0 run holds at its first step, counted by
     tracemalloc from the mesh build on, in n-vectors (8 n bytes, n interior
-    DOFs): 16.58 measured; 18.48-18.58 while the operator also kept the
-    Jacobi diagonal and a vector for CG's z; 20.00 while the mesh stored a lumped weight per
+    DOFs): 15.51-15.58 measured, the state's K q being the operator's .dir;
+    16.51-16.58 while the start formed K q in a vector of its own;
+    18.48-18.58 while the operator also kept the Jacobi diagonal and a
+    vector for CG's z; 20.00 while the mesh stored a lumped weight per
     node and the operator a weight and a base diagonal entry per interior
     node (the set-up then built nodal Q0 and r0 fields and gathered their
     interior entries); 29.5 with interleaved vectors, whose stiffness
@@ -327,7 +331,7 @@ def test_setup_keeps_at_most_16_7_vectors(monkeypatch):
             at_first_step=lambda: tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    assert held / (8 * state.q.size) <= 16.7
+    assert held / (8 * state.q.size) <= 15.7
 
 
 def warm_step_peak(case, monkeypatch, warm=3):
@@ -359,26 +363,29 @@ def warm_step_peak(case, monkeypatch, warm=3):
 
 
 @pytest.mark.parametrize("params, nx, bound", [
-    (DEFAULT_PARAMS, 128, 18.2),
-    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 128, 18.1),
-    (DEFAULT_PARAMS, 256, 18.1),
+    (DEFAULT_PARAMS, 128, 17.2),
+    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 128, 17.1),
+    (DEFAULT_PARAMS, 256, 17.1),
 ], ids=["inertial", "anisotropic", "inertial_256"])
 def test_warm_step_peak(params, nx, bound, monkeypatch):
-    """The peak of a warm step, all a run holds included: 18.08 n-vectors
-    measured at 128^2 with sigma > 0, 18.02 in the anisotropic 128^2 run
-    and 18.00 at 256^2, fine_run's mesh.  It sits where a confirmation
-    forms K x: the CSR K (4.0), the constant block (2.5), the operator's six
-    work vectors, A p in .tmp among them, and p . x (6.5), the state's q,
-    dq and r (2.5), and the new x and K x (2.0); the old K q and the Jacobi
-    diagonal are freed by then, and dq is formed in the old q's vector.
-    It was 20.08-20.15, 20.08 and 20.06 while step() built a new state
-    beside the old one, kept the old K q through the solve, and CG kept its
-    diagonal and A p through a confirmation; 22.05-22.15, 22.05-22.08 and 22.07 while the
-    operator kept the Jacobi diagonal and a vector for CG's z, and a
-    confirmation ran with the last A p alive; at 128^2, 23.57-23.64 and
-    23.58 while the mesh kept a lumped weight per node and the operator a
-    weight and a base diagonal entry per interior node, 27.08 and 26.01 while a state also carried L q, which each
-    confirmation formed as a new vector, the run loop held the rate
+    """The peak of a warm step, all a run holds included: 17.02-17.09
+    n-vectors measured at 128^2 with sigma > 0, 17.02 in the anisotropic
+    128^2 run and 17.00 at 256^2, fine_run's mesh.  It sits where a
+    confirmation forms K x: the CSR K (4.0), the constant block (2.5), the
+    operator's six work vectors and p . x (6.5), K x going into .dir, CG's
+    dead direction, the state's q, dq and r (2.5), the new x (1.0) and
+    the m-vector of one sparse product (0.5); the Jacobi diagonal lives in
+    .tmp, and dq is formed in the old q's vector.  It was 18.01-18.08,
+    18.02 and 18.00 while a confirmation formed K x in a new vector and a
+    solve its own diagonal; 20.08-20.15, 20.08 and 20.06 while step()
+    built a new state beside the old one, kept the old K q through the
+    solve, and CG kept its diagonal and A p through a confirmation;
+    22.05-22.15, 22.05-22.08 and 22.07 while the operator kept the Jacobi
+    diagonal and a vector for CG's z, and a confirmation ran with the last
+    A p alive; at 128^2, 23.57-23.64 and 23.58 while the mesh kept a lumped
+    weight per node and the operator a weight and a base diagonal entry
+    per interior node, 27.08 and 26.01 while a state also carried L q,
+    which each confirmation formed as a new vector, the run loop held the rate
     dq / dt between steps when sigma > 0, and the r update made two
     temporaries (24.07 and 24.01 with only the r update left as it was).
     With interleaved vectors, K and op.base each storing the scalar

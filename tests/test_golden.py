@@ -7,7 +7,9 @@ constant c = L1 + (L2+L3)/2 (run-aniso: c_k K q + c_d K q rounds
 differently there), a non-dyadic mesh, whose set-up rounds differently
 (run-nondyadic), interior lattices one node wide and one node tall
 (run-thin, run-thin-tall), where the stencil's +-1 and +-width offsets
-coincide or leave the matrix, the norm forms on a 64^2 reference
+coincide or leave the matrix, an all-zero start with a < 0 (run-zero),
+whose P(0) is -0 at every node, so that each projection p . q sums
+(-0) + (-0), the norm forms on a 64^2 reference
 (space-refine), the time study and the sigma sweep with finite and
 infinite exponents.  Each
 is keyed by a name and names its subcommand.  The hashes were recorded
@@ -85,6 +87,17 @@ L3 = 5e-4
 T = 0.02
 dt = 1e-3
 """),
+    "run-zero": ("run", """
+[mesh]
+nx = 16
+[params]
+L2 = 5e-4
+L3 = 5e-4
+[experiment]
+T = 0.02
+dt = 1e-3
+initial = zero
+"""),
     "run-thin": ("run", """
 [mesh]
 x1 = 0.5
@@ -151,6 +164,10 @@ HASHES = {
     "run-nondyadic": {
         "energy_trace.csv":
             "8f08545d8c72f181ff23c583c9c1b2465dac8900048d4a675e30174c258a01c9",
+    },
+    "run-zero": {
+        "energy_trace.csv":
+            "43f19de276c0f0a1d6dfd425f472b0cd2d5f39d3930237620cf726145f4ca9a4",
     },
     "run-thin": {
         "energy_trace.csv":

@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "qtflow"
 
 #: The most code lines src/qtflow may hold.
-MAX_CODE_LINES = 985
+MAX_CODE_LINES = 981
 
 
 def code_lines(path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 from qtflow.analysis import discrete_energy, h1_error_field, h_norm_sq, norm_forms
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
@@ -433,28 +433,57 @@ class TestCarriedProducts:
         assert sum(iters) > 0
 
 
+ALL_PATHS = pytest.mark.parametrize(
+    "params", [P6, P6_DIV, P6_PAR, P6_DIV_PAR],
+    ids=["inertial", "inertial_div", "parabolic", "parabolic_div"])
+
+
+def poisoned_run(params, poison=(), nsteps=8):
+    """The q, r and energy record of each state of an 8^2 run, the energy
+    formed in the work vectors the run loop uses (op.tmp and op.rhs), with
+    the operator's vectors named in poison filled with NaN before every
+    energy and every step."""
+    mesh = build_mesh(0, 2, 0, 2, 8, 8)
+    dt = 1e-3
+    state, op = default_start(mesh, params, dt)
+    bits = lambda a: np.asarray(a, dtype=float).tobytes()
+    seen, prev = [], None
+    for n in range(nsteps + 1):
+        for name in poison:
+            getattr(op, name).fill(np.nan)
+        rec = discrete_energy(state, params, dt, mesh, prev, (op.tmp, op.rhs))
+        seen.append((bits(state.q), bits(state.r), bits(astuple(rec))))
+        if n < nsteps:
+            prev = state.dq, rec
+            for name in poison:
+                getattr(op, name).fill(np.nan)
+            state = step(state, params, dt, op)
+    return seen
+
+
 class TestStatesOwnTheirArrays:
-    @pytest.mark.parametrize("params", [P6, P6_DIV, P6_PAR, P6_DIV_PAR],
-                             ids=["inertial", "inertial_div", "parabolic",
-                                  "parabolic_div"])
+    @ALL_PATHS
     def test_later_steps_leave_kept_states_alone(self, params):
         """step() advances the state it is given and reuses the operator's
-        work vectors every step.  No array of any state may be one of
-        those vectors or share memory with another array of the state, and
-        a copy that a caller keeps (states.kept) is left alone by six more
-        steps."""
+        work vectors every step.  Between steps the state's K q is op.dir,
+        where the last confirmation formed it; no other array of the state
+        shares memory with a work vector or with another array of the
+        state, and a copy that a caller keeps (states.kept) is left alone by
+        six more steps."""
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         dt = 1e-3
         state, op = default_start(mesh, params, dt)
         work = (op.rhs, op.res, op.dir, op.tmp, op.p, op.wp, op._s)
         copies = []
         for n in range(9):
+            assert state.Kq is op.dir
             arrays = [(f.name, getattr(state, f.name)) for f in fields(state)
                       if isinstance(getattr(state, f.name), np.ndarray)]
             assert {name for name, _ in arrays} >= {"q", "r", "Kq"}
-            for k, (name, array) in enumerate(arrays):
+            others = [(name, a) for name, a in arrays if name != "Kq"]
+            for k, (name, array) in enumerate(others):
                 assert not any(np.shares_memory(array, v) for v in work), name
-                assert not any(np.shares_memory(array, b) for _, b in arrays[k + 1:]), name
+                assert not any(np.shares_memory(array, b) for _, b in others[k + 1:]), name
             if n < 3:
                 copies.append((kept(state), {name: a.copy() for name, a in arrays}))
             assert step(state, params, dt, op) is state
@@ -462,6 +491,25 @@ class TestStatesOwnTheirArrays:
         for copy, values in copies:
             for name, value in values.items():
                 assert np.array_equal(getattr(copy, name), value), name
+
+    @ALL_PATHS
+    def test_free_work_vectors_may_be_overwritten_between_steps(self, params):
+        """op.rhs, op.res and op.tmp hold nothing between steps: filled with
+        NaN before every energy and every step, they leave every bit of
+        q, r and the energy record of eight steps as they were."""
+        clean = poisoned_run(params)
+        assert poisoned_run(params, ("rhs", "res", "tmp")) == clean
+
+    def test_overwriting_kq_between_steps_spoils_the_run(self):
+        """op.dir holds the state's K q between steps, so it is not free: a
+        caller that writes it spoils the energy and the next step.  (A run
+        loop that kept its energy work in op.dir changed the energy.)"""
+        with pytest.raises(ConvergenceError, match="non-finite right-hand side"):
+            poisoned_run(P6, ("dir",))
+        mesh = build_mesh(0, 2, 0, 2, 8, 8)
+        state, op = default_start(mesh, P6, 1e-3)
+        op.dir.fill(np.nan)
+        assert math.isnan(discrete_energy(state, P6, 1e-3, mesh).total)
 
     def test_a_solve_that_keeps_its_start(self):
         """A tolerance that the start already meets: CG returns q itself,
