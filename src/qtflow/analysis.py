@@ -3,11 +3,12 @@
 The scheme itself uses lumped inner products, but reported errors are
 standard Sobolev norms evaluated with exact P1 quadrature (consistent mass
 and stiffness); mixing the two would shift the error magnitudes.  The norms
-take those forms from norm_forms(), so a study builds them once for its
-reference mesh however many errors it evaluates there.  Every difference
-they measure vanishes on the boundary (Q by the Dirichlet condition, r as
-it is compared with zero trace), so they take interior vectors (..., m)
-and interior forms: a Q field is (2, m) and component c its row c.
+take those forms, stored by diagonals, from norm_forms(), which needs only
+the mesh, so a study builds them once for its reference mesh however many
+errors it evaluates there.  Every difference they measure vanishes on the
+boundary (Q by the Dirichlet condition, r as it is compared with zero
+trace), so they take interior vectors (..., m) and interior forms: a Q
+field is (2, m) and component c its row c.
 """
 
 from __future__ import annotations
@@ -79,18 +80,17 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
 
 
 class NormForms(NamedTuple):
-    """Interior consistent mass and stiffness of one mesh: the forms of the
-    error norms, built once per mesh by norm_forms()."""
+    """Interior consistent mass and stiffness of one mesh by diagonals: the
+    forms of the error norms, built once per mesh by norm_forms()."""
 
-    mass: sparse.csr_matrix
-    stiffness: sparse.csr_matrix
+    mass: sparse.dia_matrix
+    stiffness: sparse.dia_matrix
 
 
-def norm_forms(mesh: StructuredMesh, K=None) -> NormForms:
-    """K is the mesh's interior stiffness when the caller holds it (a study
-    passes its first run's), assemble_stiffness()'s otherwise."""
+def norm_forms(mesh: StructuredMesh) -> NormForms:
+    """The norm forms of mesh, from its lattice alone."""
     return NormForms(assembly.consistent_mass(mesh),
-                     assembly.assemble_stiffness(mesh) if K is None else K)
+                     assembly.stiffness_block(mesh, 1.0, 0.0))
 
 
 def _check_interior(forms: NormForms, shape: tuple, *fields) -> None:
@@ -133,16 +133,14 @@ def h1_error_field(QA: np.ndarray, QB: np.ndarray, forms: NormForms) -> float:
     return float(np.sqrt(2.0 * total))
 
 
-def transfer_to_fine(field: np.ndarray, injection: sparse.csc_matrix,
-                     fine_mesh: StructuredMesh) -> np.ndarray:
+def transfer_to_fine(field: np.ndarray, injection: sparse.csc_matrix) -> np.ndarray:
     """P1-exact interpolation of a coarse field (..., mc), zero on the
-    boundary, onto the fine mesh as a C-contiguous (..., mf), with the
-    injection from mesh.nested_injection(): one sparse product per row."""
-    if injection.shape[0] != fine_mesh.n_interior:
-        raise ValueError("injection does not target the given fine mesh")
+    boundary, onto the fine mesh of the injection from
+    mesh.nested_injection() as a C-contiguous (..., mf): one sparse product
+    per row."""
     rows = field.reshape(-1, field.shape[-1])
     out = np.stack([injection @ row for row in rows])
-    return out.reshape(field.shape[:-1] + (fine_mesh.n_interior,))
+    return out.reshape(field.shape[:-1] + injection.shape[:1])
 
 
 def convergence_orders(errors, ratio: float):

@@ -7,18 +7,20 @@ Every form is a scalar m x m matrix over the m interior nodes: the solver
 applies it to each row (q1, q2) of its component-major vectors, and the
 error norms to the interior vectors of fields that vanish on the
 boundary.  Each form is built one way: as diagonals on the interior
-lattice, one per lattice offset (0, 0), (+-1, 0), (0, +-1) or +-(1, 1),
-converted to CSR by scipy's tocsr() where a CSR form is wanted; the step
-operator's constant part, a shift of a multiple of the interior stiffness,
-keeps its diagonals (stiffness_block()).  Each cell is a translate of the
-first one, so the first cell's two triangles give every entry: the entry
-of node z at offset o sums, in triangle and then local order, the
-contributions of the triangles that hold z and z + o.  At an interior node
-all of them are present, so a form holds one scalar value per offset, its
-stencil table (_stencil_table()), on the lattice slice of column nodes
-whose row node is interior too.  A diagonal that holds only zeros is not
-stored, and tocsr() drops the zeros that remain and writes each row's
-columns in ascending order.
+lattice, one per lattice offset (0, 0), (+-1, 0), (0, +-1) or +-(1, 1).
+The error norms' mass and stiffness and the step operator's constant
+part, a shift of a multiple of the interior stiffness, keep their
+diagonals (stiffness_block()); only the run's K is converted to CSR, by
+scipy (scalar_stiffness()).  Each cell is a translate of the first one,
+so the first cell's two triangles give every entry: the entry of node z
+at offset o sums, in triangle and then local order, the contributions of
+the triangles that hold z and z + o.  At an interior node all of them are
+present, so a form holds one scalar value per offset, its stencil table
+(_stencil_table()), on the lattice slice of column nodes whose row node
+is interior too.  A diagonal that holds only zeros is not stored, and the
+CSR conversion drops the zeros that remain and writes each row's columns
+in ascending order.  A DIA product gives the bits of the CSR product of
+the same form (_interior_form()).
 
 The divergence form is the interior stiffness.  For a reduced field the
 tensor divergence is (dx q1 + dy q2, dx q2 - dy q1), so |div Q|^2 is
@@ -97,7 +99,8 @@ def _stencil_table(x0: float, y0: float, h: float, entry) -> tuple:
     mesh whose first cell is at (x0, y0) with size h: (dj, di, value) per
     offset whose sum is not exactly zero, sorted by (dj, di), which is
     column order.  A run asks for the stiffness's twice (K and the step
-    operator's constant block), so the last few are kept."""
+    operator's constant block), and a study's norm forms for it and the
+    mass's, so the last few are kept."""
     sums = {}
     for offset, value in _cell_contributions(cell_geometry(x0, y0, h), entry):
         sums[offset] = sums.get(offset, 0.0) + value
@@ -150,10 +153,10 @@ def scalar_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
     return stiffness_block(mesh, 1.0, 0.0).tocsr()
 
 
-def consistent_mass(mesh: StructuredMesh) -> sparse.csr_matrix:
+def consistent_mass(mesh: StructuredMesh) -> sparse.dia_matrix:
     """Interior consistent (exact) P1 mass, m x m over the interior nodes,
-    in CSR: a 7-point stencil, the diagonal offsets included."""
-    return _interior_form(mesh, _mass_dot, 1.0, 0.0).tocsr()
+    by diagonals: a 7-point stencil, the diagonal offsets included."""
+    return _interior_form(mesh, _mass_dot, 1.0, 0.0)
 
 
 _stiffness = {}  # the interior stiffness of the most recent lattice
@@ -164,8 +167,8 @@ def assemble_stiffness(mesh: StructuredMesh) -> sparse.csr_matrix:
 
     K depends only on the lattice (x0, y0, h, nx, ny), so the K of the most
     recent lattice is kept and every mesh on that lattice gets the same
-    object: a run's K and D, the cases of a time or sigma study and its
-    error norms.  Its data, indices and indptr are read-only; a caller that
+    object: a run's K and D, and the cases of one lattice (a time or sigma
+    study's).  Its data, indices and indptr are read-only; a caller that
     modifies K must copy it (K.copy())."""
     lattice = (mesh.x0, mesh.y0, mesh.h, mesh.nx, mesh.ny)
     K = _stiffness.get(lattice)

@@ -149,7 +149,6 @@ class RunResult:
     mesh: object
     state: SimState
     trace: list  # of analysis.EnergyRecord
-    K: object  # the interior stiffness the run stepped with
 
     @property
     def max_energy_increase(self) -> float:
@@ -233,7 +232,7 @@ def _simulate(case: Case) -> RunResult:
                                    step=exc.step, t=exc.t, case=case) from exc
         trace.append(analysis.discrete_energy(state, params, dt, mesh, prev, work))
 
-    return RunResult(case=case, mesh=mesh, state=state, trace=trace, K=K)
+    return RunResult(case=case, mesh=mesh, state=state, trace=trace)
 
 
 def _run_cases(cases, threads):
@@ -295,11 +294,10 @@ def _whole_cells(cfg: ExperimentConfig, nx, ny, key: str) -> ExperimentConfig:
     every form, that is finite and positive (mesh.x1 otherwise).  This is
     the one place where cell counts become a case's lattice.
     The bound is twice the entries of the interior stiffness (five per
-    interior node, less those past the boundary): it covers the interior
-    consistent mass's 7m - 4(ni + nj) + 2 entries, the largest CSR form,
-    whose index arrays scipy's tocsr() gives as int32 while they fit, and
-    the at most 3m weights of a fine mesh in mesh.nested_injection(), which
-    builds its int32 indices and indptr itself."""
+    interior node, less those past the boundary): it covers the at most 3m
+    weights of a fine mesh in mesh.nested_injection(), which builds its
+    int32 indices and indptr itself.  scipy gives the one CSR form, K, int64
+    index arrays by itself once max(nnz, rows, cols) outgrows int32."""
     ni, nj = nx - 1, ny - 1
     if not 2 * (5 * ni * nj - 2 * ni - 2 * nj) < 2 ** 31:  # nan from inf too
         raise ConfigError("%s: %g x %g cells outgrow int32 indices" % (key, nx, ny))
@@ -326,14 +324,13 @@ def _orders(errors):
 
 def _against_first(cases, threads, measure):
     """Run the cases and measure each later one against the first, with
-    the norm forms of the first's mesh and its run's K: measure(res, first,
-    forms).
+    the norm forms of the first's mesh: measure(res, first, forms).
 
     Returns the measures in case order and the largest energy rise of any
     case, the first included."""
     results = _run_cases(cases, threads)
     first = results[0]
-    forms = analysis.norm_forms(first.mesh, first.K)
+    forms = analysis.norm_forms(first.mesh)
     return ([measure(res, first, forms) for res in results[1:]],
             max(res.max_energy_increase for res in results))
 
@@ -391,8 +388,8 @@ def space_refinement_study(config: ExperimentConfig) -> StudyResult:
 
     def on_ref(res, ref):
         inj = nested_injection(res.mesh, ref.mesh)
-        return (analysis.transfer_to_fine(res.state.q, inj, ref.mesh),
-                analysis.transfer_to_fine(res.state.r, inj, ref.mesh))
+        return (analysis.transfer_to_fine(res.state.q, inj),
+                analysis.transfer_to_fine(res.state.r, inj))
 
     return _refinement(h_list, cases, cfg.threads, on_ref)
 

@@ -57,8 +57,7 @@ class SimState:
     dq: np.ndarray | None      # Q^n - Q^{n-1}; None without a previous level
     r: np.ndarray              # r^n at interior nodes
     Kq: np.ndarray | None      # K q; L q is c K q
-    n: int
-    t: float
+    n: int                     # the step index; the state's time is n dt
 
 
 def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
@@ -125,7 +124,7 @@ def initialize(p: Params, dt: float, q0: np.ndarray, r0: np.ndarray,
         s *= 2.0
         r += s
         n = 1
-    return SimState(q=q, dq=dq, r=r, Kq=op.products(q, out=op.dir), n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=op.products(q, out=op.dir), n=n)
 
 
 def step_operator(p: Params, dt: float, mesh: StructuredMesh, K, D,
@@ -151,10 +150,10 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     step_operator(), in place, and return it (see the module docstring).
 
     A failed solve or a nonpositive radicand in P raises ConvergenceError
-    with .step = state.n + 1 and .t = state.t + dt; the state is spent then.
+    with .step = n = state.n + 1 and .t = n dt; the state is spent then.
     """
     q = state.q
-    n, t = state.n + 1, state.t + dt
+    n, t = state.n + 1, (state.n + 1) * dt
     try:
         op.set_rank_one(aux_P(q, p, out=op.p))
     except ValueError as exc:
@@ -192,5 +191,5 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     if not np.isfinite(state.r).all():
         raise _step_failure(n, t, "non-finite values in r update")
     # cg_solve confirmed x last, so op.dir holds K x
-    state.q, state.dq, state.Kq, state.n, state.t = x, dq, op.dir, n, t
+    state.q, state.dq, state.Kq, state.n = x, dq, op.dir, n
     return state

@@ -619,7 +619,7 @@ def nodal_start(case, op):
         dq = q - q0
         r = r + 2.0 * (P0[0] * dq[0] + P0[1] * dq[1])
         n = 1
-    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), n=n, t=n * dt)
+    return SimState(q=q, dq=dq, r=r, Kq=op.products(q), n=n)
 
 
 def nodal_r_fields(mesh, p, Q0, states):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtflow.analysis import (
+    NormForms,
     convergence_orders,
     discrete_energy,
     h1_error_component,
@@ -45,8 +46,7 @@ class TestDiscreteEnergy:
                       A0=500.0, sigma=0.025)
         q = oracles.gather_interior(mesh, Q)
         state = SimState(q=q, dq=q - oracles.gather_interior(mesh, Qp),
-                         r=oracles.gather_interior(mesh, r), Kq=(K @ q.T).T,
-                         n=1, t=1e-3)
+                         r=oracles.gather_interior(mesh, r), Kq=(K @ q.T).T, n=1)
         rec = discrete_energy(state, pdiv, 1e-3, mesh)
         for part in (rec.kinetic, rec.elastic, rec.divpart, rec.rpart):
             assert part >= 0.0
@@ -228,6 +228,35 @@ class TestErrorNorms:
             l2_error_scalar(np.zeros(other.n_interior), np.zeros(other.n_interior), nf)
 
 
+@pytest.mark.parametrize("extent, nx, ny", [
+    ((0.0, 2.0, 0.0, 2.0), 16, 16),
+    ((0.0, 2.0, 0.0, 2.0), 128, 128),
+    ((0.0, 2.0, 0.0, 2.0), 256, 256),
+    ((0.1, 1.4, -0.3, 1.0), 13, 13),
+    ((0.0, 2.0, 0.0, 9.0), 2, 9),
+    ((0.0, 9.0, 0.0, 2.0), 9, 2),
+], ids=["16", "128", "256", "non_dyadic", "thin_2x9", "thin_9x2"])
+def test_dia_norm_forms_keep_the_csr_bits(extent, nx, ny):
+    """The norm forms by diagonals give the bits of their tocsr() forms,
+    compared through int64 views: each form's product, and each norm."""
+    mesh = build_mesh(*extent, nx, ny)
+    forms = norm_forms(mesh)
+    csr = NormForms(*(form.tocsr() for form in forms))
+    bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
+    rng = np.random.RandomState(nx * ny)
+    A, B = rng.standard_normal((2, 2, mesh.n_interior))
+    A[0, rng.uniform(size=mesh.n_interior) < 0.2] = 0.0
+    A[1, rng.uniform(size=mesh.n_interior) < 0.2] = -0.0
+    for x in (A[0], A[1], B[0]):
+        for dia, ref in zip(forms, csr):
+            assert np.array_equal(bits(dia @ x), bits(ref @ x))
+    for c in (0, 1):
+        assert bits(h1_error_component(A, B, forms, c)) == bits(
+            h1_error_component(A, B, csr, c))
+    assert bits(l2_error_scalar(A[1], B[1], forms)) == bits(l2_error_scalar(A[1], B[1], csr))
+    assert bits(h1_error_field(A, B, forms)) == bits(h1_error_field(A, B, csr))
+
+
 class TestTransfer:
     def test_linear_exact_and_identity_on_shared_nodes(self):
         coarse = build_mesh(0, 2, 0, 2, 4, 4)
@@ -235,7 +264,7 @@ class TestTransfer:
         inj = nested_injection(coarse, fine)
         xc, yc = oracles.nodes(coarse)[oracles.interior_nodes(coarse)].T
         f = 0.3 * xc - 0.9 * yc + 0.2
-        out = transfer_to_fine(f, inj, fine)
+        out = transfer_to_fine(f, inj)
         xf, yf = oracles.nodes(fine)[oracles.interior_nodes(fine)].T
         # the restriction back to coincident nodes is the identity
         index = oracles.interior_index(fine)
@@ -254,7 +283,7 @@ class TestTransfer:
         inj = nested_injection(coarse, fine)
         rng = np.random.RandomState(15)
         f = rng.standard_normal(coarse.n_interior)
-        out = transfer_to_fine(f, inj, fine)
+        out = transfer_to_fine(f, inj)
         norm_coarse = np.sqrt(oracles.midpoint_quad_sq(coarse, oracles.nodal(coarse, f)))
         norm_fine = np.sqrt(oracles.midpoint_quad_sq(fine, oracles.nodal(fine, out)))
         assert norm_fine == pytest.approx(norm_coarse, rel=1e-13)
@@ -265,12 +294,10 @@ class TestTransfer:
         inj = nested_injection(coarse, fine)
         rng = np.random.RandomState(17)
         Q = rng.standard_normal((2, coarse.n_interior))
-        out = transfer_to_fine(Q, inj, fine)
+        out = transfer_to_fine(Q, inj)
         assert out.shape == (2, fine.n_interior) and out.flags.c_contiguous
         for c in range(2):
-            assert np.array_equal(out[c], transfer_to_fine(Q[c], inj, fine))
-        with pytest.raises(ValueError):
-            transfer_to_fine(Q, inj, coarse)
+            assert np.array_equal(out[c], transfer_to_fine(Q[c], inj))
 
 
 class TestConvergenceOrders:

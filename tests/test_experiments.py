@@ -300,7 +300,7 @@ class TestInteriorSetup:
             initial=initial), pert_q0, pert_qt0)
         state, op, _ = first_step_of(case, monkeypatch)
         ref = oracles.nodal_start(case, op)
-        assert (state.n, state.t) == (ref.n, ref.t)
+        assert state.n == ref.n
         assert (state.dq is None) == (sigma == 0.0)
         for name in ("q", "dq", "r", "Kq"):
             a, b = getattr(state, name), getattr(ref, name)
@@ -438,7 +438,8 @@ def test_initial_radicand_failure_is_a_config_error():
 @pytest.fixture
 def norm_form_calls(monkeypatch):
     """Counts the interior consistent mass builds, keeps the mesh and the
-    forms of every norm_forms() call, and the K of every step operator."""
+    forms of every norm_forms() call, and the mesh and K of every step
+    operator."""
     calls = {"consistent_mass": 0, "norm_forms": [], "stepped": []}
     consistent_mass, norm_forms = assembly.consistent_mass, analysis.norm_forms
     step_operator = experiments.step_operator
@@ -447,12 +448,12 @@ def norm_form_calls(monkeypatch):
         calls["consistent_mass"] += 1
         return consistent_mass(mesh)
 
-    def kept(mesh, K=None):
-        calls["norm_forms"].append((mesh, norm_forms(mesh, K)))
+    def kept(mesh):
+        calls["norm_forms"].append((mesh, norm_forms(mesh)))
         return calls["norm_forms"][-1][1]
 
     def recorded(p, dt, mesh, K, *args):
-        calls["stepped"].append(K)
+        calls["stepped"].append((mesh, K))
         return step_operator(p, dt, mesh, K, *args)
 
     monkeypatch.setattr(assembly, "consistent_mass", counted)
@@ -470,28 +471,40 @@ def norm_form_calls(monkeypatch):
         nx=6, ny=6, T=0.01, dt=1e-3, sigma_list=(1e-3, 1e-1))),
 ], ids=["space", "time", "sigma"])
 def test_study_builds_norm_forms_once(study, cfg, norm_form_calls):
-    """One mass per study, and the K that its first run (the reference or
-    the parabolic run) stepped with."""
+    """One mass and one K per study, by diagonals, on the mesh of its first
+    run (the reference or the parabolic run): that K is the one the run
+    stepped with, entry for entry."""
     study(cfg)
     assert norm_form_calls["consistent_mass"] == 1
     [(mesh, forms)] = norm_form_calls["norm_forms"]
+    first_mesh, first_K = norm_form_calls["stepped"][0]
+    assert mesh is first_mesh
+    assert [form.format for form in forms] == ["dia", "dia"]
     assert forms.mass.shape == (mesh.n_interior, mesh.n_interior)
-    assert forms.stiffness is norm_form_calls["stepped"][0]
+    assert (forms.stiffness.tocsr() != first_K).nnz == 0
 
 
 @pytest.fixture
 def stiffness_builds(monkeypatch):
-    """Counts the builds of the interior stiffness K, stiffness_block(mesh,
-    1.0, 0.0), from a cleared cache; the step operator's constant block,
-    another scale and shift, is not counted."""
-    builds, original = [], assembly.stiffness_block
+    """The builds of the interior stiffness K from a cleared cache, as the
+    (nx, ny) of their meshes: "csr" the CSR K of the runs, by
+    scalar_stiffness(), and "all" every stiffness_block(mesh, 1.0, 0.0),
+    the error norms' K by diagonals too.  The step operator's constant
+    block, another scale and shift, is not counted."""
+    builds = {"csr": [], "all": []}
+    block, csr = assembly.stiffness_block, assembly.scalar_stiffness
 
-    def counted(mesh, scale, shift):
+    def counted_block(mesh, scale, shift):
         if (scale, shift) == (1.0, 0.0):
-            builds.append((mesh.nx, mesh.ny))
-        return original(mesh, scale, shift)
+            builds["all"].append((mesh.nx, mesh.ny))
+        return block(mesh, scale, shift)
 
-    monkeypatch.setattr(assembly, "stiffness_block", counted)
+    def counted_csr(mesh):
+        builds["csr"].append((mesh.nx, mesh.ny))
+        return csr(mesh)
+
+    monkeypatch.setattr(assembly, "stiffness_block", counted_block)
+    monkeypatch.setattr(assembly, "scalar_stiffness", counted_csr)
     # an empty cache; without one, K is built at every call and counted
     monkeypatch.setattr(assembly, "_stiffness", {}, raising=False)
     return builds
@@ -504,7 +517,7 @@ def test_anisotropic_run_builds_one_stiffness(stiffness_builds):
     params = replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4)
     experiments._simulate(experiments.Case(ExperimentConfig(
         nx=8, ny=8, params=params, dt=1e-3, T=2e-3)))
-    assert stiffness_builds == [(8, 8)]
+    assert stiffness_builds == {"csr": [(8, 8)], "all": [(8, 8)]}
 
 
 @pytest.mark.parametrize("study, cfg", [
@@ -516,18 +529,21 @@ def test_anisotropic_run_builds_one_stiffness(stiffness_builds):
 ], ids=["time", "sigma"])
 def test_study_on_one_lattice_builds_one_stiffness(study, cfg, stiffness_builds):
     """Every case of a time or sigma study runs on one lattice, so they
-    share one K."""
+    share one CSR K; the error norms build their K by diagonals once,
+    after the runs."""
     study(cfg)
-    assert stiffness_builds == [(cfg.nx, cfg.ny)]
+    lattice = (cfg.nx, cfg.ny)
+    assert stiffness_builds == {"csr": [lattice], "all": [lattice, lattice]}
 
 
 def test_space_study_builds_one_stiffness_per_lattice(stiffness_builds):
-    """The reference run's K serves the error norms too, so each lattice
-    builds its K once: the reference first, then the levels in order (a
-    second build of the reference's, last, was the norm forms')."""
+    """Each lattice builds the CSR K of its runs once: the reference first,
+    then the levels in order.  The error norms build the reference's K by
+    diagonals once more, after the runs."""
     space_refinement_study(ExperimentConfig(
         T=1e-3, dt=1.25e-4, h_list=(1.0, 0.5, 0.25), reference_level=3))
-    assert stiffness_builds == [(16, 16), (2, 2), (4, 4), (8, 8)]
+    runs = [(16, 16), (2, 2), (4, 4), (8, 8)]
+    assert stiffness_builds == {"csr": runs, "all": runs + [(16, 16)]}
 
 
 class TestSpaceStudy:

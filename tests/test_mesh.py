@@ -225,7 +225,7 @@ class TestNestedInjection:
         rng = np.random.RandomState(nc * nf)
         for shape in ((2,), ()):
             F = rng.standard_normal(shape + (coarse.n_interior,))
-            out = transfer_to_fine(F, inj, fine)
+            out = transfer_to_fine(F, inj)
             assert out.shape == shape + (fine.n_interior,) and out.flags.c_contiguous
             ref = oracles.interleaved_transfer(oracles.nodal(coarse, F), full)
             assert np.array_equal(out, np.moveaxis(ref[idx], 0, -1))

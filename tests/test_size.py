@@ -2,7 +2,7 @@
 
 A code line is a line that is not blank, not a comment alone, and not
 inside a module, class or function docstring.  Run with ``pytest -s`` to
-see the count per module.  A change that adds code raises MAX_CODE_LINES
+see the code lines and the total lines per module.  A change that adds code raises MAX_CODE_LINES
 and says why in CHANGES.md.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "qtflow"
 
 #: The most code lines src/qtflow may hold.
-MAX_CODE_LINES = 981
+MAX_CODE_LINES = 976
 
 
 def code_lines(path):
@@ -34,8 +34,11 @@ def code_lines(path):
 
 
 def test_code_lines_within_budget():
-    counts = {path.name: code_lines(path) for path in sorted(SRC.glob("*.py"))}
-    for name, count in counts.items():
-        print("%-16s %4d" % (name, count))
-    print("%-16s %4d" % ("total", sum(counts.values())))
-    assert sum(counts.values()) <= MAX_CODE_LINES
+    counts = {path.name: (code_lines(path), len(path.read_text().splitlines()))
+              for path in sorted(SRC.glob("*.py"))}
+    print("%-16s %5s %5s" % ("module", "code", "total"))
+    for name, (code, total) in counts.items():
+        print("%-16s %5d %5d" % (name, code, total))
+    code, total = (sum(column) for column in zip(*counts.values()))
+    print("%-16s %5d %5d" % ("total", code, total))
+    assert code <= MAX_CODE_LINES

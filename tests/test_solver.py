@@ -520,4 +520,4 @@ def test_no_interleaved_layout_in_the_solver():
     for x, shape in ((state.q, (2, mesh.n_nodes)), (state.r, (mesh.n_nodes,))):
         field = oracles.nodal(mesh, x)
         assert field.shape == shape and field.flags.c_contiguous
-    assert {f.name for f in fields(state)} == {"q", "dq", "r", "Kq", "n", "t"}
+    assert {f.name for f in fields(state)} == {"q", "dq", "r", "Kq", "n"}
