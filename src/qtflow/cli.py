@@ -52,8 +52,9 @@ for _section, _name, _type, _ in config_keys(ExperimentConfig()):
 def parse_config(path: str | None) -> ExperimentConfig:
     """Read a config file; a missing argument or empty file yields the
     default profile."""
-    # no default section: [DEFAULT] is an unknown section like any other
-    cp = configparser.ConfigParser(default_section="")
+    # no default section: [DEFAULT] is an unknown section like any other;
+    # no interpolation: values are literal, a '%' included
+    cp = configparser.ConfigParser(default_section="", interpolation=None)
     cp.optionxform = str
     if path is not None:
         try:

@@ -8,10 +8,12 @@ C-contiguous, rows q1 and q2 of a Q field: Q vanishes on the boundary and
 r takes one constant value there, so no boundary value is stored.
 
 Nothing is stored per node or per triangle: node coordinates, boundary
-flags and interior indices follow from the lattice (axes()), every cell is
-a translate of the first one (CELL), and a node's lumped weight follows
-from the number of triangles at it: six at every interior node, so one
-float, gamma, serves them all.
+flags and interior indices follow from the lattice (axes()), and every
+cell is a translate of the first one, split into the triangles (ll, lr,
+ur) and (ll, ur, ul).  So a node's lumped weight follows from h and the
+number of triangles at it: six at every interior node, so one float,
+gamma, serves them all.  The assembly's stencils, likewise, are tables in
+h alone.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
-
-
-#: The first cell's triangles as lattice corners (row, col) of their
-#: vertices: (ll, lr, ur) and (ll, ur, ul), each positively oriented.
-CELL = np.array([[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 1), (1, 0)]])
 
 
 @dataclass

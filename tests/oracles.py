@@ -4,9 +4,10 @@ Everything here deliberately avoids the production code paths: tensors are
 kept as dense 2x2 matrices, basis gradients come from solving a local
 linear system, quadrature uses the edge-midpoint rule, and the reference
 stepper works on all four matrix entries with a dense solve.  The
-element-by-element forms and the alpha pairing share only the
-per-triangle geometry with production code, so that the lattice assembly
-can be compared against them bit for bit.  The nodal set-up at the end is
+element-by-element forms and the alpha pairing take their per-triangle
+geometry from the node coordinates (element_geometry()); on dyadic meshes
+the lattice stencils of production code equal them bit for bit, and
+elsewhere to roundoff.  The nodal set-up at the end is
 the exception: it keeps the start of a run as it was built over nodal
 fields, with the production pointwise algebra, as the bitwise reference of
 the interior set-up.
@@ -17,9 +18,8 @@ from dataclasses import replace
 import numpy as np
 from scipy import sparse
 
-from qtflow.assembly import cell_geometry, element_geometry
 from qtflow.experiments import default_initial_q
-from qtflow.mesh import CELL, build_mesh
+from qtflow.mesh import build_mesh
 from qtflow.model import aux_P, aux_r
 from qtflow.stepper import SimState
 
@@ -101,6 +101,11 @@ def is_boundary(mesh):
 def interior_nodes(mesh):
     """(n,) node indices of the interior nodes, in interior order."""
     return np.flatnonzero(~is_boundary(mesh))
+
+
+#: The first cell's triangles as lattice corners (row, col) of their
+#: vertices: (ll, lr, ur) and (ll, ur, ul), each positively oriented.
+CELL = np.array([[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 1), (1, 0)]])
 
 
 def triangles(mesh):
@@ -309,6 +314,20 @@ def element_stiffness(pts):
 # element-by-element forms
 
 
+def element_geometry(pts):
+    """Signed areas (M,) and constant basis gradients (M, 3, 2) of the
+    triangles with vertex coordinates pts (M, 3, 2)."""
+    v1 = pts[:, 1] - pts[:, 0]
+    v2 = pts[:, 2] - pts[:, 0]
+    area = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+    grads = np.empty_like(pts)
+    for i in range(3):
+        jj, kk = (i + 1) % 3, (i + 2) % 3
+        grads[:, i, 0] = (pts[:, jj, 1] - pts[:, kk, 1]) / (2.0 * area)
+        grads[:, i, 1] = (pts[:, kk, 0] - pts[:, jj, 0]) / (2.0 * area)
+    return area, grads
+
+
 def _all_node_form(mesh, entry):
     """Element assembly over all nodes; entry(area, grads, i, j) gives the
     contribution of basis pair (i, j) of every triangle."""
@@ -359,22 +378,19 @@ def component_block(A, c, d):
     return A[c::2][:, d::2]
 
 
+#: The five-point Laplacian, (dj, di, value) per lattice offset in column
+#: order: the exact interior stiffness of the right-triangle lattice.
+FIVE_POINT = ((-1, 0, -1.0), (0, -1, -1.0), (0, 0, 4.0), (0, 1, -1.0), (1, 0, -1.0))
+
+
 def interleaved_stiffness(mesh):
     """The interior stiffness on interleaved vectors (DOF 2k + c for
     component c of interior node k), built on the lattice with one template
-    per component and stored offset, the column at the row's own component.
-    Its two diagonal blocks must equal the scalar interior stiffness bit for
-    bit."""
-    sums = {}
-    area, grads = cell_geometry(mesh.x0, mesh.y0, mesh.h)
-    for t, tri in enumerate(CELL.tolist()):
-        for i, (cj, ci) in enumerate(tri):
-            for j, (oj, oi) in enumerate(tri):
-                g = area[t] * (grads[t, i, 0] * grads[t, j, 0]
-                               + grads[t, i, 1] * grads[t, j, 1])
-                sums[(oj - cj, oi - ci)] = sums.get((oj - cj, oi - ci), 0.0) + g
-    table = np.array([(*off, c, value) for c in range(2)
-                      for off, value in sorted(sums.items()) if value != 0.0])
+    per component and stored offset, the column at the row's own component,
+    from the exact five-point stencil.  Its two diagonal blocks must equal
+    the scalar interior stiffness bit for bit."""
+    table = np.array([(dj, di, c, value) for c in range(2)
+                      for dj, di, value in FIVE_POINT])
     dj, di, comp = table[:, :3].astype(np.int32).T
     ni, nj = mesh.nx - 1, mesh.ny - 1
     i = np.arange(ni, dtype=np.int32)[:, None] + di

@@ -326,6 +326,10 @@ initial = zero
         # mesh, and mesh sizes that cut the extent into fractional cells
         pytest.param("space-refine", "[experiment]\nT = abc\n",
                      "bad value for experiment.T", id="experiment.T=abc"),
+        # values are literal: a '%' is no interpolation (once exit 2)
+        pytest.param("run", "[experiment]\ninitial = %(x)s\n",
+                     "experiment.initial: unknown profile '%(x)s'",
+                     id="initial=%(x)s"),
         pytest.param("space-refine", "[experiment]\nh_list = 0.5\n",
                      "experiment.h_list needs at least two entries", id="h_list=0.5"),
         pytest.param("space-refine", "[experiment]\nh_list = 0.6, 0.3\nreference_level = 4\n",
@@ -396,6 +400,16 @@ initial = zero
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert "config file %s" % path in capsys.readouterr().err
         assert not out.exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        """A '%' in a config value is kept as written (once exit 2 from
+        configparser's interpolation)."""
+        out = tmp_path / "out%dir"
+        cfgpath = write(tmp_path, "[mesh]\nnx = 4\n[experiment]\nT = 1e-3\n"
+                        "dt = 1e-3\nout_dir = %s\n" % out)
+        assert parse_config(cfgpath).out_dir == str(out)
+        assert main(["run", "--config", cfgpath]) == 0
+        assert (out / "energy_trace.csv").exists()
 
     def test_run_ignores_the_time_study_default_step(self, tmp_path):
         """The default reference_dt, 6.25e-5, does not divide T = 3e-4; a run

@@ -31,6 +31,13 @@ time-refine and sigma-study hashes were re-recorded when the error norms
 moved to interior vectors: every difference they measure is the same, but
 its dot products run over the m interior entries instead of all N nodes,
 which sums them in another order (CHANGES.md lists the old and new hashes).
+The run-nondyadic hash was re-recorded when the stencils came to depend on
+the cell size alone: the element sums over the first cell's coordinates
+had carried their roundoff into K (3.9999999999999996 and
+-0.9999999999999999 on this mesh), and K is now the exact (4, -1);
+E_total and E_r kept their bits, the other energies moved by at most
+7.5e-16 relative (CHANGES.md lists both hashes).  On dyadic meshes the
+tables give the old bits, so no other hash moved.
 README.md quotes the space-refine hash, and test_readme_quotes_the_pinned_hash
 holds the quote to the pin.  Each run's manifest.json must list the SHA-256
 of every other file it wrote, as read back from the disk.
@@ -163,7 +170,7 @@ HASHES = {
     },
     "run-nondyadic": {
         "energy_trace.csv":
-            "8f08545d8c72f181ff23c583c9c1b2465dac8900048d4a675e30174c258a01c9",
+            "70484d850ef1935d7b7ce2c5acdbe7134d0bc709ea934320ae021e0dcacffa2f",
     },
     "run-zero": {
         "energy_trace.csv":

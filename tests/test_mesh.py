@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtflow.analysis import transfer_to_fine
-from qtflow.mesh import CELL, StructuredMesh, build_mesh, nested_injection
+from qtflow.mesh import StructuredMesh, build_mesh, nested_injection
 
 import oracles
 
@@ -30,7 +30,7 @@ class TestBuildMesh:
         ll = np.stack(np.meshgrid(np.arange(mesh.ny), np.arange(mesh.nx), indexing="ij"),
                       axis=-1)
         assert np.array_equal(corners.reshape(mesh.ny, mesh.nx, 2, 3, 2),
-                              ll[:, :, None, None] + CELL)
+                              ll[:, :, None, None] + oracles.CELL)
 
     def test_refinement_quarters_areas(self):
         coarse = build_mesh(0, 2, 0, 2, 4, 4)

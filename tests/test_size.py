@@ -1,4 +1,4 @@
-"""The code-line budget of src/qtflow (ROADMAP item 7).
+"""The code-line budget of src/qtflow (ROADMAP item 7), and no dead import.
 
 A code line is a line that is not blank, not a comment alone, and not
 inside a module, class or function docstring.  Run with ``pytest -s`` to
@@ -13,7 +13,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "qtflow"
 
 #: The most code lines src/qtflow may hold.
-MAX_CODE_LINES = 976
+MAX_CODE_LINES = 952
+
+#: (module, name) of the imports that a module keeps without using them,
+#: with the reason each stays.
+UNUSED_IMPORTS = {
+    ("stepper.py", "assembly"): "perfbench/spans.py rebinds stepper.assembly",
+}
 
 
 def code_lines(path):
@@ -42,3 +48,27 @@ def test_code_lines_within_budget():
     code, total = (sum(column) for column in zip(*counts.values()))
     print("%-16s %5d %5d" % ("total", code, total))
     assert code <= MAX_CODE_LINES
+
+
+def unused_imports(path):
+    """The names that one Python source file imports and never uses: no
+    name in its code loads them and no string constant spells them (cli's
+    study table names its functions, which it looks up in globals())."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return imported - used
+
+
+def test_no_unused_import():
+    """Every import of a module is used, but the listed ones.  The package's
+    __init__.py is not checked: its imports are the package's API."""
+    unused = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py" for name in unused_imports(path)}
+    assert unused == set(UNUSED_IMPORTS)
