@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     EnergyRecord,
-    convergence_orders,
     discrete_energy,
     h1_error_component,
     h1_error_field,
@@ -27,6 +26,6 @@ from .experiments import (
     time_refinement_study,
 )
 from .mesh import StructuredMesh, build_mesh, nested_injection
-from .model import Params, aux_P, aux_r, bulk_derivative_f, bulk_potential
+from .model import Params, aux_P, aux_r
 from .solver import ConvergenceError, StepOperator, cg_solve
 from .stepper import SimState, build_default_Qt0, initialize, step

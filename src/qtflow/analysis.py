@@ -1,4 +1,4 @@
-"""Discrete energies, error norms between solutions, and observed orders.
+"""Discrete energies and error norms between solutions.
 
 The scheme itself uses lumped inner products, but reported errors are
 standard Sobolev norms evaluated with exact P1 quadrature (consistent mass
@@ -142,12 +142,3 @@ def transfer_to_fine(field: np.ndarray, injection: sparse.csc_matrix) -> np.ndar
     out = np.stack([injection @ row for row in rows])
     return out.reshape(field.shape[:-1] + injection.shape[:1])
 
-
-def convergence_orders(errors, ratio: float):
-    """Observed orders log(e_k / e_{k+1}) / log(ratio) for a refinement chain."""
-    errors = np.asarray(errors, dtype=float)
-    if np.any(errors <= 0.0):
-        raise ValueError("errors must be positive to compute orders")
-    if ratio <= 1.0:
-        raise ValueError("refinement ratio must exceed 1")
-    return list(np.log(errors[:-1] / errors[1:]) / np.log(ratio))

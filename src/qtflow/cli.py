@@ -85,17 +85,12 @@ def parse_config(path: str | None) -> ExperimentConfig:
     return cfg
 
 
-def _fmt(x) -> str:
+def _fmt(x, spec="%.17g", missing="") -> str:
+    """A value as text: a number by spec (every digit, for a CSV field), a
+    label as it is, and missing where there is no value."""
     if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return "%.17g" % x
-
-
-def _rounded(x, spec="%.2f") -> str:
-    """A console number; "-" where there is none."""
-    return "-" if x is None else spec % x
+        return missing
+    return x if isinstance(x, str) else spec % x
 
 
 def _csv(header: str, rows) -> str:
@@ -122,8 +117,8 @@ def _write_refinement(filename, level_name, result) -> dict:
           % (level_name, "err_Q11", "ord", "err_Q12", "ord", "err_r", "ord"))
     for row in result.rows:
         print("%-10.4g %-9.3g %-6s %-9.3g %-6s %-9.3g %-6s" % (
-            row.level, row.err_q11, _rounded(row.ord_q11), row.err_q12,
-            _rounded(row.ord_q12), row.err_r, _rounded(row.ord_r)))
+            row.level, row.err_q11, _fmt(row.ord_q11, "%.2f", "-"), row.err_q12,
+            _fmt(row.ord_q12, "%.2f", "-"), row.err_r, _fmt(row.ord_r, "%.2f", "-")))
     return {filename: _csv(
         "level,error_Q11,order_Q11,error_Q12,order_Q12,error_r,order_r",
         [astuple(row) for row in result.rows])}
@@ -137,7 +132,7 @@ def _write_sigma(result) -> dict:
         rows = [r for r in result.rows if r.p1 == p1 and r.p2 == p2]
         texts["sigma_case_p1_%g_p2_%g.dat" % (p1, p2)] = "".join(
             "%s %s\n" % (_fmt(r.sigma), _fmt(r.h1_error)) for r in rows)
-        print("case p1=%g p2=%g: fitted slope %s" % (p1, p2, _rounded(slope, "%.3f")))
+        print("case p1=%g p2=%g: fitted slope %s" % (p1, p2, _fmt(slope, "%.3f", "-")))
     return texts
 
 

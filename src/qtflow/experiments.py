@@ -318,8 +318,8 @@ def _whole_cells(cfg: ExperimentConfig, nx, ny, key: str) -> ExperimentConfig:
 def _orders(errors):
     """The observed orders of a halving chain's errors; None on the first
     level and where an order needs an error that is zero."""
-    return [None] + [analysis.convergence_orders(pair, 2.0)[0] if min(pair) > 0.0
-                     else None for pair in zip(errors, errors[1:])]
+    return [None] + [np.log(a / b) / np.log(2.0) if min(a, b) > 0.0 else None
+                     for a, b in zip(errors, errors[1:])]
 
 
 def _against_first(cases, threads, measure):
@@ -410,6 +410,15 @@ def time_refinement_study(config: ExperimentConfig) -> StudyResult:
     return _refinement(dt_list, cases, cfg.threads)
 
 
+def _offset(sigma: float, p: float, key: str) -> float:
+    """sigma^p / 2, the perturbation of exponent p, or 0 (none) for p = inf;
+    a ConfigError naming key where it overflows a float."""
+    try:
+        return 0.0 if math.isinf(p) else 0.5 * sigma ** p
+    except OverflowError:
+        raise ConfigError("experiment.%s: sigma^p = %g^%g overflows" % (key, sigma, p)) from None
+
+
 @dataclass
 class SigmaRow:
     sigma: float
@@ -441,8 +450,7 @@ def sigma_study(config: ExperimentConfig) -> StudyResult:
     keys = [(p1, p2, s) for p1, p2 in pairs for s in sigma_list]
     on_mesh = _cells(cfg, 16)  # the parabolic run first: sigma 0, no perturbation
     cases = [Case(replace(on_mesh, params=replace(cfg.params, sigma=s)),
-                  pert_q0=0.0 if math.isinf(p1) else 0.5 * s ** p1,
-                  pert_qt0=0.0 if math.isinf(p2) else 0.5 * s ** p2)
+                  pert_q0=_offset(s, p1, "p1_list"), pert_qt0=_offset(s, p2, "p2_list"))
              for p1, p2, s in [(math.inf, math.inf, 0.0)] + keys]
     distances, rise = _against_first(cases, cfg.threads, lambda res, par, forms:
                                      analysis.h1_error_field(par.state.q, res.state.q, forms))

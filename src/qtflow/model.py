@@ -57,7 +57,8 @@ def trace_q2(Q: np.ndarray):
 
 
 def _potential(t2, p: Params):
-    """The bulk energy density as a function of t2 = tr(Q^2), formed in t2."""
+    """The bulk energy density F as a function of t2 = tr(Q^2), formed in
+    t2."""
     # tr(Q^3) vanishes identically for symmetric trace-free 2x2 matrices,
     # so the b term (b/3) tr(Q^3) of the 3D form drops out.
     quartic = 0.25 * p.c * t2 * t2
@@ -66,29 +67,10 @@ def _potential(t2, p: Params):
     return t2
 
 
-def bulk_potential(Q: np.ndarray, p: Params):
-    """Quartic bulk energy density evaluated at Q."""
-    return _potential(trace_q2(Q), p)
-
-
-def bulk_derivative_f(Q: np.ndarray, p: Params) -> np.ndarray:
-    """Variational derivative f of the bulk potential.
-
-    In 2D the b term cancels exactly: Q^2 is a multiple of the identity, so
-    it equals its own isotropic part and the deviator is zero.  What is
-    left is (a + c tr(Q^2)) Q.
-    """
-    return _f(Q, trace_q2(Q), p)
-
-
-def _f(Q: np.ndarray, t2, p: Params, out: np.ndarray | None = None) -> np.ndarray:
-    """f at Q, given t2 = tr(Q^2), into out when given."""
-    return np.multiply(p.a + p.c * t2, Q, out=out)
-
-
 def aux_r(Q: np.ndarray, p: Params):
-    """Auxiliary variable r = sqrt(2 (bulk + A0)); requires a positive
-    radicand, i.e. A0 large enough on the sampled states."""
+    """Auxiliary variable r = sqrt(2 (F + A0)), F the bulk potential;
+    requires a positive radicand, i.e. A0 large enough on the sampled
+    states."""
     return _aux_r(trace_q2(Q), p)
 
 
@@ -110,8 +92,11 @@ def aux_P(Q: np.ndarray, p: Params, out: np.ndarray | None = None) -> np.ndarray
     formed once for both, written into out when given (its shape is Q's)
     and into a new array otherwise.  A new result follows the memory order
     of Q; pass a C-contiguous field to get a C-contiguous P.  On a
-    nonpositive radicand out holds f(Q)."""
+    nonpositive radicand out holds f(Q).
+
+    f = (a + c tr(Q^2)) Q: in 2D Q^2 is a multiple of the identity, so the
+    b term of the 3D form, the deviator of Q^2, is zero."""
     t2 = trace_q2(Q)
-    P = _f(Q, t2, p, out)
+    P = np.multiply(p.a + p.c * t2, Q, out=out)
     P /= _aux_r(t2, p)
     return P

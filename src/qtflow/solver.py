@@ -31,9 +31,14 @@ class ConvergenceError(RuntimeError):
     """CG failed to reach the requested residual within maxiter, or a step
     met non-finite values or a nonpositive radicand.  From a time step, it
     names the step index and the time it was advancing to; from an
-    experiment, also the case (.case).  Each is None otherwise."""
+    experiment, also the case (.case).  Each is None otherwise, and the
+    relative residual (.residual) is NaN where none was measured.
 
-    def __init__(self, message: str, residual: float,
+    Pickle rebuilds an error, as any exception, from its message alone and
+    then sets these fields, so residual needs its default: a study's
+    process pool hands a worker's failure back whole that way."""
+
+    def __init__(self, message: str, residual: float = math.nan,
                  step: int | None = None, t: float | None = None,
                  case=None):
         super().__init__(message)
@@ -161,7 +166,7 @@ def cg_solve(A: StepOperator, rhs: np.ndarray, x0: np.ndarray, r0: np.ndarray,
         A.residual(rhs, x)
         return x, 0
     if not math.isfinite(norm_b):
-        raise ConvergenceError("non-finite right-hand side", math.nan)
+        raise ConvergenceError("non-finite right-hand side")
     if maxiter is None:
         maxiter = 10 * rhs.size
     limit = tol * norm_b

@@ -73,8 +73,9 @@ def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
 
 def nodal_r(p: Params, q: np.ndarray) -> np.ndarray:
     """r at the interior nodes of q (2, m); ValueError when a radicand there
-    or on the boundary (2 A0, as Q = 0) is nonpositive or overflows."""
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    or on the boundary (2 A0, as Q = 0) is nonpositive or overflows (to inf,
+    or to NaN where its two terms overflow with opposite signs)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
         r = np.asarray(aux_r(q, p))
     if not (np.isfinite(r).all() and math.isfinite(2.0 * p.A0)):
         raise ValueError("non-finite radicand in auxiliary variable: A0=%g is too large" % p.A0)

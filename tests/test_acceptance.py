@@ -26,7 +26,7 @@ from qtflow.experiments import (
     time_refinement_study,
 )
 from qtflow.mesh import build_mesh
-from qtflow.model import aux_P, aux_r, bulk_derivative_f, bulk_potential
+from qtflow.model import aux_P, aux_r
 from qtflow.stepper import interpolate_qfield, step
 
 import oracles
@@ -254,7 +254,10 @@ def test_criterion_7_model_algebra_suite():
     ok = True
     notes = []
 
-    # gradient checks with O(eps^2) remainder decay
+    # gradient checks with O(eps^2) remainder decay: the dense oracles' F
+    # and f, and src's r and P.  As r = sqrt(2 (F + A0)) and P = f / r,
+    # P = grad r holds exactly when f = grad F, so the aux check covers the
+    # F and f that src forms inside aux_r and aux_P.
     for which in ("bulk", "aux"):
         worst_ratio = 0.0
         for _ in range(5):
@@ -263,25 +266,26 @@ def test_criterion_7_model_algebra_suite():
             d /= np.sqrt(2.0) * np.linalg.norm(d)
             rems = []
             for eps in (1e-4, 5e-5):
-                Qe = q + eps * d
                 if which == "bulk":
-                    lin = eps * oracles.frob_dot(bulk_derivative_f(q, p), d)
-                    rems.append(abs(bulk_potential(Qe, p) - bulk_potential(q, p) - lin))
+                    full, step = oracles.to_full(q[0], q[1]), oracles.to_full(d[0], d[1])
+                    lin = eps * float(np.sum(oracles.f_dense(full, p) * step))
+                    rems.append(abs(oracles.bulk_dense(full + eps * step, p)
+                                    - oracles.bulk_dense(full, p) - lin))
                 else:
                     lin = eps * oracles.frob_dot(aux_P(q, p), d)
-                    rems.append(abs(aux_r(Qe, p) - aux_r(q, p) - lin))
+                    rems.append(abs(aux_r(q + eps * d, p) - aux_r(q, p) - lin))
             worst_ratio = max(worst_ratio, rems[1] / max(rems[0], 1e-300))
         ok &= worst_ratio < 0.35
         notes.append("%s remainder ratio %.3f" % (which, worst_ratio))
 
-    # f = r P identity
+    # f = r P identity, f from the dense oracle
     worst = 0.0
     for _ in range(50):
         q = rng.uniform(-2, 2, size=2)
-        f = bulk_derivative_f(q, p)
+        f = oracles.f_dense(oracles.to_full(q[0], q[1]), p)
         r = aux_r(q, p)
         P = aux_P(q, p)
-        worst = max(worst, abs(f[0] - r * P[0]), abs(f[1] - r * P[1]))
+        worst = max(worst, float(np.max(np.abs(f - r * oracles.to_full(P[0], P[1])))))
     ok &= worst < 1e-14
     notes.append("f=rP defect %.1e" % worst)
 

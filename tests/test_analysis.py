@@ -5,7 +5,6 @@ import pytest
 
 from qtflow.analysis import (
     NormForms,
-    convergence_orders,
     discrete_energy,
     h1_error_component,
     h1_error_field,
@@ -299,21 +298,3 @@ class TestTransfer:
         for c in range(2):
             assert np.array_equal(out[c], transfer_to_fine(Q[c], inj))
 
-
-class TestConvergenceOrders:
-    def test_table_style_ratios(self):
-        assert convergence_orders([3.26, 1.01], 2.0)[0] == pytest.approx(1.69, abs=0.005)
-        assert convergence_orders([41.50, 30.14], 2.0)[0] == pytest.approx(0.46, abs=0.005)
-        assert convergence_orders([8.32e-4, 3.74e-4], 2.0)[0] == pytest.approx(1.15, abs=0.005)
-
-    def test_exact_quartering(self):
-        assert convergence_orders([4.0, 1.0], 2.0)[0] == pytest.approx(2.0, rel=1e-14)
-
-    def test_equal_errors(self):
-        assert convergence_orders([5.0, 5.0], 2.0)[0] == 0.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            convergence_orders([1.0, 0.0], 2.0)
-        with pytest.raises(ValueError):
-            convergence_orders([1.0, 0.5], 1.0)

@@ -312,6 +312,17 @@ initial = zero
         pytest.param("sigma-study", SHORT_SWEEP + "p2_list = inf, inf\n",
                      "experiment.p2_list", id="p2_list=inf,inf"),
     ] + [
+        # a perturbation sigma^p / 2 that overflows a float (once exit 2 with
+        # an OverflowError), and one that fits but overflows the radicand,
+        # whose message still names params.A0 (once with numpy's "invalid
+        # value" warning first)
+        pytest.param("sigma-study", SHORT_SWEEP + "sigma_list = 1e-3, 1e-1\n"
+                     "p1_list = -200\n", "experiment.p1_list", id="p1_list=-200"),
+        pytest.param("sigma-study", SHORT_SWEEP + "sigma_list = 1e-3, 1e-1\n"
+                     "p2_list = -300\n", "experiment.p2_list", id="p2_list=-300"),
+        pytest.param("sigma-study", SHORT_SWEEP + "sigma_list = 1e-3, 1e-1\n"
+                     "p1_list = -100\n", "params.A0", id="p1_list=-100"),
+    ] + [
         # every rule of Params names its key, as every other value check does
         pytest.param("run", "[params]\n%s\n" % text, message, id=key)
         for key, text, message in (

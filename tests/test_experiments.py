@@ -604,6 +604,39 @@ class TestSpaceStudy:
             assert a.err_r == b.err_r
 
 
+class TestOrders:
+    """experiments._orders: log2 of the ratio of successive errors, None on
+    the first level and where an error is zero."""
+
+    def test_table_style_ratios(self):
+        for pair, order in (((3.26, 1.01), 1.69), ((41.50, 30.14), 0.46),
+                            ((8.32e-4, 3.74e-4), 1.15)):
+            first, second = experiments._orders(pair)
+            assert first is None
+            assert second == pytest.approx(order, abs=0.005)
+
+    def test_exact_quartering(self):
+        assert experiments._orders([4.0, 1.0]) == [None, 2.0]
+
+    def test_equal_errors(self):
+        assert experiments._orders([5.0, 5.0]) == [None, 0.0]
+
+    def test_zero_errors_have_no_order(self):
+        assert experiments._orders([1.0, 0.0]) == [None, None]
+        assert experiments._orders([0.0, 1.0, 0.5]) == [None, None, 1.0]
+        assert experiments._orders([2.0, 1.0, 0.0, 0.0]) == [None, 1.0, None, None]
+
+    def test_bits_are_the_array_formula(self):
+        # the oracle: log(e_k / e_k+1) / log(2) as one array expression over
+        # the whole chain, bit for bit; the CSVs hold these bits
+        rng = np.random.RandomState(41)
+        e = np.exp(rng.uniform(-40.0, 5.0, size=4000))
+        oracle = np.log(e[:-1] / e[1:]) / np.log(2.0)
+        orders = experiments._orders(list(e))
+        assert orders[0] is None
+        assert np.array_equal(np.array(orders[1:], dtype=float), oracle)
+
+
 class TestTimeStudy:
     def test_smoke_orders_positive(self):
         cfg = ExperimentConfig(nx=8, ny=8, T=0.02,
@@ -710,6 +743,38 @@ class TestSigmaStudy:
         assert err.case.pert_qt0 == 0.0
         assert (err.case.cfg.nx, err.case.cfg.ny, err.case.cfg.dt) == (6, 6, dt)
         assert (err.step, err.t, err.residual) == (2, 2 * dt, 0.5)
+
+    def test_pooled_failure_is_the_serial_failure(self, monkeypatch):
+        # the sigma = 0.1 case fails on its second step, whatever the
+        # stopping rule; a forked worker inherits the patched step
+        from qtflow.solver import ConvergenceError
+
+        dt, failing_sigma = 1e-3, 1e-1
+        advance = experiments.step
+
+        def failing_step(state, params, dt, op, **kwargs):
+            if params.sigma == failing_sigma and state.n == 1:
+                raise ConvergenceError("step 2 (t = 0.002): CG did not converge",
+                                       6.9e-18, step=2, t=2 * dt)
+            return advance(state, params, dt, op, **kwargs)
+
+        monkeypatch.setattr(experiments, "step", failing_step)
+        cfg = ExperimentConfig(nx=6, ny=6, T=0.004, dt=dt,
+                               sigma_list=(1e-3, failing_sigma),
+                               p1_list=(math.inf,), p2_list=(math.inf,))
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(ConvergenceError) as info:
+                sigma_study(replace(cfg, threads=threads))
+            errors.append(info.value)
+        serial, pooled = errors
+        assert str(serial) == ("case nx=6, ny=6, dt=0.001, sigma=0.1: "
+                               "step 2 (t = 0.002): CG did not converge")
+        assert str(pooled) == str(serial)
+        assert (pooled.step, pooled.t, pooled.residual) == (2, 2 * dt, 6.9e-18)
+        # the cases differ only in the study's pool size
+        assert pooled.case == replace(serial.case, cfg=replace(serial.case.cfg, threads=2))
+        assert pooled.case.cfg.params.sigma == failing_sigma
 
     def test_perturbation_applied_interior_only(self):
         # with a perturbed start, boundary DOFs of the hyperbolic run stay 0

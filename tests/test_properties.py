@@ -24,7 +24,7 @@ from qtflow.experiments import (
     validate_config,
 )
 from qtflow import experiments
-from qtflow.model import Params, aux_P, aux_r, bulk_derivative_f, bulk_potential
+from qtflow.model import Params, aux_P, aux_r
 
 import oracles
 
@@ -170,14 +170,10 @@ def dense(Q, k):
 @PROPERTY
 @given(tensor_fields, model_params)
 def test_model_matches_dense_oracles(Q, p):
-    psi, f, r, P = (bulk_potential(Q, p), bulk_derivative_f(Q, p),
-                    aux_r(Q, p), aux_P(Q, p))
+    r, P = aux_r(Q, p), aux_P(Q, p)
     for k in range(Q.shape[1]):
         full = dense(Q, k)
-        assert np.isclose(psi[k], oracles.bulk_dense(full, p), rtol=1e-12, atol=1e-12)
         assert np.isclose(r[k], oracles.r_dense(full, p), rtol=1e-13)
-        assert np.allclose(oracles.to_full(f[0, k], f[1, k]), oracles.f_dense(full, p),
-                           rtol=1e-12, atol=1e-12)
         assert np.allclose(oracles.to_full(P[0, k], P[1, k]), oracles.P_dense(full, p),
                            rtol=1e-12, atol=1e-14)
 
@@ -185,7 +181,7 @@ def test_model_matches_dense_oracles(Q, p):
 @PROPERTY
 @given(tensor_fields, model_params)
 def test_field_evaluation_equals_column_evaluation(Q, p):
-    for fn in (bulk_potential, bulk_derivative_f, aux_r, aux_P):
+    for fn in (aux_r, aux_P):
         field = fn(Q, p)
         for k in range(Q.shape[1]):
             column = fn(Q[:, k].copy(), p)

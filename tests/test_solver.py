@@ -1,4 +1,6 @@
+import math
 import os
+import pickle
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -7,7 +9,7 @@ import pytest
 from scipy import sparse
 
 from qtflow.assembly import assemble_div_form, assemble_stiffness, lumped_mass
-from qtflow.experiments import DEFAULT_PARAMS
+from qtflow.experiments import DEFAULT_PARAMS, Case, ExperimentConfig
 from qtflow.mesh import build_mesh
 from qtflow.model import aux_P, trace_q2
 from qtflow.solver import ConvergenceError, StepOperator, cg_solve
@@ -491,6 +493,20 @@ class TestCgSolve:
             solve(A, b, tol=1e-300)
         assert info.value.residual < 1e-15
         assert "in 180 iterations" not in str(info.value)  # 10 * b.size
+
+
+def test_convergence_error_pickles_whole():
+    """A study's process pool pickles a worker's error: it must come back
+    with its message and every field (it raised TypeError on unpickling
+    while residual had no default)."""
+    case = Case(ExperimentConfig(nx=16, ny=16, dt=1e-3), pert_q0=0.25)
+    err = ConvergenceError("case: step 1 (t = 0.001): CG did not converge",
+                           1e-17, step=1, t=1e-3, case=case)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ConvergenceError and str(back) == str(err)
+    assert (back.residual, back.step, back.t, back.case) == (1e-17, 1, 1e-3, case)
+    bare = pickle.loads(pickle.dumps(ConvergenceError("non-finite right-hand side")))
+    assert math.isnan(bare.residual) and (bare.step, bare.t, bare.case) == (None,) * 3
 
 
 def test_no_interleaved_layout_in_the_solver():
