@@ -50,14 +50,14 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     """Energy of a state from its interior vectors and K q (L q is c K q).
     With prev = (dq of the previous state, its record), also the defect
     E^n - E^{n-1} + dt |v^n|^2 + (sigma/2) |v^n - v^{n-1}|^2 of the
-    dissipation identity in lumped norms, v = dq / dt, formed in work: two
-    (2, m) vectors that may be overwritten (new ones when omitted)."""
+    dissipation identity in lumped norms, v = dq / dt.  The rates are
+    never formed: |v|^2 is |dq|^2 / dt^2, and v^n - v^{n-1} is
+    (dq - dq_prev) / dt, formed in work, one (2, m) vector that may be
+    overwritten (a new one when omitted)."""
     if state.dq is None and p.sigma > 0.0:
         raise ValueError("state has no previous level but sigma > 0")
     w = assembly.lumped_mass(mesh)
-    v, dv = work or (None, None)
-    v = None if state.dq is None else np.divide(state.dq, dt, out=v)
-    rate_sq = 0.0 if v is None else h_norm_sq(w, v)
+    rate_sq = 0.0 if state.dq is None else h_norm_sq(w, state.dq) / dt ** 2
     kinetic = 0.5 * p.sigma * rate_sq
 
     # the divergence form is K (assembly.assemble_div_form): q.Kq is q.Dq
@@ -74,8 +74,8 @@ def discrete_energy(state: SimState, p: Params, dt: float, mesh: StructuredMesh,
     if prev is not None:
         rec.dissipation_residual = total - prev[1].total + dt * rate_sq
         if p.sigma > 0.0:
-            dv = np.subtract(v, np.divide(prev[0], dt, out=dv), out=dv)
-            rec.dissipation_residual += 0.5 * p.sigma * h_norm_sq(w, dv)
+            ddq = np.subtract(state.dq, prev[0], out=work)
+            rec.dissipation_residual += 0.5 * p.sigma * (h_norm_sq(w, ddq) / dt ** 2)
     return rec
 
 

@@ -201,9 +201,11 @@ def _simulate(case: Case) -> RunResult:
     N = num_steps(cfg.T, dt)
     try:
         r0 = nodal_r(params, q0)
-    except ValueError as exc:  # a later step's radicand is the solver's
-        raise ConfigError("params.A0: %s for the initial state of %s"
-                          % (exc, case)) from None
+    except (OverflowError, ValueError) as exc:  # a later step's radicand is the solver's
+        # an A0 that overflows alone fails the first, parabolic case, which has no offset
+        key = ("experiment.p1_list" if isinstance(exc, OverflowError)
+               and case.pert_q0 != 0.0 else "params.A0")
+        raise ConfigError("%s: %s for the initial state of %s" % (key, exc, case)) from None
 
     def velocity(*args):
         """The default initial velocity, pert_qt0 added to its q1 entries."""
@@ -217,7 +219,7 @@ def _simulate(case: Case) -> RunResult:
     state = initialize(params, dt, q0, r0, op, velocity)
     del q0, r0  # the state took them over
 
-    work = (op.tmp, op.rhs)  # the operator's, free between steps
+    work = op.tmp  # the operator's, free between steps
     trace = [analysis.discrete_energy(state, params, dt, mesh, work=work)]
     if not math.isfinite(trace[0].total):  # E_r sums r * r, about 2 A0 per node
         raise ConfigError("%s: the initial energy E = %g (E_r = %g) is not finite for %s"

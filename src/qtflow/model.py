@@ -92,11 +92,12 @@ def aux_P(Q: np.ndarray, p: Params, out: np.ndarray | None = None) -> np.ndarray
     formed once for both, written into out when given (its shape is Q's)
     and into a new array otherwise.  A new result follows the memory order
     of Q; pass a C-contiguous field to get a C-contiguous P.  On a
-    nonpositive radicand out holds f(Q).
+    nonpositive radicand out is not written.
 
     f = (a + c tr(Q^2)) Q: in 2D Q^2 is a multiple of the identity, so the
-    b term of the 3D form, the deviator of Q^2, is zero."""
+    b term of the 3D form, the deviator of Q^2, is zero.  So P = g Q with
+    the nodal factor g = (a + c tr(Q^2)) / r, one product over Q."""
     t2 = trace_q2(Q)
-    P = np.multiply(p.a + p.c * t2, Q, out=out)
-    P /= _aux_r(t2, p)
-    return P
+    g = p.a + p.c * t2
+    g /= _aux_r(t2, p)
+    return np.multiply(g, Q, out=out)

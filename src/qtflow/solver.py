@@ -7,10 +7,12 @@ divergence form) is one scalar m x m stencil matrix, stored by diagonals
 and applied to each row; the per-node rank-one term coming from the
 energy quadratization changes every step and is applied from its node
 vectors without assembling a matrix.  The divergence form is K, so the
-elastic part is c K.  CG starts from the step's own start value and
-residual, and its one loop confirms every exit on the true residual,
-formed from K x, which then serves the energy and the next step.  The
-operator owns the work vectors of a step: a confirmation forms K x in
+elastic part is c K.  The rank-one vectors are stored scaled by the
+square root of the lumped weight w, p~ = sqrt(w) P, so that the term is
+x -> p~ (p~ . x) and needs no second copy w P.  CG starts from the step's
+own start value and residual, and its one loop confirms every exit on the
+true residual, formed from K x, which then serves the energy and the next
+step.  The operator owns five work vectors: a confirmation forms K x in
 .dir, CG's direction vector, which is dead then (an accepted
 confirmation returns, a rejected one restarts), and every iteration forms
 the Jacobi diagonal in .tmp and A p over it.  So a solve owns no vector
@@ -57,13 +59,15 @@ class StepOperator:
     as assembly.assemble_div_form() returns it, or another matrix that
     equals K entry for entry (ValueError otherwise).  The constant part
     c_m w I + c K is .base, built on the mesh's lattice as a DIA matrix
-    with the bits of the CSR sum (assembly.stiffness_block).  The rank-one
-    part applies x -> w (p_z . x_z) p_z at every interior node z, p (2, m)
-    holding the reduced components of the quadratization gradient there;
-    set_rank_one() installs it before a step's first matvec or residual.
-    The operator owns six (2, m) work vectors: .rhs, .res, .dir, .tmp, .p
-    and .wp, and p . x (m,).  .dir holds K x after residual(), and
-    cg_solve forms the diagonal in .tmp (diagonal()).
+    with the bits of the CSR sum (assembly.stiffness_block); .wcm is its
+    diagonal's mass part c_m w, one factor.  The rank-one part applies
+    x -> w (P_z . x_z) P_z at every interior node z, P (2, m) holding the
+    reduced components of the quadratization gradient there;
+    set_rank_one() installs it as p = sqrt(w) P in .p before a step's
+    first matvec or residual, so the term is p (p . x), and .root_w is
+    sqrt(w).  The operator owns five (2, m) work vectors: .rhs, .res,
+    .dir, .tmp and .p, and p . x (m,).  .dir holds K x after residual(),
+    and cg_solve forms the diagonal in .tmp (diagonal()).
     """
 
     def __init__(self, mesh, w, K, D, cm, ck, cd):
@@ -78,30 +82,32 @@ class StepOperator:
         self.D = None if D is None else K  # one matrix for both
         self.c = self.ck + self.cd if D is not None else self.ck
         self.w = float(w)
-        self.base = stiffness_block(mesh, self.c, self.cm * self.w)
+        self.root_w = math.sqrt(self.w)
+        self.wcm = self.cm * self.w
+        self.base = stiffness_block(mesh, self.c, self.wcm)
         # every interior node has the same stencil, so the diagonal is one
         # number
         self._base_diag = float(self.base.data[self.base.offsets == 0][0, 0])
         # work vectors: step()'s rhs, the residual (CG's start,
         # residual()'s), CG's direction (residual()'s K x), a shared
-        # temporary (CG's diagonal, z and A p), p (step() forms P there) and
-        # w p; p . x
-        self.rhs, self.res, self.dir, self.tmp, self.p, self.wp = np.empty((6, 2, m))
+        # temporary (CG's diagonal, z and A p) and p (step() forms P there);
+        # p . x
+        self.rhs, self.res, self.dir, self.tmp, self.p = np.empty((5, 2, m))
         self._s = np.empty(m)
 
     def set_rank_one(self, p_nodes) -> None:
-        """Install the rank-one vectors (2, m) of one step in .p, and w p in
-        .wp: step() forms them there, and any other array is copied in."""
+        """Install the rank-one vectors P (2, m) of one step as sqrt(w) P
+        in .p: step() forms P there, and any other array is copied in."""
         if p_nodes is not self.p:
             np.copyto(self.p, p_nodes)
-        np.multiply(self.w, self.p, out=self.wp)
+        self.p *= self.root_w
 
     def diagonal(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The diagonal of the installed operator, w p * p plus the
+        """The diagonal of the installed operator, p * p plus the
         constant part's entry c_m w + c K_zz (one number), into out when
         given (a new (2, m) vector otherwise); cg_solve forms it in .tmp
         every iteration."""
-        d = np.multiply(self.wp, self.p, out=out)
+        d = np.multiply(self.p, self.p, out=out)
         d += self._base_diag
         return d
 
@@ -113,12 +119,12 @@ class StepOperator:
         return np.einsum("ij,ij->j", self.p, x, out=self._s)
 
     def spread(self, s: np.ndarray, y: np.ndarray) -> None:
-        """y += w s_z p_z at every interior node z, in place."""
-        y += np.multiply(self.wp, s, out=self.tmp)
+        """y += s_z p_z at every interior node z, in place."""
+        y += np.multiply(self.p, s, out=self.tmp)
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A x, into out when given (a new vector otherwise)."""
-        y = np.multiply(self.wp, self.project(x), out=out)
+        y = np.multiply(self.p, self.project(x), out=out)
         y[0] += self.base @ x[0]
         y[1] += self.base @ x[1]
         return y
@@ -135,8 +141,7 @@ class StepOperator:
         operator's vector .res; keeps K x in .dir, the product of the
         solution that a step hands on."""
         Kx = self.products(x, out=self.dir)
-        y = np.multiply(self.w, x, out=self.res)
-        y *= self.cm
+        y = np.multiply(self.wcm, x, out=self.res)
         y += np.multiply(self.c, Kx, out=self.tmp)
         self.spread(self.project(x), y)
         return np.subtract(rhs, y, out=y)

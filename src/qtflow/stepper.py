@@ -14,8 +14,10 @@ equation turns the coupled (Q, r) update into
 where w is the lumped weight of every interior node, K the scalar
 stiffness (applied to each component), c = L1 + (L2+L3)/2, as the
 divergence form is K on Dirichlet data (its cross terms are a null
-Lagrangian), and R the per-node rank-one operator x -> w (p_z . x_z) p_z
-built from P at the current state.  With
+Lagrangian), and R the per-node rank-one operator x -> w (P_z . x_z) P_z
+built from P at the current state.  The operator holds P scaled as
+p = sqrt(w) P (solver.StepOperator), so R x = p (p . x), and a step takes
+sqrt(w) and the r update's factor 2 / sqrt(w) from it.  With
 sigma = 0 the two-level terms drop and only one history level is kept.
 
 A state holds Q (2, m) at the m interior nodes (rows q1, q2), its step dq,
@@ -31,7 +33,7 @@ loop does, for the energy) may read it.  A caller that keeps a whole state
 copies its arrays first.  Between steps a state's K q is the operator's
 .dir, where its last confirmation formed it, and no other state array is
 an operator work vector; a caller may use .rhs, .res and .tmp until the
-next step, but not .dir, .p or .wp.
+next step, but not .dir or .p.
 """
 
 from __future__ import annotations
@@ -73,12 +75,13 @@ def interpolate_qfield(mesh: StructuredMesh, data) -> np.ndarray:
 
 def nodal_r(p: Params, q: np.ndarray) -> np.ndarray:
     """r at the interior nodes of q (2, m); ValueError when a radicand there
-    or on the boundary (2 A0, as Q = 0) is nonpositive or overflows (to inf,
-    or to NaN where its two terms overflow with opposite signs)."""
+    or on the boundary (2 A0, as Q = 0) is nonpositive, OverflowError when
+    one overflows (to inf, or to NaN where its two terms overflow with
+    opposite signs)."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         r = np.asarray(aux_r(q, p))
     if not (np.isfinite(r).all() and math.isfinite(2.0 * p.A0)):
-        raise ValueError("non-finite radicand in auxiliary variable: A0=%g is too large" % p.A0)
+        raise OverflowError("non-finite radicand in auxiliary variable (A0=%g)" % p.A0)
     return r
 
 
@@ -110,8 +113,9 @@ def initialize(p: Params, dt: float, q0: np.ndarray, r0: np.ndarray,
     For sigma > 0 the second level is the explicit start Q^1 = Q^0 + dt Qt0
     and r^1 follows from the lumped r update.  The interior vector Qt0 is
     velocity(p, q0, r0, P0, op), with P0 = P(q0) in op.p, which the r
-    update uses too; velocity may use op's work vectors other than op.p
-    and may return one of them, and must neither write P0 nor keep it.
+    update uses too (unscaled: no set_rank_one() has run); velocity may
+    use op's work vectors other than op.p and may return one of them, and
+    must neither write P0 nor keep it.
     For sigma = 0 a single level suffices and velocity is not called."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -160,23 +164,23 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     except ValueError as exc:
         raise _step_failure(n, t, str(exc)) from exc
 
-    # rhs = c_m w q + (sigma/dt^2) w dq - c K q + w p (p.q - r) and the
-    # start residual rhs - A q = (sigma/dt^2) w dq - 2 c K q - w r p, in the
+    # with p = sqrt(w) P: rhs = c_m w q + (sigma/dt^2) w dq - c K q +
+    # p (p.q - sqrt(w) r) and the start residual
+    # rhs - A q = (sigma/dt^2) w dq - 2 c K q - sqrt(w) r p, in the
     # operator's vectors and without the cancellation of rhs - A q.
-    rhs = np.multiply(op.w, q, out=op.rhs)
-    rhs *= op.cm
+    rhs = np.multiply(op.wcm, q, out=op.rhs)
     rhs -= np.multiply(state.Kq, op.c, out=op.tmp)
     res = np.multiply(op.tmp, -2.0, out=op.res)
     state.Kq = None  # rhs and res hold c K q, so K q (op.dir) is dead
     if p.sigma > 0.0:
-        inertia = np.multiply(op.w, state.dq, out=op.tmp)
-        inertia *= p.sigma / dt ** 2
+        inertia = np.multiply(op.w * p.sigma / dt ** 2, state.dq, out=op.tmp)
         rhs += inertia
         res += inertia
+    wr = np.multiply(op.root_w, state.r, out=op.dir[0])  # sqrt(w) r, over the dead K q
     s = op.project(q)
-    s -= state.r
+    s -= wr
     op.spread(s, rhs)
-    res -= np.multiply(op.wp, state.r, out=op.tmp)
+    res -= np.multiply(op.p, wr, out=op.tmp)
 
     # cg_solve returns x only on a finite true residual, so x is finite
     try:
@@ -187,7 +191,7 @@ def step(state: SimState, p: Params, dt: float, op: StepOperator,
     # the old q's vector takes dq, unless CG returned q itself
     dq = x - q if x is q else np.subtract(x, q, out=q)
     s = op.project(dq)
-    s *= 2.0
+    s *= 2.0 / op.root_w  # 2 P . dq
     state.r += s
     if not np.isfinite(state.r).all():
         raise _step_failure(n, t, "non-finite values in r update")

@@ -656,23 +656,19 @@ def nodal_r_fields(mesh, p, Q0, states):
 
 
 def simulate_dissipation_defects(states, records, p, dt, w):
-    """The defect of the dissipation identity over each step of a run, as
-    experiments._simulate formed it while it kept the rates itself: dq / dt
-    of each state held into the next step, and the squared lumped norm of
-    the rate with the lumped weight w, E^n - E^{n-1} + dt |v^n|^2
-    (+ (sigma/2) |v^n - v^{n-1}|^2 when sigma > 0).  states[k] is the state
-    of records[k]."""
-    def h_norm_sq(x):
-        return w * float(np.vdot(x, x))
+    """The defect of the dissipation identity over each step of a run,
+    E^n - E^{n-1} + dt |v^n|^2 (+ (sigma/2) |v^n - v^{n-1}|^2 when
+    sigma > 0) in lumped norms with the lumped weight w, v = dq / dt, each
+    squared rate formed from the increments: w |dq|^2 / dt^2 and
+    w |dq - dq_prev|^2 / dt^2.  states[k] is the state of records[k]."""
+    def rate_sq(ddq):
+        return w * float(np.vdot(ddq, ddq)) / dt ** 2
 
-    prev_dtq = states[0].dq / dt if p.sigma > 0.0 else None
     defects = []
-    for state, old, rec in zip(states[1:], records, records[1:]):
-        dtq = state.dq / dt
-        resid = rec.total - old.total + dt * h_norm_sq(dtq)
+    for state, before, old, rec in zip(states[1:], states, records, records[1:]):
+        resid = rec.total - old.total + dt * rate_sq(state.dq)
         if p.sigma > 0.0:
-            resid += 0.5 * p.sigma * h_norm_sq(dtq - prev_dtq)
-            prev_dtq = dtq
+            resid += 0.5 * p.sigma * rate_sq(state.dq - before.dq)
         defects.append(resid)
     return defects
 

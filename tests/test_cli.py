@@ -313,15 +313,18 @@ initial = zero
                      "experiment.p2_list", id="p2_list=inf,inf"),
     ] + [
         # a perturbation sigma^p / 2 that overflows a float (once exit 2 with
-        # an OverflowError), and one that fits but overflows the radicand,
-        # whose message still names params.A0 (once with numpy's "invalid
-        # value" warning first)
+        # an OverflowError), and one that fits but overflows the radicand
+        # (once blamed on params.A0, after numpy's "invalid value" warning);
+        # an A0 that overflows fails first in the parabolic run, which has
+        # no offset, and still names params.A0
         pytest.param("sigma-study", SHORT_SWEEP + "sigma_list = 1e-3, 1e-1\n"
                      "p1_list = -200\n", "experiment.p1_list", id="p1_list=-200"),
         pytest.param("sigma-study", SHORT_SWEEP + "sigma_list = 1e-3, 1e-1\n"
                      "p2_list = -300\n", "experiment.p2_list", id="p2_list=-300"),
         pytest.param("sigma-study", SHORT_SWEEP + "sigma_list = 1e-3, 1e-1\n"
-                     "p1_list = -100\n", "params.A0", id="p1_list=-100"),
+                     "p1_list = -100\n", "experiment.p1_list", id="p1_list=-100"),
+        pytest.param("sigma-study", SHORT_SWEEP + "sigma_list = 1e-3, 1e-1\n"
+                     "[params]\nA0 = 1e308\n", "params.A0", id="params.A0=1e308,sigma-study"),
     ] + [
         # every rule of Params names its key, as every other value check does
         pytest.param("run", "[params]\n%s\n" % text, message, id=key)

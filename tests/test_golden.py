@@ -38,6 +38,13 @@ had carried their roundoff into K (3.9999999999999996 and
 E_total and E_r kept their bits, the other energies moved by at most
 7.5e-16 relative (CHANGES.md lists both hashes).  On dyadic meshes the
 tables give the old bits, so no other hash moved.
+Every hash but run-zero's was re-recorded when the step operator came to
+store its rank-one vectors as sqrt(w) P, and the step, aux_P and the
+energy each came to take a product of scalars as one factor (w c_m,
+w sigma / dt^2, (a + c tr Q^2) / r, |dq|^2 / dt^2): each rounds in
+another order.  run-zero's fields stay exactly zero.  CHANGES.md lists the old and new
+hashes with the largest relative change of each file.  Running this file
+as a script prints HASHES as the running environment writes them.
 README.md quotes the space-refine hash, and test_readme_quotes_the_pinned_hash
 holds the quote to the pin.  Each run's manifest.json must list the SHA-256
 of every other file it wrote, as read back from the disk.
@@ -162,15 +169,15 @@ p2_list = 1, inf
 HASHES = {
     "run": {
         "energy_trace.csv":
-            "4da46d0b1fe8b1d25f97687291ff776f46c9240fc16ee324f18f466be10c19eb",
+            "faea2405944325e888908b3249cb55e7ed583110b978fa0e29eca6760c981b13",
     },
     "run-aniso": {
         "energy_trace.csv":
-            "17020715ab0fa800ff51082401b7f78b8e69045171529aac6559c5cd807c817c",
+            "bf9d280ff291079e28eb4775727a29d5ef1416baa27689fcdbfedea8031df277",
     },
     "run-nondyadic": {
         "energy_trace.csv":
-            "70484d850ef1935d7b7ce2c5acdbe7134d0bc709ea934320ae021e0dcacffa2f",
+            "eb2951f2f835205371ad90bad15b86ec28a8db60ea315cdeb0dbcb4b560eed4d",
     },
     "run-zero": {
         "energy_trace.csv":
@@ -178,31 +185,31 @@ HASHES = {
     },
     "run-thin": {
         "energy_trace.csv":
-            "fba9ef04c674a52c32649a92d57d2b22725de0e15c2c87ba0e65401dfe2ace66",
+            "4b56995eeacccd7dc1ebb4d61ebd50e44cd894b59fa7741574af6fe909e13936",
     },
     "run-thin-tall": {
         "energy_trace.csv":
-            "0fcb8696c609bd7759f4639e8aa40b74f900dc599ba3b4756ab6d2e2b9be85bd",
+            "f9971724408214b2e860dcb81068ab333b7b961ff2d4e665ec8d4dcae8e65d35",
     },
     "space-refine": {
         "space_refinement.csv":
-            "6bb1570411a93d9f217f08d792abd28d92dd89eda69558bb3c4d1e98187f4250",
+            "060f624214f7d9f680b05a6a7e424e6ac58c6784520db647b3231c5142e55a79",
     },
     "time-refine": {
         "time_refinement.csv":
-            "f6618a53c3ae7acdeec23beb971539aac9d09d7951c187c3b02a83a90913d0c4",
+            "410baa9d305154c0146d381df341cb98c92607449600e1b51f0a7f2bc2c5cac5",
     },
     "sigma-study": {
         "sigma_study.csv":
-            "8ddb4c2fa2f9e5153388347fec85bcd9896b765776288b14e5fc007956b2c603",
+            "9121ef7a816f2af740b41de970f95a9ecd0a824a6282b19f199b85d249583229",
         "sigma_case_p1_1_p2_1.dat":
-            "b5170cbea31a828daa50a19f74cc9806b571d4d13f1af65157f026872e54daa8",
+            "c2daf4ced2d5294c95be7af31ea31474a86eff66d388f3c1f49658e7bfbea55f",
         "sigma_case_p1_1_p2_inf.dat":
-            "a6e4621bcbcf65d9d69bb9a90c5dd90c521c3e8d08ae16f27bb46b78c9ac52ce",
+            "e12d316c0658be131627c8a8f7f7bab50e79ab2376cbd71d411c31cfe28f215c",
         "sigma_case_p1_inf_p2_1.dat":
-            "afbd91d1306e0892c9389866a04f7b7b8b66727144a036eaf18e9c1b0ae56e1e",
+            "efe9e11ee12d14130b0533417ee216d5002564ddf0d3aa0a982930c3dc090eb1",
         "sigma_case_p1_inf_p2_inf.dat":
-            "9e49778fce20643faa08f9814e1ca04d4b75a27ad3a1a3e1e53552197e1eb1d5",
+            "f87d167b7f9d4a496ce019aab52c733708298b7aba79f0d8f9cfbdfb13f321d2",
     },
 }
 
@@ -219,22 +226,28 @@ def skip_reason():
     return None
 
 
+def output_hashes(name, directory):
+    """Run config name with its files in directory, and return the SHA-256
+    of each CSV and .dat file it wrote; its manifest.json must list every
+    other file as read back from the disk."""
+    subcommand, text = CONFIGS[name]
+    config = directory / "config.ini"
+    config.write_text(text)
+    out = directory / "out"
+    assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
+    on_disk = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir() if path.name != "manifest.json"}
+    assert json.loads((out / "manifest.json").read_text())["files"] == on_disk
+    return {name: digest for name, digest in on_disk.items()
+            if name.endswith((".csv", ".dat"))}
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_output_hashes(name, tmp_path, capsys):
     reason = skip_reason()
     if reason is not None:
         pytest.skip(reason)
-    subcommand, text = CONFIGS[name]
-    config = tmp_path / "config.ini"
-    config.write_text(text)
-    out = tmp_path / "out"
-    assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
-    on_disk = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in out.iterdir() if path.name != "manifest.json"}
-    assert json.loads((out / "manifest.json").read_text())["files"] == on_disk
-    written = {name: digest for name, digest in on_disk.items()
-               if name.endswith((".csv", ".dat"))}
-    assert written == HASHES[name]
+    assert output_hashes(name, tmp_path) == HASHES[name]
 
 
 def test_readme_quotes_the_pinned_hash():
@@ -247,3 +260,24 @@ def test_readme_quotes_the_pinned_hash():
                        r"`OPENBLAS_NUM_THREADS=1`", readme)
     assert quoted is not None
     assert HASHES["space-refine"]["space_refinement.csv"].startswith(quoted.group(1))
+
+
+if __name__ == "__main__":
+    # Print HASHES as this environment writes them, to re-record the pins:
+    #   OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+    #       PYTHONPATH=src python tests/test_golden.py
+    import contextlib
+    import pathlib
+    import pprint
+    import sys
+    import tempfile
+
+    if skip_reason() is not None:
+        print("warning: %s" % skip_reason(), file=sys.stderr)
+    recorded = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        for name in sorted(CONFIGS):
+            directory = pathlib.Path(tmp) / name
+            directory.mkdir()
+            recorded[name] = output_hashes(name, directory)
+    print("HASHES = " + pprint.pformat(recorded, width=100))

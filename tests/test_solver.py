@@ -67,10 +67,10 @@ def dense_step_operator(w, K, D, p, cm, ck, cd):
 def sparse_step_operator(op):
     """The operator assembled as one sparse (2m, 2m) matrix in component-
     major order: the constant part on both diagonal blocks, the rank-one
-    part as four diagonal blocks."""
-    wp = op.w * op.p
-    return sparse.bmat([[op.base + sparse.diags(wp[0] * op.p[0]), sparse.diags(wp[0] * op.p[1])],
-                        [sparse.diags(wp[1] * op.p[0]), op.base + sparse.diags(wp[1] * op.p[1])]],
+    part as four diagonal blocks p_c p_d, from op.p as stored (sqrt(w) P)."""
+    p = op.p
+    return sparse.bmat([[op.base + sparse.diags(p[0] * p[0]), sparse.diags(p[0] * p[1])],
+                        [sparse.diags(p[1] * p[0]), op.base + sparse.diags(p[1] * p[1])]],
                        format="csr")
 
 
@@ -140,12 +140,13 @@ THIN_MESHES = (
 @pytest.mark.parametrize("nx", [4, 128])
 def test_one_pass_products_have_the_two_ufunc_bits(nx):
     """project() and trace_q2 form p . x and 2 (q1 q1 + q2 q2) in one
-    einsum pass, which starts each sum from +0.0.  Compared through int64
-    views with the two-ufunc forms p[0] * x[0] + p[1] * x[1] and
-    2.0 * (q[0] * q[0] + q[1] * q[1]), every bit is equal but one case:
-    where both products are -0, the ufuncs give (-0) + (-0) = -0 and
-    einsum +0.0 + (-0) + (-0) = +0.  That is every node of a run from
-    initial = zero with a < 0, whose P(0) = (a + c tr(0)) 0 / r is -0."""
+    einsum pass, which starts each sum from +0.0; p is the operator's
+    stored sqrt(w) P.  Compared through int64 views with the two-ufunc
+    forms p[0] * x[0] + p[1] * x[1] and 2.0 * (q[0] * q[0] + q[1] * q[1]),
+    every bit is equal but one case: where both products are -0, the
+    ufuncs give (-0) + (-0) = -0 and einsum +0.0 + (-0) + (-0) = +0.  That
+    is every node of a run from initial = zero with a < 0, whose
+    P(0) = ((a + c tr(0)) / r) 0 is -0, and so is sqrt(w) P(0)."""
     mesh = build_mesh(0, 2, 0, 2, nx, nx)
     m = mesh.n_interior
     rng = np.random.RandomState(nx)
@@ -163,8 +164,9 @@ def test_one_pass_products_have_the_two_ufunc_bits(nx):
              (with_zeros(rng.standard_normal((2, m))),
               with_zeros(rng.standard_normal((2, m)))),
              (P_zero, np.zeros((2, m)))]
-    for p, x in pairs:
-        A.set_rank_one(p)
+    for P, x in pairs:
+        A.set_rank_one(P)
+        p = A.p  # sqrt(w) P as stored
         ref = p[0] * x[0] + p[1] * x[1]
         got = A.project(x)
         both = np.signbit(p * x).all(axis=0) & (p * x == 0.0).all(axis=0)

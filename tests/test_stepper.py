@@ -440,7 +440,7 @@ ALL_PATHS = pytest.mark.parametrize(
 
 def poisoned_run(params, poison=(), nsteps=8):
     """The q, r and energy record of each state of an 8^2 run, the energy
-    formed in the work vectors the run loop uses (op.tmp and op.rhs), with
+    formed in the work vector the run loop uses (op.tmp), with
     the operator's vectors named in poison filled with NaN before every
     energy and every step."""
     mesh = build_mesh(0, 2, 0, 2, 8, 8)
@@ -451,7 +451,7 @@ def poisoned_run(params, poison=(), nsteps=8):
     for n in range(nsteps + 1):
         for name in poison:
             getattr(op, name).fill(np.nan)
-        rec = discrete_energy(state, params, dt, mesh, prev, (op.tmp, op.rhs))
+        rec = discrete_energy(state, params, dt, mesh, prev, op.tmp)
         seen.append((bits(state.q), bits(state.r), bits(astuple(rec))))
         if n < nsteps:
             prev = state.dq, rec
@@ -473,7 +473,7 @@ class TestStatesOwnTheirArrays:
         mesh = build_mesh(0, 2, 0, 2, 8, 8)
         dt = 1e-3
         state, op = default_start(mesh, params, dt)
-        work = (op.rhs, op.res, op.dir, op.tmp, op.p, op.wp, op._s)
+        work = (op.rhs, op.res, op.dir, op.tmp, op.p, op._s)
         copies = []
         for n in range(9):
             assert state.Kq is op.dir
