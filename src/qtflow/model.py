@@ -58,12 +58,13 @@ def trace_q2(Q: np.ndarray):
 
 def _potential(t2, p: Params):
     """The bulk energy density F as a function of t2 = tr(Q^2), formed in
-    t2."""
+    t2 in Horner form, F = (c/4 t2 + a/2) t2, with one temporary; c > 0,
+    so an overflowing F is +inf."""
     # tr(Q^3) vanishes identically for symmetric trace-free 2x2 matrices,
     # so the b term (b/3) tr(Q^3) of the 3D form drops out.
-    quartic = 0.25 * p.c * t2 * t2
-    t2 *= 0.5 * p.a
-    t2 += quartic
+    factor = 0.25 * p.c * t2
+    factor += 0.5 * p.a
+    t2 *= factor
     return t2
 
 

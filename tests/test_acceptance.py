@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from qtflow.analysis import h1_error_field, norm_forms
 from qtflow.assembly import (
     assemble_div_form,
     assemble_stiffness,
@@ -246,6 +247,37 @@ def test_sigma_constant_is_uniform_in_h_and_dt():
           "32^2); %.5f at dt = 5e-5" % tuple(constants))
     assert abs(c32 - c16) <= 0.045 and abs(c32 - c16) <= abs(c16 - c8) / 3.0
     assert abs(c16_fine - c16) <= 1e-3 * c16
+
+
+def test_perturbed_sigma_constant_is_the_offsets_h1_norm():
+    """The (1, inf) pair of the sweep starts from Q0 + (sigma / 2)
+    diag(1, -1) at the interior nodes and zero on the boundary, so its
+    distance / sigma at sigma = 1e-3 is the H1 norm of that offset divided
+    by sigma, and grows like h^(-1/2) as the offset's boundary jump does:
+    the gradient sigma / (2h) in the boundary cells gives about
+    2 h^(-1/2).  Measured on 8^2, 16^2 and 32^2 (dt = 1e-4, T = 0.1):
+    distance / sigma 4.007, 5.746 and 7.979 against the offset's 3.923,
+    5.629 and 7.990 (ratios 1.021, 1.021 and 0.999), a growth of 1.434
+    and 1.389 per halving of h against sqrt(2) = 1.414.  About 1.3 s."""
+    constants, offsets = [], []
+    for nx in (8, 16, 32):
+        rows = sigma_study(ExperimentConfig(
+            nx=nx, ny=nx, dt=1e-4, T=0.1, p1_list=(1.0,), p2_list=(math.inf,),
+            sigma_list=(1e-3, 10 ** -1.5))).rows
+        assert rows[0].sigma == 1e-3 and (rows[0].p1, rows[0].p2) == (1.0, math.inf)
+        mesh = build_mesh(0.0, 2.0, 0.0, 2.0, nx, nx)
+        offset = np.zeros((2, mesh.n_interior))
+        offset[0] = rows[0].sigma / 2.0
+        norm = h1_error_field(np.zeros_like(offset), offset, norm_forms(mesh))
+        constants.append(rows[0].h1_error / rows[0].sigma)
+        offsets.append(norm / rows[0].sigma)
+    print("\nperturbed distance / sigma at sigma = 1e-3: %.3f, %.3f, %.3f; the "
+          "offset's H1 norm / sigma: %.3f, %.3f, %.3f" % tuple(constants + offsets))
+    for c, o in zip(constants, offsets):
+        assert 0.99 <= c / o <= 1.03
+    for values in (constants, offsets):
+        for coarse, fine in zip(values, values[1:]):
+            assert 1.37 <= fine / coarse <= 1.45
 
 
 def test_criterion_7_model_algebra_suite():

@@ -201,9 +201,10 @@ def test_warm_steps_fault_in_no_new_memory():
     its rates in two of them, the operator keeps its own copy of p, and a
     step advances its state in place (the old dq serves the energy), so
     warm steps fault in almost no pages under the C library's default
-    allocator settings.  Measured on Linux/glibc: 1-4 on every mesh from
-    48^2 to 320^2 with K x in CG's direction vector and the Jacobi
-    diagonal in the temporary, and 1-4 before, while step() advanced its
+    allocator settings.  Measured on Linux/glibc: 2-3 on every mesh from
+    48^2 to 320^2 tried with K x in CG's direction vector and no
+    preconditioner; 1-4 while the Jacobi diagonal lived in the temporary,
+    and 1-4 before, while step() advanced its
     state in place but a confirmation formed K x anew; 2-5
     faults on every mesh from 48^2 to 320^2 tried with a Jacobi diagonal
     formed per solve, 1-4 while the operator kept one.  While the run loop
@@ -232,8 +233,9 @@ def test_warm_steps_fault_in_no_new_memory_at_256():
 
 def test_warm_steps_fault_in_no_new_memory_anisotropic():
     """space_aniso's path, sigma = 0 and L2 = L3 > 0, where CG takes about
-    two iterations per step and A p lives in the operator's .tmp: 1-4
-    faults measured on every mesh from 48^2 to 320^2."""
+    two iterations per step and A p lives in the operator's .tmp: 2-3
+    faults measured on every mesh from 48^2 to 320^2 tried (1-4 with a
+    Jacobi diagonal in .tmp)."""
     pytest.importorskip("resource")
     assert warm_step_faults(128, "sigma=0.0, L2=5e-4, L3=5e-4") <= 1000
 
@@ -364,22 +366,24 @@ def warm_step_peak(case, monkeypatch, warm=3):
 
 
 @pytest.mark.parametrize("params, nx, bound", [
-    (DEFAULT_PARAMS, 128, 16.7),
-    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 128, 16.6),
+    (DEFAULT_PARAMS, 128, 16.2),
+    (replace(DEFAULT_PARAMS, sigma=0.0, L2=5e-4, L3=5e-4), 128, 16.1),
     (DEFAULT_PARAMS, 256, 16.1),
 ], ids=["inertial", "anisotropic", "inertial_256"])
 def test_warm_step_peak(params, nx, bound, monkeypatch):
-    """The peak of a warm step, all a run holds included: 16.52-16.58
-    n-vectors measured at 128^2 with sigma > 0, 16.52 in the anisotropic
+    """The peak of a warm step, all a run holds included: 16.02-16.09
+    n-vectors measured at 128^2 with sigma > 0, 16.02 in the anisotropic
     128^2 run and 16.00 at 256^2, fine_run's mesh.  At 256^2 it sits
     where a confirmation forms K x: the CSR K (4.0), the constant block
     (2.5), the operator's five work vectors and p . x (5.5), K x going
     into .dir, CG's dead direction, the state's q, dq and r (2.5), the new
-    x (1.0) and the m-vector of one sparse product (0.5); the Jacobi
-    diagonal lives in .tmp, and dq is formed in the old q's vector.  At
-    128^2 it sits in aux_P, 0.5 higher: below numpy's 256 KB threshold
-    for reusing temporaries, the bulk potential's quartic term takes two
-    m-vectors beside tr(Q^2) and the factor (a + c tr(Q^2)) / r.  It was
+    x (1.0) and the m-vector of one sparse product (0.5); A p lives in
+    .tmp, and dq is formed in the old q's vector.  At 128^2, below numpy's
+    256 KB threshold for reusing temporaries, aux_P reaches about as high:
+    the bulk potential, formed in Horner form, takes one m-vector beside
+    tr(Q^2) and the factor (a + c tr(Q^2)) / r.  It was 16.52-16.58 and
+    16.52 at 128^2 while the quartic term c/4 tr(Q^2)^2 took two m-vectors
+    there, and the solve formed a Jacobi diagonal in .tmp;
     17.02-17.09, 17.02 and 17.00 while the operator also kept w P beside
     the rank-one vectors; 18.01-18.08,
     18.02 and 18.00 while a confirmation formed K x in a new vector and a

@@ -43,8 +43,16 @@ store its rank-one vectors as sqrt(w) P, and the step, aux_P and the
 energy each came to take a product of scalars as one factor (w c_m,
 w sigma / dt^2, (a + c tr Q^2) / r, |dq|^2 / dt^2): each rounds in
 another order.  run-zero's fields stay exactly zero.  CHANGES.md lists the old and new
-hashes with the largest relative change of each file.  Running this file
-as a script prints HASHES as the running environment writes them.
+hashes with the largest relative change of each file.  Every hash but
+run-zero's was re-recorded again when CG dropped its Jacobi
+preconditioner, whose diagonal varies by at most 4.1e-7 relative on the
+shipped studies, and the bulk potential came to be formed in Horner form:
+the iterates are the same up to rounding, and every solution moves inside
+the CG tolerance (CHANGES.md lists both hashes of every file).  Running this file
+as a script prints HASHES as the running environment writes them; with
+--keep DIR it keeps each config's files under DIR, and --compare OLD NEW
+prints the largest relative change of each column between two kept trees,
+the record of a re-recording.
 README.md quotes the space-refine hash, and test_readme_quotes_the_pinned_hash
 holds the quote to the pin.  Each run's manifest.json must list the SHA-256
 of every other file it wrote, as read back from the disk.
@@ -52,6 +60,7 @@ of every other file it wrote, as read back from the disk.
 
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -169,15 +178,15 @@ p2_list = 1, inf
 HASHES = {
     "run": {
         "energy_trace.csv":
-            "faea2405944325e888908b3249cb55e7ed583110b978fa0e29eca6760c981b13",
+            "b6e09639b3332729da9b0ef88f9dcfdec1eaaa398b7a8a3400b429b97dc41fa7",
     },
     "run-aniso": {
         "energy_trace.csv":
-            "bf9d280ff291079e28eb4775727a29d5ef1416baa27689fcdbfedea8031df277",
+            "6061decb3dd25077c236ee02cf19c5b0d28010a8f83b17f90698e62232ea5f90",
     },
     "run-nondyadic": {
         "energy_trace.csv":
-            "eb2951f2f835205371ad90bad15b86ec28a8db60ea315cdeb0dbcb4b560eed4d",
+            "7f07844d86bce7aa03736e43cea8fd4e00b4aef0ecdf7e9cbad92aad4937bbe6",
     },
     "run-zero": {
         "energy_trace.csv":
@@ -185,31 +194,31 @@ HASHES = {
     },
     "run-thin": {
         "energy_trace.csv":
-            "4b56995eeacccd7dc1ebb4d61ebd50e44cd894b59fa7741574af6fe909e13936",
+            "d66cd90b329c46cf2dda12408697d1858add91e9cf673f90e6e1200752dd2cc2",
     },
     "run-thin-tall": {
         "energy_trace.csv":
-            "f9971724408214b2e860dcb81068ab333b7b961ff2d4e665ec8d4dcae8e65d35",
+            "ff8574c195a7672907db7bbc49a6ac1fd3b9e16277a97de21954c0c34d54a10f",
     },
     "space-refine": {
         "space_refinement.csv":
-            "060f624214f7d9f680b05a6a7e424e6ac58c6784520db647b3231c5142e55a79",
+            "b0bc7d353ca4729af4aef307161d5c1c8a04a769b00c7ff07b996707aae9c8fa",
     },
     "time-refine": {
         "time_refinement.csv":
-            "410baa9d305154c0146d381df341cb98c92607449600e1b51f0a7f2bc2c5cac5",
+            "fe50bfc9f26c1179ba3483a8dbc6ee3f2bfb2d1f31a6f0c6b0fdb8a5481924aa",
     },
     "sigma-study": {
         "sigma_study.csv":
-            "9121ef7a816f2af740b41de970f95a9ecd0a824a6282b19f199b85d249583229",
+            "ec4fb3df0da63f9833f0b07dd3a1a076a78258ec336b6fee005cb891c0e6ca53",
         "sigma_case_p1_1_p2_1.dat":
-            "c2daf4ced2d5294c95be7af31ea31474a86eff66d388f3c1f49658e7bfbea55f",
+            "301104e91d2078b659874c492deff395aae5db4c3642c5c2b04c62a40e6942f9",
         "sigma_case_p1_1_p2_inf.dat":
-            "e12d316c0658be131627c8a8f7f7bab50e79ab2376cbd71d411c31cfe28f215c",
+            "ebf10bf1e722e1f17207cc64a6bd6f3551d49c3ffa17947af1b5a8ef1ff26b1c",
         "sigma_case_p1_inf_p2_1.dat":
-            "efe9e11ee12d14130b0533417ee216d5002564ddf0d3aa0a982930c3dc090eb1",
+            "8002ad87b07c68138b8867740c75e9db3d4f07256e7ad871e50a170658f72377",
         "sigma_case_p1_inf_p2_inf.dat":
-            "f87d167b7f9d4a496ce019aab52c733708298b7aba79f0d8f9cfbdfb13f321d2",
+            "b1e167f5eea86d762e4cb9a3ace7e3f01d3b9dacfcafd9c46c9f62a718aa5384",
     },
 }
 
@@ -262,22 +271,81 @@ def test_readme_quotes_the_pinned_hash():
     assert HASHES["space-refine"]["space_refinement.csv"].startswith(quoted.group(1))
 
 
+def read_columns(path):
+    """The columns of one CSV (named by its header) or .dat file (numbered),
+    as {name: [entry text]}."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv":
+        names, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    else:
+        rows = [line.split() for line in lines]
+        names = ["column %d" % j for j in range(len(rows[0]))]
+    return {name: [row[j] for row in rows] for j, name in enumerate(names)}
+
+
+def relative_change(old, new):
+    """|new - old| / |old| of two entries: 0 when they are equal (as text
+    or as numbers), inf when an old zero or a text entry changed."""
+    if old == new:
+        return 0.0
+    try:
+        old, new = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def largest_changes(old, new):
+    """Per CSV and .dat file of the kept tree old (a directory per config,
+    as --keep writes it), the largest relative change of each column in
+    the tree new."""
+    changes = {}
+    for path in sorted(old.glob("*/out/*")):
+        if path.suffix in (".csv", ".dat"):
+            before = read_columns(path)
+            after = read_columns(new / path.relative_to(old))
+            changes[str(path.relative_to(old))] = {
+                name: max(map(relative_change, before[name], after[name]))
+                for name in before}
+    return changes
+
+
 if __name__ == "__main__":
-    # Print HASHES as this environment writes them, to re-record the pins:
+    # Print HASHES as this environment writes them, to re-record the pins;
+    # --keep DIR keeps each config's files under DIR/<name>, and
+    # --compare OLD NEW prints the largest relative change of each column
+    # of every CSV and .dat file between two kept trees:
     #   OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
-    #       PYTHONPATH=src python tests/test_golden.py
+    #       PYTHONPATH=src python tests/test_golden.py [--keep DIR]
+    #   PYTHONPATH=src python tests/test_golden.py --compare OLD NEW
+    import argparse
     import contextlib
     import pathlib
     import pprint
     import sys
     import tempfile
 
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--keep", type=pathlib.Path, metavar="DIR")
+    group.add_argument("--compare", type=pathlib.Path, nargs=2, metavar=("OLD", "NEW"))
+    args = parser.parse_args()
+    if args.compare:
+        for name, columns in largest_changes(*args.compare).items():
+            print(name)
+            for column, change in columns.items():
+                print("    %-24s %.2g" % (column, change))
+        sys.exit()
     if skip_reason() is not None:
         print("warning: %s" % skip_reason(), file=sys.stderr)
     recorded = {}
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+    with contextlib.ExitStack() as stack:
+        tmp = args.keep or pathlib.Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        stack.enter_context(contextlib.redirect_stdout(sys.stderr))
         for name in sorted(CONFIGS):
-            directory = pathlib.Path(tmp) / name
-            directory.mkdir()
+            directory = tmp / name
+            directory.mkdir(parents=True)
             recorded[name] = output_hashes(name, directory)
     print("HASHES = " + pprint.pformat(recorded, width=100))

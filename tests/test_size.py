@@ -15,7 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "qtflow"
 
 #: The most code lines src/qtflow may hold.
-MAX_CODE_LINES = 937
+MAX_CODE_LINES = 934
 
 #: (module, name) of the imports that a module keeps without using them,
 #: with the reason each stays.
